@@ -1,5 +1,10 @@
 """Poisoning attacks against the grid protocol.
 
+Every attack picks OLH (function, key) report pairs from one support scan of
+a grid (:func:`scan_supports`): per pair, the size of its support and the
+part of the support inside the target range.  The hooks share one base that
+builds the family's key table once per cell count and rescans it per grid.
+
 Attack families:
 
 * a max-gain baseline: every fake user in a grid reports the hash pair whose
@@ -30,12 +35,12 @@ from ..tree_protocol import RangeQuery
 __all__ = [
     "SizeConstraints",
     "ColumnBook",
+    "GridSupports",
+    "scan_supports",
     "mga_grid",
     "MgaGridAttack",
     "aog_size_constraints",
-    "aog_find_hash_pair",
     "GridRangeAttack",
-    "haog_preference",
     "haog_best_pair",
     "HeuristicGridAttack",
     "aaog_compute_load_limit",
@@ -61,26 +66,52 @@ class SizeConstraints:
 
 
 # ---------------------------------------------------------------------------
-# Support enumeration helpers
+# Support scan
 # ---------------------------------------------------------------------------
 
-def _support_tables(family: HashFamily, n_cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(fn_ids of the random sub-family, key table of shape (F, n_cells))."""
-    return family.random_fn_ids(), family.key_table(n_cells)
+@dataclass(frozen=True)
+class GridSupports:
+    """Support statistics of every (function, key) pair on one grid.
+
+    Rows follow :meth:`HashFamily.random_fn_ids`.  ``table[f, c]`` is the key
+    of cell ``c`` under function ``f``; ``sizes[f, k]`` counts the cells
+    hashing to key ``k`` and ``inter[f, k]`` those of them inside the range.
+    """
+
+    fn_ids: np.ndarray
+    table: np.ndarray
+    sizes: np.ndarray
+    inter: np.ndarray
+
+    def preference(self, is_one_d: bool, config: GridConfig) -> Tuple[np.ndarray, np.ndarray]:
+        """(primary, secondary) heuristic ranking per (function, key).
+
+        Primary favors supports with no out-of-range spill; secondary favors
+        large supports.  1-D grids are rescaled by ``g1/g2`` so their scores
+        are comparable with 2-D grids.
+        """
+        scale = (config.g1 / config.g2) if is_one_d else 1.0
+        return (self.inter - self.sizes) / scale, self.sizes / scale
 
 
-def _support_stats(
-    table: np.ndarray, in_range: np.ndarray, g: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per (function, key): total support size and in-range support size."""
-    n_fns = table.shape[0]
-    sizes = np.zeros((n_fns, g), dtype=np.int64)
-    inter = np.zeros((n_fns, g), dtype=np.int64)
-    for key in range(g):
+def scan_supports(
+    family: HashFamily, table: np.ndarray, in_range: np.ndarray
+) -> GridSupports:
+    """Scan a grid's in-range mask against the family's key table.
+
+    ``table`` is ``family.key_table(in_range.size)``; callers scanning many
+    grids build it once and pass it to every scan.
+    """
+    in_range = np.asarray(in_range, dtype=bool)
+    sizes = np.empty((table.shape[0], family.g), dtype=np.int64)
+    inter = np.empty_like(sizes)
+    # One boolean hit mask per key keeps the scan's scratch memory at an
+    # eighth of the int64 table.
+    for key in range(family.g):
         hit = table == key
-        sizes[:, key] = hit.sum(axis=1)
-        inter[:, key] = (hit & in_range[None, :]).sum(axis=1)
-    return sizes, inter
+        sizes[:, key] = np.count_nonzero(hit, axis=1)
+        inter[:, key] = np.count_nonzero(hit[:, in_range], axis=1)
+    return GridSupports(family.random_fn_ids(), table, sizes, inter)
 
 
 def _random_argmax(values: np.ndarray, rng: np.random.Generator) -> Tuple[int, int]:
@@ -90,40 +121,52 @@ def _random_argmax(values: np.ndarray, rng: np.random.Generator) -> Tuple[int, i
     return int(pick[0]), int(pick[1])
 
 
-# ---------------------------------------------------------------------------
-# Max-gain baseline
-# ---------------------------------------------------------------------------
-
-def mga_grid(
-    family: HashFamily, in_range: np.ndarray, rng: np.random.Generator
-) -> HashPair:
-    """Hash pair with the largest in-range support, ties broken uniformly."""
-    in_range = np.asarray(in_range, dtype=bool)
-    if not in_range.any():
-        raise ValueError("query covers no cell of this grid")
-    fn_ids, table = _support_tables(family, in_range.size)
-    _, inter = _support_stats(table, in_range, family.g)
-    row, key = _random_argmax(inter, rng)
-    return HashPair(int(fn_ids[row]), key)
+def _repeat(pair: HashPair, m_fake: int) -> Tuple[np.ndarray, np.ndarray]:
+    return (
+        np.full(m_fake, pair.fn_id, dtype=np.int64),
+        np.full(m_fake, pair.key, dtype=np.int64),
+    )
 
 
-class MgaGridAttack:
-    """Grid hook: all fakes in a grid report the max-gain pair."""
+class _GridHook:
+    """Set-up shared by the grid hooks: config, target query, hash family.
+
+    Keeps one key table per cell count for the hook's lifetime and rescans
+    it for each grid; the per-grid scans are not kept.
+    """
 
     def __init__(self, config: GridConfig, query: RangeQuery):
         self.config = config
         self.query = query
         self.family = config.family()
+        self._tables: Dict[int, np.ndarray] = {}
+
+    def supports(self, key: GridKey) -> GridSupports:
+        mask = cells_in_range(self.config, self.query, key)
+        if mask.size not in self._tables:
+            self._tables[mask.size] = self.family.key_table(mask.size)
+        return scan_supports(self.family, self._tables[mask.size], mask)
+
+
+# ---------------------------------------------------------------------------
+# Max-gain baseline
+# ---------------------------------------------------------------------------
+
+def mga_grid(supports: GridSupports, rng: np.random.Generator) -> HashPair:
+    """Hash pair with the largest in-range support, ties broken uniformly."""
+    if not supports.inter.any():
+        raise ValueError("query covers no cell of this grid")
+    row, key = _random_argmax(supports.inter, rng)
+    return HashPair(int(supports.fn_ids[row]), key)
+
+
+class MgaGridAttack(_GridHook):
+    """Grid hook: all fakes in a grid report the max-gain pair."""
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        mask = cells_in_range(self.config, self.query, key)
-        pair = mga_grid(self.family, mask, rng)
-        return (
-            np.full(m_fake, pair.fn_id, dtype=np.int64),
-            np.full(m_fake, pair.key, dtype=np.int64),
-        )
+        return _repeat(mga_grid(self.supports(key), rng), m_fake)
 
 
 # ---------------------------------------------------------------------------
@@ -187,55 +230,23 @@ def _attr_columns(config: GridConfig, key: GridKey) -> Dict[int, np.ndarray]:
     return {i: idx // config.g2, j: idx % config.g2}
 
 
-def aog_find_hash_pair(
-    family: HashFamily,
-    in_range: np.ndarray,
-    min_support: int,
-    attr_columns: Dict[int, np.ndarray],
-    book: ColumnBook,
-    rng: Optional[np.random.Generator] = None,
-) -> Optional[HashPair]:
-    """First hash pair in scan order satisfying all constraints.
-
-    Conditions: support entirely in range, support size >= ``min_support``,
-    and per-column counts compatible with the book for every supplied
-    attribute.  On success the book is updated; on failure returns ``None``.
-
-    Scan order is (function asc, key asc) when ``rng`` is None.  Passing a
-    generator scans the constraint-passing candidates in a seeded random
-    order instead: the ascending order always reaches the maximally skewed
-    single-column supports first, whose recorded column counts are mutually
-    unsatisfiable across grids sharing two attributes.
-    """
-    in_range = np.asarray(in_range, dtype=bool)
-    fn_ids, table = _support_tables(family, in_range.size)
-    sizes, inter = _support_stats(table, in_range, family.g)
-    ok = (sizes == inter) & (sizes >= min_support)
-    candidates = np.argwhere(ok)
-    if rng is not None and len(candidates):
-        candidates = candidates[rng.permutation(len(candidates))]
-    for row, key in candidates:
-        support = table[row] == key
-        col_counts = {
-            attr: np.bincount(cols[support], minlength=book.g2)
-            for attr, cols in attr_columns.items()
-        }
-        if all(book.check(attr, cc) for attr, cc in col_counts.items()):
-            for attr, cc in col_counts.items():
-                book.record(attr, cc)
-            return HashPair(int(fn_ids[row]), int(key))
-    return None
+_Candidates = Tuple[np.ndarray, Dict[int, np.ndarray]]
 
 
-class GridRangeAttack:
+class GridRangeAttack(_GridHook):
     """Grid hook for the constraint-driven attack (fresh instance per run).
 
-    ``begin`` plans a compliant pair for every grid before the rounds start,
-    restarting the greedy scan with a fresh candidate order whenever some
-    grid cannot extend the column book (up to ``max_restarts`` attempts).
-    Grids left without a compliant pair fall back to the heuristic pair;
-    ``all_succeeded`` reports whether every relevant grid got a compliant
-    pair, and ``fallback_keys`` lists the grids that did not.
+    ``begin`` plans a compliant pair for every grid before the rounds start.
+    Each attempt scans the grids in order and, per grid, takes the first
+    candidate in a seeded random order whose column counts extend the column
+    book; an attempt that leaves some grid without a compliant pair restarts
+    with a fresh order (up to ``max_restarts`` attempts).  A fixed ascending
+    order would always reach the maximally skewed single-column supports
+    first, whose recorded column counts are mutually unsatisfiable across
+    grids sharing two attributes.  Grids left without a compliant pair fall
+    back to the heuristic pair; ``all_succeeded`` reports whether every
+    relevant grid got a compliant pair, and ``fallback_keys`` lists the grids
+    that did not.
     """
 
     def __init__(
@@ -244,16 +255,12 @@ class GridRangeAttack:
         query: RangeQuery,
         rho: float,
         max_restarts: int = 50,
-        shuffle_scan: bool = True,
     ):
-        self.config = config
-        self.query = query
-        self.family = config.family()
+        super().__init__(config, query)
         self.constraints = aog_size_constraints(
             rho, self.family.g, config.g1, config.g2, config.d
         )
         self.max_restarts = max_restarts
-        self.shuffle_scan = shuffle_scan
         self.book = ColumnBook(config.g2)
         self.fallback_keys: List[GridKey] = []
         self.chosen: Dict[GridKey, HashPair] = {}
@@ -266,157 +273,105 @@ class GridRangeAttack:
         keys = grid_keys(self.config.d)
         return [k for k in keys if any(a in self.query.attrs for a in k[1:])]
 
-    def _candidates(self, keys: List[GridKey]) -> Dict[GridKey, dict]:
-        """Pre-filter subset/size-compliant pairs and their column counts."""
-        tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        out: Dict[GridKey, dict] = {}
+    def _candidates(self, keys: List[GridKey]) -> Dict[GridKey, _Candidates]:
+        """Per grid: subset/size-compliant (fn_id, key) rows and their
+        per-attribute column counts (one row per pair)."""
+        eye = np.eye(self.config.g2, dtype=np.int64)
+        out = {}
         for key in keys:
-            mask = cells_in_range(self.config, self.query, key)
-            if mask.size not in tables:
-                tables[mask.size] = _support_tables(self.family, mask.size)
-            fn_ids, table = tables[mask.size]
-            sizes, inter = _support_stats(table, mask, self.family.g)
+            scan = self.supports(key)
             w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
-            cand = np.argwhere((sizes == inter) & (sizes >= w))
-            supports = np.stack(
-                [table[row] == col_key for row, col_key in cand]
-            ) if len(cand) else np.zeros((0, mask.size), dtype=bool)
-            counts = {}
-            for attr, cols in _attr_columns(self.config, key).items():
-                if attr not in self.query.attrs:
-                    continue
-                onehot = cols[:, None] == np.arange(self.config.g2)[None, :]
-                counts[attr] = supports.astype(np.int64) @ onehot.astype(np.int64)
-            out[key] = {"fn_ids": fn_ids, "cand": cand, "counts": counts}
+            cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
+            support = (scan.table[cand[:, 0]] == cand[:, 1:]).astype(np.int64)
+            counts = {
+                attr: support @ eye[cols]
+                for attr, cols in _attr_columns(self.config, key).items()
+                if attr in self.query.attrs
+            }
+            out[key] = (np.column_stack([scan.fn_ids[cand[:, 0]], cand[:, 1]]), counts)
         return out
 
     def _plan_once(
         self,
         keys: List[GridKey],
-        candidates: Dict[GridKey, dict],
-        rng: Optional[np.random.Generator],
-    ) -> Tuple[Dict[GridKey, HashPair], List[GridKey], ColumnBook]:
-        book = ColumnBook(self.config.g2)
+        candidates: Dict[GridKey, _Candidates],
+        rng: np.random.Generator,
+        book: ColumnBook,
+    ) -> Tuple[Dict[GridKey, HashPair], List[GridKey]]:
+        """One greedy pass over ``keys``, extending ``book`` in place.
+
+        Returns the chosen pair per grid and the grids left without one.
+        """
         chosen: Dict[GridKey, HashPair] = {}
         failed: List[GridKey] = []
         for key in keys:
-            info = candidates[key]
-            n_cand = len(info["cand"])
-            order = rng.permutation(n_cand) if rng is not None else range(n_cand)
-            found = None
-            for idx in order:
-                counts = {attr: cc[idx] for attr, cc in info["counts"].items()}
-                if all(book.check(attr, cc) for attr, cc in counts.items()):
-                    for attr, cc in counts.items():
+            pairs, counts = candidates[key]
+            for idx in rng.permutation(len(pairs)):
+                picked = {attr: cc[idx] for attr, cc in counts.items()}
+                if all(book.check(attr, cc) for attr, cc in picked.items()):
+                    for attr, cc in picked.items():
                         book.record(attr, cc)
-                    row, col_key = info["cand"][idx]
-                    found = HashPair(int(info["fn_ids"][row]), int(col_key))
+                    chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
                     break
-            if found is None:
-                failed.append(key)
             else:
-                chosen[key] = found
-        return chosen, failed, book
+                failed.append(key)
+        return chosen, failed
 
     def begin(
         self, fake_counts: Dict[GridKey, int], n_total: int, rng: np.random.Generator
     ) -> None:
         keys = self._relevant_keys()
         candidates = self._candidates(keys)
-        attempts = self.max_restarts if self.shuffle_scan else 1
         best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey], ColumnBook]] = None
-        for _ in range(attempts):
-            plan = self._plan_once(keys, candidates, rng if self.shuffle_scan else None)
-            if best is None or len(plan[1]) < len(best[1]):
-                best = plan
-            if not plan[1]:
+        for _ in range(self.max_restarts):
+            book = ColumnBook(self.config.g2)
+            chosen, failed = self._plan_once(keys, candidates, rng, book)
+            if best is None or len(failed) < len(best[1]):
+                best = (chosen, failed, book)
+            if not failed:
                 break
         assert best is not None
         self.chosen, self.fallback_keys, self.book = best
-        for key in self.fallback_keys:
-            mask = cells_in_range(self.config, self.query, key)
+        # Fallback grids first, then the grids with no query attribute.
+        others = [k for k in grid_keys(self.config.d) if k not in keys]
+        for key in self.fallback_keys + others:
             self.chosen[key] = haog_best_pair(
-                self.family, mask, key[0] == "1d", self.config, rng
+                self.supports(key), key[0] == "1d", self.config, rng
             )
-        for key in grid_keys(self.config.d):
-            if key not in self.chosen:  # grid with no query attribute
-                mask = cells_in_range(self.config, self.query, key)
-                self.chosen[key] = haog_best_pair(
-                    self.family, mask, key[0] == "1d", self.config, rng
-                )
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         if not self.chosen:
             self.begin({}, 0, rng)
-        pair = self.chosen[key]
-        return (
-            np.full(m_fake, pair.fn_id, dtype=np.int64),
-            np.full(m_fake, pair.key, dtype=np.int64),
-        )
+        return _repeat(self.chosen[key], m_fake)
 
 
 # ---------------------------------------------------------------------------
 # Heuristic attack
 # ---------------------------------------------------------------------------
 
-def haog_preference(
-    support_size: float, in_range_size: float, is_one_d: bool, config: GridConfig
-) -> Tuple[float, float]:
-    """(primary, secondary) ranking of a hash pair for one grid.
-
-    Primary favors supports with no out-of-range spill; secondary favors
-    large supports.  1-D grids are rescaled by ``g1/g2`` so their scores are
-    comparable with 2-D grids.
-    """
-    scale = (config.g1 / config.g2) if is_one_d else 1.0
-    return ((in_range_size - support_size) / scale, support_size / scale)
-
-
-def _preference_matrices(
-    family: HashFamily, in_range: np.ndarray, is_one_d: bool, config: GridConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fn_ids, primary, secondary) per (function, key)."""
-    fn_ids, table = _support_tables(family, in_range.size)
-    sizes, inter = _support_stats(table, in_range, family.g)
-    scale = (config.g1 / config.g2) if is_one_d else 1.0
-    return fn_ids, (inter - sizes) / scale, sizes / scale
-
-
 def haog_best_pair(
-    family: HashFamily,
-    in_range: np.ndarray,
+    supports: GridSupports,
     is_one_d: bool,
     config: GridConfig,
     rng: np.random.Generator,
 ) -> HashPair:
     """Lexicographic argmax of the heuristic preference, ties uniform."""
-    fn_ids, primary, secondary = _preference_matrices(family, in_range, is_one_d, config)
-    best_primary = primary.max()
-    candidates = primary == best_primary
-    score = np.where(candidates, secondary, -np.inf)
+    primary, secondary = supports.preference(is_one_d, config)
+    score = np.where(primary == primary.max(), secondary, -np.inf)
     row, key = _random_argmax(score, rng)
-    return HashPair(int(fn_ids[row]), key)
+    return HashPair(int(supports.fn_ids[row]), key)
 
 
-class HeuristicGridAttack:
+class HeuristicGridAttack(_GridHook):
     """Grid hook: all fakes in a grid report the heuristic-best pair."""
-
-    def __init__(self, config: GridConfig, query: RangeQuery):
-        self.config = config
-        self.query = query
-        self.family = config.family()
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        mask = cells_in_range(self.config, self.query, key)
-        pair = haog_best_pair(self.family, mask, key[0] == "1d", self.config, rng)
-        return (
-            np.full(m_fake, pair.fn_id, dtype=np.int64),
-            np.full(m_fake, pair.key, dtype=np.int64),
-        )
+        pair = haog_best_pair(self.supports(key), key[0] == "1d", self.config, rng)
+        return _repeat(pair, m_fake)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +454,7 @@ def match_functions_to_grids(
     return matched
 
 
-class AdaptiveGridAttack:
+class AdaptiveGridAttack(_GridHook):
     """Grid hook spreading fake reports to evade the max-load detector.
 
     ``begin`` (called by the protocol before any grid round) computes the
@@ -519,9 +474,7 @@ class AdaptiveGridAttack:
         load_trials: int = 200,
         cdf_trials: int = 1000,
     ):
-        self.config = config
-        self.query = query
-        self.family = config.family()
+        super().__init__(config, query)
         self.alpha = alpha
         self.beta = beta
         self.load_trials = load_trials
@@ -567,10 +520,7 @@ class AdaptiveGridAttack:
         values = np.zeros((len(keys), fn_ids.size))
         best_keys = np.zeros((len(keys), fn_ids.size), dtype=np.int64)
         for g_idx, key in enumerate(keys):
-            mask = cells_in_range(self.config, self.query, key)
-            _, primary, secondary = _preference_matrices(
-                self.family, mask, key[0] == "1d", self.config
-            )
+            primary, secondary = self.supports(key).preference(key[0] == "1d", self.config)
             score = primary * 1e6 + secondary
             best_keys[g_idx] = score.argmax(axis=1)
             values[g_idx] = score.max(axis=1)

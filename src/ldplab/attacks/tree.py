@@ -6,8 +6,8 @@ Three attack families:
   count-matching number of random out-of-range bits;
 * an optimal layer-assignment attack that maximizes the target query's
   post-consistency estimate through per-node coefficients and a search over
-  the provably sufficient family of "front-loaded" assignments, with both a
-  brute-force and a fast incremental search;
+  the provably sufficient family of "front-loaded" assignments, found by a
+  fast incremental search (a brute-force reference lives in the tests);
 * an adaptive wrapper that re-samples each fake report's 1-count from the
   honest distribution to evade the ones-count detector.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..tree_protocol import (
     TreeNode,
     _partition_sizes,
     query_cover,
+    split_frontier,
 )
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "layer_coefficients",
     "expected_layer_estimates",
     "assignment_objective",
-    "aot_assignment_bruteforce",
     "aot_assignment_fast",
     "aot_zero_coeff_strategy",
     "OptimalTreeAttack",
@@ -202,43 +202,6 @@ def _check_search_inputs(sorted_coeffs: np.ndarray, m_fake: int) -> np.ndarray:
     return c
 
 
-def aot_assignment_bruteforce(
-    sorted_coeffs: Sequence[float],
-    m_fake: int,
-    n_real: int,
-    freqs: Sequence[float],
-    params: OueParams,
-) -> Assignment:
-    """Best front-loaded assignment by direct enumeration.
-
-    Scans every assignment of the form (M, ..., M, c, 0, ..., 0) over the
-    coefficient-sorted nodes (plus the all-M assignment), which provably
-    contains a global integer optimum of the objective.
-    """
-    c = _check_search_inputs(np.asarray(sorted_coeffs), m_fake)
-    f = np.asarray(freqs, dtype=np.float64)
-    n_nodes = c.size
-    best_val = -np.inf
-    best: Optional[np.ndarray] = None
-    assignment = np.zeros(n_nodes, dtype=np.float64)
-    for k in range(n_nodes):
-        assignment[:k] = m_fake
-        assignment[k:] = 0.0
-        for count in range(m_fake):
-            assignment[k] = count
-            val = assignment_objective(c, f, assignment, n_real, m_fake, params)
-            if val > best_val:
-                best_val = val
-                best = assignment.copy()
-    full = np.full(n_nodes, float(m_fake))
-    val = assignment_objective(c, f, full, n_real, m_fake, params)
-    if val > best_val:
-        best_val = val
-        best = full
-    assert best is not None
-    return Assignment(best.astype(np.int64), best_val)
-
-
 def aot_assignment_fast(
     sorted_coeffs: Sequence[float],
     m_fake: int,
@@ -370,7 +333,6 @@ class OptimalTreeAttack:
         assumed_n: int,
         rho: float,
         strategy: str = "one",
-        use_fast: bool = True,
     ):
         if assumed_n < 1:
             raise ValueError("assumed_n must be >= 1")
@@ -382,7 +344,6 @@ class OptimalTreeAttack:
         self.query = query
         self.assumed_n = assumed_n
         self.strategy = strategy
-        self.use_fast = use_fast
         depth = config.depth
         assumed_m = int(round(assumed_n * rho / (1.0 - rho)))
         self._real_sizes = _partition_sizes(assumed_n, depth, config.layer_user_fractions)
@@ -391,58 +352,44 @@ class OptimalTreeAttack:
 
     # -- tree reconstruction & growth prediction ---------------------------
 
-    def _tree_from_frontier(self, frontier: Sequence[TreeNode]) -> TreeNode:
+    def _predicted_tree(
+        self, frontier: Sequence[TreeNode]
+    ) -> Tuple[TreeNode, List[TreeNode]]:
+        """Rebuild the tree implied by ``frontier`` and grow it as predicted.
+
+        Growth assumes uniform data: a node's frequency is its share of the
+        domain, split with the protocol's rule under each future layer's
+        threshold.  Returns the root and the rebuilt frontier nodes in
+        frontier order.
+        """
+        fanout = self.config.fanout
         leaf_set = {(n.lo, n.hi) for n in frontier}
+        rebuilt: List[TreeNode] = []
 
         def build(lo: int, hi: int) -> TreeNode:
             node = TreeNode(lo, hi)
             if (lo, hi) in leaf_set:
+                rebuilt.append(node)
                 return node
-            width = (hi - lo) // self.config.fanout
+            width = (hi - lo) // fanout
             node.children = [
-                build(lo + k * width, lo + (k + 1) * width)
-                for k in range(self.config.fanout)
+                build(lo + k * width, lo + (k + 1) * width) for k in range(fanout)
             ]
             return node
 
-        return build(0, self.config.domain_size)
-
-    def _predict_growth(self, root: TreeNode) -> None:
-        c = self.config.domain_size
-        frontier = self._leaves(root)
+        root = build(0, self.config.domain_size)
+        nodes = rebuilt
         for layer in range(self.layer, self.config.depth):
             layer_users = self._real_sizes[layer] + self._fake_sizes[layer]
             theta = self.config.threshold_for(layer_users)
-            grew = False
-            next_frontier: List[TreeNode] = []
-            for node in frontier:
-                if node.length / c >= theta and node.length >= self.config.fanout:
-                    width = node.length // self.config.fanout
-                    node.children = [
-                        TreeNode(node.lo + k * width, node.lo + (k + 1) * width)
-                        for k in range(self.config.fanout)
-                    ]
-                    next_frontier.extend(node.children)
-                    grew = True
-                else:
-                    next_frontier.append(node)
-            if not grew:
+            grow = [
+                n.length / self.config.domain_size >= theta and n.length >= fanout
+                for n in nodes
+            ]
+            if not any(grow):
                 break
-            frontier = next_frontier
-
-    @staticmethod
-    def _leaves(root: TreeNode) -> List[TreeNode]:
-        out: List[TreeNode] = []
-
-        def visit(node: TreeNode) -> None:
-            if node.is_leaf():
-                out.append(node)
-                return
-            for child in node.children:
-                visit(child)
-
-        visit(root)
-        return out
+            nodes = split_frontier(nodes, grow, fanout)
+        return root, rebuilt
 
     # -- hook ---------------------------------------------------------------
 
@@ -450,11 +397,8 @@ class OptimalTreeAttack:
         self, frontier: List[TreeNode], m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
         n_nodes = len(frontier)
-        predicted = self._tree_from_frontier(frontier)
-        self._predict_growth(predicted)
-        coeffs_map = tree_coefficients(predicted, self.query)
-        by_interval = {(n.lo, n.hi): coeffs_map.get(id(n), 0.0) for n in self._all_nodes(predicted)}
-        coeffs = np.array([by_interval[(n.lo, n.hi)] for n in frontier])
+        root, rebuilt = self._predicted_tree(frontier)
+        coeffs = layer_coefficients(tree_coefficients(root, self.query), rebuilt)
         layer = min(self.layer, self.config.depth - 1)
         self.layer += 1
 
@@ -468,22 +412,11 @@ class OptimalTreeAttack:
         freqs = np.array([n.length for n in frontier], dtype=np.float64)
         freqs /= self.config.domain_size
         n_real = max(self._real_sizes[layer], 1)
-        search = aot_assignment_fast if self.use_fast else aot_assignment_bruteforce
         params = OueParams(self.config.epsilon, n_nodes)
-        result = search(coeffs[order], m_fake, n_real, freqs[order], params)
+        result = aot_assignment_fast(coeffs[order], m_fake, n_real, freqs[order], params)
         counts = np.zeros(n_nodes, dtype=np.int64)
         counts[order] = result.counts
         return (np.arange(m_fake)[:, None] < counts[None, :]).astype(np.uint8)
-
-    @staticmethod
-    def _all_nodes(root: TreeNode) -> List[TreeNode]:
-        out: List[TreeNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(node.children)
-        return out
 
 
 # ---------------------------------------------------------------------------

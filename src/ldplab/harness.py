@@ -373,18 +373,11 @@ def _run_tree_trial(
     response = tree_estimate(root, query)
     detection = None
     if collect_detection:
-        results = [
-            defenses.tree_detect(counts, n_nodes, config.epsilon,
-                                 defenses.TreeDefenseParams(alpha=config.alpha))
+        params = defenses.TreeDefenseParams(alpha=config.alpha)
+        detection = _fold_detection([
+            defenses.tree_detect(counts, n_nodes, config.epsilon, params)
             for counts, n_nodes in rounds
-        ]
-        flagged = [r for r in results if r.detected]
-        worst = max(results, key=lambda r: r.statistic - r.threshold)
-        detection = defenses.DetectionResult(
-            detected=bool(flagged),
-            statistic=worst.statistic,
-            threshold=worst.threshold,
-        )
+        ])
     return response, detection
 
 
@@ -410,18 +403,26 @@ def _run_grid_trial(
     detection = None
     if collect_detection:
         family_size = gc.family().n_random_functions
-        results = [
+        detection = _fold_detection([
             defenses.grid_detect(fn_ids, family_size, alpha=config.alpha)
             for fn_ids in rounds
-        ]
-        flagged = [r for r in results if r.detected]
-        worst = max(results, key=lambda r: r.statistic - r.threshold)
-        detection = defenses.DetectionResult(
-            detected=bool(flagged),
-            statistic=worst.statistic,
-            threshold=worst.threshold,
-        )
+        ])
     return response, detection
+
+
+def _fold_detection(results: List[defenses.DetectionResult]) -> defenses.DetectionResult:
+    """One trial outcome from the per-round detector results.
+
+    The trial is flagged when any round is; the statistic and threshold are
+    those of the round whose statistic comes closest to (or furthest past)
+    its threshold.
+    """
+    worst = max(results, key=lambda r: r.statistic - r.threshold)
+    return defenses.DetectionResult(
+        detected=any(r.detected for r in results),
+        statistic=worst.statistic,
+        threshold=worst.threshold,
+    )
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
@@ -440,28 +441,21 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
         snap=snap,
     )
 
-    flat = records[:, 0] if config.protocol == "ahead" else records
+    if config.protocol == "ahead":
+        flat, run_trial = records[:, 0], _run_tree_trial
+    else:
+        flat, run_trial = records, _run_grid_trial
+    honest_cfg = ExperimentConfig(**{**asdict(config), "attack": "none", "rho": 0.0})
 
     results: List[TrialResult] = []
     for qid, query in enumerate(queries):
         started = time.perf_counter()
         honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, qid]))
-        honest_cfg = ExperimentConfig(**{**asdict(config), "attack": "none", "rho": 0.0})
-        if config.protocol == "ahead":
-            honest, _ = _run_tree_trial(honest_cfg, flat, query, honest_rng, False)
-        else:
-            honest, _ = _run_grid_trial(honest_cfg, flat, query, honest_rng, False)
+        honest, _ = run_trial(honest_cfg, flat, query, honest_rng, False)
 
         poison_rng = np.random.default_rng(np.random.SeedSequence([seed, 3, qid]))
         if config.rho > 0:
-            if config.protocol == "ahead":
-                poisoned, detection = _run_tree_trial(
-                    config, flat, query, poison_rng, config.defense
-                )
-            else:
-                poisoned, detection = _run_grid_trial(
-                    config, flat, query, poison_rng, config.defense
-                )
+            poisoned, detection = run_trial(config, flat, query, poison_rng, config.defense)
         else:
             poisoned, detection = honest, None
 

@@ -28,6 +28,7 @@ __all__ = [
     "RangeQuery",
     "oue_sigma",
     "run_tree_protocol",
+    "split_frontier",
     "query_cover",
     "query_decomposition",
     "estimate_query",
@@ -167,7 +168,7 @@ def run_tree_protocol(
         offset += size
 
     root = TreeNode(0, config.domain_size, f_hat=1.0)
-    frontier = _split_node(root, config.fanout)
+    frontier = split_frontier([root], [True], config.fanout)
 
     for layer in range(depth):
         group = real_groups[layer]
@@ -202,27 +203,33 @@ def run_tree_protocol(
             node.f_hat = float(f)
 
         theta = config.threshold_for(total_users)
-        new_frontier: List[TreeNode] = []
-        any_split = False
-        for node in frontier:
-            if node.f_hat >= theta and node.length >= config.fanout and node.length > 1:
-                new_frontier.extend(_split_node(node, config.fanout))
-                any_split = True
-            else:
-                new_frontier.append(node)
-        if not any_split:
+        grow = [node.f_hat >= theta and node.length >= config.fanout for node in frontier]
+        if not any(grow):
             break
-        frontier = new_frontier
+        frontier = split_frontier(frontier, grow, config.fanout)
 
     return tree_consistency(root)
 
 
-def _split_node(node: TreeNode, fanout: int) -> List[TreeNode]:
-    width = node.length // fanout
-    node.children = [
-        TreeNode(node.lo + i * width, node.lo + (i + 1) * width) for i in range(fanout)
-    ]
-    return node.children
+def split_frontier(
+    frontier: Sequence[TreeNode], grow_mask: Sequence[bool], fanout: int
+) -> List[TreeNode]:
+    """Split each masked frontier node into ``fanout`` equal children.
+
+    Returns the next frontier: every split node replaced in place by its
+    children, every other node kept, so interval order is preserved.
+    """
+    out: List[TreeNode] = []
+    for node, grow in zip(frontier, grow_mask):
+        if not grow:
+            out.append(node)
+            continue
+        width = node.length // fanout
+        node.children = [
+            TreeNode(node.lo + i * width, node.lo + (i + 1) * width) for i in range(fanout)
+        ]
+        out.extend(node.children)
+    return out
 
 
 def query_cover(

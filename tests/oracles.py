@@ -8,9 +8,12 @@ forms, exhaustive enumeration instead of search) so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ldplab.attacks.tree import Assignment, _check_search_inputs, assignment_objective
+from ldplab.freq_oracles import OueParams
 
 
 def norm_sub_bisect(values: Sequence[float], tol: float = 1e-12) -> Tuple[np.ndarray, float]:
@@ -109,6 +112,43 @@ def exhaustive_best_objective(
     for assignment in itertools.product(range(m_fake + 1), repeat=len(coeffs)):
         best = max(best, evaluate(np.array(assignment, dtype=np.float64)))
     return best
+
+
+def aot_assignment_bruteforce(
+    sorted_coeffs: Sequence[float],
+    m_fake: int,
+    n_real: int,
+    freqs: Sequence[float],
+    params: OueParams,
+) -> Assignment:
+    """Best front-loaded assignment by direct enumeration.
+
+    Scans every assignment of the form (M, ..., M, c, 0, ..., 0) over the
+    coefficient-sorted nodes (plus the all-M assignment), which provably
+    contains a global integer optimum of the objective.
+    """
+    c = _check_search_inputs(np.asarray(sorted_coeffs), m_fake)
+    f = np.asarray(freqs, dtype=np.float64)
+    n_nodes = c.size
+    best_val = -np.inf
+    best: Optional[np.ndarray] = None
+    assignment = np.zeros(n_nodes, dtype=np.float64)
+    for k in range(n_nodes):
+        assignment[:k] = m_fake
+        assignment[k:] = 0.0
+        for count in range(m_fake):
+            assignment[k] = count
+            val = assignment_objective(c, f, assignment, n_real, m_fake, params)
+            if val > best_val:
+                best_val = val
+                best = assignment.copy()
+    full = np.full(n_nodes, float(m_fake))
+    val = assignment_objective(c, f, full, n_real, m_fake, params)
+    if val > best_val:
+        best_val = val
+        best = full
+    assert best is not None
+    return Assignment(best.astype(np.int64), best_val)
 
 
 def olh_support_scan(prime: int, g: int, fn_id: int, key: int, n_cells: int) -> List[int]:

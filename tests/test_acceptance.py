@@ -18,13 +18,12 @@ from ldplab.attacks import (
     OptimalTreeAttack,
     aaot_transform,
     aog_size_constraints,
-    aot_assignment_bruteforce,
     aot_assignment_fast,
     assignment_objective,
     match_functions_to_grids,
     mga_tree,
+    scan_supports,
 )
-from ldplab.attacks.grid import _preference_matrices
 from ldplab.defenses import TreeDefenseParams, grid_detect, max_load_cdf, tree_detect
 from ldplab.freq_oracles import (
     HashFamily,
@@ -59,6 +58,7 @@ from ldplab.tree_protocol import (
 )
 
 from .oracles import (
+    aot_assignment_bruteforce,
     exhaustive_best_objective,
     norm_sub_bisect,
     olh_collision_prob,
@@ -473,6 +473,7 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
     keys = grid_keys(5)
     family = config.family()
     fn_ids = family.random_fn_ids()
+    table = family.key_table(config.g1)  # 1-D and 2-D grids both have 16 cells
     fake_per_round, real_per_round = 222, 2000
     fake_counts = {key: fake_per_round for key in keys}
     n_total = (fake_per_round + real_per_round) * len(keys)
@@ -500,8 +501,8 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
         values = np.zeros((len(keys), fn_ids.size))
         for g_idx, key in enumerate(keys):
             mask = cells_in_range(config, query, key)
-            _, primary, secondary = _preference_matrices(
-                family, mask, key[0] == "1d", config
+            primary, secondary = scan_supports(family, table, mask).preference(
+                key[0] == "1d", config
             )
             values[g_idx] = (primary * 1e6 + secondary).max(axis=1)
         quotas = [math.ceil(fake_per_round / limit)] * len(keys)

@@ -7,15 +7,16 @@ from ldplab.attacks import (
     AdaptiveGridAttack,
     ColumnBook,
     GridRangeAttack,
+    GridSupports,
     HeuristicGridAttack,
     MgaGridAttack,
+    SizeConstraints,
     aaog_compute_load_limit,
-    aog_find_hash_pair,
     aog_size_constraints,
     haog_best_pair,
-    haog_preference,
     match_functions_to_grids,
     mga_grid,
+    scan_supports,
 )
 from ldplab.attacks.grid import _attr_columns
 from ldplab.freq_oracles import HashFamily
@@ -23,6 +24,24 @@ from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
 from ldplab.tree_protocol import RangeQuery
 
 from .oracles import olh_support_scan, stable_matching_audit
+
+
+def scan(family, in_range):
+    in_range = np.asarray(in_range, dtype=bool)
+    return scan_supports(family, family.key_table(in_range.size), in_range)
+
+
+class TestScanSupports:
+    def test_matches_per_cell_scan(self):
+        family = HashFamily(17, 4)
+        in_range = np.random.default_rng(13).random(16) < 0.5
+        supports = scan(family, in_range)
+        np.testing.assert_array_equal(supports.fn_ids, family.random_fn_ids())
+        for row in (0, 7, 100, supports.fn_ids.size - 1):
+            for key in range(4):
+                cells = olh_support_scan(17, 4, int(supports.fn_ids[row]), key, 16)
+                assert supports.sizes[row, key] == len(cells)
+                assert supports.inter[row, key] == int(in_range[cells].sum())
 
 
 class TestSizeConstraints:
@@ -64,14 +83,14 @@ class TestMgaGrid:
         in_range = np.zeros(16, dtype=bool)
         in_range[5] = True
         rng = np.random.default_rng(0)
-        pair = mga_grid(family, in_range, rng)
+        pair = mga_grid(scan(family, in_range), rng)
         support = olh_support_scan(17, 4, pair.fn_id, pair.key, 16)
         assert 5 in support
 
     def test_full_grid_query_maximizes_support(self):
         family = HashFamily(17, 4)
         rng = np.random.default_rng(1)
-        pair = mga_grid(family, np.ones(16, dtype=bool), rng)
+        pair = mga_grid(scan(family, np.ones(16, dtype=bool)), rng)
         size = len(olh_support_scan(17, 4, pair.fn_id, pair.key, 16))
         # Verify optimality against a full scan.
         best = 0
@@ -83,7 +102,7 @@ class TestMgaGrid:
     def test_empty_range_raises(self):
         family = HashFamily(17, 4)
         with pytest.raises(ValueError):
-            mga_grid(family, np.zeros(16, dtype=bool), np.random.default_rng(0))
+            mga_grid(scan(family, np.zeros(16, dtype=bool)), np.random.default_rng(0))
 
     def test_hook_shapes(self):
         config = GridConfig(d=2)
@@ -124,62 +143,84 @@ def test_attr_columns():
 
 
 class TestFindHashPair:
-    def test_full_range_accepts_large_support(self):
-        family = HashFamily(17, 4)
-        book = ColumnBook(4)
-        columns = {0: np.arange(16) // 4}
-        pair = aog_find_hash_pair(
-            family, np.ones(16, dtype=bool), 4, columns, book
+    """The constraint planner's per-grid pair search, on one 1-D grid with a
+    pinned size floor."""
+
+    @staticmethod
+    def plan(config, interval, min_support, book=None):
+        attack = GridRangeAttack(config, RangeQuery((0,), (interval,)), rho=0.2)
+        attack.constraints = SizeConstraints(min_support, min_support)
+        key = ("1d", 0)
+        candidates = attack._candidates([key])
+        book = book if book is not None else ColumnBook(config.g2)
+        chosen, failed = attack._plan_once(
+            [key], candidates, np.random.default_rng(14), book
         )
-        assert pair is not None
+        return chosen.get(key), failed
+
+    def test_full_range_accepts_large_support(self):
+        pair, failed = self.plan(GridConfig(d=2, prime=17), (0, 64), 4)
+        assert pair is not None and not failed
         support = olh_support_scan(17, 4, pair.fn_id, pair.key, 16)
         assert len(support) >= 4
 
     def test_returned_support_is_subset_of_range(self):
-        family = HashFamily(211, 4)
+        config = GridConfig(d=2, prime=211)
         in_range = np.zeros(16, dtype=bool)
         in_range[4:] = True  # columns 1..3 of a 1-D grid
-        book = ColumnBook(4)
-        columns = {0: np.arange(16) // 4}
-        pair = aog_find_hash_pair(family, in_range, 3, columns, book)
-        assert pair is not None
+        query = RangeQuery((0,), ((16, 64),))
+        np.testing.assert_array_equal(cells_in_range(config, query, ("1d", 0)), in_range)
+        pair, failed = self.plan(config, (16, 64), 3)
+        assert pair is not None and not failed
         support = olh_support_scan(211, 4, pair.fn_id, pair.key, 16)
         assert all(in_range[c] for c in support)
         assert len(support) >= 3
 
     def test_impossible_min_support_returns_none(self):
-        family = HashFamily(17, 4)
-        book = ColumnBook(4)
-        assert (
-            aog_find_hash_pair(family, np.ones(16, dtype=bool), 17, {}, book) is None
-        )
+        config = GridConfig(d=2, prime=17)
+        pair, failed = self.plan(config, (0, 64), 17)
+        assert pair is None and failed == [("1d", 0)]
+        # Through begin, every relevant grid becomes a fallback grid that
+        # still gets the heuristic pair.
+        attack = GridRangeAttack(config, RangeQuery((0,), ((0, 64),)), rho=0.2)
+        attack.constraints = SizeConstraints(17, 17)
+        attack.begin({}, 0, np.random.default_rng(15))
+        assert attack.fallback_keys == attack._relevant_keys()
+        assert not attack.all_succeeded
+        assert set(attack.chosen) == set(grid_keys(2))
 
     def test_book_conflict_returns_none(self):
-        family = HashFamily(17, 4)
         book = ColumnBook(4)
         book.counts[0] = np.full(4, 9, dtype=np.int64)  # unsatisfiable baseline
-        columns = {0: np.arange(16) // 4}
-        assert (
-            aog_find_hash_pair(family, np.ones(16, dtype=bool), 1, columns, book)
-            is None
-        )
+        pair, failed = self.plan(GridConfig(d=2, prime=17), (0, 64), 1, book)
+        assert pair is None and failed == [("1d", 0)]
 
 
 class TestHaog:
     def test_preference_values(self):
         config = GridConfig(d=2)
+        # One function, three keys: (support size, in-range size) of
+        # (5, 5), (5, 0) and (8, 8).
+        supports = GridSupports(
+            fn_ids=np.array([0]),
+            table=np.zeros((1, 16), dtype=np.int64),
+            sizes=np.array([[5, 5, 8]]),
+            inter=np.array([[5, 0, 8]]),
+        )
+        primary, secondary = supports.preference(False, config)
         # 2-D grid (scale 1): subset support has no violation.
-        assert haog_preference(5, 5, False, config) == (0.0, 5.0)
+        assert (primary[0, 0], secondary[0, 0]) == (0.0, 5.0)
         # Disjoint support: primary = -|S|.
-        assert haog_preference(5, 0, False, config) == (-5.0, 5.0)
+        assert (primary[0, 1], secondary[0, 1]) == (-5.0, 5.0)
         # 1-D grids rescale both components by g1/g2 = 4.
-        assert haog_preference(8, 8, True, config) == (0.0, 2.0)
+        primary, secondary = supports.preference(True, config)
+        assert (primary[0, 2], secondary[0, 2]) == (0.0, 2.0)
 
     def test_best_pair_on_full_range_has_max_support(self):
         config = GridConfig(d=2)
         family = config.family()
         pair = haog_best_pair(
-            family, np.ones(16, dtype=bool), False, config, np.random.default_rng(3)
+            scan(family, np.ones(16, dtype=bool)), False, config, np.random.default_rng(3)
         )
         size = len(olh_support_scan(config.prime, 4, pair.fn_id, pair.key, 16))
         best = max(

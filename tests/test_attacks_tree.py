@@ -7,7 +7,6 @@ from ldplab.attacks import (
     MgaTreeAttack,
     OptimalTreeAttack,
     aaot_transform,
-    aot_assignment_bruteforce,
     aot_assignment_fast,
     aot_zero_coeff_strategy,
     assignment_objective,
@@ -19,7 +18,11 @@ from ldplab.freq_oracles import OueParams
 from ldplab.postprocess import tree_consistency
 from ldplab.tree_protocol import RangeQuery, TreeConfig, TreeNode, estimate_query
 
-from .oracles import exhaustive_best_objective, objective_reference
+from .oracles import (
+    aot_assignment_bruteforce,
+    exhaustive_best_objective,
+    objective_reference,
+)
 
 
 def unit_leaves(n):

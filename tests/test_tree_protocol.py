@@ -13,6 +13,7 @@ from ldplab.tree_protocol import (
     query_cover,
     query_decomposition,
     run_tree_protocol,
+    split_frontier,
     tree_to_json,
 )
 
@@ -103,6 +104,14 @@ class TestRunProtocol:
         )
         assert [n for n, _ in seen] == [2, 4, 8, 16]
         assert all(fake is None for _, fake in seen)
+
+
+def test_split_frontier_replaces_masked_nodes_in_place():
+    frontier = [TreeNode(0, 4), TreeNode(4, 8), TreeNode(8, 16)]
+    out = split_frontier(frontier, [True, False, True], 2)
+    assert [(n.lo, n.hi) for n in out] == [(0, 2), (2, 4), (4, 8), (8, 12), (12, 16)]
+    assert out[0] is frontier[0].children[0] and out[2] is frontier[1]
+    assert frontier[1].is_leaf()
 
 
 class TestQueries:
