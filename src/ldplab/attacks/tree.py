@@ -16,27 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..freq_oracles import OueParams
 from ..postprocess import norm_sub
-from ..tree_protocol import (
-    RangeQuery,
-    TreeConfig,
-    TreeNode,
-    _partition_sizes,
-    query_cover,
-    split_frontier,
-)
+from ..tree_protocol import RangeQuery, Tree, TreeConfig, _partition_sizes, query_cover
 
 __all__ = [
     "Assignment",
     "mga_tree",
     "MgaTreeAttack",
     "tree_coefficients",
-    "layer_coefficients",
     "expected_layer_estimates",
     "assignment_objective",
     "aot_assignment_fast",
@@ -59,13 +51,9 @@ class Assignment:
 # Max-gain baseline
 # ---------------------------------------------------------------------------
 
-def _in_range_mask(layer_nodes: Sequence[TreeNode], query: RangeQuery) -> np.ndarray:
-    lo, hi = query.intervals[0]
-    return np.array([lo <= n.lo and n.hi <= hi for n in layer_nodes], dtype=bool)
-
-
 def mga_tree(
-    layer_nodes: Sequence[TreeNode],
+    lo: np.ndarray,
+    hi: np.ndarray,
     query: RangeQuery,
     m_fake: int,
     params: OueParams,
@@ -73,16 +61,18 @@ def mga_tree(
 ) -> np.ndarray:
     """Fake OUE reports setting every in-range bit plus padding bits.
 
-    Each report sets 1 on the ``k`` nodes contained in the query and on
+    The layer's nodes are the intervals ``[lo, hi)``.  Each report sets 1 on
+    the ``k`` nodes contained in the query and on
     ``max(floor(p + (L-1)q - k), 0)`` random out-of-range nodes, matching the
     expected honest 1-count when possible.
     """
-    n_nodes = len(layer_nodes)
+    n_nodes = len(lo)
     if n_nodes == 0:
         raise ValueError("empty layer")
     if params.n != n_nodes:
         raise ValueError("params.n must equal the layer size")
-    in_range = _in_range_mask(layer_nodes, query)
+    q_lo, q_hi = query.intervals[0]
+    in_range = (q_lo <= np.asarray(lo)) & (np.asarray(hi) <= q_hi)
     k = int(in_range.sum())
     extra = max(int(math.floor(params.p + (n_nodes - 1) * params.q - k)), 0)
     out_idx = np.nonzero(~in_range)[0]
@@ -103,54 +93,39 @@ class MgaTreeAttack:
         self.epsilon = epsilon
 
     def __call__(
-        self, frontier: List[TreeNode], m_fake: int, rng: np.random.Generator
+        self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        params = OueParams(self.epsilon, len(frontier))
-        return mga_tree(frontier, self.query, m_fake, params, rng)
+        params = OueParams(self.epsilon, len(lo))
+        return mga_tree(lo, hi, self.query, m_fake, params, rng)
 
 
 # ---------------------------------------------------------------------------
 # Per-node coefficients
 # ---------------------------------------------------------------------------
 
-def tree_coefficients(root: TreeNode, query: RangeQuery) -> Dict[int, float]:
+def tree_coefficients(tree: Tree, query: RangeQuery) -> np.ndarray:
     """Weight of each node's pre-consistency estimate in the query answer.
 
-    Keys are ``id(node)``.  The query estimate equals the coefficient-weighted
-    sum of pre-consistency node frequencies: nodes serving the query estimate
-    seed weight 1 (partially covered leaves seed their overlap fraction), and
-    the bottom-up consistency average is unrolled downward — an internal node
-    with ``m`` children keeps ``m/(m+1)`` of its incoming weight and passes
-    ``1/(m+1)`` to each subtree.
+    Returns one weight per node id of ``tree`` (zero for nodes that do not
+    exist).  The query estimate equals the coefficient-weighted sum of
+    pre-consistency node frequencies: nodes serving the query estimate seed
+    weight 1 (partially covered leaves seed their overlap fraction), and the
+    bottom-up consistency average is unrolled downward, one level at a time —
+    an internal node with ``m`` children keeps ``m/(m+1)`` of its incoming
+    weight and passes ``1/(m+1)`` to each subtree.
     """
     lo, hi = query.intervals[0]
-    full, partial = query_cover(root, lo, hi)
-    seeds: Dict[int, float] = {}
-    for node in full:
-        seeds[id(node)] = seeds.get(id(node), 0.0) + 1.0
-    for leaf, frac in partial:
-        seeds[id(leaf)] = seeds.get(id(leaf), 0.0) + frac
-
-    coeffs: Dict[int, float] = {}
-
-    def visit(node: TreeNode, weight: float) -> None:
-        if node.is_leaf():
-            coeffs[id(node)] = coeffs.get(id(node), 0.0) + weight
-            return
-        m = len(node.children)
-        lam = m / (m + 1.0)
-        coeffs[id(node)] = coeffs.get(id(node), 0.0) + lam * weight
-        for child in node.children:
-            visit(child, (1.0 - lam) * weight + seeds.get(id(child), 0.0))
-
-    visit(root, seeds.get(id(root), 0.0))
-    return coeffs
-
-
-def layer_coefficients(
-    coeffs: Dict[int, float], layer_nodes: Sequence[TreeNode]
-) -> np.ndarray:
-    return np.array([coeffs.get(id(n), 0.0) for n in layer_nodes])
+    full, partial, fractions = query_cover(tree, lo, hi)
+    weight = np.zeros(tree.lo.size)
+    weight[full] = 1.0
+    weight[partial] = fractions
+    m = tree.fanout
+    lam = m / (m + 1.0)
+    for k in range(tree.depth):
+        kids = tree.level(k + 1)
+        weight[kids] = np.repeat((1.0 - lam) * weight[tree.level(k)], m) + weight[kids]
+    coeffs = np.where(tree.leaves(), weight, lam * weight)
+    return np.where(tree.exists, coeffs, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +271,29 @@ def aot_assignment_fast(
 
 
 def aot_zero_coeff_strategy(
-    strategy: str, layer_nodes: Sequence[TreeNode], query: RangeQuery
+    strategy: str, lo: np.ndarray, hi: np.ndarray, query: RangeQuery
 ) -> np.ndarray:
     """Per-node bit pattern for layers whose coefficients are all zero.
 
-    ``zero`` sets nothing, ``one`` sets every node, ``path`` sets exactly the
-    nodes whose interval intersects the target query.
+    The layer's nodes are the intervals ``[lo, hi)``.  ``zero`` sets nothing,
+    ``one`` sets every node, ``path`` sets exactly the nodes whose interval
+    intersects the target query.
     """
-    n_nodes = len(layer_nodes)
+    n_nodes = len(lo)
     if strategy == "zero":
         return np.zeros(n_nodes, dtype=np.uint8)
     if strategy == "one":
         return np.ones(n_nodes, dtype=np.uint8)
     if strategy == "path":
-        lo, hi = query.intervals[0]
-        bits = [1 if (n.lo < hi and n.hi > lo) else 0 for n in layer_nodes]
-        return np.array(bits, dtype=np.uint8)
+        q_lo, q_hi = query.intervals[0]
+        return ((np.asarray(lo) < q_hi) & (np.asarray(hi) > q_lo)).astype(np.uint8)
     raise ValueError(f"unknown strategy {strategy!r} (expected zero|one|path)")
 
 
 class OptimalTreeAttack:
     """Layer hook implementing the optimal-assignment tree attack.
 
-    At each served layer the attacker rebuilds the tree implied by the
+    At each served layer the attacker rebuilds the tree whose leaves are the
     frontier, extends it with the growth it predicts under a uniform-data
     assumption, computes per-node coefficients for the target query, and
     spreads its fake 1-bits according to the optimal front-loaded assignment.
@@ -350,69 +325,35 @@ class OptimalTreeAttack:
         self._fake_sizes = _partition_sizes(assumed_m, depth, config.layer_user_fractions)
         self.layer = 0
 
-    # -- tree reconstruction & growth prediction ---------------------------
-
-    def _predicted_tree(
-        self, frontier: Sequence[TreeNode]
-    ) -> Tuple[TreeNode, List[TreeNode]]:
-        """Rebuild the tree implied by ``frontier`` and grow it as predicted.
-
-        Growth assumes uniform data: a node's frequency is its share of the
-        domain, split with the protocol's rule under each future layer's
-        threshold.  Returns the root and the rebuilt frontier nodes in
-        frontier order.
-        """
-        fanout = self.config.fanout
-        leaf_set = {(n.lo, n.hi) for n in frontier}
-        rebuilt: List[TreeNode] = []
-
-        def build(lo: int, hi: int) -> TreeNode:
-            node = TreeNode(lo, hi)
-            if (lo, hi) in leaf_set:
-                rebuilt.append(node)
-                return node
-            width = (hi - lo) // fanout
-            node.children = [
-                build(lo + k * width, lo + (k + 1) * width) for k in range(fanout)
-            ]
-            return node
-
-        root = build(0, self.config.domain_size)
-        nodes = rebuilt
-        for layer in range(self.layer, self.config.depth):
-            layer_users = self._real_sizes[layer] + self._fake_sizes[layer]
-            theta = self.config.threshold_for(layer_users)
-            grow = [
-                n.length / self.config.domain_size >= theta and n.length >= fanout
-                for n in nodes
-            ]
-            if not any(grow):
-                break
-            nodes = split_frontier(nodes, grow, fanout)
-        return root, rebuilt
-
-    # -- hook ---------------------------------------------------------------
-
     def __call__(
-        self, frontier: List[TreeNode], m_fake: int, rng: np.random.Generator
+        self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        n_nodes = len(frontier)
-        root, rebuilt = self._predicted_tree(frontier)
-        coeffs = layer_coefficients(tree_coefficients(root, self.query), rebuilt)
-        layer = min(self.layer, self.config.depth - 1)
+        n_nodes = len(lo)
+        config = self.config
+        tree, frontier = Tree.from_leaves(config.domain_size, config.fanout, lo, hi)
+        # Predict growth under uniform data: a node's frequency is its share
+        # of the domain, split with the protocol's rule at each future layer.
+        nodes = frontier
+        for future in range(self.layer, config.depth):
+            theta = config.threshold_for(self._real_sizes[future] + self._fake_sizes[future])
+            width = tree.hi[nodes] - tree.lo[nodes]
+            nodes = tree.split(nodes, width / config.domain_size >= theta)
+            if nodes is None:
+                break
+        coeffs = tree_coefficients(tree, self.query)[frontier]
+        layer = min(self.layer, config.depth - 1)
         self.layer += 1
 
         if m_fake == 0:
             return np.zeros((0, n_nodes), dtype=np.uint8)
         if not np.any(coeffs > 0):
-            bits = aot_zero_coeff_strategy(self.strategy, frontier, self.query)
+            bits = aot_zero_coeff_strategy(self.strategy, lo, hi, self.query)
             return np.tile(bits, (m_fake, 1))
 
         order = np.argsort(-coeffs, kind="stable")
-        freqs = np.array([n.length for n in frontier], dtype=np.float64)
-        freqs /= self.config.domain_size
+        freqs = (np.asarray(hi) - np.asarray(lo)) / config.domain_size
         n_real = max(self._real_sizes[layer], 1)
-        params = OueParams(self.config.epsilon, n_nodes)
+        params = OueParams(config.epsilon, n_nodes)
         result = aot_assignment_fast(coeffs[order], m_fake, n_real, freqs[order], params)
         counts = np.zeros(n_nodes, dtype=np.int64)
         counts[order] = result.counts
@@ -456,10 +397,10 @@ class AdaptiveTreeAttack:
         self.epsilon = epsilon
 
     def __call__(
-        self, frontier: List[TreeNode], m_fake: int, rng: np.random.Generator
+        self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        matrix = np.asarray(self.inner(frontier, m_fake, rng), dtype=np.uint8)
-        n = len(frontier)
+        matrix = np.asarray(self.inner(lo, hi, m_fake, rng), dtype=np.uint8)
+        n = len(lo)
         q = OueParams(self.epsilon, max(n, 1)).q
         for row in range(matrix.shape[0]):
             matrix[row] = aaot_transform(matrix[row], n, q, rng)

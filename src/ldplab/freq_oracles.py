@@ -16,7 +16,7 @@ Both aggregators return unbiased (possibly negative) frequency estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,13 +26,9 @@ __all__ = [
     "HashFamily",
     "HashPair",
     "smallest_prime_above",
-    "oue_perturb",
     "oue_perturb_batch",
     "oue_aggregate",
-    "hash_eval",
-    "olh_perturb",
     "olh_perturb_batch",
-    "olh_support",
     "olh_aggregate",
 ]
 
@@ -129,11 +125,6 @@ class HashFamily:
     def fn_id(self, a: int, b: int) -> int:
         return a * self.prime + b
 
-    def sample_fn(self, rng: np.random.Generator) -> int:
-        a = int(rng.integers(1, self.prime))
-        b = int(rng.integers(0, self.prime))
-        return self.fn_id(a, b)
-
     def random_fn_ids(self) -> np.ndarray:
         """All fn_ids of the universal sub-family (``a >= 1``), ascending."""
         a = np.arange(1, self.prime)
@@ -167,15 +158,6 @@ class HashPair:
 # ---------------------------------------------------------------------------
 # OUE
 # ---------------------------------------------------------------------------
-
-def oue_perturb(true_index: int, params: OueParams, rng: np.random.Generator) -> np.ndarray:
-    """Perturb a one-hot encoding of ``true_index`` into an OUE report."""
-    if not 0 <= true_index < params.n:
-        raise ValueError(f"index {true_index} out of range [0, {params.n})")
-    bits = rng.random(params.n) < params.q
-    bits[true_index] = rng.random() < params.p
-    return bits.astype(np.uint8)
-
 
 def oue_perturb_batch(
     true_indices: Sequence[int], params: OueParams, rng: np.random.Generator
@@ -218,42 +200,17 @@ def oue_aggregate_counts(
 # OLH
 # ---------------------------------------------------------------------------
 
-def hash_eval(family: HashFamily, fn_id: int, cell: int | np.ndarray) -> int | np.ndarray:
-    """Evaluate ``h_{a,b}(cell)`` for the function with index ``fn_id``."""
-    a, b = family.ab(fn_id)
-    cells = np.asarray(cell)
-    if cells.size and int(cells.max()) >= family.prime:
-        raise ValueError("cell must be < prime")
-    keys = ((a * cells + b) % family.prime) % family.g
-    if np.isscalar(cell) or getattr(cell, "ndim", 0) == 0:
-        return int(keys)
-    return keys
-
-
-def olh_perturb(
-    true_cell: int, family: HashFamily, params: OlhParams, rng: np.random.Generator
-) -> HashPair:
-    """Draw a random universal function and a perturbed key for ``true_cell``."""
-    if not 0 <= true_cell < family.prime:
-        raise ValueError("cell out of domain")
-    fn = family.sample_fn(rng)
-    true_key = hash_eval(family, fn, true_cell)
-    if rng.random() < 0.5:
-        key = true_key
-    else:
-        key = int(rng.integers(0, family.g - 1))
-        if key >= true_key:
-            key += 1
-    return HashPair(fn, key)
-
-
 def olh_perturb_batch(
     true_cells: Sequence[int],
     family: HashFamily,
     params: OlhParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`olh_perturb`; returns (fn_ids, keys) arrays."""
+    """Perturb many users' cells at once; returns (fn_ids, keys) arrays.
+
+    Each user draws a universal function and reports the hash of its cell
+    with probability 1/2, otherwise a uniformly drawn other key.
+    """
     cells = np.asarray(true_cells, dtype=np.int64)
     m = cells.size
     a = rng.integers(1, family.prime, size=m)
@@ -267,17 +224,8 @@ def olh_perturb_batch(
     return fn_ids, keys
 
 
-def olh_support(
-    pair: HashPair, family: HashFamily, cells: Sequence[int]
-) -> np.ndarray:
-    """Cells of ``cells`` that the pair's function hashes to the pair's key."""
-    cells = np.asarray(cells, dtype=np.int64)
-    keys = hash_eval(family, pair.fn_id, cells)
-    return cells[keys == pair.key]
-
-
 def olh_aggregate(
-    pairs: Iterable[HashPair] | tuple[np.ndarray, np.ndarray],
+    pairs: tuple[np.ndarray, np.ndarray],
     family: HashFamily,
     cells: Sequence[int],
     params: OlhParams,
@@ -285,15 +233,9 @@ def olh_aggregate(
 ) -> np.ndarray:
     """Unbiased per-cell frequency estimate from OLH reports.
 
-    ``pairs`` may be a list of :class:`HashPair` or a pre-split
-    ``(fn_ids, keys)`` array tuple (fast path).
+    ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports.
     """
-    if isinstance(pairs, tuple):
-        fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
-    else:
-        pair_list: List[HashPair] = list(pairs)
-        fn_ids = np.array([p.fn_id for p in pair_list], dtype=np.int64)
-        keys = np.array([p.key for p in pair_list], dtype=np.int64)
+    fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
     if fn_ids.size == 0:
         raise ValueError("empty report set")
     n = int(n_users) if n_users is not None else fn_ids.size

@@ -367,10 +367,10 @@ def _run_tree_trial(
             counts = np.concatenate([counts, fake_reports.sum(axis=1)])
         rounds.append((counts, len(frontier)))
 
-    root = run_tree_protocol(
+    tree = run_tree_protocol(
         values, tc, hook=hook, rho=config.rho, rng=rng, observer=observer
     )
-    response = tree_estimate(root, query)
+    response = tree_estimate(tree, query)
     detection = None
     if collect_detection:
         params = defenses.TreeDefenseParams(alpha=config.alpha)

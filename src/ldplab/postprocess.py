@@ -4,7 +4,7 @@
   result is a non-negative vector summing to one.  ``delta`` may be negative
   (uniform mass is added) when the positive part of the input sums below one.
 * ``tree_consistency`` -- bottom-up parent/child weighted averaging on an
-  interval-decomposition tree.
+  interval-decomposition tree, one level at a time.
 * ``grid_consistency`` -- weighted averaging between the 1-D and 2-D grids
   that cover the same domain fraction of a dimension.
 """
@@ -44,26 +44,25 @@ def norm_sub(values) -> NormSubResult:
     return NormSubResult(np.maximum(f - delta, 0.0), delta)
 
 
-def tree_consistency(root):
-    """Apply one bottom-up consistency pass, filling ``f_tilde`` on each node.
+def tree_consistency(tree):
+    """Apply one bottom-up consistency pass, filling ``f_tilde`` on every node.
 
     Leaves keep their pre-consistency value; an internal node with ``m``
     children gets ``lam * f_hat + (1 - lam) * sum(child f_tilde)`` where
-    ``lam = m / (m + 1)``.
+    ``lam = m / (m + 1)``.  ``tree`` is a heap-ordered
+    :class:`ldplab.tree_protocol.Tree`, processed one level at a time.
     """
-
-    def visit(node) -> float:
-        if not node.children:
-            node.f_tilde = node.f_hat
-            return node.f_tilde
-        child_sum = sum(visit(child) for child in node.children)
-        m = len(node.children)
-        lam = m / (m + 1.0)
-        node.f_tilde = lam * node.f_hat + (1.0 - lam) * child_sum
-        return node.f_tilde
-
-    visit(root)
-    return root
+    m = tree.fanout
+    lam = m / (m + 1.0)
+    tree.f_tilde[:] = tree.f_hat
+    for k in range(tree.depth - 1, -1, -1):
+        parents, kids = tree.level(k), tree.level(k + 1)
+        # Column by column, so each sum adds the children left to right.
+        child_sum = sum(tree.f_tilde[kids].reshape(-1, m).T)
+        has_kids = tree.exists[kids][::m]
+        merged = lam * tree.f_hat[parents] + (1.0 - lam) * child_sum
+        tree.f_tilde[parents] = np.where(has_kids, merged, tree.f_hat[parents])
+    return tree
 
 
 def grid_consistency(

@@ -8,13 +8,16 @@ children and the next layer repeats on the refined frontier.  A final
 bottom-up consistency pass reconciles parents with children, and range
 queries are answered by summing post-consistency frequencies over the
 deepest nodes covering the query.
+
+The tree is one :class:`Tree` of flat arrays in heap order, so every level
+of the decomposition is one contiguous slice.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,35 +26,96 @@ from .freq_oracles import OueParams, oue_aggregate_counts, oue_perturb_batch
 from .postprocess import norm_sub, tree_consistency
 
 __all__ = [
-    "TreeNode",
+    "Tree",
     "TreeConfig",
     "RangeQuery",
     "oue_sigma",
     "run_tree_protocol",
-    "split_frontier",
     "query_cover",
-    "query_decomposition",
     "estimate_query",
     "tree_to_json",
 ]
 
 
-@dataclass
-class TreeNode:
-    """Node of the decomposition tree over the half-open interval [lo, hi)."""
+class Tree:
+    """Decomposition tree of ``[0, domain_size)`` as flat heap-ordered arrays.
 
-    lo: int
-    hi: int
-    f_hat: float = 0.0
-    f_tilde: float = 0.0
-    children: List["TreeNode"] = field(default_factory=list)
+    Node ``i`` has children ``i*fanout + 1 ... i*fanout + fanout`` and parent
+    ``(i - 1) // fanout``, so the nodes ``k`` steps below the root are the
+    contiguous slice ``level(k)``.
+    Every node of the complete tree has a slot (``lo``, ``hi``, ``f_hat``,
+    ``f_tilde``); ``exists`` marks the nodes actually built.  The root always
+    exists, and a node's children exist all together or not at all.
+    """
 
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
+    def __init__(self, domain_size: int, fanout: int):
+        self.domain_size = domain_size
+        self.fanout = fanout
+        self.depth = round(math.log(domain_size, fanout))
+        sizes = fanout ** np.arange(self.depth + 1)
+        self.lo = np.concatenate([np.arange(n) * (domain_size // n) for n in sizes])
+        self.hi = self.lo + np.repeat(domain_size // sizes, sizes)
+        self.exists = np.zeros(self.lo.size, dtype=bool)
+        self.exists[0] = True
+        self.f_hat = np.zeros(self.lo.size)
+        self.f_tilde = np.zeros(self.lo.size)
 
-    def is_leaf(self) -> bool:
-        return not self.children
+    def level(self, k: int) -> slice:
+        """Slots of the nodes ``k`` steps below the root, in ``lo`` order."""
+        start = (self.fanout**k - 1) // (self.fanout - 1)
+        return slice(start, start + self.fanout**k)
+
+    def children(self, ids: np.ndarray) -> np.ndarray:
+        """Child ids of each node in ``ids``, grouped per node in ``lo`` order."""
+        return (np.asarray(ids)[:, None] * self.fanout + np.arange(1, self.fanout + 1)).ravel()
+
+    def leaves(self) -> np.ndarray:
+        """Mask of the existing nodes that have no children."""
+        has_children = np.zeros_like(self.exists)
+        has_children[: self.level(self.depth).start] = self.exists[1 :: self.fanout]
+        return self.exists & ~has_children
+
+    def node_ids(self, lo, hi) -> np.ndarray:
+        """Ids of the nodes whose intervals are ``[lo, hi)``."""
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        width = np.maximum(hi - lo, 1)
+        ids = (self.domain_size // width - 1) // (self.fanout - 1) + lo // width
+        ids = np.clip(ids, 0, self.lo.size - 1)
+        if np.any(self.lo[ids] != lo) or np.any(self.hi[ids] != hi):
+            raise ValueError("intervals are not nodes of the tree")
+        return ids
+
+    def split(self, frontier: np.ndarray, grow: np.ndarray) -> Optional[np.ndarray]:
+        """Split every masked frontier node wider than one cell into its children.
+
+        Returns the next frontier (every split node replaced by its children,
+        in ``lo`` order), or ``None`` when no node splits.
+        """
+        grow = grow & (self.hi[frontier] - self.lo[frontier] >= self.fanout)
+        if not grow.any():
+            return None
+        kids = self.children(frontier[grow])
+        self.exists[kids] = True
+        nxt = np.concatenate([frontier[~grow], kids])
+        return nxt[np.argsort(self.lo[nxt])]
+
+    @classmethod
+    def from_leaves(cls, domain_size: int, fanout: int, lo, hi) -> Tuple["Tree", np.ndarray]:
+        """The smallest tree holding the nodes ``[lo, hi)``, and their ids.
+
+        Builds every ancestor of the given nodes with all of its children, so
+        a frontier that tiles the domain comes back as exactly the leaves.
+        """
+        tree = cls(domain_size, fanout)
+        ids = tree.node_ids(lo, hi)
+        marked = np.zeros_like(tree.exists)
+        marked[ids] = True
+        for k in range(tree.depth - 1, -1, -1):
+            inner = marked[tree.level(k + 1)].reshape(-1, fanout).any(axis=1)
+            marked[tree.level(k)] |= inner
+            tree.exists[tree.level(k + 1)] = np.repeat(inner, fanout)
+        return tree, ids
 
 
 @dataclass
@@ -133,17 +197,23 @@ def _partition_sizes(total: int, parts: int, fractions: Optional[Sequence[float]
 def run_tree_protocol(
     real_values: Sequence[int],
     config: TreeConfig,
-    hook: Optional[Callable[[List[TreeNode], int, np.random.Generator], np.ndarray]] = None,
+    hook: Optional[Callable[[np.ndarray, np.ndarray, int, np.random.Generator], np.ndarray]] = None,
     rho: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    observer: Optional[Callable[[List[TreeNode], np.ndarray, Optional[np.ndarray]], None]] = None,
-) -> TreeNode:
-    """Run the full protocol and return the post-processed tree root.
+    observer: Optional[Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], None]] = None,
+) -> Tree:
+    """Run the full protocol and return the post-processed tree.
 
-    ``hook``: called once per layer with (layer nodes, fake count, rng); must
-    return a ``(fake count, len(nodes))`` bit matrix of fabricated reports.
-    ``observer``: called per layer with (nodes, real reports, fake reports);
-    used by the harness to feed detectors.
+    ``hook``: called once per layer with (frontier ``lo``, frontier ``hi``,
+    fake count, rng); must return a ``(fake count, frontier size)`` bit
+    matrix of fabricated reports.
+    ``observer``: called per layer with (frontier ids, real reports, fake
+    reports); used by the harness to feed detectors.
+
+    The split rule also runs after the last layer, so nodes split there get
+    ``fanout`` children that no layer estimates; they keep ``f_hat = 0``, and
+    consistency cuts their parent's ``f_tilde`` to ``fanout / (fanout + 1)``
+    of its ``f_hat``.
     """
     rng = rng if rng is not None else np.random.default_rng()
     values = np.asarray(real_values, dtype=np.int64)
@@ -167,22 +237,23 @@ def run_tree_protocol(
         real_groups.append(values[perm[offset : offset + size]])
         offset += size
 
-    root = TreeNode(0, config.domain_size, f_hat=1.0)
-    frontier = split_frontier([root], [True], config.fanout)
+    tree = Tree(config.domain_size, config.fanout)
+    tree.f_hat[0] = 1.0
+    frontier = tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
 
     for layer in range(depth):
         group = real_groups[layer]
         m_fake = fake_sizes[layer]
-        n_nodes = len(frontier)
+        n_nodes = frontier.size
         params = OueParams(config.epsilon, n_nodes)
 
-        los = np.array([node.lo for node in frontier])
+        los = tree.lo[frontier]
         node_idx = np.searchsorted(los, group, side="right") - 1
         real_reports = oue_perturb_batch(node_idx, params, rng)
 
         fake_reports: Optional[np.ndarray] = None
         if hook is not None and m_fake > 0:
-            fake_reports = np.asarray(hook(frontier, m_fake, rng), dtype=np.uint8)
+            fake_reports = np.asarray(hook(los, tree.hi[frontier], m_fake, rng), dtype=np.uint8)
             if fake_reports.shape != (m_fake, n_nodes):
                 raise ValueError(
                     f"attack hook returned shape {fake_reports.shape}, "
@@ -199,80 +270,38 @@ def run_tree_protocol(
         if total_users == 0:
             continue
         freqs = norm_sub(oue_aggregate_counts(counts, total_users, params)).normalized
-        for node, f in zip(frontier, freqs):
-            node.f_hat = float(f)
+        tree.f_hat[frontier] = freqs
 
         theta = config.threshold_for(total_users)
-        grow = [node.f_hat >= theta and node.length >= config.fanout for node in frontier]
-        if not any(grow):
+        frontier = tree.split(frontier, freqs >= theta)
+        if frontier is None:
             break
-        frontier = split_frontier(frontier, grow, config.fanout)
 
-    return tree_consistency(root)
-
-
-def split_frontier(
-    frontier: Sequence[TreeNode], grow_mask: Sequence[bool], fanout: int
-) -> List[TreeNode]:
-    """Split each masked frontier node into ``fanout`` equal children.
-
-    Returns the next frontier: every split node replaced in place by its
-    children, every other node kept, so interval order is preserved.
-    """
-    out: List[TreeNode] = []
-    for node, grow in zip(frontier, grow_mask):
-        if not grow:
-            out.append(node)
-            continue
-        width = node.length // fanout
-        node.children = [
-            TreeNode(node.lo + i * width, node.lo + (i + 1) * width) for i in range(fanout)
-        ]
-        out.extend(node.children)
-    return out
+    return tree_consistency(tree)
 
 
-def query_cover(
-    root: TreeNode, lo: int, hi: int
-) -> Tuple[List[TreeNode], List[Tuple[TreeNode, float]]]:
+def query_cover(tree: Tree, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deepest-available disjoint cover of [lo, hi).
 
-    Returns ``(full, partial)`` where ``full`` are nodes fully inside the
-    query (and whose parent is not) and ``partial`` are leaves that straddle a
-    query endpoint, with their overlap fraction.
+    Returns ``(full, partial, fractions)``: ``full`` are the ids of nodes
+    fully inside the query whose parent is not, ``partial`` the ids of leaves
+    that straddle a query endpoint, with their overlap ``fractions``.  Both
+    id arrays are in ``lo`` order.
     """
-    full: List[TreeNode] = []
-    partial: List[Tuple[TreeNode, float]] = []
-
-    def visit(node: TreeNode) -> None:
-        if node.hi <= lo or node.lo >= hi:
-            return
-        if lo <= node.lo and node.hi <= hi:
-            full.append(node)
-            return
-        if node.is_leaf():
-            overlap = min(hi, node.hi) - max(lo, node.lo)
-            partial.append((node, overlap / node.length))
-            return
-        for child in node.children:
-            visit(child)
-
-    if not 0 <= lo < hi <= root.hi:
+    if not 0 <= lo < hi <= tree.domain_size:
         raise ValueError("query interval outside domain")
-    visit(root)
-    return full, partial
+    inside = (lo <= tree.lo) & (tree.hi <= hi)
+    parent_inside = inside[(np.arange(inside.size) - 1) // tree.fanout]
+    parent_inside[0] = False  # the root has no parent
+    overlap = np.minimum(hi, tree.hi) - np.maximum(lo, tree.lo)
+    full = np.flatnonzero(tree.exists & inside & ~parent_inside)
+    partial = np.flatnonzero(tree.leaves() & ~inside & (overlap > 0))
+    full = full[np.argsort(tree.lo[full])]
+    partial = partial[np.argsort(tree.lo[partial])]
+    return full, partial, overlap[partial] / (tree.hi[partial] - tree.lo[partial])
 
 
-def query_decomposition(root: TreeNode, query: RangeQuery) -> List[TreeNode]:
-    """Nodes whose intervals exactly tile the query (ignoring partial leaves)."""
-    if len(query.attrs) != 1:
-        raise ValueError("tree protocol answers 1-D queries")
-    lo, hi = query.intervals[0]
-    full, _ = query_cover(root, lo, hi)
-    return full
-
-
-def estimate_query(root: TreeNode, query: RangeQuery) -> float:
+def estimate_query(tree: Tree, query: RangeQuery) -> float:
     """Sum of post-consistency frequencies over the query's node cover.
 
     Leaves straddling a query endpoint contribute proportionally to the
@@ -281,21 +310,24 @@ def estimate_query(root: TreeNode, query: RangeQuery) -> float:
     if len(query.attrs) != 1:
         raise ValueError("tree protocol answers 1-D queries")
     lo, hi = query.intervals[0]
-    full, partial = query_cover(root, lo, hi)
-    total = sum(node.f_tilde for node in full)
-    total += sum(node.f_tilde * frac for node, frac in partial)
+    full, partial, fractions = query_cover(tree, lo, hi)
+    # Plain left-to-right float sums in ``lo`` order keep seeded answers
+    # bit-stable; numpy's pairwise summation rounds differently.
+    total = sum(tree.f_tilde[full].tolist())
+    total += sum((tree.f_tilde[partial] * fractions).tolist())
     return float(total)
 
 
-def tree_to_json(root: TreeNode) -> str:
+def tree_to_json(tree: Tree) -> str:
     """Serialize a tree to JSON (interval, f_hat, f_tilde, children)."""
 
-    def encode(node: TreeNode) -> dict:
+    def encode(i: int) -> dict:
+        kids = tree.children([i]) if i < tree.level(tree.depth).start else []
         return {
-            "interval": [node.lo, node.hi],
-            "f_hat": node.f_hat,
-            "f_tilde": node.f_tilde,
-            "children": [encode(child) for child in node.children],
+            "interval": [int(tree.lo[i]), int(tree.hi[i])],
+            "f_hat": float(tree.f_hat[i]),
+            "f_tilde": float(tree.f_tilde[i]),
+            "children": [encode(int(k)) for k in kids if tree.exists[k]],
         }
 
-    return json.dumps(encode(root))
+    return json.dumps(encode(0))

@@ -1,8 +1,9 @@
 """Independent reference implementations used to validate the library.
 
 Everything here is deliberately written with different algorithms than the
-package (bisection instead of sort-and-scan, recursion instead of closed
-forms, exhaustive enumeration instead of search) so agreement is meaningful.
+package (bisection instead of sort-and-scan, recursion over the JSON tree
+instead of flat level passes, per-report loops instead of batches,
+exhaustive enumeration instead of search) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ldplab.attacks.tree import Assignment, _check_search_inputs, assignment_objective
-from ldplab.freq_oracles import OueParams
+from ldplab.freq_oracles import HashFamily, HashPair, OlhParams, OueParams
 
 
 def norm_sub_bisect(values: Sequence[float], tol: float = 1e-12) -> Tuple[np.ndarray, float]:
@@ -38,49 +39,67 @@ def norm_sub_bisect(values: Sequence[float], tol: float = 1e-12) -> Tuple[np.nda
     return np.maximum(f - delta, 0.0), delta
 
 
-def consistency_recursive(root) -> None:
-    """Recompute post-consistency values on a tree of TreeNode-likes."""
-
-    def visit(node) -> float:
-        if not node.children:
-            return node.f_hat
-        child_total = sum(visit(c) for c in node.children)
-        m = len(node.children)
-        return (m * node.f_hat + child_total) / (m + 1.0)
-
-    def fill(node) -> None:
-        if not node.children:
-            node.f_tilde = node.f_hat
-            return
-        for c in node.children:
-            fill(c)
-        m = len(node.children)
-        node.f_tilde = (m * node.f_hat + sum(c.f_tilde for c in node.children)) / (m + 1.0)
-
-    fill(root)
+def consistency_recursive(node: dict) -> None:
+    """Fill ``f_tilde`` on a ``json.loads(tree_to_json(...))`` tree, recursively."""
+    children = node["children"]
+    if not children:
+        node["f_tilde"] = node["f_hat"]
+        return
+    for child in children:
+        consistency_recursive(child)
+    m = len(children)
+    node["f_tilde"] = (m * node["f_hat"] + sum(c["f_tilde"] for c in children)) / (m + 1.0)
 
 
-def estimate_by_consistency(root, lo: int, hi: int) -> float:
-    """Query estimate computed by explicit consistency + deepest-cover walk."""
+def estimate_by_consistency(root: dict, lo: int, hi: int) -> float:
+    """Query estimate by explicit consistency + deepest-cover walk of a JSON tree."""
     consistency_recursive(root)
     total = 0.0
 
-    def visit(node) -> None:
+    def visit(node: dict) -> None:
         nonlocal total
-        if node.hi <= lo or node.lo >= hi:
+        n_lo, n_hi = node["interval"]
+        if n_hi <= lo or n_lo >= hi:
             return
-        if lo <= node.lo and node.hi <= hi:
-            total += node.f_tilde
+        if lo <= n_lo and n_hi <= hi:
+            total += node["f_tilde"]
             return
-        if not node.children:
-            overlap = min(hi, node.hi) - max(lo, node.lo)
-            total += node.f_tilde * overlap / (node.hi - node.lo)
+        if not node["children"]:
+            overlap = min(hi, n_hi) - max(lo, n_lo)
+            total += node["f_tilde"] * overlap / (n_hi - n_lo)
             return
-        for c in node.children:
+        for c in node["children"]:
             visit(c)
 
     visit(root)
     return total
+
+
+def json_nodes(root: dict) -> List[dict]:
+    """Every node of a JSON tree, parents before children."""
+    nodes = [root]
+    for node in nodes:
+        nodes.extend(node["children"])
+    return nodes
+
+
+def coefficients_by_linearity(root: dict, lo: int, hi: int) -> Dict[Tuple[int, int], float]:
+    """Weight of each node's ``f_hat`` in the query estimate, keyed by interval.
+
+    The estimate is linear in the ``f_hat`` values, so a node's weight is the
+    estimate of the tree whose only nonzero ``f_hat`` is a 1 on that node.
+    """
+    nodes = json_nodes(root)
+    saved = [node["f_hat"] for node in nodes]
+    coeffs = {}
+    for target in nodes:
+        for node in nodes:
+            node["f_hat"] = 1.0 if node is target else 0.0
+        coeffs[tuple(target["interval"])] = estimate_by_consistency(root, lo, hi)
+    for node, f_hat in zip(nodes, saved):
+        node["f_hat"] = f_hat
+    consistency_recursive(root)
+    return coeffs
 
 
 def objective_reference(
@@ -149,6 +168,67 @@ def aot_assignment_bruteforce(
         best = full
     assert best is not None
     return Assignment(best.astype(np.int64), best_val)
+
+
+def oue_perturb(true_index: int, params: OueParams, rng: np.random.Generator) -> np.ndarray:
+    """Perturb a one-hot encoding of ``true_index`` into an OUE report."""
+    if not 0 <= true_index < params.n:
+        raise ValueError(f"index {true_index} out of range [0, {params.n})")
+    bits = rng.random(params.n) < params.q
+    bits[true_index] = rng.random() < params.p
+    return bits.astype(np.uint8)
+
+
+def hash_eval(family: HashFamily, fn_id: int, cell: int | np.ndarray) -> int | np.ndarray:
+    """Evaluate ``h_{a,b}(cell)`` for the function with index ``fn_id``."""
+    a, b = family.ab(fn_id)
+    cells = np.asarray(cell)
+    if cells.size and int(cells.max()) >= family.prime:
+        raise ValueError("cell must be < prime")
+    keys = ((a * cells + b) % family.prime) % family.g
+    if np.isscalar(cell) or getattr(cell, "ndim", 0) == 0:
+        return int(keys)
+    return keys
+
+
+def olh_perturb(
+    true_cell: int, family: HashFamily, params: OlhParams, rng: np.random.Generator
+) -> HashPair:
+    """Draw a random universal function and a perturbed key for ``true_cell``."""
+    if not 0 <= true_cell < family.prime:
+        raise ValueError("cell out of domain")
+    fn = family.fn_id(int(rng.integers(1, family.prime)), int(rng.integers(0, family.prime)))
+    true_key = hash_eval(family, fn, true_cell)
+    if rng.random() < 0.5:
+        key = true_key
+    else:
+        key = int(rng.integers(0, family.g - 1))
+        if key >= true_key:
+            key += 1
+    return HashPair(fn, key)
+
+
+def olh_support(
+    pair: HashPair, family: HashFamily, cells: Sequence[int]
+) -> np.ndarray:
+    """Cells of ``cells`` that the pair's function hashes to the pair's key."""
+    cells = np.asarray(cells, dtype=np.int64)
+    keys = hash_eval(family, pair.fn_id, cells)
+    return cells[keys == pair.key]
+
+
+def olh_aggregate_pairs(
+    pairs: Sequence[HashPair], family: HashFamily, cells: Sequence[int], params: OlhParams
+) -> np.ndarray:
+    """Per-cell OLH estimate from a list of pairs, one support at a time."""
+    if not pairs:
+        raise ValueError("empty report set")
+    cells = np.asarray(cells, dtype=np.int64)
+    counts = np.zeros(cells.size)
+    for pair in pairs:
+        counts += np.isin(cells, olh_support(pair, family, cells))
+    n = len(pairs)
+    return (counts - n * params.q) / (n * (0.5 - params.q))
 
 
 def olh_support_scan(prime: int, g: int, fn_id: int, key: int, n_cells: int) -> List[int]:

@@ -52,7 +52,6 @@ from ldplab.postprocess import norm_sub
 from ldplab.tree_protocol import (
     RangeQuery,
     TreeConfig,
-    TreeNode,
     estimate_query as tree_estimate,
     run_tree_protocol,
 )
@@ -242,7 +241,7 @@ def test_criterion_06_mga_oue_efficiency_bound():
     m_fake = int(round(n_real * rho / (1.0 - rho)))
     params = OueParams(1.0, n_items)
     target = 64
-    nodes = [TreeNode(i, i + 1) for i in range(n_items)]
+    lo = np.arange(n_items)
     query = RangeQuery((0,), ((target, target + 1),))
     bound = 2.0 * math.e / (math.e - 1.0) + 0.5
     effs = []
@@ -251,7 +250,7 @@ def test_criterion_06_mga_oue_efficiency_bound():
         values = rng.integers(0, n_items, n_real)
         f_true = float((values == target).mean())
         real = oue_perturb_batch(values, params, rng)
-        fake = mga_tree(nodes, query, m_fake, params, rng)
+        fake = mga_tree(lo, lo + 1, query, m_fake, params, rng)
         counts = real.sum(axis=0, dtype=np.float64) + fake.sum(axis=0, dtype=np.float64)
         est = (counts - (n_real + m_fake) * params.q) / (
             (n_real + m_fake) * (params.p - params.q)
@@ -282,8 +281,8 @@ def test_criterion_07_tree_attack_effectiveness():
 
     def run(query, hook, seed):
         rng = np.random.default_rng(np.random.SeedSequence([1070, seed]))
-        root = run_tree_protocol(values, config, hook=hook, rho=rho, rng=rng)
-        return tree_estimate(root, query)
+        tree = run_tree_protocol(values, config, hook=hook, rho=rho, rng=rng)
+        return tree_estimate(tree, query)
 
     opt_effs, mga_effs = [], []
     for qid, query in enumerate(queries):
@@ -320,7 +319,7 @@ def test_criterion_08_detection_rates():
     # --- tree rounds: 256 leaf nodes, query covering 96 of them ------------
     n_nodes, n_real, m_fake = 256, 20_000, 2_222
     params = OueParams(1.0, n_nodes)
-    nodes = [TreeNode(i, i + 1) for i in range(n_nodes)]
+    lo = np.arange(n_nodes)
     query = RangeQuery((0,), ((0, 96),))
     defense = TreeDefenseParams(alpha=alpha)
 
@@ -332,7 +331,7 @@ def test_criterion_08_detection_rates():
         rng = np.random.default_rng(np.random.SeedSequence([108, seed]))
         honest = _honest_ones_counts(rng, n_nodes, n_real, params.q)
         honest_hits += detect(honest)
-        fakes = mga_tree(nodes, query, m_fake, params, rng)
+        fakes = mga_tree(lo, lo + 1, query, m_fake, params, rng)
         mga_hits += detect(np.concatenate([honest, fakes.sum(axis=1)]))
         resampled = np.array(
             [aaot_transform(row, n_nodes, params.q, rng).sum() for row in fakes]

@@ -10,13 +10,12 @@ from ldplab.attacks import (
     aot_assignment_fast,
     aot_zero_coeff_strategy,
     assignment_objective,
-    layer_coefficients,
     mga_tree,
     tree_coefficients,
 )
 from ldplab.freq_oracles import OueParams
 from ldplab.postprocess import tree_consistency
-from ldplab.tree_protocol import RangeQuery, TreeConfig, TreeNode, estimate_query
+from ldplab.tree_protocol import RangeQuery, Tree, TreeConfig, estimate_query
 
 from .oracles import (
     aot_assignment_bruteforce,
@@ -26,7 +25,9 @@ from .oracles import (
 
 
 def unit_leaves(n):
-    return [TreeNode(i, i + 1) for i in range(n)]
+    """``lo, hi`` arrays of the unit intervals ``[i, i + 1)``, ``i < n``."""
+    lo = np.arange(n)
+    return lo, lo + 1
 
 
 class TestMgaTree:
@@ -35,7 +36,7 @@ class TestMgaTree:
         nodes = unit_leaves(9)
         params = OueParams(np.log(3.0), 9)
         query = RangeQuery((0,), ((0, 2),))
-        reports = mga_tree(nodes, query, 5, params, np.random.default_rng(0))
+        reports = mga_tree(*nodes, query, 5, params, np.random.default_rng(0))
         assert reports.shape == (5, 9)
         np.testing.assert_array_equal(reports[:, :2], 1)
         assert reports.sum() == 5 * 2
@@ -45,77 +46,68 @@ class TestMgaTree:
         nodes = unit_leaves(17)
         params = OueParams(np.log(3.0), 17)
         query = RangeQuery((0,), ((0, 1),))
-        reports = mga_tree(nodes, query, 20, params, np.random.default_rng(1))
+        reports = mga_tree(*nodes, query, 20, params, np.random.default_rng(1))
         np.testing.assert_array_equal(reports[:, 0], 1)
         np.testing.assert_array_equal(reports.sum(axis=1), 4)  # 1 target + 3 pads
         assert reports[:, 1:].sum(axis=0).max() <= 20  # pads are out of range
 
     def test_hook_wrapper(self):
         hook = MgaTreeAttack(RangeQuery((0,), ((0, 2),)), 1.0)
-        reports = hook(unit_leaves(8), 3, np.random.default_rng(2))
+        reports = hook(*unit_leaves(8), 3, np.random.default_rng(2))
         assert reports.shape == (3, 8)
 
     def test_validation(self):
         params = OueParams(1.0, 4)
         with pytest.raises(ValueError):
-            mga_tree([], RangeQuery((0,), ((0, 1),)), 1, params, np.random.default_rng(0))
+            mga_tree(*unit_leaves(0), RangeQuery((0,), ((0, 1),)), 1, params,
+                     np.random.default_rng(0))
         with pytest.raises(ValueError):
-            mga_tree(unit_leaves(5), RangeQuery((0,), ((0, 1),)), 1, params,
+            mga_tree(*unit_leaves(5), RangeQuery((0,), ((0, 1),)), 1, params,
                      np.random.default_rng(0))
 
 
-def binary_tree(depth, lo=0, hi=None):
-    hi = hi if hi is not None else 2**depth
-    node = TreeNode(lo, hi)
-    if depth > 0:
-        mid = (lo + hi) // 2
-        node.children = [binary_tree(depth - 1, lo, mid), binary_tree(depth - 1, mid, hi)]
-    return node
+def binary_tree(depth):
+    """The complete binary tree over ``[0, 2**depth)``."""
+    tree = Tree(2**depth, 2)
+    tree.exists[:] = True
+    return tree
 
 
 class TestTreeCoefficients:
     def test_single_leaf_query(self):
-        root = binary_tree(2)
+        tree = binary_tree(2)
         query = RangeQuery((0,), ((0, 1),))
-        coeffs = tree_coefficients(root, query)
-        leaf = root.children[0].children[0]
-        assert coeffs[id(leaf)] == pytest.approx(1.0)
+        coeffs = tree_coefficients(tree, query)
+        leaf = tree.node_ids([0], [1])[0]
+        assert coeffs[leaf] == pytest.approx(1.0)
         # The query is served by the leaf alone; other nodes carry no weight.
-        assert coeffs.get(id(root), 0.0) == 0.0
+        assert coeffs[0] == 0.0
 
     def test_root_query_on_binary_tree(self):
-        root = binary_tree(1)
+        tree = binary_tree(1)
         query = RangeQuery((0,), ((0, 2),))
-        coeffs = tree_coefficients(root, query)
-        assert coeffs[id(root)] == pytest.approx(2.0 / 3.0)
-        for child in root.children:
-            assert coeffs[id(child)] == pytest.approx(1.0 / 3.0)
+        coeffs = tree_coefficients(tree, query)
+        assert coeffs[0] == pytest.approx(2.0 / 3.0)
+        for child in tree.children([0]):
+            assert coeffs[child] == pytest.approx(1.0 / 3.0)
 
     def test_weighted_sum_equals_consistency_estimate(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            root = binary_tree(3)
-            nodes = []
-
-            def fill(node):
-                node.f_hat = float(rng.random())
-                nodes.append(node)
-                for c in node.children:
-                    fill(c)
-
-            fill(root)
+            tree = binary_tree(3)
+            tree.f_hat[:] = rng.random(tree.f_hat.size)
             lo = int(rng.integers(0, 7))
             hi = int(rng.integers(lo + 1, 9))
             query = RangeQuery((0,), ((lo, hi),))
-            coeffs = tree_coefficients(root, query)
-            weighted = sum(coeffs.get(id(n), 0.0) * n.f_hat for n in nodes)
-            tree_consistency(root)
-            assert weighted == pytest.approx(estimate_query(root, query), abs=1e-12)
+            coeffs = tree_coefficients(tree, query)
+            weighted = float(np.dot(coeffs, tree.f_hat))
+            tree_consistency(tree)
+            assert weighted == pytest.approx(estimate_query(tree, query), abs=1e-12)
 
     def test_layer_coefficients_alignment(self):
-        root = binary_tree(1)
-        coeffs = tree_coefficients(root, RangeQuery((0,), ((0, 2),)))
-        layer = layer_coefficients(coeffs, root.children)
+        tree = binary_tree(1)
+        coeffs = tree_coefficients(tree, RangeQuery((0,), ((0, 2),)))
+        layer = coeffs[tree.node_ids([0, 1], [1, 2])]
         np.testing.assert_allclose(layer, [1.0 / 3.0, 1.0 / 3.0])
 
 
@@ -203,29 +195,28 @@ class TestAssignmentSearch:
 
 class TestZeroCoeffStrategies:
     def test_patterns(self):
-        nodes = unit_leaves(6)
+        lo, hi = unit_leaves(6)
         query = RangeQuery((0,), ((2, 4),))
         np.testing.assert_array_equal(
-            aot_zero_coeff_strategy("zero", nodes, query), np.zeros(6, dtype=np.uint8)
+            aot_zero_coeff_strategy("zero", lo, hi, query), np.zeros(6, dtype=np.uint8)
         )
         np.testing.assert_array_equal(
-            aot_zero_coeff_strategy("one", nodes, query), np.ones(6, dtype=np.uint8)
+            aot_zero_coeff_strategy("one", lo, hi, query), np.ones(6, dtype=np.uint8)
         )
         np.testing.assert_array_equal(
-            aot_zero_coeff_strategy("path", nodes, query),
+            aot_zero_coeff_strategy("path", lo, hi, query),
             np.array([0, 0, 1, 1, 0, 0], dtype=np.uint8),
         )
 
     def test_path_hits_ancestors(self):
-        nodes = [TreeNode(0, 8), TreeNode(8, 16)]
         query = RangeQuery((0,), ((2, 4),))
         np.testing.assert_array_equal(
-            aot_zero_coeff_strategy("path", nodes, query), np.array([1, 0], np.uint8)
+            aot_zero_coeff_strategy("path", [0, 8], [8, 16], query), np.array([1, 0], np.uint8)
         )
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            aot_zero_coeff_strategy("typo", [], RangeQuery((0,), ((0, 1),)))
+            aot_zero_coeff_strategy("typo", [], [], RangeQuery((0,), ((0, 1),)))
 
 
 class TestOptimalTreeAttack:
@@ -234,17 +225,14 @@ class TestOptimalTreeAttack:
         query = RangeQuery((0,), ((16, 48),))
         hook = OptimalTreeAttack(config, query, assumed_n=10_000, rho=0.1)
         rng = np.random.default_rng(7)
-        root = TreeNode(0, 64)
-        frontier = [TreeNode(0, 32), TreeNode(32, 64)]
-        root.children = frontier
-        reports = hook(frontier, 50, rng)
+        reports = hook(np.array([0, 32]), np.array([32, 64]), 50, rng)
         assert reports.shape == (50, 2)
         assert set(np.unique(reports)) <= {0, 1}
 
     def test_zero_fakes(self):
         config = TreeConfig(domain_size=16, epsilon=1.0)
         hook = OptimalTreeAttack(config, RangeQuery((0,), ((0, 8),)), 1000, 0.1)
-        out = hook([TreeNode(0, 8), TreeNode(8, 16)], 0, np.random.default_rng(8))
+        out = hook(np.array([0, 8]), np.array([8, 16]), 0, np.random.default_rng(8))
         assert out.shape == (0, 2)
 
     def test_validation(self):
@@ -295,7 +283,7 @@ class TestAaot:
         inner = MgaTreeAttack(RangeQuery((0,), ((0, 4),)), 1.0)
         wrapper = AdaptiveTreeAttack(inner, 1.0)
         rng = np.random.default_rng(11)
-        reports = wrapper(unit_leaves(16), 200, rng)
+        reports = wrapper(*unit_leaves(16), 200, rng)
         assert reports.shape == (200, 16)
         counts = reports.sum(axis=1)
         # MGA rows would all share one deterministic count; resampling spreads them.

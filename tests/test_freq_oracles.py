@@ -6,19 +6,22 @@ from ldplab.freq_oracles import (
     HashPair,
     OlhParams,
     OueParams,
-    hash_eval,
     olh_aggregate,
-    olh_perturb,
     olh_perturb_batch,
-    olh_support,
     oue_aggregate,
     oue_aggregate_counts,
-    oue_perturb,
     oue_perturb_batch,
     smallest_prime_above,
 )
 
-from .oracles import olh_support_scan
+from .oracles import (
+    hash_eval,
+    olh_aggregate_pairs,
+    olh_perturb,
+    olh_support,
+    olh_support_scan,
+    oue_perturb,
+)
 
 
 def test_smallest_prime_above():
@@ -219,3 +222,15 @@ class TestOlhAggregate:
         family = HashFamily(17, 4)
         with pytest.raises(ValueError):
             olh_aggregate((np.array([]), np.array([])), family, np.arange(16), OlhParams(1.0))
+
+    def test_matches_per_pair_oracle(self):
+        family = HashFamily(17, 4)
+        params = OlhParams(np.log(3.0))
+        rng = np.random.default_rng(6)
+        fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 300), family, params, rng)
+        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        np.testing.assert_allclose(
+            olh_aggregate((fn_ids, keys), family, np.arange(16), params),
+            olh_aggregate_pairs(pairs, family, np.arange(16), params),
+            atol=1e-12,
+        )

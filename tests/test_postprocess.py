@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldplab.postprocess import grid_consistency, norm_sub, tree_consistency
-from ldplab.tree_protocol import TreeNode
+from ldplab.tree_protocol import Tree, tree_to_json
 
-from .oracles import consistency_recursive, norm_sub_bisect
+from .oracles import consistency_recursive, json_nodes, norm_sub_bisect
 
 
 class TestNormSub:
@@ -57,50 +59,43 @@ class TestNormSub:
             norm_sub([[0.1, 0.2], [0.3, 0.4]])
 
 
-def _random_tree(rng, depth=3, fanout=2, lo=0, hi=8):
-    node = TreeNode(lo, hi, f_hat=float(rng.random()))
-    if depth > 0 and hi - lo >= fanout:
-        width = (hi - lo) // fanout
-        node.children = [
-            _random_tree(rng, depth - 1, fanout, lo + i * width, lo + (i + 1) * width)
-            for i in range(fanout)
-        ]
-    return node
+def _random_tree(rng, domain=8, fanout=2):
+    """A tree that splits every node with probability 3/4, random ``f_hat``."""
+    tree = Tree(domain, fanout)
+    frontier = tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+    while frontier is not None:
+        frontier = tree.split(frontier, rng.random(frontier.size) < 0.75)
+    tree.f_hat[tree.exists] = rng.random(int(tree.exists.sum()))
+    return tree
 
 
 class TestTreeConsistency:
     def test_leaf_passthrough(self):
-        leaf = TreeNode(0, 1, f_hat=0.3)
+        leaf = Tree(1, 2)
+        leaf.f_hat[0] = 0.3
         tree_consistency(leaf)
-        assert leaf.f_tilde == pytest.approx(0.3)
+        assert leaf.f_tilde[0] == pytest.approx(0.3)
 
     def test_four_children_average(self):
-        root = TreeNode(0, 4, f_hat=0.5)
-        root.children = [TreeNode(i, i + 1, f_hat=0.075) for i in range(4)]
-        tree_consistency(root)
+        tree = Tree(4, 4)
+        tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+        tree.f_hat[0] = 0.5
+        tree.f_hat[1:5] = 0.075
+        tree_consistency(tree)
         # lam = 4/5; children sum 0.3 -> 0.8 * 0.5 + 0.2 * 0.3
-        assert root.f_tilde == pytest.approx(0.46, abs=1e-12)
+        assert tree.f_tilde[0] == pytest.approx(0.46, abs=1e-12)
 
     def test_matches_recursive_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            root = _random_tree(rng)
-
-            def clone(node):
-                copy = TreeNode(node.lo, node.hi, f_hat=node.f_hat)
-                copy.children = [clone(c) for c in node.children]
-                return copy
-
-            mirror = clone(root)
-            tree_consistency(root)
+            tree = _random_tree(rng)
+            mirror = json.loads(tree_to_json(tree))
+            tree_consistency(tree)
             consistency_recursive(mirror)
-
-            def compare(a, b):
-                assert a.f_tilde == pytest.approx(b.f_tilde, abs=1e-12)
-                for ca, cb in zip(a.children, b.children):
-                    compare(ca, cb)
-
-            compare(root, mirror)
+            ours = json_nodes(json.loads(tree_to_json(tree)))
+            for a, b in zip(ours, json_nodes(mirror)):
+                assert a["interval"] == b["interval"]
+                assert a["f_tilde"] == pytest.approx(b["f_tilde"], abs=1e-12)
 
 
 class TestGridConsistency:

@@ -2,22 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldplab.attacks import tree_coefficients
+from ldplab.postprocess import tree_consistency
 from ldplab.tree_protocol import (
     RangeQuery,
+    Tree,
     TreeConfig,
-    TreeNode,
     _partition_sizes,
     estimate_query,
     oue_sigma,
     query_cover,
-    query_decomposition,
     run_tree_protocol,
-    split_frontier,
     tree_to_json,
 )
 
-from .oracles import estimate_by_consistency
+from .oracles import coefficients_by_linearity, estimate_by_consistency, json_nodes
 
 
 class TestConfig:
@@ -56,20 +58,17 @@ class TestRunProtocol:
         config = TreeConfig(domain_size=64, split_threshold=0.9)
         rng = np.random.default_rng(0)
         values = rng.integers(0, 64, 5000)
-        root = run_tree_protocol(values, config, rng=rng)
+        tree = run_tree_protocol(values, config, rng=rng)
         # Uniform data: every first-layer frequency ~ 1/2 < 0.9, no splits.
-        assert all(child.is_leaf() for child in root.children)
+        assert tree.leaves()[tree.children([0])].all()
 
     def test_zero_threshold_builds_full_tree(self):
         config = TreeConfig(domain_size=16, split_threshold=0.0)
         rng = np.random.default_rng(1)
         values = rng.integers(0, 16, 4000)
-        root = run_tree_protocol(values, config, rng=rng)
-
-        def depth(node):
-            return 1 + max((depth(c) for c in node.children), default=0)
-
-        assert depth(root) == 5  # root + 4 estimated layers
+        tree = run_tree_protocol(values, config, rng=rng)
+        assert tree.exists.all()  # root + 4 estimated layers, all complete
+        assert tree.depth == 4
 
     def test_hook_shape_checked(self):
         config = TreeConfig(domain_size=16, split_threshold=0.0)
@@ -78,7 +77,7 @@ class TestRunProtocol:
             run_tree_protocol(
                 np.zeros(100, dtype=int),
                 config,
-                hook=lambda nodes, m, r: np.zeros((m + 1, len(nodes))),
+                hook=lambda lo, hi, m, r: np.zeros((m + 1, len(lo))),
                 rho=0.1,
                 rng=rng,
             )
@@ -106,12 +105,25 @@ class TestRunProtocol:
         assert all(fake is None for _, fake in seen)
 
 
-def test_split_frontier_replaces_masked_nodes_in_place():
-    frontier = [TreeNode(0, 4), TreeNode(4, 8), TreeNode(8, 16)]
-    out = split_frontier(frontier, [True, False, True], 2)
-    assert [(n.lo, n.hi) for n in out] == [(0, 2), (2, 4), (4, 8), (8, 12), (12, 16)]
-    assert out[0] is frontier[0].children[0] and out[2] is frontier[1]
-    assert frontier[1].is_leaf()
+def test_split_replaces_masked_nodes_in_place():
+    tree, frontier = Tree.from_leaves(16, 2, [0, 4, 8], [4, 8, 16])
+    out = tree.split(frontier, np.array([True, False, True]))
+    assert list(zip(tree.lo[out], tree.hi[out])) == [(0, 2), (2, 4), (4, 8), (8, 12), (12, 16)]
+    assert out[0] == tree.children([frontier[0]])[0] and out[2] == frontier[1]
+    assert tree.leaves()[frontier[1]] and not tree.leaves()[frontier[0]]
+    assert tree.split(out, np.zeros(5, dtype=bool)) is None
+
+
+def test_from_leaves_builds_exactly_the_ancestors():
+    tree, ids = Tree.from_leaves(16, 2, [8, 0, 4], [16, 4, 8])
+    assert list(zip(tree.lo[ids], tree.hi[ids])) == [(8, 16), (0, 4), (4, 8)]
+    built = {(int(a), int(b)) for a, b in zip(tree.lo[tree.exists], tree.hi[tree.exists])}
+    assert built == {(0, 16), (0, 8), (8, 16), (0, 4), (4, 8)}
+    assert np.array_equal(np.flatnonzero(tree.leaves()), np.sort(ids))
+    with pytest.raises(ValueError):
+        tree.node_ids([0], [3])
+    with pytest.raises(ValueError):
+        tree.node_ids([2], [6])
 
 
 class TestQueries:
@@ -121,72 +133,108 @@ class TestQueries:
         return run_tree_protocol(rng.integers(0, 64, 8000), config, rng=rng)
 
     def test_full_domain_is_root(self):
-        root = self._tree()
-        full, partial = query_cover(root, 0, 64)
-        assert full == [root]
-        assert partial == []
+        tree = self._tree()
+        full, partial, _ = query_cover(tree, 0, 64)
+        assert full.tolist() == [0]
+        assert partial.size == 0
 
     def test_half_domain_is_left_child(self):
-        root = self._tree()
-        full, partial = query_cover(root, 0, 32)
-        assert full == [root.children[0]]
-        assert partial == []
+        tree = self._tree()
+        full, partial, _ = query_cover(tree, 0, 32)
+        assert full.tolist() == [tree.children([0])[0]]
+        assert partial.size == 0
 
-    def test_decomposition_rejects_multi_dim(self):
-        root = self._tree()
+    def test_estimate_rejects_multi_dim(self):
+        tree = self._tree()
         query = RangeQuery((0, 1), ((0, 8), (0, 8)))
         with pytest.raises(ValueError):
-            query_decomposition(root, query)
+            estimate_query(tree, query)
         single = RangeQuery((0,), ((0, 32),))
-        assert query_decomposition(root, single) == [root.children[0]]
+        assert estimate_query(tree, single) == tree.f_tilde[tree.children([0])[0]]
 
     def test_additivity(self):
-        root = self._tree()
-        left = estimate_query(root, RangeQuery((0,), ((0, 32),)))
-        right = estimate_query(root, RangeQuery((0,), ((32, 64),)))
-        total = estimate_query(root, RangeQuery((0,), ((0, 64),)))
+        tree = self._tree()
+        left = estimate_query(tree, RangeQuery((0,), ((0, 32),)))
+        right = estimate_query(tree, RangeQuery((0,), ((32, 64),)))
+        total = estimate_query(tree, RangeQuery((0,), ((0, 64),)))
         assert left + right == pytest.approx(total, abs=1e-9)
-        assert total == pytest.approx(root.f_tilde, abs=1e-12)
+        assert total == pytest.approx(tree.f_tilde[0], abs=1e-12)
 
     def test_matches_consistency_oracle(self):
-        root = self._tree()
-
-        def clone(node):
-            copy = TreeNode(node.lo, node.hi, f_hat=node.f_hat)
-            copy.children = [clone(c) for c in node.children]
-            return copy
-
+        tree = self._tree()
         rng = np.random.default_rng(5)
         for _ in range(10):
             lo = int(rng.integers(0, 63))
             hi = int(rng.integers(lo + 1, 65))
-            ours = estimate_query(root, RangeQuery((0,), ((lo, hi),)))
-            reference = estimate_by_consistency(clone(root), lo, hi)
+            ours = estimate_query(tree, RangeQuery((0,), ((lo, hi),)))
+            reference = estimate_by_consistency(json.loads(tree_to_json(tree)), lo, hi)
             assert ours == pytest.approx(reference, abs=1e-12)
 
     def test_out_of_domain_query(self):
-        root = self._tree()
+        tree = self._tree()
         with pytest.raises(ValueError):
-            query_cover(root, 0, 65)
+            query_cover(tree, 0, 65)
 
     def test_honest_accuracy(self):
         rng = np.random.default_rng(6)
         values = np.clip(np.rint(rng.normal(32, 8, 40_000)), 0, 63).astype(int)
         config = TreeConfig(domain_size=64, epsilon=1.0)
-        root = run_tree_protocol(values, config, rng=rng)
+        tree = run_tree_protocol(values, config, rng=rng)
         for lo, hi in [(16, 48), (24, 40), (0, 64)]:
             truth = ((values >= lo) & (values < hi)).mean()
-            estimate = estimate_query(root, RangeQuery((0,), ((lo, hi),)))
+            estimate = estimate_query(tree, RangeQuery((0,), ((lo, hi),)))
             assert abs(estimate - truth) < 0.1
 
 
 def test_json_round_trip():
-    root = TreeNode(0, 4, f_hat=0.5, f_tilde=0.4)
-    root.children = [TreeNode(0, 2, f_hat=0.2), TreeNode(2, 4, f_hat=0.3)]
-    payload = json.loads(tree_to_json(root))
+    tree = Tree(4, 2)
+    tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+    tree.f_hat[:3] = [0.5, 0.2, 0.3]
+    tree.f_tilde[0] = 0.4
+    payload = json.loads(tree_to_json(tree))
     assert payload["interval"] == [0, 4]
     assert payload["f_hat"] == 0.5
+    assert payload["f_tilde"] == 0.4
     assert [c["interval"] for c in payload["children"]] == [[0, 2], [2, 4]]
+    assert all(c["children"] == [] for c in payload["children"])
+
+
+@given(
+    fanout=st.sampled_from([2, 4]),
+    depth=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_flat_tree_matches_recursive_references(fanout, depth, seed):
+    """Consistency, query estimates and coefficients against the JSON oracles."""
+    rng = np.random.default_rng(seed)
+    domain = fanout**depth
+    tree = Tree(domain, fanout)
+    frontier = tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+    while frontier is not None:
+        frontier = tree.split(frontier, rng.random(frontier.size) < 0.6)
+    tree.f_hat[tree.exists] = rng.normal(0.1, 0.2, int(tree.exists.sum()))
+    reference = json.loads(tree_to_json(tree))
+    tree_consistency(tree)
+    estimate_by_consistency(reference, 0, domain)  # fills f_tilde
+    ours = json_nodes(json.loads(tree_to_json(tree)))
+    assert [n["interval"] for n in ours] == [n["interval"] for n in json_nodes(reference)]
+    for a, b in zip(ours, json_nodes(reference)):
+        assert a["f_tilde"] == pytest.approx(b["f_tilde"], abs=1e-12)
+
+    lo = int(rng.integers(0, domain))
+    hi = int(rng.integers(lo + 1, domain + 1))
+    query = RangeQuery((0,), ((lo, hi),))
+    assert estimate_query(tree, query) == pytest.approx(
+        estimate_by_consistency(reference, lo, hi), abs=1e-12
+    )
+    coeffs = tree_coefficients(tree, query)
+    expected = coefficients_by_linearity(reference, lo, hi)
+    built = np.flatnonzero(tree.exists)
+    assert {(int(tree.lo[i]), int(tree.hi[i])) for i in built} == set(expected)
+    for i in built:
+        assert coeffs[i] == pytest.approx(expected[(tree.lo[i], tree.hi[i])], abs=1e-12)
+    assert not coeffs[~tree.exists].any()
 
 
 def test_range_query_validation():
