@@ -321,8 +321,8 @@ class OptimalTreeAttack:
         self.strategy = strategy
         depth = config.depth
         assumed_m = int(round(assumed_n * rho / (1.0 - rho)))
-        self._real_sizes = _partition_sizes(assumed_n, depth, config.layer_user_fractions)
-        self._fake_sizes = _partition_sizes(assumed_m, depth, config.layer_user_fractions)
+        self._real_sizes = _partition_sizes(assumed_n, depth)
+        self._fake_sizes = _partition_sizes(assumed_m, depth)
         self.layer = 0
 
     def __call__(

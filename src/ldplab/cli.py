@@ -6,8 +6,10 @@ Subcommands:
   detect       run with detectors enabled and report detection rates
   prism-check  print the analytic privacy-violation ratio check
 
-Configs are JSON files whose keys mirror ExperimentConfig fields.  Exit
-codes: 0 success, 2 configuration error, 1 runtime error.
+Configs are JSON files whose keys mirror ExperimentConfig fields.  The
+whole config, the protocol's own settings and the dataset spec included, is
+checked when it is loaded, so a bad config exits before any data is
+generated.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, prism_bruteforce_ratio, prism_violation_ratio, run_experiment
@@ -43,7 +46,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         payload["threads"] = args.threads
     try:
         return ExperimentConfig(**payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # unknown fields, values of the wrong type
         raise ConfigError(str(exc)) from exc
 
 
@@ -63,27 +66,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for attack in attacks:
         for epsilon in epsilons:
             for rho in rhos:
-                from dataclasses import asdict
-
-                payload = asdict(base)
-                payload.update(attack=attack, epsilon=epsilon, rho=rho)
-                if out_dir is not None:
-                    payload["out"] = str(
-                        out_dir / f"{base.protocol}_{attack}_eps{epsilon}_rho{rho}.jsonl"
-                    )
-                config = ExperimentConfig(**payload)
+                name = f"{base.protocol}_{attack}_eps{epsilon}_rho{rho}.jsonl"
+                out = str(out_dir / name) if out_dir is not None else None
+                config = replace(base, attack=attack, epsilon=epsilon, rho=rho, out=out)
                 _, summary = run_experiment(config)
                 print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    from dataclasses import asdict
-
-    payload = asdict(config)
-    payload["defense"] = True
-    config = ExperimentConfig(**payload)
+    config = replace(_load_config(args), defense=True)
     _, summary = run_experiment(config)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

@@ -43,14 +43,11 @@ class DetectionResult:
 class TreeDefenseParams:
     """Parameters of the ones-count interval test.
 
-    ``tail_reading``: when True (default) the closed-form fraction is
-    interpreted as the expected mass *outside* the interval; the False
-    setting interprets it as the inside mass (exposed for sensitivity
-    analysis; the two readings coincide only at f = 1/2).
+    The closed-form fraction ``outside_mass`` is the expected honest mass
+    *outside* the interval.
     """
 
     alpha: float = 0.005
-    tail_reading: bool = True
 
     @property
     def z_alpha(self) -> float:
@@ -58,8 +55,7 @@ class TreeDefenseParams:
 
     @property
     def outside_mass(self) -> float:
-        f = (1.0 - math.sqrt(1.0 / (1.0 + self.z_alpha**2))) / 2.0
-        return f if self.tail_reading else 1.0 - f
+        return (1.0 - math.sqrt(1.0 / (1.0 + self.z_alpha**2))) / 2.0
 
 
 def ones_count_cdf(n: int, q: float) -> np.ndarray:

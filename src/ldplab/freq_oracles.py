@@ -27,7 +27,7 @@ __all__ = [
     "HashPair",
     "smallest_prime_above",
     "oue_perturb_batch",
-    "oue_aggregate",
+    "oue_aggregate_counts",
     "olh_perturb_batch",
     "olh_aggregate",
 ]
@@ -172,24 +172,10 @@ def oue_perturb_batch(
     return bits.astype(np.uint8)
 
 
-def oue_aggregate(reports: Sequence[np.ndarray] | np.ndarray, params: OueParams) -> np.ndarray:
-    """Unbiased frequency estimate from OUE reports (may contain negatives)."""
-    matrix = np.asarray(reports)
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
-    if matrix.size == 0 or matrix.shape[0] == 0:
-        raise ValueError("empty report set")
-    if matrix.shape[1] != params.n:
-        raise ValueError(f"report length {matrix.shape[1]} != n={params.n}")
-    n_users = matrix.shape[0]
-    counts = matrix.sum(axis=0, dtype=np.float64)
-    return oue_aggregate_counts(counts, n_users, params)
-
-
 def oue_aggregate_counts(
     counts: np.ndarray, n_users: int, params: OueParams
 ) -> np.ndarray:
-    """Aggregate from per-item 1-counts (same estimator as :func:`oue_aggregate`)."""
+    """Unbiased frequency estimate from per-item 1-counts (may contain negatives)."""
     if n_users < 1:
         raise ValueError("empty report set")
     counts = np.asarray(counts, dtype=np.float64)

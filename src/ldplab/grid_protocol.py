@@ -66,6 +66,7 @@ class GridConfig:
             self.prime = smallest_prime_above(max_cells)
         elif self.prime <= max_cells:
             raise ValueError("prime must exceed the largest cell count")
+        self.family()  # raises unless prime is a prime
 
     @property
     def n_groups(self) -> int:

@@ -15,9 +15,9 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,9 +54,6 @@ __all__ = [
     "write_results",
 ]
 
-TREE_ATTACKS = ("none", "mga", "aot", "aaot")
-GRID_ATTACKS = ("none", "mga", "haog", "aog", "aaog")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -89,6 +86,9 @@ class ExperimentConfig:
     threads: int = 1
     out: Optional[str] = None
 
+    # The protocol's own config, built and checked once from the fields above.
+    protocol_config: Union[TreeConfig, GridConfig] = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
         if self.protocol not in ("ahead", "hdg"):
             raise ConfigError(f"unknown protocol {self.protocol!r} (expected ahead|hdg)")
@@ -98,7 +98,7 @@ class ExperimentConfig:
             self.dims_query = 1 if self.protocol == "ahead" else min(3, self.dims_total)
         if self.domain_size is None:
             self.domain_size = 1024 if self.protocol == "ahead" else 64
-        valid = TREE_ATTACKS if self.protocol == "ahead" else GRID_ATTACKS
+        valid = tuple(token for protocol, token in _HOOKS if protocol == self.protocol)
         if self.attack not in valid:
             raise ConfigError(
                 f"attack {self.attack!r} not supported for {self.protocol}: choose from {valid}"
@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ConfigError("rho must be > 0 when an attack is enabled")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
+        for name in ("alpha", "beta"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1)")
         if self.n_queries < 1:
             raise ConfigError("n_queries must be >= 1")
         if self.dims_query > self.dims_total:
@@ -120,22 +123,46 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        self._check_dataset()
+        try:
+            if self.protocol == "ahead":
+                self.protocol_config = TreeConfig(
+                    domain_size=self.domain_size, fanout=self.fanout, epsilon=self.epsilon
+                )
+            else:
+                self.protocol_config = GridConfig(
+                    d=self.dims_total,
+                    g1=self.g1,
+                    g2=self.g2,
+                    domain_size=self.domain_size,
+                    epsilon=self.epsilon,
+                    pp_rounds=self.pp_rounds,
+                    prime=self.family_prime,
+                )
+        except ValueError as exc:
+            raise ConfigError(f"{self.protocol} config: {exc}") from exc
 
-    def tree_config(self) -> TreeConfig:
-        return TreeConfig(
-            domain_size=self.domain_size, fanout=self.fanout, epsilon=self.epsilon
-        )
-
-    def grid_config(self) -> GridConfig:
-        return GridConfig(
-            d=self.dims_total,
-            g1=self.g1,
-            g2=self.g2,
-            domain_size=self.domain_size,
-            epsilon=self.epsilon,
-            pp_rounds=self.pp_rounds,
-            prime=self.family_prime,
-        )
+    def _check_dataset(self) -> None:
+        spec = self.dataset
+        if not isinstance(spec, dict):
+            raise ConfigError("dataset must be an object with a 'kind'")
+        kind = spec.get("kind", "gaussian")
+        if kind == "csv":
+            columns = spec.get("columns")
+            if "path" not in spec:
+                raise ConfigError("csv dataset needs a path")
+            if not isinstance(columns, (list, tuple)) or len(columns) != self.dims_total:
+                raise ConfigError(f"csv dataset needs {self.dims_total} columns (dims_total)")
+        elif kind in ("gaussian", "laplace"):
+            try:
+                count = int(spec.get("count", 100_000))
+                float(spec.get("mean", 0.0)), float(spec.get("std", 1.0))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"dataset count, mean and std must be numbers: {exc}") from exc
+            if count < 1:
+                raise ConfigError("dataset count must be >= 1")
+        else:
+            raise ConfigError(f"unknown dataset kind {kind!r} (expected gaussian|laplace|csv)")
 
 
 @dataclass
@@ -321,93 +348,68 @@ def _build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> np.nda
     )
 
 
-def _tree_hook(config: ExperimentConfig, query: RangeQuery, n_real: int):
-    if config.attack == "none":
-        return None
-    if config.attack == "mga":
-        return MgaTreeAttack(query, config.epsilon)
+def _optimal_tree_attack(config: ExperimentConfig, query: RangeQuery, n_real: int):
     assumed_n = config.attacker_n or n_real
-    inner = OptimalTreeAttack(
-        config.tree_config(), query, assumed_n, config.rho, strategy=config.strategy
+    return OptimalTreeAttack(
+        config.protocol_config, query, assumed_n, config.rho, strategy=config.strategy
     )
-    if config.attack == "aot":
-        return inner
-    return AdaptiveTreeAttack(inner, config.epsilon)
 
 
-def _grid_hook(config: ExperimentConfig, query: RangeQuery):
-    gc = config.grid_config()
-    if config.attack == "none":
-        return None
-    if config.attack == "mga":
-        return MgaGridAttack(gc, query)
-    if config.attack == "haog":
-        return HeuristicGridAttack(gc, query)
-    if config.attack == "aog":
-        return GridRangeAttack(gc, query, config.rho)
-    return AdaptiveGridAttack(gc, query, alpha=config.alpha, beta=config.beta)
+# (protocol, attack token) -> hook constructor of (config, query, real user
+# count).  The keys are also the attack tokens each protocol accepts.
+_HOOKS = {
+    ("ahead", "none"): lambda c, q, n: None,
+    ("ahead", "mga"): lambda c, q, n: MgaTreeAttack(q, c.epsilon),
+    ("ahead", "aot"): _optimal_tree_attack,
+    ("ahead", "aaot"): lambda c, q, n: AdaptiveTreeAttack(_optimal_tree_attack(c, q, n), c.epsilon),
+    ("hdg", "none"): lambda c, q, n: None,
+    ("hdg", "mga"): lambda c, q, n: MgaGridAttack(c.protocol_config, q),
+    ("hdg", "haog"): lambda c, q, n: HeuristicGridAttack(c.protocol_config, q),
+    ("hdg", "aog"): lambda c, q, n: GridRangeAttack(c.protocol_config, q, c.rho),
+    ("hdg", "aaog"): lambda c, q, n: AdaptiveGridAttack(
+        c.protocol_config, q, alpha=c.alpha, beta=c.beta
+    ),
+}
 
 
-def _run_tree_trial(
-    config: ExperimentConfig,
-    values: np.ndarray,
-    query: RangeQuery,
-    rng: np.random.Generator,
-    collect_detection: bool,
-):
-    tc = config.tree_config()
-    hook = _tree_hook(config, query, values.size)
-    rounds: List[Tuple[np.ndarray, int]] = []
-
-    def observer(frontier, real_reports, fake_reports):
-        if not collect_detection:
-            return
-        counts = real_reports.sum(axis=1)
-        if fake_reports is not None and fake_reports.size:
-            counts = np.concatenate([counts, fake_reports.sum(axis=1)])
-        rounds.append((counts, len(frontier)))
-
-    tree = run_tree_protocol(
-        values, tc, hook=hook, rho=config.rho, rng=rng, observer=observer
-    )
-    response = tree_estimate(tree, query)
-    detection = None
-    if collect_detection:
-        params = defenses.TreeDefenseParams(alpha=config.alpha)
-        detection = _fold_detection([
-            defenses.tree_detect(counts, n_nodes, config.epsilon, params)
-            for counts, n_nodes in rounds
-        ])
-    return response, detection
-
-
-def _run_grid_trial(
+def _run_trial(
     config: ExperimentConfig,
     records: np.ndarray,
     query: RangeQuery,
     rng: np.random.Generator,
-    collect_detection: bool,
+    defend: bool,
 ):
-    gc = config.grid_config()
-    hook = _grid_hook(config, query)
-    rounds: List[np.ndarray] = []
+    """One protocol run with the config's attack, answered for ``query``.
 
-    def observer(key, fn_ids):
-        if collect_detection:
-            rounds.append(fn_ids)
+    Returns ``(response, detection)``; with ``defend`` the protocol's
+    observer runs the round's detector as each round is collected, and the
+    rounds are folded into one outcome, otherwise ``detection`` is None.
+    """
+    # Functions are looked up here, not stored, so patched module attributes
+    # (such as a tracer's wrappers) are the ones called.
+    tree = config.protocol == "ahead"
+    run, estimate = (run_tree_protocol, tree_estimate) if tree else (run_grid_protocol, grid_estimate)
+    data = records[:, 0] if tree else records
+    hook = _HOOKS[config.protocol, config.attack](config, query, len(records))
+    rounds: List[defenses.DetectionResult] = []
+    if not defend:
+        observer = None
+    elif tree:
+        params = defenses.TreeDefenseParams(alpha=config.alpha)
 
-    grids = run_grid_protocol(
-        records, gc, hook=hook, rho=config.rho, rng=rng, observer=observer
-    )
-    response = grid_estimate(grids, query)
-    detection = None
-    if collect_detection:
-        family_size = gc.family().n_random_functions
-        detection = _fold_detection([
-            defenses.grid_detect(fn_ids, family_size, alpha=config.alpha)
-            for fn_ids in rounds
-        ])
-    return response, detection
+        def observer(frontier, real_reports, fake_reports):
+            counts = real_reports.sum(axis=1)
+            if fake_reports is not None and fake_reports.size:
+                counts = np.concatenate([counts, fake_reports.sum(axis=1)])
+            rounds.append(defenses.tree_detect(counts, len(frontier), config.epsilon, params))
+    else:
+        family_size = config.protocol_config.family().n_random_functions
+
+        def observer(key, fn_ids):
+            rounds.append(defenses.grid_detect(fn_ids, family_size, alpha=config.alpha))
+
+    result = run(data, config.protocol_config, hook=hook, rho=config.rho, rng=rng, observer=observer)
+    return estimate(result, query), _fold_detection(rounds) if defend else None
 
 
 def _fold_detection(results: List[defenses.DetectionResult]) -> defenses.DetectionResult:
@@ -441,21 +443,17 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
         snap=snap,
     )
 
-    if config.protocol == "ahead":
-        flat, run_trial = records[:, 0], _run_tree_trial
-    else:
-        flat, run_trial = records, _run_grid_trial
-    honest_cfg = ExperimentConfig(**{**asdict(config), "attack": "none", "rho": 0.0})
+    honest_cfg = replace(config, attack="none", rho=0.0)
 
     results: List[TrialResult] = []
     for qid, query in enumerate(queries):
         started = time.perf_counter()
         honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, qid]))
-        honest, _ = run_trial(honest_cfg, flat, query, honest_rng, False)
+        honest, _ = _run_trial(honest_cfg, records, query, honest_rng, False)
 
         poison_rng = np.random.default_rng(np.random.SeedSequence([seed, 3, qid]))
         if config.rho > 0:
-            poisoned, detection = run_trial(config, flat, query, poison_rng, config.defense)
+            poisoned, detection = _run_trial(config, records, query, poison_rng, config.defense)
         else:
             poisoned, detection = honest, None
 

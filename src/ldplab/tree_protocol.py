@@ -131,7 +131,6 @@ class TreeConfig:
     fanout: int = 2
     epsilon: float = 1.0
     split_threshold: Optional[float] = None
-    layer_user_fractions: Optional[Sequence[float]] = None
 
     def __post_init__(self) -> None:
         if self.fanout < 2:
@@ -179,19 +178,10 @@ def oue_sigma(epsilon: float, n_users: int) -> float:
     return float(np.sqrt(q * (1.0 - q)) / ((0.5 - q) * np.sqrt(n_users)))
 
 
-def _partition_sizes(total: int, parts: int, fractions: Optional[Sequence[float]]) -> List[int]:
-    """Split ``total`` into ``parts`` integer group sizes (largest remainder)."""
-    if fractions is None:
-        fractions = [1.0 / parts] * parts
-    if len(fractions) != parts or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("layer_user_fractions must have one entry per layer and sum to 1")
-    raw = [total * f for f in fractions]
-    sizes = [int(math.floor(x)) for x in raw]
-    remainder = total - sum(sizes)
-    order = sorted(range(parts), key=lambda i: raw[i] - sizes[i], reverse=True)
-    for i in order[:remainder]:
-        sizes[i] += 1
-    return sizes
+def _partition_sizes(total: int, parts: int) -> List[int]:
+    """Split ``total`` into ``parts`` near-equal group sizes, larger ones first."""
+    base, extra = divmod(total, parts)
+    return [base + 1] * extra + [base] * (parts - extra)
 
 
 def run_tree_protocol(
@@ -229,8 +219,8 @@ def run_tree_protocol(
     n_fake = int(round(n_real * rho / (1.0 - rho))) if rho > 0 else 0
 
     perm = rng.permutation(n_real)
-    real_sizes = _partition_sizes(n_real, depth, config.layer_user_fractions)
-    fake_sizes = _partition_sizes(n_fake, depth, config.layer_user_fractions)
+    real_sizes = _partition_sizes(n_real, depth)
+    fake_sizes = _partition_sizes(n_fake, depth)
     real_groups: List[np.ndarray] = []
     offset = 0
     for size in real_sizes:

@@ -179,6 +179,20 @@ def oue_perturb(true_index: int, params: OueParams, rng: np.random.Generator) ->
     return bits.astype(np.uint8)
 
 
+def oue_aggregate(reports: Sequence[np.ndarray] | np.ndarray, params: OueParams) -> np.ndarray:
+    """Unbiased frequency estimate from a matrix of OUE reports (one row each)."""
+    matrix = np.asarray(reports)
+    if matrix.ndim == 1:
+        matrix = matrix[None, :]
+    if matrix.size == 0 or matrix.shape[0] == 0:
+        raise ValueError("empty report set")
+    if matrix.shape[1] != params.n:
+        raise ValueError(f"report length {matrix.shape[1]} != n={params.n}")
+    n = matrix.shape[0]
+    counts = matrix.sum(axis=0, dtype=np.float64)
+    return (counts - n * params.q) / (n * (params.p - params.q))
+
+
 def hash_eval(family: HashFamily, fn_id: int, cell: int | np.ndarray) -> int | np.ndarray:
     """Evaluate ``h_{a,b}(cell)`` for the function with index ``fn_id``."""
     a, b = family.ab(fn_id)

@@ -31,7 +31,6 @@ from ldplab.freq_oracles import (
     OueParams,
     olh_aggregate,
     olh_perturb_batch,
-    oue_aggregate,
     oue_perturb_batch,
 )
 from ldplab.grid_protocol import (
@@ -61,6 +60,7 @@ from .oracles import (
     exhaustive_best_objective,
     norm_sub_bisect,
     olh_collision_prob,
+    oue_aggregate,
     stable_matching_audit,
 )
 

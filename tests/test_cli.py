@@ -86,3 +86,20 @@ def test_invalid_field_config(tmp_path):
 
 def test_unknown_field_config(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, bogus=1)]) == EXIT_CONFIG
+
+
+def test_protocol_config_error_exits_before_data(tmp_path, monkeypatch):
+    from ldplab import harness
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated for a bad config")
+
+    monkeypatch.setattr(harness, "gen_synthetic", no_data)
+    for bad in (
+        {"domain_size": 1000},
+        {"protocol": "hdg", "family_prime": 10, "domain_size": 64},
+        {"protocol": "hdg", "dims_total": 1, "dims_query": 1, "domain_size": 64},
+        {"dataset": {"kind": "csv"}},
+        {"dataset": {"kind": "gaussian", "count": "many"}},
+    ):
+        assert main(["run", "--config", write_config(tmp_path, **bad)]) == EXIT_CONFIG

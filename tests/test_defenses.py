@@ -20,11 +20,6 @@ class TestTreeDefenseParams:
         assert params.z_alpha == pytest.approx(2.5758, abs=1e-3)
         assert params.outside_mass == pytest.approx(0.3190, abs=5e-4)
 
-    def test_alternate_reading(self):
-        tail = TreeDefenseParams(alpha=0.005)
-        inside = TreeDefenseParams(alpha=0.005, tail_reading=False)
-        assert inside.outside_mass == pytest.approx(1.0 - tail.outside_mass)
-
 
 class TestOnesCountCdf:
     def test_n_equals_one(self):

@@ -8,7 +8,6 @@ from ldplab.freq_oracles import (
     OueParams,
     olh_aggregate,
     olh_perturb_batch,
-    oue_aggregate,
     oue_aggregate_counts,
     oue_perturb_batch,
     smallest_prime_above,
@@ -20,6 +19,7 @@ from .oracles import (
     olh_perturb,
     olh_support,
     olh_support_scan,
+    oue_aggregate,
     oue_perturb,
 )
 

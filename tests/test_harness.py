@@ -136,6 +136,25 @@ class TestExperimentConfig:
             ExperimentConfig(protocol="ahead", dims_query=2, dims_total=3)
         with pytest.raises(ConfigError):
             ExperimentConfig(seeds=())
+        for bad in (
+            dict(protocol="ahead", domain_size=1000),  # not a power of fanout
+            dict(protocol="hdg", family_prime=10),  # below the cell count
+            dict(protocol="hdg", family_prime=20),  # not a prime
+            dict(protocol="hdg", dims_total=1, dims_query=1),
+            dict(dataset={"kind": "csv"}),
+            dict(dataset={"kind": "csv", "path": "x.csv"}),
+            dict(dataset={"kind": "csv", "path": "x.csv", "columns": ["a", "b"]}),
+            dict(dataset={"kind": "uniformish"}),
+            dict(dataset={"kind": "gaussian", "count": 0}),
+            dict(dataset={"kind": "gaussian", "std": "wide"}),
+            dict(dataset="gaussian"),
+            dict(alpha=0.0),
+            dict(alpha=1.0),
+            dict(beta=0.0),
+            dict(beta=1.5),
+        ):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad)
 
 
 def small_tree_config(**overrides):

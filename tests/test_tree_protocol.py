@@ -43,14 +43,9 @@ class TestConfig:
 
 class TestPartitionSizes:
     def test_even_split(self):
-        sizes = _partition_sizes(10, 3, None)
+        sizes = _partition_sizes(10, 3)
         assert sum(sizes) == 10
         assert max(sizes) - min(sizes) <= 1
-
-    def test_fractions(self):
-        assert _partition_sizes(100, 2, [0.3, 0.7]) == [30, 70]
-        with pytest.raises(ValueError):
-            _partition_sizes(100, 2, [0.3, 0.6])
 
 
 class TestRunProtocol:
