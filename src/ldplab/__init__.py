@@ -1,6 +1,7 @@
 """Simulation laboratory for data-poisoning attacks on LDP range-query protocols.
 
 Subpackages / modules:
+    query          -- the range query shared by both protocols.
     freq_oracles   -- OUE and OLH frequency oracles plus the universal hash family.
     postprocess    -- Norm-Sub, tree parent/child consistency, cross-grid consistency.
     tree_protocol  -- adaptive interval-tree range-query protocol (OUE based).

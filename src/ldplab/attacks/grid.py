@@ -30,7 +30,7 @@ import numpy as np
 
 from ..freq_oracles import HashFamily, HashPair
 from ..grid_protocol import GridConfig, GridKey, cells_in_range, grid_keys
-from ..tree_protocol import RangeQuery
+from ..query import RangeQuery
 
 __all__ = [
     "SizeConstraints",
@@ -76,31 +76,34 @@ class GridSupports:
     Rows follow :meth:`HashFamily.random_fn_ids`.  ``table[f, c]`` is the key
     of cell ``c`` under function ``f``; ``sizes[f, k]`` counts the cells
     hashing to key ``k`` and ``inter[f, k]`` those of them inside the range.
+    ``scale`` is the grid's cells per ``g2``-cell of its attributes
+    (``n_cells / g2**n_attrs``: ``g1/g2`` for a 1-D grid, 1 for a 2-D grid).
     """
 
     fn_ids: np.ndarray
     table: np.ndarray
     sizes: np.ndarray
     inter: np.ndarray
+    scale: float
 
-    def preference(self, is_one_d: bool, config: GridConfig) -> Tuple[np.ndarray, np.ndarray]:
+    def preference(self) -> Tuple[np.ndarray, np.ndarray]:
         """(primary, secondary) heuristic ranking per (function, key).
 
         Primary favors supports with no out-of-range spill; secondary favors
-        large supports.  1-D grids are rescaled by ``g1/g2`` so their scores
-        are comparable with 2-D grids.
+        large supports.  Both are divided by ``scale`` so that scores of
+        grids with different cell counts are comparable.
         """
-        scale = (config.g1 / config.g2) if is_one_d else 1.0
-        return (self.inter - self.sizes) / scale, self.sizes / scale
+        return (self.inter - self.sizes) / self.scale, self.sizes / self.scale
 
 
 def scan_supports(
-    family: HashFamily, table: np.ndarray, in_range: np.ndarray
+    family: HashFamily, table: np.ndarray, in_range: np.ndarray, scale: float
 ) -> GridSupports:
     """Scan a grid's in-range mask against the family's key table.
 
     ``table`` is ``family.key_table(in_range.size)``; callers scanning many
-    grids build it once and pass it to every scan.
+    grids build it once and pass it to every scan.  ``scale`` is carried to
+    :meth:`GridSupports.preference`.
     """
     in_range = np.asarray(in_range, dtype=bool)
     sizes = np.empty((table.shape[0], family.g), dtype=np.int64)
@@ -111,7 +114,7 @@ def scan_supports(
         hit = table == key
         sizes[:, key] = np.count_nonzero(hit, axis=1)
         inter[:, key] = np.count_nonzero(hit[:, in_range], axis=1)
-    return GridSupports(family.random_fn_ids(), table, sizes, inter)
+    return GridSupports(family.random_fn_ids(), table, sizes, inter, scale)
 
 
 def _random_argmax(values: np.ndarray, rng: np.random.Generator) -> Tuple[int, int]:
@@ -145,7 +148,8 @@ class _GridHook:
         mask = cells_in_range(self.config, self.query, key)
         if mask.size not in self._tables:
             self._tables[mask.size] = self.family.key_table(mask.size)
-        return scan_supports(self.family, self._tables[mask.size], mask)
+        scale = mask.size / self.config.g2 ** len(self.config.shape(key))
+        return scan_supports(self.family, self._tables[mask.size], mask, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +224,6 @@ class ColumnBook:
         recorded[undefined] = np.asarray(col_counts, dtype=np.int64)[undefined]
 
 
-def _attr_columns(config: GridConfig, key: GridKey) -> Dict[int, np.ndarray]:
-    """Map each attribute of the grid to the column index of every cell."""
-    if key[0] == "1d":
-        span = config.g1 // config.g2
-        return {key[1]: np.arange(config.g1) // span}
-    _, i, j = key
-    idx = np.arange(config.g2 * config.g2)
-    return {i: idx // config.g2, j: idx % config.g2}
-
-
 _Candidates = Tuple[np.ndarray, Dict[int, np.ndarray]]
 
 
@@ -285,7 +279,7 @@ class GridRangeAttack(_GridHook):
             support = (scan.table[cand[:, 0]] == cand[:, 1:]).astype(np.int64)
             counts = {
                 attr: support @ eye[cols]
-                for attr, cols in _attr_columns(self.config, key).items()
+                for attr, cols in self.config.columns(key).items()
                 if attr in self.query.attrs
             }
             out[key] = (np.column_stack([scan.fn_ids[cand[:, 0]], cand[:, 1]]), counts)
@@ -335,15 +329,13 @@ class GridRangeAttack(_GridHook):
         # Fallback grids first, then the grids with no query attribute.
         others = [k for k in grid_keys(self.config.d) if k not in keys]
         for key in self.fallback_keys + others:
-            self.chosen[key] = haog_best_pair(
-                self.supports(key), key[0] == "1d", self.config, rng
-            )
+            self.chosen[key] = haog_best_pair(self.supports(key), rng)
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.chosen:
-            self.begin({}, 0, rng)
+        if key not in self.chosen:
+            raise RuntimeError("begin() was not called before the grid rounds")
         return _repeat(self.chosen[key], m_fake)
 
 
@@ -351,14 +343,9 @@ class GridRangeAttack(_GridHook):
 # Heuristic attack
 # ---------------------------------------------------------------------------
 
-def haog_best_pair(
-    supports: GridSupports,
-    is_one_d: bool,
-    config: GridConfig,
-    rng: np.random.Generator,
-) -> HashPair:
+def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> HashPair:
     """Lexicographic argmax of the heuristic preference, ties uniform."""
-    primary, secondary = supports.preference(is_one_d, config)
+    primary, secondary = supports.preference()
     score = np.where(primary == primary.max(), secondary, -np.inf)
     row, key = _random_argmax(score, rng)
     return HashPair(int(supports.fn_ids[row]), key)
@@ -370,8 +357,7 @@ class HeuristicGridAttack(_GridHook):
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        pair = haog_best_pair(self.supports(key), key[0] == "1d", self.config, rng)
-        return _repeat(pair, m_fake)
+        return _repeat(haog_best_pair(self.supports(key), rng), m_fake)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +506,7 @@ class AdaptiveGridAttack(_GridHook):
         values = np.zeros((len(keys), fn_ids.size))
         best_keys = np.zeros((len(keys), fn_ids.size), dtype=np.int64)
         for g_idx, key in enumerate(keys):
-            primary, secondary = self.supports(key).preference(key[0] == "1d", self.config)
+            primary, secondary = self.supports(key).preference()
             score = primary * 1e6 + secondary
             best_keys[g_idx] = score.argmax(axis=1)
             values[g_idx] = score.max(axis=1)

@@ -22,7 +22,8 @@ import numpy as np
 
 from ..freq_oracles import OueParams
 from ..postprocess import norm_sub
-from ..tree_protocol import RangeQuery, Tree, TreeConfig, _partition_sizes, query_cover
+from ..query import RangeQuery
+from ..tree_protocol import Tree, TreeConfig, _partition_sizes, query_cover
 
 __all__ = [
     "Assignment",

@@ -121,11 +121,16 @@ class MaxLoadCdf:
         return float(np.mean(self.samples <= x))
 
     def threshold(self, alpha: float) -> int:
-        """Smallest integer load whose CDF value exceeds ``1 - alpha``."""
-        for x in range(int(self.samples.max()) + 2):
-            if self.cdf(x) > 1.0 - alpha:
-                return x
-        return int(self.samples.max()) + 1
+        """Smallest integer load whose CDF value exceeds ``1 - alpha``.
+
+        That is the ``c``-th smallest sample for the smallest count ``c``
+        with ``c / n > 1 - alpha``; one above the largest sample when no
+        count qualifies.
+        """
+        ordered = np.sort(self.samples)
+        counts = np.arange(1, ordered.size + 1)
+        hits = np.flatnonzero(counts / ordered.size > 1.0 - alpha)
+        return int(ordered[hits[0]]) if hits.size else int(ordered[-1]) + 1
 
 
 _CDF_CACHE: Dict[Tuple[int, int, int], MaxLoadCdf] = {}

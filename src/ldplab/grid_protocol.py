@@ -8,13 +8,18 @@ cross-grid consistency pass with per-grid Norm-Sub.  Multi-attribute range
 queries are answered by combining, for every attribute pair in the query,
 the mass of a response matrix built from the pair's 2-D grid refined by the
 two 1-D grids.
+
+Every grid is one flat row-major vector of cells.  Only :class:`GridConfig`
+knows a grid's shape: ``shape(key)`` gives its cells per attribute and
+``columns(key)`` the ``g2``-column of every cell per attribute; cell mapping,
+range masks, consistency and the attacks all derive from these two.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from .freq_oracles import HashFamily, OlhParams, olh_aggregate, olh_perturb_batch, smallest_prime_above
 from .postprocess import grid_consistency, norm_sub
-from .tree_protocol import RangeQuery
+from .query import RangeQuery
 
 __all__ = [
     "GridConfig",
@@ -86,15 +91,23 @@ class GridConfig:
     def family(self) -> HashFamily:
         return HashFamily(self.prime, self.olh_params().g)
 
+    def shape(self, key: GridKey) -> Tuple[int, ...]:
+        """Cells along each attribute of the grid, in the key's attribute order."""
+        return (self.g1,) if key[0] == "1d" else (self.g2, self.g2)
+
+    def columns(self, key: GridKey) -> Dict[int, np.ndarray]:
+        """Per attribute of the grid, the ``g2``-column of every (row-major) cell."""
+        shape = self.shape(key)
+        coords = np.unravel_index(np.arange(math.prod(shape)), shape)
+        return {attr: c * self.g2 // n for attr, c, n in zip(key[1:], coords, shape)}
+
 
 @dataclass
 class GridSet:
-    """Post-processed grid frequencies plus the hash-family metadata."""
+    """Post-processed grid frequencies: one flat cell vector per grid key."""
 
     config: GridConfig
-    one_d: List[np.ndarray]
-    two_d: Dict[Tuple[int, int], np.ndarray]
-    family: HashFamily
+    freqs: Dict[GridKey, np.ndarray]
     group_sizes: Dict[GridKey, int] = field(default_factory=dict)
 
 
@@ -116,41 +129,18 @@ def assign_user_groups(total_users: int, d: int, rng: np.random.Generator) -> np
 
 def trim_query(query: RangeQuery, config: GridConfig) -> RangeQuery:
     """Snap every interval outward to 2-D column boundaries."""
-    width = config.col_width
-    intervals = []
-    for lo, hi in query.intervals:
-        lo2 = (lo // width) * width
-        hi2 = int(math.ceil(hi / width)) * width
-        intervals.append((lo2, min(hi2, config.domain_size)))
-    return RangeQuery(query.attrs, tuple(intervals))
+    return query.snapped(config.col_width, config.domain_size)
 
 
 def cells_in_range(config: GridConfig, query: RangeQuery, key: GridKey) -> np.ndarray:
-    """Boolean mask of the grid's cells lying inside the (trimmed) query."""
+    """Boolean mask of the grid's cells whose columns lie inside the trimmed query."""
     query = trim_query(query, config)
-
-    def axis_mask(attr: int, n_cells: int, width: int) -> np.ndarray:
-        if attr not in query.attrs:
-            return np.ones(n_cells, dtype=bool)
-        lo, hi = query.interval_for(attr)
-        cells = np.arange(n_cells)
-        return (cells * width >= lo) & ((cells + 1) * width <= hi)
-
-    if key[0] == "1d":
-        return axis_mask(key[1], config.g1, config.cell_width)
-    _, i, j = key
-    rows = axis_mask(i, config.g2, config.col_width)
-    cols = axis_mask(j, config.g2, config.col_width)
-    return (rows[:, None] & cols[None, :]).ravel()
-
-
-def _record_to_cell(records: np.ndarray, config: GridConfig, key: GridKey) -> np.ndarray:
-    if key[0] == "1d":
-        return records[:, key[1]] // config.cell_width
-    _, i, j = key
-    rows = records[:, i] // config.col_width
-    cols = records[:, j] // config.col_width
-    return rows * config.g2 + cols
+    mask = np.ones(math.prod(config.shape(key)), dtype=bool)
+    for attr, cols in config.columns(key).items():
+        if attr in query.attrs:
+            lo, hi = query.interval_for(attr)
+            mask &= (cols >= lo // config.col_width) & (cols < hi // config.col_width)
+    return mask
 
 
 def run_grid_protocol(
@@ -195,14 +185,16 @@ def run_grid_protocol(
         }
         hook.begin(fake_counts, n_real + n_fake, rng)
 
-    one_d: List[np.ndarray] = [np.zeros(config.g1) for _ in range(config.d)]
-    two_d: Dict[Tuple[int, int], np.ndarray] = {}
+    freqs: Dict[GridKey, np.ndarray] = {}
     group_sizes: Dict[GridKey, int] = {}
 
     for gidx, key in enumerate(keys_order):
-        member_mask = real_groups == gidx
+        members = records[real_groups == gidx]
         m_fake = int((fake_groups == gidx).sum())
-        cells = _record_to_cell(records[member_mask], config, key)
+        shape = config.shape(key)
+        widths = [config.domain_size // n for n in shape]
+        coords = tuple(members[:, a] // w for a, w in zip(key[1:], widths))
+        cells = np.ravel_multi_index(coords, shape)
         fn_ids, rep_keys = olh_perturb_batch(cells, family, params, rng)
         if hook is not None and m_fake > 0:
             fake_fns, fake_keys = hook(key, m_fake, rng)
@@ -214,25 +206,17 @@ def run_grid_protocol(
             rep_keys = np.concatenate([rep_keys, fake_keys])
         if observer is not None:
             observer(key, fn_ids)
-        n_cells = config.g1 if key[0] == "1d" else config.g2 * config.g2
-        freqs = olh_aggregate(
-            (fn_ids, rep_keys), family, np.arange(n_cells), params, n_users=fn_ids.size
+        freqs[key] = olh_aggregate(
+            (fn_ids, rep_keys), family, np.arange(math.prod(shape)), params, n_users=fn_ids.size
         )
         group_sizes[key] = int(fn_ids.size)
-        if key[0] == "1d":
-            one_d[key[1]] = freqs
-        else:
-            two_d[(key[1], key[2])] = freqs.reshape(config.g2, config.g2)
 
+    columns = {key: config.columns(key) for key in keys_order}
     for _ in range(config.pp_rounds):
-        one_d, two_d = grid_consistency(one_d, two_d, config.g1, config.g2, config.d)
-        one_d = [norm_sub(v).normalized for v in one_d]
-        two_d = {
-            k: norm_sub(v.ravel()).normalized.reshape(config.g2, config.g2)
-            for k, v in two_d.items()
-        }
+        freqs = grid_consistency(freqs, columns, config.g2)
+        freqs = {key: norm_sub(v).normalized for key, v in freqs.items()}
 
-    return GridSet(config, one_d, two_d, family, group_sizes)
+    return GridSet(config, freqs, group_sizes)
 
 
 def build_response_matrix(grids: GridSet, i: int, j: int) -> np.ndarray:
@@ -244,24 +228,16 @@ def build_response_matrix(grids: GridSet, i: int, j: int) -> np.ndarray:
     """
     config = grids.config
     span = config.g1 // config.g2
-    coarse = grids.two_d[(i, j)]
 
-    def weights(dim: int) -> np.ndarray:
-        fine = grids.one_d[dim]
-        w = np.empty(config.g1)
-        for c in range(config.g2):
-            block = fine[c * span : (c + 1) * span]
-            total = block.sum()
-            if total > 0:
-                w[c * span : (c + 1) * span] = block / total
-            else:
-                w[c * span : (c + 1) * span] = 1.0 / span
-        return w
+    def weights(attr: int) -> np.ndarray:
+        blocks = grids.freqs[("1d", attr)].reshape(config.g2, span)
+        totals = blocks.sum(axis=1, keepdims=True)
+        uniform = np.full_like(blocks, 1.0 / span)
+        return np.divide(blocks, totals, out=uniform, where=totals > 0).ravel()
 
-    wi, wj = weights(i), weights(j)
-    cols_i = np.arange(config.g1) // span
-    cols_j = np.arange(config.g1) // span
-    return coarse[np.ix_(cols_i, cols_j)] * wi[:, None] * wj[None, :]
+    coarse = grids.freqs[("2d", i, j)].reshape(config.shape(("2d", i, j)))
+    cols = config.columns(("1d", i))[i]
+    return coarse[np.ix_(cols, cols)] * weights(i)[:, None] * weights(j)[None, :]
 
 
 def estimate_query(grids: GridSet, query: RangeQuery) -> float:
@@ -294,17 +270,13 @@ def estimate_query(grids: GridSet, query: RangeQuery) -> float:
 
 
 def grids_to_json(grids: GridSet) -> str:
+    config = grids.config
     payload = {
-        "config": {
-            "d": grids.config.d,
-            "g1": grids.config.g1,
-            "g2": grids.config.g2,
-            "domain_size": grids.config.domain_size,
-            "epsilon": grids.config.epsilon,
-            "pp_rounds": grids.config.pp_rounds,
-            "prime": grids.config.prime,
+        "config": asdict(config),
+        "one_d": [grids.freqs[("1d", i)].tolist() for i in range(config.d)],
+        "two_d": {
+            f"{i},{j}": grids.freqs[("2d", i, j)].reshape(config.shape(("2d", i, j))).tolist()
+            for i, j in combinations(range(config.d), 2)
         },
-        "one_d": [v.tolist() for v in grids.one_d],
-        "two_d": {f"{i},{j}": v.tolist() for (i, j), v in grids.two_d.items()},
     }
     return json.dumps(payload)

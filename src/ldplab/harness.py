@@ -31,9 +31,9 @@ from .attacks import (
     MgaTreeAttack,
     OptimalTreeAttack,
 )
-from .grid_protocol import GridConfig, estimate_query as grid_estimate, run_grid_protocol, trim_query
+from .grid_protocol import GridConfig, estimate_query as grid_estimate, run_grid_protocol
+from .query import RangeQuery
 from .tree_protocol import (
-    RangeQuery,
     TreeConfig,
     estimate_query as tree_estimate,
     run_tree_protocol,
@@ -274,12 +274,9 @@ def gen_queries(
             center = int(rng.integers(0, domain))
             lo = max(center - length // 2, 0)
             hi = min(lo + length, domain)
-            lo = min(lo, hi - 1)
-            if snap:
-                lo = (lo // snap) * snap
-                hi = min(int(math.ceil(hi / snap)) * snap, domain)
-            intervals.append((lo, hi))
-        queries.append(RangeQuery(attrs, tuple(intervals)))
+            intervals.append((min(lo, hi - 1), hi))
+        query = RangeQuery(attrs, tuple(intervals))
+        queries.append(query.snapped(snap, domain) if snap else query)
     return queries
 
 
@@ -431,9 +428,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     data_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     records = _build_dataset(config, data_rng)
     query_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    snap = None
-    if config.protocol == "hdg":
-        snap = config.domain_size // config.g2
+    snap = config.protocol_config.col_width if config.protocol == "hdg" else None
     queries = gen_queries(
         config.n_queries,
         config.domain_size,

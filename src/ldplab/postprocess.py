@@ -5,14 +5,14 @@
   (uniform mass is added) when the positive part of the input sums below one.
 * ``tree_consistency`` -- bottom-up parent/child weighted averaging on an
   interval-decomposition tree, one level at a time.
-* ``grid_consistency`` -- weighted averaging between the 1-D and 2-D grids
-  that cover the same domain fraction of a dimension.
+* ``grid_consistency`` -- weighted averaging between the grids (flat cell
+  vectors) that cover the same column of an attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, Mapping
 
 import numpy as np
 
@@ -66,63 +66,42 @@ def tree_consistency(tree):
 
 
 def grid_consistency(
-    one_d: List[np.ndarray],
-    two_d: Dict[Tuple[int, int], np.ndarray],
-    g1: int,
+    freqs: Mapping[Hashable, np.ndarray],
+    columns: Mapping[Hashable, Mapping[int, np.ndarray]],
     g2: int,
-    d: int,
-) -> Tuple[List[np.ndarray], Dict[Tuple[int, int], np.ndarray]]:
-    """One consistency pass across grids sharing a dimension.
+) -> Dict[Hashable, np.ndarray]:
+    """One consistency pass across grids sharing an attribute.
 
-    Each dimension is divided into ``g2`` fractions.  For dimension ``i`` and
-    fraction ``c``, the 1-D grid contributes the sum of its ``g1/g2`` cells in
-    the fraction (scale ``S = g1/g2``) and every 2-D grid containing ``i``
-    contributes its column/row sum (scale ``S = g2``).  The consensus value is
-    the ``1/S``-weighted average, and each contributing cell moves by
+    ``freqs`` holds one flat cell vector per grid and ``columns[key]`` maps
+    each attribute of that grid to the ``g2``-column of every cell.  Each
+    attribute is divided into ``g2`` columns.  For attribute ``i`` and column
+    ``c``, every grid containing ``i`` contributes the sum of its cells in
+    that column, with scale ``S`` = cells per column (``g1/g2`` for a 1-D
+    grid, ``g2`` for a 2-D one).  The consensus value is the
+    ``1/S``-weighted average, and each contributing cell moves by
     ``(consensus - grid_sum) / S``.
 
-    Dimensions are processed in ascending order against the current values,
-    which makes the pass deterministic.  When all grids carry equal total
-    mass (e.g. right after Norm-Sub) a single pass equalizes every fraction
-    sum exactly.
+    Attributes are processed in ascending order against the current values,
+    grids with fewer attributes first and otherwise in key order, which
+    makes the pass deterministic.  When all grids carry equal total mass
+    (e.g. right after Norm-Sub) a single pass equalizes every column sum
+    exactly.
     """
-    if g1 % g2 != 0:
-        raise ValueError("g1 must be divisible by g2")
-    span = g1 // g2
-    one_d = [np.array(v, dtype=np.float64) for v in one_d]
-    two_d = {k: np.array(v, dtype=np.float64) for k, v in two_d.items()}
-    if len(one_d) != d:
-        raise ValueError(f"expected {d} 1-D grids, got {len(one_d)}")
-    for i in range(d):
-        # (grid array, axis along which dimension i varies); axis None => 1-D
-        partners: List[Tuple[np.ndarray, int | None]] = [(one_d[i], None)]
-        for (a, b), grid in two_d.items():
-            if a == i:
-                partners.append((grid, 0))
-            elif b == i:
-                partners.append((grid, 1))
+    if freqs.keys() != columns.keys():
+        raise ValueError("freqs and columns must name the same grids")
+    freqs = {key: np.array(v, dtype=np.float64) for key, v in freqs.items()}
+    for key, cols in columns.items():
+        if any(c.size != freqs[key].size for c in cols.values()):
+            raise ValueError(f"grid {key}: cell count does not match its column map")
+    for attr in sorted({a for cols in columns.values() for a in cols}):
+        partners = sorted(
+            (key for key in columns if attr in columns[key]), key=lambda k: len(columns[k])
+        )
         for c in range(g2):
-            sums = []
-            scales = []
-            for grid, axis in partners:
-                if axis is None:
-                    sums.append(grid[c * span : (c + 1) * span].sum())
-                    scales.append(g1 / g2)
-                elif axis == 0:
-                    sums.append(grid[c, :].sum())
-                    scales.append(float(g2))
-                else:
-                    sums.append(grid[:, c].sum())
-                    scales.append(float(g2))
-            sums_arr = np.array(sums)
-            scales_arr = np.array(scales)
-            consensus = (sums_arr / scales_arr).sum() / (1.0 / scales_arr).sum()
-            for (grid, axis), s, scale in zip(partners, sums_arr, scales_arr):
-                adjust = (consensus - s) / scale
-                if axis is None:
-                    grid[c * span : (c + 1) * span] += adjust
-                elif axis == 0:
-                    grid[c, :] += adjust
-                else:
-                    grid[:, c] += adjust
-    return one_d, two_d
+            hits = [(freqs[key], columns[key][attr] == c) for key in partners]
+            sums = np.array([v[hit].sum() for v, hit in hits])
+            scales = np.array([hit.size / g2 for _, hit in hits])
+            consensus = (sums / scales).sum() / (1.0 / scales).sum()
+            for (v, hit), s, scale in zip(hits, sums, scales):
+                v[hit] += (consensus - s) / scale
+    return freqs

@@ -24,11 +24,11 @@ import numpy as np
 
 from .freq_oracles import OueParams, oue_aggregate_counts, oue_perturb_batch
 from .postprocess import norm_sub, tree_consistency
+from .query import RangeQuery
 
 __all__ = [
     "Tree",
     "TreeConfig",
-    "RangeQuery",
     "oue_sigma",
     "run_tree_protocol",
     "query_cover",
@@ -150,26 +150,6 @@ class TreeConfig:
         if self.split_threshold is not None:
             return self.split_threshold
         return 2.0 * oue_sigma(self.epsilon, max(layer_users, 1))
-
-
-@dataclass(frozen=True)
-class RangeQuery:
-    """Per-attribute half-open intervals over a subset of attributes."""
-
-    attrs: Tuple[int, ...]
-    intervals: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.attrs:
-            raise ValueError("query must concern at least one attribute")
-        if len(self.attrs) != len(self.intervals):
-            raise ValueError("attrs and intervals must align")
-        for lo, hi in self.intervals:
-            if not 0 <= lo < hi:
-                raise ValueError(f"invalid interval [{lo}, {hi})")
-
-    def interval_for(self, attr: int) -> Tuple[int, int]:
-        return self.intervals[self.attrs.index(attr)]
 
 
 def oue_sigma(epsilon: float, n_users: int) -> float:

@@ -292,3 +292,63 @@ def stable_matching_audit(
             if fn_wants:
                 return False
     return True
+
+
+def grid_consistency_slices(
+    one_d: List[np.ndarray],
+    two_d: Dict[Tuple[int, int], np.ndarray],
+    g1: int,
+    g2: int,
+    d: int,
+) -> Tuple[List[np.ndarray], Dict[Tuple[int, int], np.ndarray]]:
+    """One cross-grid consistency pass over 1-D vectors and 2-D matrices.
+
+    The per-axis slice form of ``postprocess.grid_consistency``: for each
+    dimension in ascending order and each of its ``g2`` fractions, the 1-D
+    grid's ``g1/g2``-cell slice (scale ``g1/g2``) and every 2-D grid's row
+    or column (scale ``g2``) move to their ``1/scale``-weighted consensus.
+    """
+    span = g1 // g2
+    one_d = [np.array(v, dtype=np.float64) for v in one_d]
+    two_d = {k: np.array(v, dtype=np.float64) for k, v in two_d.items()}
+    for i in range(d):
+        # (grid array, axis along which dimension i varies); axis None => 1-D
+        partners: List[Tuple[np.ndarray, Optional[int]]] = [(one_d[i], None)]
+        for (a, b), grid in two_d.items():
+            if a == i:
+                partners.append((grid, 0))
+            elif b == i:
+                partners.append((grid, 1))
+        for c in range(g2):
+            sums = []
+            scales = []
+            for grid, axis in partners:
+                if axis is None:
+                    sums.append(grid[c * span : (c + 1) * span].sum())
+                    scales.append(g1 / g2)
+                elif axis == 0:
+                    sums.append(grid[c, :].sum())
+                    scales.append(float(g2))
+                else:
+                    sums.append(grid[:, c].sum())
+                    scales.append(float(g2))
+            sums_arr = np.array(sums)
+            scales_arr = np.array(scales)
+            consensus = (sums_arr / scales_arr).sum() / (1.0 / scales_arr).sum()
+            for (grid, axis), s, scale in zip(partners, sums_arr, scales_arr):
+                adjust = (consensus - s) / scale
+                if axis is None:
+                    grid[c * span : (c + 1) * span] += adjust
+                elif axis == 0:
+                    grid[c, :] += adjust
+                else:
+                    grid[:, c] += adjust
+    return one_d, two_d
+
+
+def max_load_threshold_scan(samples: np.ndarray, alpha: float) -> int:
+    """Smallest integer load whose empirical CDF exceeds ``1 - alpha``, by scan."""
+    for x in range(int(samples.max()) + 2):
+        if np.mean(samples <= x) > 1.0 - alpha:
+            return x
+    return int(samples.max()) + 1

@@ -48,8 +48,8 @@ from ldplab.harness import (
     true_frequency,
 )
 from ldplab.postprocess import norm_sub
+from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
-    RangeQuery,
     TreeConfig,
     estimate_query as tree_estimate,
     run_tree_protocol,
@@ -500,9 +500,8 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
         values = np.zeros((len(keys), fn_ids.size))
         for g_idx, key in enumerate(keys):
             mask = cells_in_range(config, query, key)
-            primary, secondary = scan_supports(family, table, mask).preference(
-                key[0] == "1d", config
-            )
+            scale = mask.size / config.g2 ** len(config.shape(key))
+            primary, secondary = scan_supports(family, table, mask, scale).preference()
             values[g_idx] = (primary * 1e6 + secondary).max(axis=1)
         quotas = [math.ceil(fake_per_round / limit)] * len(keys)
         matched = match_functions_to_grids(values, quotas)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,17 +19,16 @@ from ldplab.attacks import (
     mga_grid,
     scan_supports,
 )
-from ldplab.attacks.grid import _attr_columns
 from ldplab.freq_oracles import HashFamily
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
-from ldplab.tree_protocol import RangeQuery
+from ldplab.query import RangeQuery
 
 from .oracles import olh_support_scan, stable_matching_audit
 
 
-def scan(family, in_range):
+def scan(family, in_range, scale=1.0):
     in_range = np.asarray(in_range, dtype=bool)
-    return scan_supports(family, family.key_table(in_range.size), in_range)
+    return scan_supports(family, family.key_table(in_range.size), in_range, scale)
 
 
 class TestScanSupports:
@@ -135,9 +135,9 @@ class TestColumnBook:
 
 def test_attr_columns():
     config = GridConfig(d=3)
-    one_d = _attr_columns(config, ("1d", 1))
+    one_d = config.columns(("1d", 1))
     np.testing.assert_array_equal(one_d[1], np.arange(16) // 4)
-    two_d = _attr_columns(config, ("2d", 0, 2))
+    two_d = config.columns(("2d", 0, 2))
     np.testing.assert_array_equal(two_d[0], np.arange(16) // 4)
     np.testing.assert_array_equal(two_d[2], np.arange(16) % 4)
 
@@ -206,22 +206,25 @@ class TestHaog:
             table=np.zeros((1, 16), dtype=np.int64),
             sizes=np.array([[5, 5, 8]]),
             inter=np.array([[5, 0, 8]]),
+            scale=1.0,
         )
-        primary, secondary = supports.preference(False, config)
+        primary, secondary = supports.preference()
         # 2-D grid (scale 1): subset support has no violation.
         assert (primary[0, 0], secondary[0, 0]) == (0.0, 5.0)
         # Disjoint support: primary = -|S|.
         assert (primary[0, 1], secondary[0, 1]) == (-5.0, 5.0)
         # 1-D grids rescale both components by g1/g2 = 4.
-        primary, secondary = supports.preference(True, config)
+        hook = HeuristicGridAttack(config, RangeQuery((0,), ((0, 64),)))
+        assert hook.supports(("2d", 0, 1)).scale == 1.0
+        one_d = hook.supports(("1d", 0))
+        assert one_d.scale == config.g1 / config.g2
+        primary, secondary = dataclasses.replace(supports, scale=one_d.scale).preference()
         assert (primary[0, 2], secondary[0, 2]) == (0.0, 2.0)
 
     def test_best_pair_on_full_range_has_max_support(self):
         config = GridConfig(d=2)
         family = config.family()
-        pair = haog_best_pair(
-            scan(family, np.ones(16, dtype=bool)), False, config, np.random.default_rng(3)
-        )
+        pair = haog_best_pair(scan(family, np.ones(16, dtype=bool)), np.random.default_rng(3))
         size = len(olh_support_scan(config.prime, 4, pair.fn_id, pair.key, 16))
         best = max(
             len(olh_support_scan(config.prime, 4, int(fn), key, 16))
@@ -263,10 +266,18 @@ class TestGridRangeAttack:
         query = RangeQuery((0, 1), ((16, 64), (0, 48)))
         attack = GridRangeAttack(config, query, rho=0.2, max_restarts=10)
         rng = np.random.default_rng(6)
+        attack.begin({}, 0, rng)
         fns, keys = attack(("2d", 0, 1), 7, rng)
         assert fns.shape == (7,)
         assert len(set(fns)) == 1
         assert fns[0] == attack.chosen[("2d", 0, 1)].fn_id
+
+
+    def test_call_before_begin_raises(self):
+        config = GridConfig(d=2, prime=17)
+        attack = GridRangeAttack(config, RangeQuery((0,), ((0, 64),)), rho=0.2)
+        with pytest.raises(RuntimeError):
+            attack(("1d", 0), 5, np.random.default_rng(12))
 
 
 class TestAaog:

@@ -15,7 +15,8 @@ from ldplab.attacks import (
 )
 from ldplab.freq_oracles import OueParams
 from ldplab.postprocess import tree_consistency
-from ldplab.tree_protocol import RangeQuery, Tree, TreeConfig, estimate_query
+from ldplab.query import RangeQuery
+from ldplab.tree_protocol import Tree, TreeConfig, estimate_query
 
 from .oracles import (
     aot_assignment_bruteforce,

@@ -13,6 +13,8 @@ from ldplab.defenses import (
     tree_detect,
 )
 
+from .oracles import max_load_threshold_scan
+
 
 class TestTreeDefenseParams:
     def test_alpha_constants(self):
@@ -101,6 +103,19 @@ class TestMaxLoad:
         cdf = MaxLoadCdf(4, 2, np.array([2, 3, 3, 4]))
         assert cdf.cdf(2) == pytest.approx(0.25)
         assert cdf.threshold(0.2) == 4
+
+    def test_threshold_matches_scan_oracle(self):
+        rng = np.random.default_rng(16)
+        # Exact count boundaries (c / n == 1 - alpha) and degenerate alphas.
+        edge_alphas = [0.0, 1e-18, 0.005, 0.01, 0.05, 0.25, 0.5, 0.995, 1.0]
+        for _ in range(200):
+            n = int(rng.choice([1, 2, 3, 7, 10, 100, 400, 1000]))
+            samples = rng.integers(0, int(rng.integers(1, 40)), n) + int(rng.integers(0, 5))
+            cdf = MaxLoadCdf(0, 0, samples)
+            alphas = list(rng.random(5)) + list(rng.random(3) * 0.02) + edge_alphas
+            alphas += [c / n for c in range(n + 1)][:: max(n // 20, 1)]
+            for alpha in alphas:
+                assert cdf.threshold(alpha) == max_load_threshold_scan(samples, alpha)
 
 
 class TestGridDetect:

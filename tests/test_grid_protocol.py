@@ -14,7 +14,8 @@ from ldplab.grid_protocol import (
     run_grid_protocol,
     trim_query,
 )
-from ldplab.tree_protocol import RangeQuery
+from ldplab.harness import gen_queries
+from ldplab.query import RangeQuery
 
 
 class TestConfig:
@@ -37,6 +38,16 @@ class TestConfig:
             GridConfig(prime=16)
         with pytest.raises(ValueError):
             GridConfig(pp_rounds=0)
+
+    def test_shape_and_columns(self):
+        config = GridConfig(d=3, g1=32, g2=4)
+        assert config.shape(("1d", 2)) == (32,)
+        assert config.shape(("2d", 0, 2)) == (4, 4)
+        np.testing.assert_array_equal(config.columns(("1d", 2))[2], np.arange(32) // 8)
+        cols = config.columns(("2d", 1, 2))
+        assert list(cols) == [1, 2]
+        np.testing.assert_array_equal(cols[1], np.repeat(np.arange(4), 4))
+        np.testing.assert_array_equal(cols[2], np.tile(np.arange(4), 4))
 
 
 def test_grid_keys_order():
@@ -87,6 +98,24 @@ class TestQueryGeometry:
         np.testing.assert_array_equal(mask_1d, np.arange(16) < 8)
 
 
+    def test_cells_in_range_matches_per_cell_extent(self):
+        config = GridConfig(d=3, g1=32, g2=8, domain_size=128)
+        for query in gen_queries(20, 128, 3, 2, np.random.default_rng(7)):
+            trimmed = trim_query(query, config)
+            for key in grid_keys(3):
+                shape = config.shape(key)
+                expected = []
+                for idx in np.ndindex(*shape):
+                    inside = True
+                    for attr, i, n in zip(key[1:], idx, shape):
+                        width = config.domain_size // n
+                        if attr in trimmed.attrs:
+                            lo, hi = trimmed.interval_for(attr)
+                            inside &= lo <= i * width and (i + 1) * width <= hi
+                    expected.append(inside)
+                np.testing.assert_array_equal(cells_in_range(config, query, key), expected)
+
+
 class TestRunProtocol:
     def _records(self, rng, n=30_000, d=3):
         return np.clip(np.rint(rng.normal(32, 8, (n, d))), 0, 63).astype(int)
@@ -114,12 +143,10 @@ class TestRunProtocol:
         rng = np.random.default_rng(3)
         config = GridConfig(d=2)
         grids = run_grid_protocol(self._records(rng, n=5000, d=2), config, rng=rng)
-        for vec in grids.one_d:
+        assert list(grids.freqs) == grid_keys(2)
+        for vec in grids.freqs.values():
             assert vec.min() >= 0
             assert vec.sum() == pytest.approx(1.0, abs=1e-9)
-        for mat in grids.two_d.values():
-            assert mat.min() >= 0
-            assert mat.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_observer_and_group_sizes(self):
         rng = np.random.default_rng(4)
@@ -159,22 +186,21 @@ class TestResponseMatrix:
         grids = self._grids()
         matrix = build_response_matrix(grids, 0, 1)
         assert matrix.shape == (16, 16)
-        assert matrix.sum() == pytest.approx(grids.two_d[(0, 1)].sum(), abs=1e-9)
+        assert matrix.sum() == pytest.approx(grids.freqs[("2d", 0, 1)].sum(), abs=1e-9)
 
     def test_column_blocks_match_coarse_cells(self):
         grids = self._grids()
         matrix = build_response_matrix(grids, 0, 1)
+        coarse = grids.freqs[("2d", 0, 1)].reshape(4, 4)
         span = 4
         for r in range(4):
             for c in range(4):
                 block = matrix[r * span : (r + 1) * span, c * span : (c + 1) * span]
-                assert block.sum() == pytest.approx(
-                    grids.two_d[(0, 1)][r, c], abs=1e-9
-                )
+                assert block.sum() == pytest.approx(coarse[r, c], abs=1e-9)
 
     def test_uniform_fallback_when_marginal_empty(self):
         grids = self._grids()
-        grids.one_d[0][:] = 0.0  # no 1-D mass anywhere on attribute 0
+        grids.freqs[("1d", 0)][:] = 0.0  # no 1-D mass anywhere on attribute 0
         matrix = build_response_matrix(grids, 0, 1)
         # Rows within each coarse cell share the mass equally.
         np.testing.assert_allclose(matrix[0], matrix[1], atol=1e-12)
@@ -196,4 +222,7 @@ def test_json_round_trip():
     payload = json.loads(grids_to_json(grids))
     assert payload["config"]["d"] == 2
     assert len(payload["one_d"]) == 2
-    np.testing.assert_allclose(payload["two_d"]["0,1"], grids.two_d[(0, 1)])
+    np.testing.assert_allclose(payload["one_d"][1], grids.freqs[("1d", 1)])
+    np.testing.assert_allclose(
+        payload["two_d"]["0,1"], grids.freqs[("2d", 0, 1)].reshape(4, 4)
+    )

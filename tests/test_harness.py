@@ -16,7 +16,7 @@ from ldplab.harness import (
     run_experiment,
     true_frequency,
 )
-from ldplab.tree_protocol import RangeQuery
+from ldplab.query import RangeQuery
 
 
 class TestDatasets:
@@ -95,6 +95,10 @@ class TestQueriesAndMetrics:
             assert len(query.attrs) == 3
             for lo, hi in query.intervals:
                 assert lo % 16 == 0 and hi % 16 == 0
+        # Snapping consumes no draws: it is the unsnapped stream, snapped.
+        snapped = gen_queries(30, 60, 5, 3, np.random.default_rng(3), snap=16)
+        plain = gen_queries(30, 60, 5, 3, np.random.default_rng(3))
+        assert snapped == [query.snapped(16, 60) for query in plain]
 
     def test_efficiency(self):
         assert efficiency(0.1, 0.6, 0.1) == pytest.approx(5.0)

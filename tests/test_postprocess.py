@@ -1,14 +1,17 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldplab.grid_protocol import GridConfig, grid_keys
 from ldplab.postprocess import grid_consistency, norm_sub, tree_consistency
 from ldplab.tree_protocol import Tree, tree_to_json
 
-from .oracles import consistency_recursive, json_nodes, norm_sub_bisect
+from .oracles import consistency_recursive, grid_consistency_slices, json_nodes, norm_sub_bisect
 
 
 class TestNormSub:
@@ -98,35 +101,49 @@ class TestTreeConsistency:
                 assert a["f_tilde"] == pytest.approx(b["f_tilde"], abs=1e-12)
 
 
+def _grid_inputs(config, values):
+    """``freqs`` and ``columns`` for every grid of ``config``, cells from ``values``."""
+    keys = grid_keys(config.d)
+    freqs = {key: values(math.prod(config.shape(key))) for key in keys}
+    return freqs, {key: config.columns(key) for key in keys}
+
+
+def _split(config, freqs):
+    """The same grids as 1-D vectors and 2-D matrices (the oracle's form)."""
+    one_d = [freqs[("1d", i)] for i in range(config.d)]
+    two_d = {
+        (i, j): freqs[("2d", i, j)].reshape(config.g2, config.g2)
+        for i, j in itertools.combinations(range(config.d), 2)
+    }
+    return one_d, two_d
+
+
 class TestGridConsistency:
     def _uniform_grids(self, d=3, g1=16, g2=4):
-        one_d = [np.full(g1, 1.0 / g1) for _ in range(d)]
-        two_d = {
-            (i, j): np.full((g2, g2), 1.0 / (g2 * g2))
-            for i in range(d)
-            for j in range(i + 1, d)
-        }
-        return one_d, two_d
+        return _grid_inputs(GridConfig(d=d, g1=g1, g2=g2), lambda n: np.full(n, 1.0 / n))
 
     def test_consistent_grids_are_fixed_point(self):
-        one_d, two_d = self._uniform_grids()
-        out1, out2 = grid_consistency(one_d, two_d, 16, 4, 3)
-        for before, after in zip(one_d, out1):
-            np.testing.assert_allclose(after, before, atol=1e-12)
-        for key in two_d:
-            np.testing.assert_allclose(out2[key], two_d[key], atol=1e-12)
+        freqs, columns = self._uniform_grids()
+        out = grid_consistency(freqs, columns, 4)
+        for key in freqs:
+            np.testing.assert_allclose(out[key], freqs[key], atol=1e-12)
 
     def test_one_pass_equalizes_fraction_sums(self):
         # All grids carry equal total mass (1.0), arbitrary per-cell values.
         rng = np.random.default_rng(3)
         d, g1, g2 = 3, 16, 4
+        config = GridConfig(d=d, g1=g1, g2=g2)
         one_d = [norm_sub_bisect(rng.normal(0, 1, g1))[0] for _ in range(d)]
         two_d = {
-            (i, j): norm_sub_bisect(rng.normal(0, 1, g2 * g2))[0].reshape(g2, g2)
+            (i, j): norm_sub_bisect(rng.normal(0, 1, g2 * g2))[0]
             for i in range(d)
             for j in range(i + 1, d)
         }
-        out1, out2 = grid_consistency(one_d, two_d, g1, g2, d)
+        freqs = {("1d", i): v for i, v in enumerate(one_d)}
+        freqs.update({("2d", i, j): v for (i, j), v in two_d.items()})
+        columns = {key: config.columns(key) for key in freqs}
+        out = grid_consistency(freqs, columns, g2)
+        out1, out2 = _split(config, out)
         span = g1 // g2
         for i in range(d):
             for c in range(g2):
@@ -138,8 +155,31 @@ class TestGridConsistency:
                         assert grid[:, c].sum() == pytest.approx(target, abs=1e-9)
 
     def test_rejects_mismatched_sizes(self):
-        one_d, two_d = self._uniform_grids()
+        freqs, columns = self._uniform_grids()
+        missing = {key: v for key, v in freqs.items() if key != ("1d", 2)}
         with pytest.raises(ValueError):
-            grid_consistency(one_d[:-1], two_d, 16, 4, 3)
+            grid_consistency(missing, columns, 4)
         with pytest.raises(ValueError):
-            grid_consistency(one_d, two_d, 15, 4, 3)
+            grid_consistency({**freqs, ("1d", 0): np.full(15, 1.0 / 15)}, columns, 4)
+        with pytest.raises(ValueError):
+            GridConfig(d=3, g1=15, g2=4)
+
+    @given(
+        d=st.integers(2, 5),
+        g2=st.sampled_from([2, 4, 8]),
+        ratio=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_slice_oracle(self, d, g2, ratio, seed):
+        config = GridConfig(d=d, g1=g2 * ratio, g2=g2, domain_size=g2 * ratio)
+        rng = np.random.default_rng(seed)
+        freqs, columns = _grid_inputs(config, lambda n: rng.normal(1.0 / n, 0.05, n))
+        out = grid_consistency(freqs, columns, g2)
+        assert list(out) == list(freqs)
+        ref_one_d, ref_two_d = grid_consistency_slices(*_split(config, freqs), config.g1, g2, d)
+        out_one_d, out_two_d = _split(config, out)
+        for ours, ref in zip(out_one_d, ref_one_d):
+            np.testing.assert_array_equal(ours, ref)
+        for pair, ref in ref_two_d.items():
+            np.testing.assert_array_equal(out_two_d[pair], ref)

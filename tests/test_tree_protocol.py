@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ldplab.attacks import tree_coefficients
 from ldplab.postprocess import tree_consistency
+from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
-    RangeQuery,
     Tree,
     TreeConfig,
     _partition_sizes,
@@ -241,3 +241,11 @@ def test_range_query_validation():
         RangeQuery((0, 1), ((0, 4),))
     query = RangeQuery((2, 5), ((0, 4), (8, 16)))
     assert query.interval_for(5) == (8, 16)
+
+
+def test_range_query_snaps_outward():
+    query = RangeQuery((0, 1, 2), ((3, 20), (16, 48), (50, 63)))
+    snapped = query.snapped(16, 60)
+    assert snapped.attrs == query.attrs
+    # Outward to multiples of 16, the upper end capped at the domain.
+    assert snapped.intervals == ((0, 32), (16, 48), (48, 60))
