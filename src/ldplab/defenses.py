@@ -13,12 +13,12 @@
 from __future__ import annotations
 
 import math
+import statistics
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "DetectionResult",
@@ -51,7 +51,7 @@ class TreeDefenseParams:
 
     @property
     def z_alpha(self) -> float:
-        return float(stats.norm.ppf(1.0 - self.alpha))
+        return statistics.NormalDist().inv_cdf(1.0 - self.alpha)
 
     @property
     def outside_mass(self) -> float:
@@ -61,11 +61,18 @@ class TreeDefenseParams:
 def ones_count_cdf(n: int, q: float) -> np.ndarray:
     """Exact CDF of the honest OUE 1-count: Bin(n-1, q) + Bin(1, 1/2).
 
-    Returns an array ``F`` with ``F[x] = P[count <= x]`` for x in 0..n.
+    Returns an array ``F`` with ``F[x] = P[count <= x]`` for x in 0..n.  The
+    Bin(n-1, q) pmf is built from ``math.lgamma`` log terms.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    noise = stats.binom.pmf(np.arange(n), n - 1, q)
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must be in (0, 1)")
+    trials = n - 1
+    k = np.arange(n)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n)])  # log(j!)
+    log_choose = log_fact[trials] - log_fact[k] - log_fact[trials - k]
+    noise = np.exp(log_choose + k * math.log(q) + (trials - k) * math.log1p(-q))
     pmf = np.convolve(noise, [0.5, 0.5])
     return np.minimum(np.cumsum(pmf), 1.0)
 

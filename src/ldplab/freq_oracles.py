@@ -117,14 +117,6 @@ class HashFamily:
         """Number of functions in the universal sub-family used for draws."""
         return self.prime * (self.prime - 1)
 
-    def ab(self, fn_id: int) -> tuple[int, int]:
-        if not 0 <= fn_id < self.size:
-            raise ValueError(f"fn_id {fn_id} out of range [0, {self.size})")
-        return divmod(fn_id, self.prime)
-
-    def fn_id(self, a: int, b: int) -> int:
-        return a * self.prime + b
-
     def random_fn_ids(self) -> np.ndarray:
         """All fn_ids of the universal sub-family (``a >= 1``), ascending."""
         a = np.arange(1, self.prime)
@@ -162,14 +154,23 @@ class HashPair:
 def oue_perturb_batch(
     true_indices: Sequence[int], params: OueParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Perturb many users at once; returns a ``(len(users), n)`` bit matrix."""
+    """Perturb many users at once; returns a ``(len(users), n)`` uint8 bit matrix.
+
+    The noise bits are drawn in row chunks of about 65,536 uniforms (at
+    least one row) straight into the bit matrix.  ``Generator.random``
+    consumes its stream in order, so the bits equal those of one draw of the
+    whole ``(users, n)`` matrix; the true bits are drawn after them.
+    """
     idx = np.asarray(true_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= params.n):
         raise ValueError("index out of range")
-    bits = rng.random((idx.size, params.n)) < params.q
-    rows = np.arange(idx.size)
-    bits[rows, idx] = rng.random(idx.size) < params.p
-    return bits.astype(np.uint8)
+    bits = np.empty((idx.size, params.n), dtype=bool)
+    step = max(1, 65536 // params.n)
+    for start in range(0, idx.size, step):
+        chunk = bits[start : start + step]
+        np.less(rng.random(chunk.shape), params.q, out=chunk)
+    bits[np.arange(idx.size), idx] = rng.random(idx.size) < params.p
+    return bits.view(np.uint8)
 
 
 def oue_aggregate_counts(
@@ -219,18 +220,26 @@ def olh_aggregate(
 ) -> np.ndarray:
     """Unbiased per-cell frequency estimate from OLH reports.
 
-    ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports.
+    ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports; every key
+    must lie in ``[0, g)``.  The reports are counted as distinct (function,
+    key) pairs: each distinct pair's hash is evaluated over ``cells`` once and
+    its multiplicity is added to the cells whose key it hits.  The support
+    counts are integers, so the estimate equals a per-report count exactly.
     """
     fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
     if fn_ids.size == 0:
         raise ValueError("empty report set")
+    if keys.min() < 0 or keys.max() >= family.g:
+        raise ValueError(f"report keys must lie in [0, {family.g})")
     n = int(n_users) if n_users is not None else fn_ids.size
     cells = np.asarray(cells, dtype=np.int64)
-    a, b = np.divmod(fn_ids, family.prime)
+    distinct, mult = np.unique(fn_ids * family.g + keys, return_counts=True)
+    fns, keys = np.divmod(distinct, family.g)
+    a, b = np.divmod(fns, family.prime)
     counts = np.zeros(cells.size, dtype=np.float64)
     chunk = 65536
-    for start in range(0, fn_ids.size, chunk):
+    for start in range(0, distinct.size, chunk):
         sl = slice(start, start + chunk)
         cell_keys = ((a[sl, None] * cells[None, :] + b[sl, None]) % family.prime) % family.g
-        counts += (cell_keys == keys[sl, None]).sum(axis=0)
+        counts += mult[sl] @ (cell_keys == keys[sl, None])
     return (counts - n * params.q) / (n * (0.5 - params.q))

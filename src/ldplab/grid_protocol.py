@@ -178,22 +178,30 @@ def run_grid_protocol(
     params = config.olh_params()
     family = config.family()
     keys_order = grid_keys(config.d)
+    n_groups = len(keys_order)
+
+    # One stable sort lists every grid's users in record order; the bounds
+    # of grid ``gidx`` are ``starts[gidx]:starts[gidx + 1]``.
+    by_group = np.argsort(real_groups.astype(np.min_scalar_type(n_groups)), kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(real_groups, minlength=n_groups))))
+    fake_counts = np.bincount(fake_groups, minlength=n_groups)
 
     if hook is not None and hasattr(hook, "begin"):
-        fake_counts = {
-            key: int((fake_groups == gidx).sum()) for gidx, key in enumerate(keys_order)
-        }
-        hook.begin(fake_counts, n_real + n_fake, rng)
+        hook.begin(
+            {key: int(fake_counts[gidx]) for gidx, key in enumerate(keys_order)},
+            n_real + n_fake,
+            rng,
+        )
 
     freqs: Dict[GridKey, np.ndarray] = {}
     group_sizes: Dict[GridKey, int] = {}
 
     for gidx, key in enumerate(keys_order):
-        members = records[real_groups == gidx]
-        m_fake = int((fake_groups == gidx).sum())
+        members = by_group[starts[gidx] : starts[gidx + 1]]
+        m_fake = int(fake_counts[gidx])
         shape = config.shape(key)
         widths = [config.domain_size // n for n in shape]
-        coords = tuple(members[:, a] // w for a, w in zip(key[1:], widths))
+        coords = tuple(records[members, a] // w for a, w in zip(key[1:], widths))
         cells = np.ravel_multi_index(coords, shape)
         fn_ids, rep_keys = olh_perturb_batch(cells, family, params, rng)
         if hook is not None and m_fake > 0:

@@ -170,6 +170,16 @@ def aot_assignment_bruteforce(
     return Assignment(best.astype(np.int64), best_val)
 
 
+def oue_perturb_batch_oneshot(
+    true_indices: Sequence[int], params: OueParams, rng: np.random.Generator
+) -> np.ndarray:
+    """OUE bit matrix from one uniform draw of the whole ``(users, n)`` matrix."""
+    idx = np.asarray(true_indices, dtype=np.int64)
+    bits = rng.random((idx.size, params.n)) < params.q
+    bits[np.arange(idx.size), idx] = rng.random(idx.size) < params.p
+    return bits.astype(np.uint8)
+
+
 def oue_perturb(true_index: int, params: OueParams, rng: np.random.Generator) -> np.ndarray:
     """Perturb a one-hot encoding of ``true_index`` into an OUE report."""
     if not 0 <= true_index < params.n:
@@ -193,9 +203,21 @@ def oue_aggregate(reports: Sequence[np.ndarray] | np.ndarray, params: OueParams)
     return (counts - n * params.q) / (n * (params.p - params.q))
 
 
+def hash_ab(family: HashFamily, fn_id: int) -> Tuple[int, int]:
+    """The ``(a, b)`` of the function with index ``fn_id = a*prime + b``."""
+    if not 0 <= fn_id < family.size:
+        raise ValueError(f"fn_id {fn_id} out of range [0, {family.size})")
+    return divmod(fn_id, family.prime)
+
+
+def hash_fn_id(family: HashFamily, a: int, b: int) -> int:
+    """Index of the function ``h_{a,b}``."""
+    return a * family.prime + b
+
+
 def hash_eval(family: HashFamily, fn_id: int, cell: int | np.ndarray) -> int | np.ndarray:
     """Evaluate ``h_{a,b}(cell)`` for the function with index ``fn_id``."""
-    a, b = family.ab(fn_id)
+    a, b = hash_ab(family, fn_id)
     cells = np.asarray(cell)
     if cells.size and int(cells.max()) >= family.prime:
         raise ValueError("cell must be < prime")
@@ -211,7 +233,7 @@ def olh_perturb(
     """Draw a random universal function and a perturbed key for ``true_cell``."""
     if not 0 <= true_cell < family.prime:
         raise ValueError("cell out of domain")
-    fn = family.fn_id(int(rng.integers(1, family.prime)), int(rng.integers(0, family.prime)))
+    fn = hash_fn_id(family, int(rng.integers(1, family.prime)), int(rng.integers(0, family.prime)))
     true_key = hash_eval(family, fn, true_cell)
     if rng.random() < 0.5:
         key = true_key

@@ -1,7 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ldplab.defenses import (
     DetectionResult,
@@ -22,6 +26,23 @@ class TestTreeDefenseParams:
         assert params.z_alpha == pytest.approx(2.5758, abs=1e-3)
         assert params.outside_mass == pytest.approx(0.3190, abs=5e-4)
 
+    def test_z_alpha_matches_scipy(self):
+        for alpha in [1e-6, 1e-4, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.4]:
+            expected = stats.norm.ppf(1.0 - alpha)
+            assert TreeDefenseParams(alpha=alpha).z_alpha == pytest.approx(expected, rel=1e-12)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, ldplab.harness; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
 
 class TestOnesCountCdf:
     def test_n_equals_one(self):
@@ -37,6 +58,18 @@ class TestOnesCountCdf:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             ones_count_cdf(0, 0.25)
+
+    def test_rejects_q_outside_open_unit_interval(self):
+        for q in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError):
+                ones_count_cdf(8, q)
+
+    def test_matches_scipy_binomial(self):
+        for n in [1, 2, 3, 8, 31, 64, 187, 512, 1024, 2048]:
+            for q in [1e-4, 0.05, 0.1, 1.0 / (np.e + 1.0), 0.3, 0.5, 0.8]:
+                noise = stats.binom.pmf(np.arange(n), n - 1, q)
+                expected = np.minimum(np.cumsum(np.convolve(noise, [0.5, 0.5])), 1.0)
+                np.testing.assert_allclose(ones_count_cdf(n, q), expected, rtol=0, atol=1e-12)
 
 
 class TestTreeDetect:
@@ -75,6 +108,21 @@ class TestTreeDetect:
     def test_empty_round_raises(self):
         with pytest.raises(ValueError):
             tree_detect([], 16, 1.0)
+
+    def test_interval_matches_scipy_reference(self):
+        for epsilon in [0.25, 0.5, 1.0, 2.0, 4.0]:
+            q = 1.0 / (np.exp(epsilon) + 1.0)
+            for n in [1, 2, 4, 16, 55, 128, 512, 1024]:
+                noise = stats.binom.pmf(np.arange(n), n - 1, q)
+                cdf = np.minimum(np.cumsum(np.convolve(noise, [0.5, 0.5])), 1.0)
+                for alpha in [1e-4, 0.005, 0.05, 0.1]:
+                    z = stats.norm.ppf(1.0 - alpha)
+                    half = (1.0 - np.sqrt(1.0 / (1.0 + z**2))) / 4.0
+                    below = np.nonzero(cdf <= half)[0]
+                    i_minus = int(below[-1]) if below.size else -1
+                    expected = (i_minus, int(np.nonzero(cdf >= 1.0 - half)[0][0]))
+                    result = tree_detect([0], n, epsilon, TreeDefenseParams(alpha=alpha))
+                    assert result.metadata["interval"] == expected, (epsilon, n, alpha)
 
 
 class TestMaxLoad:

@@ -14,13 +14,16 @@ from ldplab.freq_oracles import (
 )
 
 from .oracles import (
+    hash_ab,
     hash_eval,
+    hash_fn_id,
     olh_aggregate_pairs,
     olh_perturb,
     olh_support,
     olh_support_scan,
     oue_aggregate,
     oue_perturb,
+    oue_perturb_batch_oneshot,
 )
 
 
@@ -56,6 +59,24 @@ class TestOuePerturb:
         assert off_target.sum() == 0
         rate = reports[:, 3].mean()
         assert abs(rate - 0.5) <= 3.0 * np.sqrt(0.25 / 100_000)
+
+    @pytest.mark.parametrize(
+        "users, n",
+        [
+            (0, 5),
+            (200_000, 1),  # one column, several chunks of rows
+            (3, 70_000),  # one row is wider than a chunk
+            (5_000, 187),  # many rows per chunk, several chunks
+        ],
+    )
+    def test_matches_one_shot_draw(self, users, n):
+        params = OueParams(1.0, n)
+        true_indices = np.random.default_rng(7).integers(0, n, users)
+        reports = oue_perturb_batch(true_indices, params, np.random.default_rng(8))
+        assert reports.dtype == np.uint8
+        assert reports.shape == (users, n)
+        expected = oue_perturb_batch_oneshot(true_indices, params, np.random.default_rng(8))
+        np.testing.assert_array_equal(reports, expected)
 
     def test_single_report_shape_and_bounds(self):
         params = OueParams(1.0, 8)
@@ -95,16 +116,16 @@ class TestOueAggregate:
 class TestHashFamily:
     def test_constant_function(self):
         family = HashFamily(17, 4)
-        assert hash_eval(family, family.fn_id(0, 0), 5) == 0
+        assert hash_eval(family, hash_fn_id(family, 0, 0), 5) == 0
         np.testing.assert_array_equal(
-            olh_support(HashPair(family.fn_id(0, 0), 0), family, range(16)),
+            olh_support(HashPair(hash_fn_id(family, 0, 0), 0), family, range(16)),
             np.arange(16),
         )
-        assert olh_support(HashPair(family.fn_id(0, 0), 1), family, range(16)).size == 0
+        assert olh_support(HashPair(hash_fn_id(family, 0, 0), 1), family, range(16)).size == 0
 
     def test_identity_function(self):
         family = HashFamily(17, 4)
-        assert hash_eval(family, family.fn_id(1, 0), 5) == 1
+        assert hash_eval(family, hash_fn_id(family, 1, 0), 5) == 1
 
     def test_sizes(self):
         family = HashFamily(17, 4)
@@ -131,7 +152,7 @@ class TestHashFamily:
             HashFamily(17, 1)
         family = HashFamily(17, 4)
         with pytest.raises(ValueError):
-            family.ab(17 * 17)
+            hash_ab(family, 17 * 17)
         with pytest.raises(ValueError):
             family.key_table(18)
 
@@ -167,7 +188,7 @@ class TestOlhParams:
         rng = np.random.default_rng(5)
         pair = olh_perturb(3, family, params, rng)
         assert 0 <= pair.key < family.g
-        a, _ = family.ab(pair.fn_id)
+        a, _ = hash_ab(family, pair.fn_id)
         assert a >= 1
         with pytest.raises(ValueError):
             olh_perturb(17, family, params, rng)
@@ -210,9 +231,9 @@ class TestOlhAggregate:
         # estimate is (N - N/g) / (N (1/2 - 1/g)) for all cells; with a
         # support count of exactly N/g the estimator reads zero -- check the
         # formula through pairs that never support cell 0.
-        pairs = (np.full(80, family.fn_id(1, 1)), np.full(80, 3))
+        pairs = (np.full(80, hash_fn_id(family, 1, 1)), np.full(80, 3))
         est = olh_aggregate(pairs, family, np.arange(16), params)
-        support = olh_support(HashPair(family.fn_id(1, 1), 3), family, range(16))
+        support = olh_support(HashPair(hash_fn_id(family, 1, 1), 3), family, range(16))
         outside = np.setdiff1d(np.arange(16), support)
         # Unsupported cells have count 0 -> estimate -q/(1/2-q) = -1.
         np.testing.assert_allclose(est[outside], -1.0, atol=1e-9)
@@ -222,6 +243,38 @@ class TestOlhAggregate:
         family = HashFamily(17, 4)
         with pytest.raises(ValueError):
             olh_aggregate((np.array([]), np.array([])), family, np.arange(16), OlhParams(1.0))
+
+    def test_keys_outside_range_raise(self):
+        family = HashFamily(17, 4)
+        for bad_key in (-1, 4):
+            pairs = (np.array([20, 21]), np.array([0, bad_key]))
+            with pytest.raises(ValueError):
+                olh_aggregate(pairs, family, np.arange(16), OlhParams(1.0))
+
+    def test_repeated_fake_pair_equals_per_pair_oracle(self):
+        family = HashFamily(17, 4)
+        params = OlhParams(np.log(3.0))
+        rng = np.random.default_rng(9)
+        fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 400), family, params, rng)
+        fn_ids = np.concatenate([fn_ids, np.full(100, hash_fn_id(family, 3, 5))])
+        keys = np.concatenate([keys, np.full(100, 2)])
+        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        np.testing.assert_array_equal(
+            olh_aggregate((fn_ids, keys), family, np.arange(16), params, n_users=fn_ids.size),
+            olh_aggregate_pairs(pairs, family, np.arange(16), params),
+        )
+
+    def test_more_distinct_pairs_than_one_chunk(self):
+        family = HashFamily(211, 4)
+        params = OlhParams(np.log(3.0))
+        rng = np.random.default_rng(10)
+        fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 120_000), family, params, rng)
+        assert np.unique(fn_ids * family.g + keys).size > 65_536
+        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        np.testing.assert_array_equal(
+            olh_aggregate((fn_ids, keys), family, np.arange(16), params),
+            olh_aggregate_pairs(pairs, family, np.arange(16), params),
+        )
 
     def test_matches_per_pair_oracle(self):
         family = HashFamily(17, 4)
