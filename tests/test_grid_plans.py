@@ -1,0 +1,109 @@
+"""The grid attacks' plans at the bench grid config are pinned to a fixture.
+
+Each case plans one grid attack for one seeded query on ``GridConfig(d=5,
+prime=211)`` with the fake counts of a 30k-user run at ``rho = 0.1`` and
+compares the sha256 of the plan's JSON with ``data/grid_plan_sha256.json``.
+A plan is:
+
+* ``mga`` / ``haog``: the pair ``mga_grid`` / ``haog_best_pair`` picks on
+  every grid, drawn in grid order from one seeded generator;
+* ``aog``: ``GridRangeAttack.chosen`` and ``fallback_keys`` after ``begin``;
+* ``aaog``: ``AdaptiveGridAttack.load_limit`` and the (functions, keys) it
+  emits for every grid.
+
+So any change to the support scan, the tie-breaking draws or the planners
+shows.  Regenerate only for a change meant to alter attack plans, and say so
+where the change is recorded::
+
+    PYTHONPATH=src python -m tests.test_grid_plans --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ldplab.attacks import (
+    AdaptiveGridAttack,
+    GridRangeAttack,
+    HeuristicGridAttack,
+    MgaGridAttack,
+    haog_best_pair,
+    mga_grid,
+)
+from ldplab.grid_protocol import GridConfig, grid_keys
+from ldplab.harness import gen_queries
+
+FIXTURE = Path(__file__).parent / "data" / "grid_plan_sha256.json"
+
+CONFIG = GridConfig(d=5, prime=211)
+RHO = 0.1
+N_REAL = 30_000
+N_QUERIES = 6
+ATTACKS = ("mga", "haog", "aog", "aaog")
+CASES = [f"q{i}-{attack}" for i in range(N_QUERIES) for attack in ATTACKS]
+
+
+def _fake_counts():
+    n_fake = round(N_REAL * RHO / (1 - RHO))
+    keys = grid_keys(CONFIG.d)
+    base, extra = divmod(n_fake, len(keys))
+    counts = {key: base + (i < extra) for i, key in enumerate(keys)}
+    return counts, N_REAL + n_fake
+
+
+def _name(key) -> str:
+    return "-".join(str(part) for part in key)
+
+
+def _plan(attack: str, query, rng: np.random.Generator) -> dict:
+    keys = grid_keys(CONFIG.d)
+    fake_counts, n_total = _fake_counts()
+    if attack in ("mga", "haog"):
+        hook = (MgaGridAttack if attack == "mga" else HeuristicGridAttack)(CONFIG, query)
+        pick = mga_grid if attack == "mga" else haog_best_pair
+        pairs = {_name(key): pick(hook.supports(key), rng) for key in keys}
+        return {name: [pair.fn_id, pair.key] for name, pair in pairs.items()}
+    if attack == "aog":
+        hook = GridRangeAttack(CONFIG, query, RHO)
+        hook.begin(fake_counts, n_total, rng)
+        return {
+            "chosen": {_name(k): [p.fn_id, p.key] for k, p in sorted(hook.chosen.items())},
+            "fallback_keys": [_name(k) for k in hook.fallback_keys],
+        }
+    hook = AdaptiveGridAttack(CONFIG, query)
+    hook.begin(fake_counts, n_total, rng)
+    plan = {}
+    for key in keys:
+        fns, rep_keys = hook(key, fake_counts[key], rng)
+        plan[_name(key)] = [fns.tolist(), rep_keys.tolist()]
+    return {"load_limit": hook.load_limit, "plan": plan}
+
+
+def _digest(case: str) -> str:
+    qname, attack = case.split("-")
+    index = int(qname[1:])
+    queries = gen_queries(
+        N_QUERIES, CONFIG.domain_size, CONFIG.d, 3, np.random.default_rng(2110), snap=CONFIG.col_width
+    )
+    rng = np.random.default_rng(np.random.SeedSequence([2111, index]))
+    plan = _plan(attack, queries[index], rng)
+    return hashlib.sha256(json.dumps(plan, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grid_plan_matches_fixture(case):
+    assert _digest(case) == json.loads(FIXTURE.read_text())[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_grid_plans --write")
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({case: _digest(case) for case in CASES}, indent=1) + "\n")
+    print(f"wrote {FIXTURE} ({len(CASES)} plans)")
