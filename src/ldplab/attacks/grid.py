@@ -2,8 +2,9 @@
 
 Every attack picks OLH (function, key) report pairs from one support scan of
 a grid (:func:`scan_supports`): per pair, the size of its support and the
-part of the support inside the target range.  The hooks share one base that
-builds the family's key table once per cell count and rescans it per grid.
+part of the support inside the target range.  The query-independent part of
+the scan (which cells each pair hits, and its support size) is built once
+per (hash family, cell count) and shared by every hook and thread.
 
 Attack families:
 
@@ -22,6 +23,7 @@ Attack families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -73,15 +75,17 @@ class SizeConstraints:
 class GridSupports:
     """Support statistics of every (function, key) pair on one grid.
 
-    Rows follow :meth:`HashFamily.random_fn_ids`.  ``table[f, c]`` is the key
-    of cell ``c`` under function ``f``; ``sizes[f, k]`` counts the cells
-    hashing to key ``k`` and ``inter[f, k]`` those of them inside the range.
-    ``scale`` is the grid's cells per ``g2``-cell of its attributes
-    (``n_cells / g2**n_attrs``: ``g1/g2`` for a 1-D grid, 1 for a 2-D grid).
+    Rows follow :meth:`HashFamily.random_fn_ids`.  ``hits[k, c, f]`` is true
+    when function ``f`` hashes cell ``c`` to key ``k``; ``sizes[f, k]``
+    counts the cells hashing to key ``k`` and ``inter[f, k]`` those of them
+    inside the range.  ``hits`` and ``sizes`` are the family's shared,
+    read-only tables.  ``scale`` is the grid's cells per ``g2``-cell of its
+    attributes (``n_cells / g2**n_attrs``: ``g1/g2`` for a 1-D grid, 1 for a
+    2-D grid).
     """
 
     fn_ids: np.ndarray
-    table: np.ndarray
+    hits: np.ndarray
     sizes: np.ndarray
     inter: np.ndarray
     scale: float
@@ -96,25 +100,37 @@ class GridSupports:
         return (self.inter - self.sizes) / self.scale, self.sizes / self.scale
 
 
-def scan_supports(
-    family: HashFamily, table: np.ndarray, in_range: np.ndarray, scale: float
-) -> GridSupports:
-    """Scan a grid's in-range mask against the family's key table.
+@functools.lru_cache(maxsize=4)
+def _hit_table(family: HashFamily, n_cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(hits, sizes)`` of ``family`` over ``n_cells`` cells.
 
-    ``table`` is ``family.key_table(in_range.size)``; callers scanning many
-    grids build it once and pass it to every scan.  ``scale`` is carried to
+    ``hits`` is cell-major, shape ``(g, n_cells, n_random_functions)``, so a
+    scan sums whole rows of the in-range cells.  Built from
+    :meth:`HashFamily.key_table` on first use; the int64 table is dropped.
+    """
+    table = family.key_table(n_cells)
+    hits = np.empty((family.g, n_cells, table.shape[0]), dtype=bool)
+    for key in range(family.g):
+        np.equal(table.T, key, out=hits[key])
+    sizes = np.ascontiguousarray(np.count_nonzero(hits, axis=1).T, dtype=np.int64)
+    hits.flags.writeable = False
+    sizes.flags.writeable = False
+    return hits, sizes
+
+
+def scan_supports(family: HashFamily, in_range: np.ndarray, scale: float) -> GridSupports:
+    """Scan a grid's in-range cell mask against the family's hit table.
+
+    The hit table of ``(family, in_range.size)`` is cached, so a scan only
+    counts, per key, the hits of the in-range cells.  ``scale`` is carried to
     :meth:`GridSupports.preference`.
     """
     in_range = np.asarray(in_range, dtype=bool)
-    sizes = np.empty((table.shape[0], family.g), dtype=np.int64)
+    hits, sizes = _hit_table(family, in_range.size)
     inter = np.empty_like(sizes)
-    # One boolean hit mask per key keeps the scan's scratch memory at an
-    # eighth of the int64 table.
     for key in range(family.g):
-        hit = table == key
-        sizes[:, key] = np.count_nonzero(hit, axis=1)
-        inter[:, key] = np.count_nonzero(hit[:, in_range], axis=1)
-    return GridSupports(family.random_fn_ids(), table, sizes, inter, scale)
+        inter[:, key] = np.count_nonzero(hits[key][in_range], axis=0)
+    return GridSupports(family.random_fn_ids(), hits, sizes, inter, scale)
 
 
 def _random_argmax(values: np.ndarray, rng: np.random.Generator) -> Tuple[int, int]:
@@ -134,22 +150,19 @@ def _repeat(pair: HashPair, m_fake: int) -> Tuple[np.ndarray, np.ndarray]:
 class _GridHook:
     """Set-up shared by the grid hooks: config, target query, hash family.
 
-    Keeps one key table per cell count for the hook's lifetime and rescans
-    it for each grid; the per-grid scans are not kept.
+    :meth:`supports` scans one grid against the family's shared hit table;
+    the per-grid scans are not kept.
     """
 
     def __init__(self, config: GridConfig, query: RangeQuery):
         self.config = config
         self.query = query
         self.family = config.family()
-        self._tables: Dict[int, np.ndarray] = {}
 
     def supports(self, key: GridKey) -> GridSupports:
         mask = cells_in_range(self.config, self.query, key)
-        if mask.size not in self._tables:
-            self._tables[mask.size] = self.family.key_table(mask.size)
         scale = mask.size / self.config.g2 ** len(self.config.shape(key))
-        return scan_supports(self.family, self._tables[mask.size], mask, scale)
+        return scan_supports(self.family, mask, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +289,7 @@ class GridRangeAttack(_GridHook):
             scan = self.supports(key)
             w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
             cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
-            support = (scan.table[cand[:, 0]] == cand[:, 1:]).astype(np.int64)
+            support = scan.hits[cand[:, 1], :, cand[:, 0]].astype(np.int64)
             counts = {
                 attr: support @ eye[cols]
                 for attr, cols in self.config.columns(key).items()

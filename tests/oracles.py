@@ -273,6 +273,24 @@ def olh_support_scan(prime: int, g: int, fn_id: int, key: int, n_cells: int) -> 
     return [x for x in range(n_cells) if ((a * x + b) % prime) % g == key]
 
 
+def support_scan_reference(family: HashFamily, in_range: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sizes, inter)`` of every universal (function, key) pair over a cell mask.
+
+    Compares the int64 key table with one key at a time: ``sizes[f, k]``
+    counts the cells function ``f`` hashes to ``k``, ``inter[f, k]`` those of
+    them inside ``in_range``.
+    """
+    in_range = np.asarray(in_range, dtype=bool)
+    table = family.key_table(in_range.size)
+    sizes = np.empty((table.shape[0], family.g), dtype=np.int64)
+    inter = np.empty_like(sizes)
+    for key in range(family.g):
+        hit = table == key
+        sizes[:, key] = np.count_nonzero(hit, axis=1)
+        inter[:, key] = np.count_nonzero(hit[:, in_range], axis=1)
+    return sizes, inter
+
+
 def olh_collision_prob(prime: int, g: int) -> float:
     """Probability two distinct cells collide under a random (a!=0) function.
 

@@ -472,7 +472,6 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
     keys = grid_keys(5)
     family = config.family()
     fn_ids = family.random_fn_ids()
-    table = family.key_table(config.g1)  # 1-D and 2-D grids both have 16 cells
     fake_per_round, real_per_round = 222, 2000
     fake_counts = {key: fake_per_round for key in keys}
     n_total = (fake_per_round + real_per_round) * len(keys)
@@ -501,7 +500,7 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
         for g_idx, key in enumerate(keys):
             mask = cells_in_range(config, query, key)
             scale = mask.size / config.g2 ** len(config.shape(key))
-            primary, secondary = scan_supports(family, table, mask, scale).preference()
+            primary, secondary = scan_supports(family, mask, scale).preference()
             values[g_idx] = (primary * 1e6 + secondary).max(axis=1)
         quotas = [math.ceil(fake_per_round / limit)] * len(keys)
         matched = match_functions_to_grids(values, quotas)

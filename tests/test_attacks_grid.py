@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldplab.attacks import (
     AdaptiveGridAttack,
@@ -19,16 +21,16 @@ from ldplab.attacks import (
     mga_grid,
     scan_supports,
 )
+from ldplab.attacks.grid import _hit_table
 from ldplab.freq_oracles import HashFamily
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
 from ldplab.query import RangeQuery
 
-from .oracles import olh_support_scan, stable_matching_audit
+from .oracles import olh_support_scan, stable_matching_audit, support_scan_reference
 
 
 def scan(family, in_range, scale=1.0):
-    in_range = np.asarray(in_range, dtype=bool)
-    return scan_supports(family, family.key_table(in_range.size), in_range, scale)
+    return scan_supports(family, np.asarray(in_range, dtype=bool), scale)
 
 
 class TestScanSupports:
@@ -42,6 +44,75 @@ class TestScanSupports:
                 cells = olh_support_scan(17, 4, int(supports.fn_ids[row]), key, 16)
                 assert supports.sizes[row, key] == len(cells)
                 assert supports.inter[row, key] == int(in_range[cells].sum())
+
+    def test_hits_match_key_table(self):
+        family = HashFamily(31, 4)
+        supports = scan(family, np.ones(20, dtype=bool))
+        table = family.key_table(20)
+        for key in range(4):
+            np.testing.assert_array_equal(supports.hits[key], (table == key).T)
+
+    @given(
+        prime=st.sampled_from([17, 31, 67, 211]),
+        g=st.sampled_from([2, 4, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_scan(self, prime, g, data):
+        n_cells = data.draw(st.integers(1, prime), label="n_cells")
+        bits = data.draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells))
+        in_range = np.array(bits, dtype=bool)
+        family = HashFamily(prime, g)
+        supports = scan(family, in_range)
+        sizes, inter = support_scan_reference(family, in_range)
+        assert supports.sizes.dtype == supports.inter.dtype == np.int64
+        np.testing.assert_array_equal(supports.sizes, sizes)
+        np.testing.assert_array_equal(supports.inter, inter)
+
+
+@pytest.fixture
+def empty_hit_cache():
+    _hit_table.cache_clear()
+    yield
+    _hit_table.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_hit_cache")
+class TestHitTableCache:
+    def test_equal_families_share_one_entry(self):
+        a = scan(HashFamily(17, 4), np.arange(16) < 5)
+        b = scan(HashFamily(17, 4), np.arange(16) >= 5)
+        assert a.hits is b.hits and a.sizes is b.sizes
+        assert _hit_table.cache_info().currsize == 1
+
+    def test_cached_tables_are_read_only(self):
+        family = HashFamily(17, 4)
+        hits, sizes = _hit_table(family, 16)
+        with pytest.raises(ValueError):
+            hits[0, 0, 0] = not hits[0, 0, 0]
+        with pytest.raises(ValueError):
+            sizes += 1
+        supports = scan(family, np.ones(16, dtype=bool))
+        with pytest.raises(ValueError):
+            supports.sizes[0, 0] = 0
+        with pytest.raises(ValueError):
+            supports.hits[:] = False
+
+    def test_cache_stays_bounded(self):
+        maxsize = _hit_table.cache_parameters()["maxsize"]
+        family = HashFamily(17, 4)
+        for n_cells in range(1, maxsize + 4):
+            scan(family, np.ones(n_cells, dtype=bool))
+        assert _hit_table.cache_info().currsize == maxsize
+
+    def test_masks_give_independent_inter(self):
+        family = HashFamily(31, 4)
+        rng = np.random.default_rng(16)
+        mask_a, mask_b = rng.random(24) < 0.5, rng.random(24) < 0.5
+        a, b = scan(family, mask_a), scan(family, mask_b)
+        assert not np.shares_memory(a.inter, b.inter)
+        np.testing.assert_array_equal(a.inter, support_scan_reference(family, mask_a)[1])
+        np.testing.assert_array_equal(b.inter, support_scan_reference(family, mask_b)[1])
 
 
 class TestSizeConstraints:
@@ -203,7 +274,7 @@ class TestHaog:
         # (5, 5), (5, 0) and (8, 8).
         supports = GridSupports(
             fn_ids=np.array([0]),
-            table=np.zeros((1, 16), dtype=np.int64),
+            hits=np.zeros((3, 16, 1), dtype=bool),
             sizes=np.array([[5, 5, 8]]),
             inter=np.array([[5, 0, 8]]),
             scale=1.0,

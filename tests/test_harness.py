@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from ldplab.attacks.grid import _hit_table
 from ldplab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -233,3 +235,26 @@ class TestRunExperiment:
         assert [r.poisoned_response for r in serial] == [
             r.poisoned_response for r in threaded
         ]
+
+    @pytest.mark.parametrize("attack", ["aog", "aaog"])
+    def test_threaded_grid_attacks_match_serial(self, attack):
+        def config(threads):
+            return ExperimentConfig(
+                protocol="hdg",
+                dataset={"kind": "gaussian", "count": 12_000, "mean": 32.0, "std": 10.0},
+                dims_total=3,
+                family_prime=211,
+                attack=attack,
+                defense=True,
+                n_queries=2,
+                seeds=(0, 1),
+                threads=threads,
+            )
+
+        def rows(results):
+            return [{**asdict(r), "elapsed_s": None} for r in results]
+
+        _hit_table.cache_clear()  # both seeds' threads fill the shared cache
+        threaded, _ = run_experiment(config(2))
+        serial, _ = run_experiment(config(1))
+        assert rows(threaded) == rows(serial)
