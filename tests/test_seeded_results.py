@@ -6,9 +6,11 @@ match ``data/seeded_results.json`` (floats within 1e-12 relative).  A change
 that is meant to keep behaviour must keep this file green unchanged.
 
 Regenerate the fixture only for a change that is meant to alter seeded
-results, and say so where the change is recorded::
+results, and say so where the change is recorded.  Name the entries the
+change moves, so the regeneration touches only those keys (no names rewrites
+every entry)::
 
-    PYTHONPATH=src python -m tests.test_seeded_results --write
+    PYTHONPATH=src python -m tests.test_seeded_results --write [NAME ...]
 """
 
 from __future__ import annotations
@@ -84,10 +86,33 @@ def test_seeded_results_match_fixture(name):
     _assert_same(_trials(name), expected[name], name)
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python -m tests.test_seeded_results --write")
+def write_fixture(names) -> None:
+    """Rewrite the named fixture entries; with no names, rewrite the file."""
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        raise SystemExit(f"unknown entries {unknown}; known: {sorted(CONFIGS)}")
+    data = json.loads(FIXTURE.read_text()) if names else {}
+    names = names or sorted(CONFIGS)
+    data.update({name: _trials(name) for name in names})
     FIXTURE.parent.mkdir(exist_ok=True)
-    data = {name: _trials(name) for name in sorted(CONFIGS)}
     FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE} ({sum(len(v) for v in data.values())} trials)")
+    print(f"wrote {', '.join(names)} to {FIXTURE}")
+
+
+def test_writer_touches_only_named_entries(tmp_path, monkeypatch):
+    fixture = tmp_path / "seeded_results.json"
+    fixture.write_text(json.dumps({"ahead-none": "old", "hdg-none": "old"}))
+    monkeypatch.setattr(sys.modules[__name__], "FIXTURE", fixture)
+    monkeypatch.setattr(sys.modules[__name__], "_trials", lambda name: f"new {name}")
+    write_fixture(["hdg-none"])
+    assert json.loads(fixture.read_text()) == {"ahead-none": "old", "hdg-none": "new hdg-none"}
+    with pytest.raises(SystemExit, match="unknown entries"):
+        write_fixture(["hdg-none", "bogus"])
+    write_fixture([])
+    assert json.loads(fixture.read_text()) == {name: f"new {name}" for name in CONFIGS}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python -m tests.test_seeded_results --write [NAME ...]")
+    write_fixture(sys.argv[2:])
