@@ -9,7 +9,8 @@ Three attack families:
   the provably sufficient family of "front-loaded" assignments, found by a
   fast incremental search (a brute-force reference lives in the tests);
 * an adaptive wrapper that re-samples each fake report's 1-count from the
-  honest distribution to evade the ones-count detector.
+  honest distribution to evade the ones-count detector, one batch per
+  layer.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 
+# Row chunks of about this many cells bound the key matrices' memory.
+_CHUNK = 65536
+
+
 @dataclass
 class Assignment:
     """Fake-report 1-counts per layer node (aligned with the caller's order)."""
@@ -64,8 +69,13 @@ def mga_tree(
 
     The layer's nodes are the intervals ``[lo, hi)``.  Each report sets 1 on
     the ``k`` nodes contained in the query and on
-    ``max(floor(p + (L-1)q - k), 0)`` random out-of-range nodes, matching the
-    expected honest 1-count when possible.
+    ``extra = max(floor(p + (L-1)q - k), 0)`` out-of-range nodes, matching
+    the expected honest 1-count when possible.  Every report draws one
+    uniform key per out-of-range node and pads the ``extra`` lowest-keyed
+    ones, so its padding is a uniform ``extra``-subset.  The keys are drawn
+    in row chunks of about 65,536 (at least one row); ``Generator.random``
+    consumes its stream in order, so the reports equal those of one draw of
+    all keys.
     """
     n_nodes = len(lo)
     if n_nodes == 0:
@@ -79,10 +89,13 @@ def mga_tree(
     out_idx = np.nonzero(~in_range)[0]
     extra = min(extra, out_idx.size)
     reports = np.tile(in_range.astype(np.uint8), (m_fake, 1))
-    for row in range(m_fake):
-        if extra:
-            chosen = rng.choice(out_idx, size=extra, replace=False)
-            reports[row, chosen] = 1
+    if extra:
+        step = max(1, _CHUNK // out_idx.size)
+        for start in range(0, m_fake, step):
+            rows = reports[start : start + step]
+            keys = rng.random((rows.shape[0], out_idx.size))
+            picked = np.argpartition(keys, extra - 1, axis=1)[:, :extra]
+            np.put_along_axis(rows, out_idx[picked], 1, axis=1)
     return reports
 
 
@@ -366,32 +379,43 @@ class OptimalTreeAttack:
 # ---------------------------------------------------------------------------
 
 def aaot_transform(
-    report: np.ndarray, n: int, q: float, rng: np.random.Generator
+    reports: np.ndarray, n: int, q: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Resample a fake report's 1-count from the honest OUE law.
+    """Resample every fake report's 1-count from the honest OUE law.
 
-    Draws ``X ~ Bin(n-1, q) + Bin(1, 1/2)`` and flips random bits so the
-    output has exactly ``X`` ones, keeping as much of the original targeting
-    pattern as the count allows.
+    ``reports`` is an ``(m, n)`` 0/1 matrix; a new uint8 matrix is returned.
+    Draws all ``m`` targets ``Bin(n-1, q)``, then all ``m`` coins
+    ``Bin(1, 1/2)``, then one uniform key per cell (in row chunks of about
+    65,536, which equals one draw of all keys).  A row with ``k`` ones and
+    target ``X`` sets its ``X - k`` lowest-keyed zeros or clears its
+    ``k - X`` lowest-keyed ones, so it keeps its targeting bits whenever the
+    count allows and the flipped bits are a uniformly random subset.
     """
-    report = np.asarray(report, dtype=np.uint8).copy()
-    if report.size != n:
-        raise ValueError("report length mismatch")
-    target = int(rng.binomial(n - 1, q)) + int(rng.random() < 0.5)
-    ones = np.nonzero(report == 1)[0]
-    zeros = np.nonzero(report == 0)[0]
-    k = ones.size
-    if target > k:
-        chosen = rng.choice(zeros, size=target - k, replace=False)
-        report[chosen] = 1
-    elif target < k:
-        chosen = rng.choice(ones, size=k - target, replace=False)
-        report[chosen] = 0
-    return report
+    out = np.array(reports, dtype=np.uint8)
+    if out.ndim != 2 or out.shape[1] != n:
+        raise ValueError(f"reports must be an (m, {n}) matrix, got shape {out.shape}")
+    m = out.shape[0]
+    target = rng.binomial(n - 1, q, m) + (rng.random(m) < 0.5)
+    delta = target - out.sum(axis=1, dtype=np.int64)
+    step = max(1, _CHUNK // max(n, 1))
+    for start in range(0, m, step):
+        rows = out[start : start + step]
+        d = delta[start : start + step, None]
+        keys = rng.random(rows.shape)
+        # Only zeros may flip in a row that gains ones, only ones in a row
+        # that loses them: every other cell sorts after all candidates.
+        keys[(rows == 1) == (d > 0)] = 2.0
+        order = np.argsort(keys, axis=1)
+        r, rank = np.nonzero(np.arange(n) < np.abs(d))
+        rows[r, order[r, rank]] ^= 1
+    return out
 
 
 class AdaptiveTreeAttack:
-    """Wraps a tree attack hook, resampling each fake report's 1-count."""
+    """Wraps a tree attack hook, resampling each fake report's 1-count.
+
+    One :func:`aaot_transform` call per layer resamples the whole layer.
+    """
 
     def __init__(self, inner, epsilon: float):
         self.inner = inner
@@ -400,9 +424,6 @@ class AdaptiveTreeAttack:
     def __call__(
         self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        matrix = np.asarray(self.inner(lo, hi, m_fake, rng), dtype=np.uint8)
         n = len(lo)
         q = OueParams(self.epsilon, max(n, 1)).q
-        for row in range(matrix.shape[0]):
-            matrix[row] = aaot_transform(matrix[row], n, q, rng)
-        return matrix
+        return aaot_transform(self.inner(lo, hi, m_fake, rng), n, q, rng)

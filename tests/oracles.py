@@ -9,12 +9,14 @@ exhaustive enumeration instead of search) so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ldplab.attacks.tree import Assignment, _check_search_inputs, assignment_objective
 from ldplab.freq_oracles import HashFamily, HashPair, OlhParams, OueParams
+from ldplab.query import RangeQuery
 
 
 def norm_sub_bisect(values: Sequence[float], tol: float = 1e-12) -> Tuple[np.ndarray, float]:
@@ -168,6 +170,105 @@ def aot_assignment_bruteforce(
         best = full
     assert best is not None
     return Assignment(best.astype(np.int64), best_val)
+
+
+def mga_tree_rows(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    query: RangeQuery,
+    m_fake: int,
+    params: OueParams,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Max-gain tree reports, padding bits drawn per report with ``rng.choice``."""
+    n_nodes = len(lo)
+    if n_nodes == 0:
+        raise ValueError("empty layer")
+    if params.n != n_nodes:
+        raise ValueError("params.n must equal the layer size")
+    q_lo, q_hi = query.intervals[0]
+    in_range = (q_lo <= np.asarray(lo)) & (np.asarray(hi) <= q_hi)
+    k = int(in_range.sum())
+    extra = max(int(math.floor(params.p + (n_nodes - 1) * params.q - k)), 0)
+    out_idx = np.nonzero(~in_range)[0]
+    extra = min(extra, out_idx.size)
+    reports = np.tile(in_range.astype(np.uint8), (m_fake, 1))
+    for row in range(m_fake):
+        if extra:
+            chosen = rng.choice(out_idx, size=extra, replace=False)
+            reports[row, chosen] = 1
+    return reports
+
+
+def mga_tree_oneshot(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    query: RangeQuery,
+    m_fake: int,
+    params: OueParams,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Max-gain tree reports from one key draw of the whole padding matrix.
+
+    Each report pads the out-of-range nodes whose key ranks below ``extra``
+    in its row (ranks by a double argsort).
+    """
+    q_lo, q_hi = query.intervals[0]
+    in_range = ((q_lo <= np.asarray(lo)) & (np.asarray(hi) <= q_hi)).astype(np.uint8)
+    out_idx = np.flatnonzero(in_range == 0)
+    extra = min(
+        max(int(math.floor(params.p + (len(lo) - 1) * params.q - in_range.sum())), 0),
+        out_idx.size,
+    )
+    reports = np.tile(in_range, (m_fake, 1))
+    if extra:
+        rank = rng.random((m_fake, out_idx.size)).argsort(axis=1).argsort(axis=1)
+        reports[:, out_idx] = rank < extra
+    return reports
+
+
+def aaot_transform_rows(
+    report: np.ndarray, n: int, q: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Resample one fake report's 1-count from the honest OUE law.
+
+    Draws ``X ~ Bin(n-1, q) + Bin(1, 1/2)`` and flips random bits so the
+    output has exactly ``X`` ones, keeping as much of the original targeting
+    pattern as the count allows.
+    """
+    report = np.asarray(report, dtype=np.uint8).copy()
+    if report.size != n:
+        raise ValueError("report length mismatch")
+    target = int(rng.binomial(n - 1, q)) + int(rng.random() < 0.5)
+    ones = np.nonzero(report == 1)[0]
+    zeros = np.nonzero(report == 0)[0]
+    k = ones.size
+    if target > k:
+        chosen = rng.choice(zeros, size=target - k, replace=False)
+        report[chosen] = 1
+    elif target < k:
+        chosen = rng.choice(ones, size=k - target, replace=False)
+        report[chosen] = 0
+    return report
+
+
+def aaot_transform_oneshot(
+    reports: np.ndarray, n: int, q: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Batch 1-count resampling from one key draw of the whole matrix.
+
+    Draws the targets, the coins and then every key at once; a row flips the
+    candidate cells (zeros when it gains ones, ones when it loses them) whose
+    key ranks below the count change (ranks by a double argsort).
+    """
+    out = np.array(reports, dtype=np.uint8)
+    m = out.shape[0]
+    target = rng.binomial(n - 1, q, m) + (rng.random(m) < 0.5)
+    delta = (target - out.sum(axis=1))[:, None]
+    candidate = out == (delta < 0)
+    keys = np.where(candidate, rng.random((m, n)), np.inf)
+    rank = keys.argsort(axis=1).argsort(axis=1)
+    return out ^ (candidate & (rank < np.abs(delta)))
 
 
 def oue_perturb_batch_oneshot(

@@ -333,9 +333,7 @@ def test_criterion_08_detection_rates():
         honest_hits += detect(honest)
         fakes = mga_tree(lo, lo + 1, query, m_fake, params, rng)
         mga_hits += detect(np.concatenate([honest, fakes.sum(axis=1)]))
-        resampled = np.array(
-            [aaot_transform(row, n_nodes, params.q, rng).sum() for row in fakes]
-        )
+        resampled = aaot_transform(fakes, n_nodes, params.q, rng).sum(axis=1)
         adaptive_hits += detect(np.concatenate([honest, resampled]))
 
     # --- grid rounds: adaptive attack vs max-load detector ------------------

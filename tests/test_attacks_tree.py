@@ -19,8 +19,12 @@ from ldplab.query import RangeQuery
 from ldplab.tree_protocol import Tree, TreeConfig, estimate_query
 
 from .oracles import (
+    aaot_transform_oneshot,
+    aaot_transform_rows,
     aot_assignment_bruteforce,
     exhaustive_best_objective,
+    mga_tree_oneshot,
+    mga_tree_rows,
     objective_reference,
 )
 
@@ -51,6 +55,41 @@ class TestMgaTree:
         np.testing.assert_array_equal(reports[:, 0], 1)
         np.testing.assert_array_equal(reports.sum(axis=1), 4)  # 1 target + 3 pads
         assert reports[:, 1:].sum(axis=0).max() <= 20  # pads are out of range
+
+    def test_padding_is_uniform_and_matches_row_oracle(self):
+        # 17 nodes, 1 in range, 3 pads per report over the 16 other nodes.
+        # Picks within a row are drawn without replacement, which makes the
+        # column counts less spread than the multinomial the chi^2 cutoffs
+        # assume, so each assertion fails falsely with probability <= 0.1 %.
+        nodes = unit_leaves(17)
+        params = OueParams(np.log(3.0), 17)
+        query = RangeQuery((0,), ((0, 1),))
+        m = 4000
+        batch = mga_tree(*nodes, query, m, params, np.random.default_rng(12))
+        np.testing.assert_array_equal(batch.sum(axis=1), 1 + 3)
+        np.testing.assert_array_equal(batch[:, 0], 1)
+        columns = batch[:, 1:].sum(axis=0)
+        expected = m * 3 / 16
+        chi2 = ((columns - expected) ** 2 / expected).sum()
+        assert chi2 < stats.chi2.ppf(0.999, 15)
+        rows = mga_tree_rows(*nodes, query, m, params, np.random.default_rng(13))
+        table = np.vstack([columns, rows[:, 1:].sum(axis=0)])
+        assert stats.chi2_contingency(table)[1] > 0.001
+
+    def test_chunked_equals_oneshot(self):
+        # 2 of 40 nodes in range: about 1,724 rows per chunk, so 5,000 rows
+        # cross two chunk boundaries.
+        nodes = unit_leaves(40)
+        params = OueParams(1.0, 40)
+        query = RangeQuery((0,), ((10, 12),))
+        batch = mga_tree(*nodes, query, 5000, params, np.random.default_rng(14))
+        oneshot = mga_tree_oneshot(*nodes, query, 5000, params, np.random.default_rng(14))
+        np.testing.assert_array_equal(batch, oneshot)
+
+    def test_zero_fakes(self):
+        reports = mga_tree(*unit_leaves(17), RangeQuery((0,), ((0, 1),)), 0,
+                           OueParams(1.0, 17), np.random.default_rng(15))
+        assert reports.shape == (0, 17)
 
     def test_hook_wrapper(self):
         hook = MgaTreeAttack(RangeQuery((0,), ((0, 2),)), 1.0)
@@ -249,14 +288,13 @@ class TestOptimalTreeAttack:
 
 class TestAaot:
     def test_ones_count_law(self):
-        # Output 1-counts must follow Bin(n-1, q) + Bin(1, 1/2).
+        # Output 1-counts must follow Bin(n-1, q) + Bin(1, 1/2); the chi^2
+        # test at the 0.999 quantile fails falsely with probability 0.1 %.
         rng = np.random.default_rng(9)
         n, q = 16, 0.25
-        base = np.zeros(n, dtype=np.uint8)
-        base[:4] = 1
-        counts = np.array(
-            [aaot_transform(base, n, q, rng).sum() for _ in range(4000)]
-        )
+        base = np.zeros((4000, n), dtype=np.uint8)
+        base[:, :4] = 1
+        counts = aaot_transform(base, n, q, rng).sum(axis=1)
         pmf = np.convolve(stats.binom.pmf(np.arange(n), n - 1, q), [0.5, 0.5])
         observed = np.bincount(counts, minlength=n + 1)
         expected = pmf * counts.size
@@ -266,19 +304,58 @@ class TestAaot:
         assert chi2 < cutoff
 
     def test_keeps_targeting_bits_when_possible(self):
+        # A row keeps every original 1 when its drawn count is at least its
+        # 1-count, and keeps only original 1s when the count is at most it.
         rng = np.random.default_rng(10)
-        base = np.zeros(16, dtype=np.uint8)
-        base[0] = 1
-        for _ in range(50):
-            out = aaot_transform(base, 16, 0.25, rng)
-            if out.sum() >= 1:
-                # The original targeted bit survives unless the drawn count
-                # forces removals below the original 1-count.
-                assert out[0] == 1
+        n = 16
+        base = (rng.random((2000, n)) < rng.random((2000, 1))).astype(np.uint8)
+        out = aaot_transform(base, n, 0.25, rng)
+        k, target = base.sum(axis=1), out.sum(axis=1)
+        grew, shrank = target >= k, target <= k
+        assert (target > k).any() and (target < k).any() and (target == k).any()
+        assert np.all(out[grew] >= base[grew])
+        assert np.all(out[shrank] <= base[shrank])
+
+    def test_flipped_bits_are_uniform_and_match_row_oracle(self):
+        # Base rows set the first 8 of 32 bits: the bits a row adds must be
+        # spread evenly over the 24 zeros and the bits it clears over the 8
+        # ones.  Flips within a row are drawn without replacement, which makes
+        # column counts less spread than the chi^2 cutoffs assume, so each of
+        # the three tests fails falsely with probability <= 0.1 %.
+        n, q, m = 32, 0.25, 4000
+        base = np.zeros((m, n), dtype=np.uint8)
+        base[:, :8] = 1
+        out = aaot_transform(base, n, q, np.random.default_rng(16))
+        for columns in (out[:, 8:].sum(axis=0), m - out[:, :8].sum(axis=0)):
+            expected = columns.mean()
+            chi2 = ((columns - expected) ** 2 / expected).sum()
+            assert chi2 < stats.chi2.ppf(0.999, columns.size - 1)
+        rng = np.random.default_rng(17)
+        rows = np.array([aaot_transform_rows(row, n, q, rng) for row in base])
+        kept = [np.bincount(x[:, :8].sum(axis=1), minlength=9) for x in (out, rows)]
+        table = np.array(kept)[:, np.array(kept).sum(axis=0) > 0]
+        assert stats.chi2_contingency(table)[1] > 0.001
+
+    def test_chunked_equals_oneshot(self):
+        # 55 nodes: 1,191 rows per chunk, so 3,000 rows cross two boundaries.
+        rng = np.random.default_rng(18)
+        base = (rng.random((3000, 55)) < 0.2).astype(np.uint8)
+        batch = aaot_transform(base, 55, 0.27, np.random.default_rng(19))
+        oneshot = aaot_transform_oneshot(base, 55, 0.27, np.random.default_rng(19))
+        np.testing.assert_array_equal(batch, oneshot)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            aaot_transform(np.zeros(4, np.uint8), 5, 0.25, np.random.default_rng(0))
+            aaot_transform(np.zeros((3, 4), np.uint8), 5, 0.25, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            aaot_transform(np.zeros(5, np.uint8), 5, 0.25, np.random.default_rng(0))
+
+    def test_zero_fakes(self):
+        out = aaot_transform(np.zeros((0, 7), np.uint8), 7, 0.25, np.random.default_rng(0))
+        assert out.shape == (0, 7) and out.dtype == np.uint8
+        inner = MgaTreeAttack(RangeQuery((0,), ((0, 4),)), 1.0)
+        wrapper = AdaptiveTreeAttack(inner, 1.0)
+        assert wrapper(*unit_leaves(16), 0, np.random.default_rng(0)).shape == (0, 16)
 
     def test_wrapper_resamples_every_row(self):
         inner = MgaTreeAttack(RangeQuery((0,), ((0, 4),)), 1.0)
