@@ -176,8 +176,10 @@ def grid_detect(
 ) -> DetectionResult:
     """Max-load test over one OLH round's reported hash functions.
 
-    Flags the round when the observed maximum per-function usage lands in
-    the simulated honest distribution's upper ``alpha`` tail.  The rough
+    Flags the round when the observed maximum per-function usage exceeds
+    :meth:`MaxLoadCdf.threshold`, the smallest load whose simulated honest
+    CDF value exceeds ``1 - alpha``, so honest rounds are flagged at most
+    ``alpha`` of the time.  The rough
     analytic threshold ``log N / (log N - log |H|)`` is reported as metadata
     only (and omitted where it is singular).
     """
@@ -187,7 +189,7 @@ def grid_detect(
     usage = np.unique(fn_ids, return_counts=True)[1]
     statistic = float(usage.max())
     cdf = max_load_cdf(fn_ids.size, family_size, trials)
-    threshold = cdf.threshold(alpha) - 1.0
+    threshold = float(cdf.threshold(alpha))
     n = float(fn_ids.size)
     analytic = None
     if family_size != n and n > 1:

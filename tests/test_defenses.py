@@ -16,6 +16,7 @@ from ldplab.defenses import (
     ones_count_cdf,
     tree_detect,
 )
+from ldplab.grid_protocol import GridConfig
 
 from .oracles import max_load_threshold_scan
 
@@ -186,6 +187,22 @@ class TestGridDetect:
             fn_ids = rng.integers(0, 300, 500)
             result = grid_detect(fn_ids, 300, trials=300)
             assert result.detected == (result.statistic > result.threshold)
+
+    def test_honest_rounds_flagged_at_most_alpha(self):
+        # 2,000 honest rounds per round size of the bench grid family (prime
+        # 211, 44,310 functions), sized as 30k- and 100k-user runs with 10 %
+        # fakes.  If the true flag rate is at most alpha, the count exceeds
+        # the binomial 0.999 quantile with probability <= 0.1 %.
+        alpha, rounds = 0.005, 2000
+        family_size = GridConfig(d=5, prime=211).family().n_random_functions
+        cutoff = stats.binom.ppf(0.999, rounds, alpha)
+        rng = np.random.default_rng(20)
+        for round_size in (2222, 7407):
+            flagged = sum(
+                grid_detect(rng.integers(0, family_size, round_size), family_size, alpha).detected
+                for _ in range(rounds)
+            )
+            assert flagged <= cutoff, (round_size, flagged, cutoff)
 
     def test_analytic_metadata(self):
         rng = np.random.default_rng(6)
