@@ -280,13 +280,12 @@ class GridRangeAttack(_GridHook):
         keys = grid_keys(self.config.d)
         return [k for k in keys if any(a in self.query.attrs for a in k[1:])]
 
-    def _candidates(self, keys: List[GridKey]) -> Dict[GridKey, _Candidates]:
+    def _candidates(self, scans: Dict[GridKey, GridSupports]) -> Dict[GridKey, _Candidates]:
         """Per grid: subset/size-compliant (fn_id, key) rows and their
         per-attribute column counts (one row per pair)."""
         eye = np.eye(self.config.g2, dtype=np.int64)
         out = {}
-        for key in keys:
-            scan = self.supports(key)
+        for key, scan in scans.items():
             w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
             cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
             support = scan.hits[cand[:, 1], :, cand[:, 0]].astype(np.int64)
@@ -328,7 +327,8 @@ class GridRangeAttack(_GridHook):
         self, fake_counts: Dict[GridKey, int], n_total: int, rng: np.random.Generator
     ) -> None:
         keys = self._relevant_keys()
-        candidates = self._candidates(keys)
+        scans = {key: self.supports(key) for key in keys}
+        candidates = self._candidates(scans)
         best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey], ColumnBook]] = None
         for _ in range(self.max_restarts):
             book = ColumnBook(self.config.g2)
@@ -339,10 +339,13 @@ class GridRangeAttack(_GridHook):
                 break
         assert best is not None
         self.chosen, self.fallback_keys, self.book = best
-        # Fallback grids first, then the grids with no query attribute.
-        others = [k for k in grid_keys(self.config.d) if k not in keys]
-        for key in self.fallback_keys + others:
-            self.chosen[key] = haog_best_pair(self.supports(key), rng)
+        # Fallback grids first, reusing their scans, then the grids with no
+        # query attribute.
+        for key in self.fallback_keys:
+            self.chosen[key] = haog_best_pair(scans[key], rng)
+        for key in grid_keys(self.config.d):
+            if key not in scans:
+                self.chosen[key] = haog_best_pair(self.supports(key), rng)
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ldplab.attacks import grid as grid_attacks
 from ldplab.attacks import (
     AdaptiveGridAttack,
     GridRangeAttack,
@@ -85,20 +86,41 @@ def _plan(attack: str, query, rng: np.random.Generator) -> dict:
     return {"load_limit": hook.load_limit, "plan": plan}
 
 
+def _queries():
+    return gen_queries(
+        N_QUERIES, CONFIG.domain_size, CONFIG.d, 3, np.random.default_rng(2110), snap=CONFIG.col_width
+    )
+
+
 def _digest(case: str) -> str:
     qname, attack = case.split("-")
     index = int(qname[1:])
-    queries = gen_queries(
-        N_QUERIES, CONFIG.domain_size, CONFIG.d, 3, np.random.default_rng(2110), snap=CONFIG.col_width
-    )
     rng = np.random.default_rng(np.random.SeedSequence([2111, index]))
-    plan = _plan(attack, queries[index], rng)
+    plan = _plan(attack, _queries()[index], rng)
     return hashlib.sha256(json.dumps(plan, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_grid_plan_matches_fixture(case):
     assert _digest(case) == json.loads(FIXTURE.read_text())[case]
+
+
+def test_range_attack_begin_scans_each_grid_once(monkeypatch):
+    # Fallback grids reuse the scans of the candidate search.
+    calls = []
+    scan = grid_attacks.scan_supports
+    monkeypatch.setattr(
+        grid_attacks, "scan_supports", lambda *args: calls.append(args) or scan(*args)
+    )
+    fake_counts, n_total = _fake_counts()
+    fallbacks = 0
+    for index, query in enumerate(_queries()):
+        calls.clear()
+        hook = GridRangeAttack(CONFIG, query, RHO)
+        hook.begin(fake_counts, n_total, np.random.default_rng(index))
+        fallbacks += len(hook.fallback_keys)
+        assert len(calls) == len(grid_keys(CONFIG.d)), index
+    assert fallbacks > 0
 
 
 if __name__ == "__main__":
