@@ -70,12 +70,9 @@ def mga_tree(
     The layer's nodes are the intervals ``[lo, hi)``.  Each report sets 1 on
     the ``k`` nodes contained in the query and on
     ``extra = max(floor(p + (L-1)q - k), 0)`` out-of-range nodes, matching
-    the expected honest 1-count when possible.  Every report draws one
-    uniform key per out-of-range node and pads the ``extra`` lowest-keyed
-    ones, so its padding is a uniform ``extra``-subset.  The keys are drawn
-    in row chunks of about 65,536 (at least one row); ``Generator.random``
-    consumes its stream in order, so the reports equal those of one draw of
-    all keys.
+    the expected honest 1-count when possible.  A report pads its ``extra``
+    lowest-keyed out-of-range nodes under uniform keys, drawn in row chunks
+    of about 65,536 cells (equal to one draw of all keys).
     """
     n_nodes = len(lo)
     if n_nodes == 0:
@@ -384,12 +381,12 @@ def aaot_transform(
     """Resample every fake report's 1-count from the honest OUE law.
 
     ``reports`` is an ``(m, n)`` 0/1 matrix; a new uint8 matrix is returned.
-    Draws all ``m`` targets ``Bin(n-1, q)``, then all ``m`` coins
-    ``Bin(1, 1/2)``, then one uniform key per cell (in row chunks of about
-    65,536, which equals one draw of all keys).  A row with ``k`` ones and
-    target ``X`` sets its ``X - k`` lowest-keyed zeros or clears its
-    ``k - X`` lowest-keyed ones, so it keeps its targeting bits whenever the
-    count allows and the flipped bits are a uniformly random subset.
+    Draws all ``m`` targets ``X ~ Bin(n-1, q)``, then all ``m`` coins added
+    to them, then one uniform key per cell in row chunks as in
+    :func:`mga_tree`.  A row with ``k`` ones sets its ``X - k``
+    lowest-keyed zeros or clears its ``k - X`` lowest-keyed ones, so it
+    keeps its targeting bits whenever the count allows and the flipped bits
+    are a uniformly random subset.
     """
     out = np.array(reports, dtype=np.uint8)
     if out.ndim != 2 or out.shape[1] != n:
@@ -397,7 +394,7 @@ def aaot_transform(
     m = out.shape[0]
     target = rng.binomial(n - 1, q, m) + (rng.random(m) < 0.5)
     delta = target - out.sum(axis=1, dtype=np.int64)
-    step = max(1, _CHUNK // max(n, 1))
+    step = max(1, _CHUNK // n)
     for start in range(0, m, step):
         rows = out[start : start + step]
         d = delta[start : start + step, None]

@@ -179,9 +179,9 @@ def grid_detect(
     Flags the round when the observed maximum per-function usage exceeds
     :meth:`MaxLoadCdf.threshold`, the smallest load whose simulated honest
     CDF value exceeds ``1 - alpha``, so honest rounds are flagged at most
-    ``alpha`` of the time.  The rough
-    analytic threshold ``log N / (log N - log |H|)`` is reported as metadata
-    only (and omitted where it is singular).
+    ``alpha`` of the time.  The rough analytic threshold
+    ``log N / (log N - log |H|)`` is reported as metadata only (and omitted
+    where it is singular).
     """
     fn_ids = np.asarray(fn_ids, dtype=np.int64)
     if fn_ids.size == 0:
