@@ -133,11 +133,16 @@ def scan_supports(family: HashFamily, in_range: np.ndarray, scale: float) -> Gri
     return GridSupports(family.random_fn_ids(), hits, sizes, inter, scale)
 
 
-def _random_argmax(values: np.ndarray, rng: np.random.Generator) -> Tuple[int, int]:
-    best = values.max()
-    ties = np.argwhere(values == best)
-    pick = ties[rng.integers(0, len(ties))]
-    return int(pick[0]), int(pick[1])
+def _best_pairs(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
+    """``(fn_id, key)`` rows of every maximum of ``values[row, key]``."""
+    ties = np.argwhere(values == values.max())
+    ties[:, 0] = fn_ids[ties[:, 0]]
+    return ties
+
+
+def _pick(pairs: np.ndarray, rng: np.random.Generator) -> HashPair:
+    fn_id, key = pairs[rng.integers(0, len(pairs))]
+    return HashPair(int(fn_id), int(key))
 
 
 def _repeat(pair: HashPair, m_fake: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -173,8 +178,7 @@ def mga_grid(supports: GridSupports, rng: np.random.Generator) -> HashPair:
     """Hash pair with the largest in-range support, ties broken uniformly."""
     if not supports.inter.any():
         raise ValueError("query covers no cell of this grid")
-    row, key = _random_argmax(supports.inter, rng)
-    return HashPair(int(supports.fn_ids[row]), key)
+    return _pick(_best_pairs(supports.inter, supports.fn_ids), rng)
 
 
 class MgaGridAttack(_GridHook):
@@ -280,22 +284,19 @@ class GridRangeAttack(_GridHook):
         keys = grid_keys(self.config.d)
         return [k for k in keys if any(a in self.query.attrs for a in k[1:])]
 
-    def _candidates(self, scans: Dict[GridKey, GridSupports]) -> Dict[GridKey, _Candidates]:
-        """Per grid: subset/size-compliant (fn_id, key) rows and their
+    def _candidates(self, key: GridKey, scan: GridSupports) -> _Candidates:
+        """Subset/size-compliant (fn_id, key) rows of one grid and their
         per-attribute column counts (one row per pair)."""
         eye = np.eye(self.config.g2, dtype=np.int64)
-        out = {}
-        for key, scan in scans.items():
-            w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
-            cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
-            support = scan.hits[cand[:, 1], :, cand[:, 0]].astype(np.int64)
-            counts = {
-                attr: support @ eye[cols]
-                for attr, cols in self.config.columns(key).items()
-                if attr in self.query.attrs
-            }
-            out[key] = (np.column_stack([scan.fn_ids[cand[:, 0]], cand[:, 1]]), counts)
-        return out
+        w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
+        cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
+        support = scan.hits[cand[:, 1], :, cand[:, 0]].astype(np.int64)
+        counts = {
+            attr: support @ eye[cols]
+            for attr, cols in self.config.columns(key).items()
+            if attr in self.query.attrs
+        }
+        return np.column_stack([scan.fn_ids[cand[:, 0]], cand[:, 1]]), counts
 
     def _plan_once(
         self,
@@ -327,8 +328,15 @@ class GridRangeAttack(_GridHook):
         self, fake_counts: Dict[GridKey, int], n_total: int, rng: np.random.Generator
     ) -> None:
         keys = self._relevant_keys()
-        scans = {key: self.supports(key) for key in keys}
-        candidates = self._candidates(scans)
+        # A grid without candidates falls back in every attempt, so its
+        # heuristic ties are kept from its one scan (the scans themselves
+        # are not kept: holding them costs more page faults than a rescan).
+        candidates, heuristic = {}, {}
+        for key in keys:
+            scan = self.supports(key)
+            candidates[key] = self._candidates(key, scan)
+            if not len(candidates[key][0]):
+                heuristic[key] = _haog_pairs(scan)
         best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey], ColumnBook]] = None
         for _ in range(self.max_restarts):
             book = ColumnBook(self.config.g2)
@@ -339,12 +347,12 @@ class GridRangeAttack(_GridHook):
                 break
         assert best is not None
         self.chosen, self.fallback_keys, self.book = best
-        # Fallback grids first, reusing their scans, then the grids with no
-        # query attribute.
-        for key in self.fallback_keys:
-            self.chosen[key] = haog_best_pair(scans[key], rng)
-        for key in grid_keys(self.config.d):
-            if key not in scans:
+        # Fallback grids first, then the grids with no query attribute.
+        others = [k for k in grid_keys(self.config.d) if k not in keys]
+        for key in self.fallback_keys + others:
+            if key in heuristic:
+                self.chosen[key] = _pick(heuristic[key], rng)
+            else:
                 self.chosen[key] = haog_best_pair(self.supports(key), rng)
 
     def __call__(
@@ -359,12 +367,16 @@ class GridRangeAttack(_GridHook):
 # Heuristic attack
 # ---------------------------------------------------------------------------
 
-def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> HashPair:
-    """Lexicographic argmax of the heuristic preference, ties uniform."""
+def _haog_pairs(supports: GridSupports) -> np.ndarray:
+    """``(fn_id, key)`` rows tied at the lexicographic heuristic maximum."""
     primary, secondary = supports.preference()
     score = np.where(primary == primary.max(), secondary, -np.inf)
-    row, key = _random_argmax(score, rng)
-    return HashPair(int(supports.fn_ids[row]), key)
+    return _best_pairs(score, supports.fn_ids)
+
+
+def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> HashPair:
+    """Lexicographic argmax of the heuristic preference, ties uniform."""
+    return _pick(_haog_pairs(supports), rng)
 
 
 class HeuristicGridAttack(_GridHook):

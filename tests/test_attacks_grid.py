@@ -222,7 +222,7 @@ class TestFindHashPair:
         attack = GridRangeAttack(config, RangeQuery((0,), (interval,)), rho=0.2)
         attack.constraints = SizeConstraints(min_support, min_support)
         key = ("1d", 0)
-        candidates = attack._candidates({key: attack.supports(key)})
+        candidates = {key: attack._candidates(key, attack.supports(key))}
         book = book if book is not None else ColumnBook(config.g2)
         chosen, failed = attack._plan_once(
             [key], candidates, np.random.default_rng(14), book

@@ -106,7 +106,8 @@ def test_grid_plan_matches_fixture(case):
 
 
 def test_range_attack_begin_scans_each_grid_once(monkeypatch):
-    # Fallback grids reuse the scans of the candidate search.
+    # At this config every fallback grid has no compliant pair, so begin
+    # picks its heuristic pair from the candidate search's scan.
     calls = []
     scan = grid_attacks.scan_supports
     monkeypatch.setattr(
