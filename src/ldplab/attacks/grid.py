@@ -328,15 +328,15 @@ class GridRangeAttack(_GridHook):
         self, fake_counts: Dict[GridKey, int], n_total: int, rng: np.random.Generator
     ) -> None:
         keys = self._relevant_keys()
-        # A grid without candidates falls back in every attempt, so its
-        # heuristic ties are kept from its one scan (the scans themselves
-        # are not kept: holding them costs more page faults than a rescan).
-        candidates, heuristic = {}, {}
-        for key in keys:
+        # One scan per grid: the candidate search reads it, and its heuristic
+        # ties are kept for the grids that fall back (the scans themselves
+        # are not kept; holding them costs more page faults than the ties).
+        candidates, ties = {}, {}
+        for key in grid_keys(self.config.d):
             scan = self.supports(key)
-            candidates[key] = self._candidates(key, scan)
-            if not len(candidates[key][0]):
-                heuristic[key] = _haog_pairs(scan)
+            if key in keys:
+                candidates[key] = self._candidates(key, scan)
+            ties[key] = _haog_pairs(scan)
         best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey], ColumnBook]] = None
         for _ in range(self.max_restarts):
             book = ColumnBook(self.config.g2)
@@ -350,10 +350,7 @@ class GridRangeAttack(_GridHook):
         # Fallback grids first, then the grids with no query attribute.
         others = [k for k in grid_keys(self.config.d) if k not in keys]
         for key in self.fallback_keys + others:
-            if key in heuristic:
-                self.chosen[key] = _pick(heuristic[key], rng)
-            else:
-                self.chosen[key] = haog_best_pair(self.supports(key), rng)
+            self.chosen[key] = _pick(ties[key], rng)
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator

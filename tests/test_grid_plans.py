@@ -39,6 +39,7 @@ from ldplab.attacks import (
 )
 from ldplab.grid_protocol import GridConfig, grid_keys
 from ldplab.harness import gen_queries
+from ldplab.query import RangeQuery
 
 FIXTURE = Path(__file__).parent / "data" / "grid_plan_sha256.json"
 
@@ -105,23 +106,31 @@ def test_grid_plan_matches_fixture(case):
     assert _digest(case) == json.loads(FIXTURE.read_text())[case]
 
 
+# A query at the bench config whose plan leaves grids with compliant pairs
+# but no pair agreeing with the column book: ("2d", 2, 4) and ("1d", 2).
+CONFLICT_QUERY = RangeQuery(attrs=(1, 2, 3), intervals=((0, 16), (0, 48), (0, 32)))
+
+
 def test_range_attack_begin_scans_each_grid_once(monkeypatch):
-    # At this config every fallback grid has no compliant pair, so begin
-    # picks its heuristic pair from the candidate search's scan.
     calls = []
     scan = grid_attacks.scan_supports
     monkeypatch.setattr(
         grid_attacks, "scan_supports", lambda *args: calls.append(args) or scan(*args)
     )
     fake_counts, n_total = _fake_counts()
-    fallbacks = 0
-    for index, query in enumerate(_queries()):
+    hooks = []
+    for index, query in enumerate(_queries() + [CONFLICT_QUERY]):
         calls.clear()
         hook = GridRangeAttack(CONFIG, query, RHO)
         hook.begin(fake_counts, n_total, np.random.default_rng(index))
-        fallbacks += len(hook.fallback_keys)
         assert len(calls) == len(grid_keys(CONFIG.d)), index
-    assert fallbacks > 0
+        hooks.append(hook)
+    # Both kinds of fallback grid occur: with no candidate at all, and with
+    # candidates that all conflict with the column book.
+    fallbacks = [(hook, key) for hook in hooks for key in hook.fallback_keys]
+    has_candidates = [len(hook._candidates(key, hook.supports(key))[0]) > 0 for hook, key in fallbacks]
+    assert not all(has_candidates)
+    assert any(has_candidates)
 
 
 if __name__ == "__main__":
