@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,18 @@ __all__ = [
 
 # Row chunks of about this many cells bound the key matrices' memory.
 _CHUNK = 65536
+
+
+def _key_chunks(
+    rng: np.random.Generator, m: int, width: int
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Uniform ``(rows, width)`` keys for ``m`` rows, in row chunks of about
+    ``_CHUNK`` cells (at least one row).  The chunks stacked are equal to
+    one ``rng.random((m, width))`` draw."""
+    step = max(1, _CHUNK // width)
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        yield rows, rng.random((rows.stop - rows.start, width))
 
 
 @dataclass
@@ -87,12 +99,9 @@ def mga_tree(
     extra = min(extra, out_idx.size)
     reports = np.tile(in_range.astype(np.uint8), (m_fake, 1))
     if extra:
-        step = max(1, _CHUNK // out_idx.size)
-        for start in range(0, m_fake, step):
-            rows = reports[start : start + step]
-            keys = rng.random((rows.shape[0], out_idx.size))
+        for rows, keys in _key_chunks(rng, m_fake, out_idx.size):
             picked = np.argpartition(keys, extra - 1, axis=1)[:, :extra]
-            np.put_along_axis(rows, out_idx[picked], 1, axis=1)
+            np.put_along_axis(reports[rows], out_idx[picked], 1, axis=1)
     return reports
 
 
@@ -394,17 +403,14 @@ def aaot_transform(
     m = out.shape[0]
     target = rng.binomial(n - 1, q, m) + (rng.random(m) < 0.5)
     delta = target - out.sum(axis=1, dtype=np.int64)
-    step = max(1, _CHUNK // n)
-    for start in range(0, m, step):
-        rows = out[start : start + step]
-        d = delta[start : start + step, None]
-        keys = rng.random(rows.shape)
+    for rows, keys in _key_chunks(rng, m, n):
+        chunk, d = out[rows], delta[rows, None]
         # Only zeros may flip in a row that gains ones, only ones in a row
         # that loses them: every other cell sorts after all candidates.
-        keys[(rows == 1) == (d > 0)] = 2.0
+        keys[(chunk == 1) == (d > 0)] = 2.0
         order = np.argsort(keys, axis=1)
         r, rank = np.nonzero(np.arange(n) < np.abs(d))
-        rows[r, order[r, rank]] ^= 1
+        chunk[r, order[r, rank]] ^= 1
     return out
 
 
