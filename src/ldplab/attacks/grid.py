@@ -19,6 +19,9 @@ Attack families:
 * an adaptive variant that caps per-function usage below the max-load
   detector's threshold and spreads fake reports over many functions via a
   quota matching between grids and functions.
+
+OLH keeps a report's hashed key with probability ``p`` (``OlhParams.p``);
+the size bounds read it through ``GridConfig.olh_params()``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..defenses import binomial_pmf, max_load_cdf
 from ..freq_oracles import HashFamily, HashPair
 from ..grid_protocol import GridConfig, GridKey, cells_in_range, grid_keys
 from ..query import RangeQuery
@@ -194,17 +198,19 @@ class MgaGridAttack(_GridHook):
 # Constraint-driven attack
 # ---------------------------------------------------------------------------
 
-def aog_size_constraints(
-    rho: float, g: int, g1: int, g2: int, d: int
-) -> SizeConstraints:
+def aog_size_constraints(rho: float, config: GridConfig) -> SizeConstraints:
     """Minimum in-range support sizes guaranteeing full concentration.
 
     Derived bounds on how much mass normalization can strip from the target
-    cells; infeasible (non-positive denominator) configurations raise.
+    cells, from the grid layout (``g1``, ``g2``, ``d``) and the OLH
+    ``p - q`` of ``config``; infeasible (non-positive denominator)
+    configurations raise.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0 for the size constraints")
-    factor = (0.5 - 1.0 / g) / rho
+    olh = config.olh_params()
+    g1, g2, d = config.g1, config.g2, config.d
+    factor = (olh.p - olh.q) / rho
     den1 = (d - 1) * (g1 - 2 * g2) + g2 * g2
     if den1 <= 0:
         raise ValueError("1-D size constraint infeasible: non-positive denominator")
@@ -268,9 +274,7 @@ class GridRangeAttack(_GridHook):
         max_restarts: int = 50,
     ):
         super().__init__(config, query)
-        self.constraints = aog_size_constraints(
-            rho, self.family.g, config.g1, config.g2, config.d
-        )
+        self.constraints = aog_size_constraints(rho, config)
         self.max_restarts = max_restarts
         self.book = ColumnBook(config.g2)
         self.fallback_keys: List[GridKey] = []
@@ -395,31 +399,21 @@ def aaog_compute_load_limit(
     m_round: int,
     n_round_real: int,
     family_size: int,
-    trials: int,
-    rng: np.random.Generator,
 ) -> int:
     """Largest per-function usage cap that keeps detection risk below beta.
 
     For candidate cap ``l`` the attacker spreads its ``m_round`` reports over
     ``ceil(m_round / l)`` functions.  The detector fires when a load reaches
     ``threshold``, so a round is safe if the honest occupancy of every chosen
-    function stays below ``threshold - l``.  The honest balls-into-bins
-    occupancy is simulated ``trials`` times; since the attacker's functions
-    are an exchangeable sample of the bins, the per-function tail is pooled
-    over all bins of all trials and the round failure probability is
-    ``1 - (1 - tail)^n_fns``.  Returns 0 when no cap is safe.
+    function stays below ``threshold - l``.  Each function's honest
+    occupancy is exactly ``Bin(n_round_real, 1 / family_size)``; treating
+    the attacker's functions as independent draws of it, the round failure
+    probability is ``1 - (1 - tail)^n_fns``.  Returns 0 when no cap is safe.
     """
     if m_round < 1:
         return 0
-    load_hist = np.zeros(n_round_real + 1, dtype=np.int64)
-    for _ in range(trials):
-        occ = np.bincount(
-            rng.integers(0, family_size, size=n_round_real),
-            minlength=family_size,
-        )
-        load_hist += np.bincount(occ, minlength=n_round_real + 1)
-    # tail[k] = fraction of (bin, trial) pairs with load >= k.
-    tail = load_hist[::-1].cumsum()[::-1] / (family_size * trials)
+    # tail[k] = P[honest load of one function >= k].
+    tail = binomial_pmf(n_round_real, 1.0 / family_size)[::-1].cumsum()[::-1]
     l_max = min(int(math.ceil(threshold)) - 1, m_round)
     for cap in range(l_max, 0, -1):
         n_fns = math.ceil(m_round / cap)
@@ -482,13 +476,11 @@ class AdaptiveGridAttack(_GridHook):
         query: RangeQuery,
         alpha: float = 0.005,
         beta: float = 0.1,
-        load_trials: int = 200,
         cdf_trials: int = 1000,
     ):
         super().__init__(config, query)
         self.alpha = alpha
         self.beta = beta
-        self.load_trials = load_trials
         self.cdf_trials = cdf_trials
         self.load_limit: Optional[int] = None
         self._plan: Dict[GridKey, Tuple[np.ndarray, np.ndarray]] = {}
@@ -496,8 +488,6 @@ class AdaptiveGridAttack(_GridHook):
     def begin(
         self, fake_counts: Dict[GridKey, int], n_total: int, rng: np.random.Generator
     ) -> None:
-        from ..defenses import max_load_cdf
-
         family_size = self.family.n_random_functions
         n_groups = self.config.n_groups
         round_size = max(n_total // n_groups, 1)
@@ -517,8 +507,6 @@ class AdaptiveGridAttack(_GridHook):
             m_round,
             max(round_size - m_round, 0),
             family_size,
-            self.load_trials,
-            rng,
         )
         if self.load_limit < 1:
             raise RuntimeError(
@@ -538,20 +526,13 @@ class AdaptiveGridAttack(_GridHook):
         quotas = [math.ceil(fake_counts[k] / self.load_limit) for k in keys]
         matched = match_functions_to_grids(values, quotas)
         for g_idx, key in enumerate(keys):
-            m_fake = fake_counts[key]
-            fns: List[int] = []
-            rep_keys: List[int] = []
-            left = m_fake
-            for f_idx in matched[g_idx]:
-                use = min(self.load_limit, left)
-                fns.extend([int(fn_ids[f_idx])] * use)
-                rep_keys.extend([int(best_keys[g_idx, f_idx])] * use)
-                left -= use
-                if left == 0:
-                    break
+            # Each matched function in turn takes up to load_limit fakes.
+            cap = self.load_limit
+            cols = np.asarray(matched[g_idx], dtype=np.int64)
+            uses = np.clip(fake_counts[key] - cap * np.arange(cols.size), 0, cap)
             self._plan[key] = (
-                np.array(fns, dtype=np.int64),
-                np.array(rep_keys, dtype=np.int64),
+                np.repeat(fn_ids[cols], uses),
+                np.repeat(best_keys[g_idx, cols], uses),
             )
 
     def __call__(

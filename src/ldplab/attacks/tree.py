@@ -21,7 +21,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from ..freq_oracles import OueParams
+from ..freq_oracles import OueParams, debias_counts
 from ..postprocess import norm_sub
 from ..query import RangeQuery
 from ..tree_protocol import Tree, TreeConfig, _partition_sizes, query_cover
@@ -168,7 +168,7 @@ def expected_layer_estimates(
     assignment = np.asarray(assignment, dtype=np.float64)
     total = n_real + m_fake
     counts = n_real * (freqs * params.p + (1.0 - freqs) * params.q) + assignment
-    return (counts - total * params.q) / (total * (params.p - params.q))
+    return debias_counts(counts, total, params)
 
 
 def assignment_objective(

@@ -8,21 +8,27 @@
   maximum per-function usage follows a balls-into-bins law estimated by
   simulation; the round is flagged when the observed maximum load is in the
   distribution's upper alpha tail.
+
+:func:`binomial_pmf` is the one binomial law of the package: the tree
+detector's 1-count law and the adaptive grid attack's per-function honest
+load are built from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
+from .freq_oracles import OueParams
+
 __all__ = [
     "DetectionResult",
-    "TreeDefenseParams",
+    "binomial_pmf",
     "ones_count_cdf",
     "tree_detect",
     "MaxLoadCdf",
@@ -39,41 +45,36 @@ class DetectionResult:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class TreeDefenseParams:
-    """Parameters of the ones-count interval test.
+def binomial_pmf(n: int, q: float) -> np.ndarray:
+    """Exact pmf of ``Bin(n, q)``: ``P[X = k]`` for k in 0..n.
 
-    The closed-form fraction ``outside_mass`` is the expected honest mass
-    *outside* the interval.
+    Built from ``math.lgamma`` log terms; ``q`` of 0 or 1 puts all mass on
+    0 or ``n``.
     """
-
-    alpha: float = 0.005
-
-    @property
-    def z_alpha(self) -> float:
-        return statistics.NormalDist().inv_cdf(1.0 - self.alpha)
-
-    @property
-    def outside_mass(self) -> float:
-        return (1.0 - math.sqrt(1.0 / (1.0 + self.z_alpha**2))) / 2.0
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    if q in (0.0, 1.0):
+        pmf = np.zeros(n + 1)
+        pmf[n if q == 1.0 else 0] = 1.0
+        return pmf
+    k = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])  # log(j!)
+    log_choose = log_fact[n] - log_fact[k] - log_fact[n - k]
+    return np.exp(log_choose + k * math.log(q) + (n - k) * math.log1p(-q))
 
 
 def ones_count_cdf(n: int, q: float) -> np.ndarray:
     """Exact CDF of the honest OUE 1-count: Bin(n-1, q) + Bin(1, 1/2).
 
-    Returns an array ``F`` with ``F[x] = P[count <= x]`` for x in 0..n.  The
-    Bin(n-1, q) pmf is built from ``math.lgamma`` log terms.
+    Returns an array ``F`` with ``F[x] = P[count <= x]`` for x in 0..n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
-    trials = n - 1
-    k = np.arange(n)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n)])  # log(j!)
-    log_choose = log_fact[trials] - log_fact[k] - log_fact[trials - k]
-    noise = np.exp(log_choose + k * math.log(q) + (trials - k) * math.log1p(-q))
-    pmf = np.convolve(noise, [0.5, 0.5])
+    pmf = np.convolve(binomial_pmf(n - 1, q), [0.5, 0.5])
     return np.minimum(np.cumsum(pmf), 1.0)
 
 
@@ -81,22 +82,23 @@ def tree_detect(
     ones_counts: Sequence[int],
     n: int,
     epsilon: float,
-    params: Optional[TreeDefenseParams] = None,
+    alpha: float = 0.005,
 ) -> DetectionResult:
     """Ones-count interval test over one OUE round.
 
-    The central interval [I-, I+] holds all but ``outside_mass`` of the
-    honest 1-count law (split evenly between tails); the statistic is the
-    number of reports outside it, thresholded at its honest mean plus
-    ``z_alpha`` standard deviations.
+    The central interval [I-, I+] holds all but ``outside_mass =
+    (1 - sqrt(1 / (1 + z_alpha^2))) / 2`` of the honest 1-count law (split
+    evenly between tails), where ``z_alpha`` is the standard normal
+    ``1 - alpha`` quantile; the statistic is the number of reports outside
+    it, thresholded at its honest mean plus ``z_alpha`` standard deviations.
+    Both constants are reported as metadata.
     """
-    params = params or TreeDefenseParams()
     counts = np.asarray(ones_counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("empty round")
-    q = 1.0 / (np.exp(epsilon) + 1.0)
-    cdf = ones_count_cdf(n, q)
-    f_out = params.outside_mass
+    cdf = ones_count_cdf(n, OueParams(epsilon, n).q)
+    z_alpha = statistics.NormalDist().inv_cdf(1.0 - alpha)
+    f_out = (1.0 - math.sqrt(1.0 / (1.0 + z_alpha**2))) / 2.0
     half = f_out / 2.0
 
     below = np.nonzero(cdf <= half)[0]
@@ -105,14 +107,12 @@ def tree_detect(
 
     n_users = counts.size
     statistic = float(np.count_nonzero((counts < i_minus) | (counts > i_plus)))
-    threshold = n_users * f_out + params.z_alpha * math.sqrt(
-        n_users * f_out * (1.0 - f_out)
-    )
+    threshold = n_users * f_out + z_alpha * math.sqrt(n_users * f_out * (1.0 - f_out))
     return DetectionResult(
         detected=statistic > threshold,
         statistic=statistic,
         threshold=threshold,
-        metadata={"interval": (i_minus, i_plus), "outside_mass": f_out},
+        metadata={"interval": (i_minus, i_plus), "outside_mass": f_out, "z_alpha": z_alpha},
     )
 
 
@@ -140,32 +140,26 @@ class MaxLoadCdf:
         return int(ordered[hits[0]]) if hits.size else int(ordered[-1]) + 1
 
 
-_CDF_CACHE: Dict[Tuple[int, int, int], MaxLoadCdf] = {}
-_CDF_LOCK = threading.Lock()
-
-
 def max_load_cdf(n_balls: int, n_bins: int, trials: int = 1000) -> MaxLoadCdf:
     """Simulated max-load distribution, cached per (n_balls, n_bins, trials).
 
     The simulation seed is derived from the cache key, so results are
-    deterministic across processes.
+    deterministic across processes, and a repeated key returns the same
+    object.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    key = (int(n_balls), int(n_bins), int(trials))
-    with _CDF_LOCK:
-        cached = _CDF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(np.random.SeedSequence([0x6C0AD, *key]))
+    return _max_load_cdf(int(n_balls), int(n_bins), int(trials))
+
+
+@functools.lru_cache(maxsize=None)
+def _max_load_cdf(n_balls: int, n_bins: int, trials: int) -> MaxLoadCdf:
+    rng = np.random.default_rng(np.random.SeedSequence([0x6C0AD, n_balls, n_bins, trials]))
     samples = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         balls = rng.integers(0, n_bins, size=n_balls)
         samples[t] = np.bincount(balls, minlength=n_bins).max()
-    result = MaxLoadCdf(key[0], key[1], samples)
-    with _CDF_LOCK:
-        _CDF_CACHE[key] = result
-    return result
+    return MaxLoadCdf(n_balls, n_bins, samples)
 
 
 def grid_detect(

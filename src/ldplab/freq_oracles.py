@@ -8,15 +8,18 @@ Implements the two oracles used by the range-query protocols:
 * OLH (optimal local hashing): each user picks a random function from a
   universal linear-congruential hash family mapping cells into ``g`` keys and
   reports a (function, key) pair; the key equals the hash of the true cell
-  with probability 1/2, otherwise it is uniform over the remaining keys.
+  with probability ``p`` (1/2 today), otherwise it is uniform over the
+  remaining keys.
 
-Both aggregators return unbiased (possibly negative) frequency estimates.
+Each mechanism's constants live in its params (:class:`OueParams`,
+:class:`OlhParams`), and both aggregators end in the one unbiased estimator
+:func:`debias_counts`, whose estimates may be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,8 +29,8 @@ __all__ = [
     "HashFamily",
     "HashPair",
     "smallest_prime_above",
+    "debias_counts",
     "oue_perturb_batch",
-    "oue_aggregate_counts",
     "olh_perturb_batch",
     "olh_aggregate",
 ]
@@ -70,22 +73,41 @@ class OueParams:
 
 @dataclass
 class OlhParams:
-    """Parameters for OLH: number of keys ``g`` and aggregation constant ``q``.
+    """Parameters for OLH: number of keys ``g``, keep probability ``p`` and
+    aggregation constant ``q``.
 
-    ``g`` is ``e^eps + 1`` rounded to the nearest integer.  The aggregation
-    uses ``q = 1/g``, the post-hash collision probability, which matches the
+    ``g`` is ``e^eps + 1`` rounded to the nearest integer.  A report keeps
+    its hashed key with probability ``p = 1/2``.  The aggregation uses
+    ``q = 1/g``, the post-hash collision probability, which matches the
     constants the grid attacks are calibrated against.
     """
 
     epsilon: float
     g: int = field(init=False)
+    p: float = field(init=False)
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         self.g = max(2, int(round(np.exp(self.epsilon) + 1.0)))
+        self.p = 0.5
         self.q = 1.0 / self.g
+
+
+def debias_counts(
+    counts: np.ndarray, n_users: int, params: Union[OueParams, OlhParams]
+) -> np.ndarray:
+    """Unbiased frequency estimate ``(C - n q) / (n (p - q))`` from per-item
+    support counts ``C`` of ``n_users`` reports (may contain negatives).
+
+    Item ``v``'s count has mean ``n (f_v p + (1 - f_v) q)`` under either
+    mechanism, so one estimator serves OUE and OLH.
+    """
+    if n_users < 1:
+        raise ValueError("empty report set")
+    counts = np.asarray(counts, dtype=np.float64)
+    return (counts - n_users * params.q) / (n_users * (params.p - params.q))
 
 
 @dataclass(frozen=True)
@@ -173,16 +195,6 @@ def oue_perturb_batch(
     return bits.view(np.uint8)
 
 
-def oue_aggregate_counts(
-    counts: np.ndarray, n_users: int, params: OueParams
-) -> np.ndarray:
-    """Unbiased frequency estimate from per-item 1-counts (may contain negatives)."""
-    if n_users < 1:
-        raise ValueError("empty report set")
-    counts = np.asarray(counts, dtype=np.float64)
-    return (counts - n_users * params.q) / (n_users * (params.p - params.q))
-
-
 # ---------------------------------------------------------------------------
 # OLH
 # ---------------------------------------------------------------------------
@@ -196,7 +208,7 @@ def olh_perturb_batch(
     """Perturb many users' cells at once; returns (fn_ids, keys) arrays.
 
     Each user draws a universal function and reports the hash of its cell
-    with probability 1/2, otherwise a uniformly drawn other key.
+    with probability ``params.p``, otherwise a uniformly drawn other key.
     """
     cells = np.asarray(true_cells, dtype=np.int64)
     m = cells.size
@@ -204,7 +216,7 @@ def olh_perturb_batch(
     b = rng.integers(0, family.prime, size=m)
     fn_ids = a * family.prime + b
     true_keys = ((a * cells + b) % family.prime) % family.g
-    keep = rng.random(m) < 0.5
+    keep = rng.random(m) < params.p
     wrong = rng.integers(0, family.g - 1, size=m)
     wrong = np.where(wrong >= true_keys, wrong + 1, wrong)
     keys = np.where(keep, true_keys, wrong)
@@ -216,7 +228,6 @@ def olh_aggregate(
     family: HashFamily,
     cells: Sequence[int],
     params: OlhParams,
-    n_users: Optional[int] = None,
 ) -> np.ndarray:
     """Unbiased per-cell frequency estimate from OLH reports.
 
@@ -224,14 +235,14 @@ def olh_aggregate(
     must lie in ``[0, g)``.  The reports are counted as distinct (function,
     key) pairs: each distinct pair's hash is evaluated over ``cells`` once and
     its multiplicity is added to the cells whose key it hits.  The support
-    counts are integers, so the estimate equals a per-report count exactly.
+    counts are integers, so the estimate equals a per-report count exactly;
+    :func:`debias_counts` turns them into frequencies.
     """
     fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
     if fn_ids.size == 0:
         raise ValueError("empty report set")
     if keys.min() < 0 or keys.max() >= family.g:
         raise ValueError(f"report keys must lie in [0, {family.g})")
-    n = int(n_users) if n_users is not None else fn_ids.size
     cells = np.asarray(cells, dtype=np.int64)
     distinct, mult = np.unique(fn_ids * family.g + keys, return_counts=True)
     fns, keys = np.divmod(distinct, family.g)
@@ -242,4 +253,4 @@ def olh_aggregate(
         sl = slice(start, start + chunk)
         cell_keys = ((a[sl, None] * cells[None, :] + b[sl, None]) % family.prime) % family.g
         counts += mult[sl] @ (cell_keys == keys[sl, None])
-    return (counts - n * params.q) / (n * (0.5 - params.q))
+    return debias_counts(counts, fn_ids.size, params)

@@ -214,9 +214,7 @@ def run_grid_protocol(
             rep_keys = np.concatenate([rep_keys, fake_keys])
         if observer is not None:
             observer(key, fn_ids)
-        freqs[key] = olh_aggregate(
-            (fn_ids, rep_keys), family, np.arange(math.prod(shape)), params, n_users=fn_ids.size
-        )
+        freqs[key] = olh_aggregate((fn_ids, rep_keys), family, np.arange(math.prod(shape)), params)
         group_sizes[key] = int(fn_ids.size)
 
     columns = {key: config.columns(key) for key in keys_order}

@@ -155,12 +155,17 @@ class ExperimentConfig:
                 raise ConfigError(f"csv dataset needs {self.dims_total} columns (dims_total)")
         elif kind in ("gaussian", "laplace"):
             try:
-                count = int(spec.get("count", 100_000))
-                float(spec.get("mean", 0.0)), float(spec.get("std", 1.0))
+                filled = {
+                    "kind": kind,
+                    "count": int(spec.get("count", 100_000)),
+                    "mean": float(spec.get("mean", self.domain_size / 2)),
+                    "std": float(spec.get("std", self.domain_size / 25)),
+                }
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"dataset count, mean and std must be numbers: {exc}") from exc
-            if count < 1:
+            if filled["count"] < 1:
                 raise ConfigError("dataset count must be >= 1")
+            self.dataset = {**spec, **filled}
         else:
             raise ConfigError(f"unknown dataset kind {kind!r} (expected gaussian|laplace|csv)")
 
@@ -330,15 +335,14 @@ def prism_bruteforce_ratio(epsilon: float, output=(0, 0, 0), v_low: int = 0, v_h
 # ---------------------------------------------------------------------------
 
 def _build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    spec = dict(config.dataset)
-    kind = spec.get("kind", "gaussian")
-    if kind == "csv":
+    spec = config.dataset  # defaults filled by ExperimentConfig
+    if spec["kind"] == "csv":
         return load_csv(spec["path"], spec["columns"], config.domain_size)
     return gen_synthetic(
-        kind,
-        int(spec.get("count", 100_000)),
-        float(spec.get("mean", config.domain_size / 2)),
-        float(spec.get("std", config.domain_size / 25)),
+        spec["kind"],
+        spec["count"],
+        spec["mean"],
+        spec["std"],
         config.domain_size,
         config.dims_total,
         rng,
@@ -392,13 +396,12 @@ def _run_trial(
     if not defend:
         observer = None
     elif tree:
-        params = defenses.TreeDefenseParams(alpha=config.alpha)
 
         def observer(frontier, real_reports, fake_reports):
             counts = real_reports.sum(axis=1)
             if fake_reports is not None and fake_reports.size:
                 counts = np.concatenate([counts, fake_reports.sum(axis=1)])
-            rounds.append(defenses.tree_detect(counts, len(frontier), config.epsilon, params))
+            rounds.append(defenses.tree_detect(counts, len(frontier), config.epsilon, config.alpha))
     else:
         family_size = config.protocol_config.family().n_random_functions
 

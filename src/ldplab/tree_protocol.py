@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .freq_oracles import OueParams, oue_aggregate_counts, oue_perturb_batch
+from .freq_oracles import OueParams, debias_counts, oue_perturb_batch
 from .postprocess import norm_sub, tree_consistency
 from .query import RangeQuery
 
@@ -154,8 +154,9 @@ class TreeConfig:
 
 def oue_sigma(epsilon: float, n_users: int) -> float:
     """Analytic standard deviation of a single OUE frequency estimate."""
-    q = 1.0 / (np.exp(epsilon) + 1.0)
-    return float(np.sqrt(q * (1.0 - q)) / ((0.5 - q) * np.sqrt(n_users)))
+    params = OueParams(epsilon, 1)  # p and q do not depend on the vector length
+    q = params.q
+    return float(np.sqrt(q * (1.0 - q)) / ((params.p - q) * np.sqrt(n_users)))
 
 
 def _partition_sizes(total: int, parts: int) -> List[int]:
@@ -239,7 +240,7 @@ def run_tree_protocol(
             total_users += m_fake
         if total_users == 0:
             continue
-        freqs = norm_sub(oue_aggregate_counts(counts, total_users, params)).normalized
+        freqs = norm_sub(debias_counts(counts, total_users, params)).normalized
         tree.f_hat[frontier] = freqs
 
         theta = config.threshold_for(total_users)

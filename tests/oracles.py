@@ -336,7 +336,7 @@ def olh_perturb(
         raise ValueError("cell out of domain")
     fn = hash_fn_id(family, int(rng.integers(1, family.prime)), int(rng.integers(0, family.prime)))
     true_key = hash_eval(family, fn, true_cell)
-    if rng.random() < 0.5:
+    if rng.random() < params.p:
         key = true_key
     else:
         key = int(rng.integers(0, family.g - 1))
@@ -365,7 +365,7 @@ def olh_aggregate_pairs(
     for pair in pairs:
         counts += np.isin(cells, olh_support(pair, family, cells))
     n = len(pairs)
-    return (counts - n * params.q) / (n * (0.5 - params.q))
+    return (counts - n * params.q) / (n * (params.p - params.q))
 
 
 def olh_support_scan(prime: int, g: int, fn_id: int, key: int, n_cells: int) -> List[int]:
@@ -493,3 +493,49 @@ def max_load_threshold_scan(samples: np.ndarray, alpha: float) -> int:
         if np.mean(samples <= x) > 1.0 - alpha:
             return x
     return int(samples.max()) + 1
+
+
+def simulated_load_tail(
+    n_round_real: int, family_size: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``tail[k]``: share of (bin, trial) pairs with honest load ``>= k``.
+
+    Throws ``n_round_real`` balls into ``family_size`` bins ``trials`` times
+    and pools the per-bin loads of all trials.
+    """
+    load_hist = np.zeros(n_round_real + 1, dtype=np.int64)
+    for _ in range(trials):
+        occ = np.bincount(
+            rng.integers(0, family_size, size=n_round_real),
+            minlength=family_size,
+        )
+        load_hist += np.bincount(occ, minlength=n_round_real + 1)
+    return load_hist[::-1].cumsum()[::-1] / (family_size * trials)
+
+
+def aaog_load_limit_simulated(
+    threshold: float,
+    beta: float,
+    m_round: int,
+    n_round_real: int,
+    family_size: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> int:
+    """``aaog_compute_load_limit`` with the honest per-function tail taken
+    from :func:`simulated_load_tail` instead of the exact binomial law."""
+    if m_round < 1:
+        return 0
+    tail = simulated_load_tail(n_round_real, family_size, trials, rng)
+    l_max = min(int(math.ceil(threshold)) - 1, m_round)
+    for cap in range(l_max, 0, -1):
+        n_fns = math.ceil(m_round / cap)
+        if n_fns > family_size:
+            continue
+        k_bad = int(math.ceil(threshold - cap))
+        if k_bad <= 0:
+            continue
+        p_bad = tail[k_bad] if k_bad <= n_round_real else 0.0
+        if 1.0 - (1.0 - p_bad) ** n_fns <= beta:
+            return cap
+    return 0

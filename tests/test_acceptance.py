@@ -24,7 +24,7 @@ from ldplab.attacks import (
     mga_tree,
     scan_supports,
 )
-from ldplab.defenses import TreeDefenseParams, grid_detect, max_load_cdf, tree_detect
+from ldplab.defenses import grid_detect, max_load_cdf, tree_detect
 from ldplab.freq_oracles import (
     HashFamily,
     OlhParams,
@@ -219,9 +219,10 @@ def test_criterion_04_grid_attack_full_concentration():
 
 def test_criterion_05_size_constraint_spot_check():
     # Configuration: g = 4 hash keys, g1 = 16, g2 = 4, d = 5 attributes.
-    low = aog_size_constraints(0.10, 4, 16, 4, 5)
-    high = aog_size_constraints(0.15, 4, 16, 4, 5)
-    ok = low.w2_int == 7 and high.w2_int == 5
+    config = GridConfig(d=5, g1=16, g2=4, epsilon=1.0)
+    low = aog_size_constraints(0.10, config)
+    high = aog_size_constraints(0.15, config)
+    ok = config.olh_params().g == 4 and low.w2_int == 7 and high.w2_int == 5
     report(
         5,
         ok,
@@ -321,10 +322,9 @@ def test_criterion_08_detection_rates():
     params = OueParams(1.0, n_nodes)
     lo = np.arange(n_nodes)
     query = RangeQuery((0,), ((0, 96),))
-    defense = TreeDefenseParams(alpha=alpha)
 
     def detect(counts):
-        return tree_detect(counts, n_nodes, 1.0, defense).detected
+        return tree_detect(counts, n_nodes, 1.0, alpha=alpha).detected
 
     honest_hits = mga_hits = adaptive_hits = 0
     for seed in range(trials):
@@ -348,8 +348,7 @@ def test_criterion_08_detection_rates():
     aaog_hits = 0
     for seed in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([1080, seed]))
-        attack = AdaptiveGridAttack(config, query5, alpha=alpha, beta=0.1,
-                                    load_trials=200, cdf_trials=1000)
+        attack = AdaptiveGridAttack(config, query5, alpha=alpha, beta=0.1, cdf_trials=1000)
         attack.begin(fake_counts, n_total, rng)
         flagged = False
         for key in keys:
@@ -482,7 +481,7 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
     unstable = 0
     for trial, query in enumerate(queries):
         rng = np.random.default_rng(np.random.SeedSequence([1110, trial]))
-        attack = AdaptiveGridAttack(config, query, load_trials=200, cdf_trials=1000)
+        attack = AdaptiveGridAttack(config, query, cdf_trials=1000)
         attack.begin(fake_counts, n_total, rng)
         limit = attack.load_limit
         all_fns = []

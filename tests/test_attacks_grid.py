@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ldplab.attacks import (
     AdaptiveGridAttack,
@@ -22,11 +23,18 @@ from ldplab.attacks import (
     scan_supports,
 )
 from ldplab.attacks.grid import _hit_table
+from ldplab.defenses import binomial_pmf, max_load_cdf
 from ldplab.freq_oracles import HashFamily
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
 from ldplab.query import RangeQuery
 
-from .oracles import olh_support_scan, stable_matching_audit, support_scan_reference
+from .oracles import (
+    aaog_load_limit_simulated,
+    olh_support_scan,
+    simulated_load_tail,
+    stable_matching_audit,
+    support_scan_reference,
+)
 
 
 def scan(family, in_range, scale=1.0):
@@ -116,23 +124,27 @@ class TestHitTableCache:
 
 
 class TestSizeConstraints:
+    # epsilon = 1 gives g = 4 hash keys.
+    CONFIG = GridConfig(d=5, g1=16, g2=4, epsilon=1.0)
+
     def test_documented_drop_from_seven_to_five(self):
         # (g=4, g1=16, g2=4, d=5): the 2-D minimum support rounds to 7 at
         # rho=0.10 and to 5 at rho=0.15.
-        low = aog_size_constraints(0.10, 4, 16, 4, 5)
-        high = aog_size_constraints(0.15, 4, 16, 4, 5)
+        assert self.CONFIG.olh_params().g == 4
+        low = aog_size_constraints(0.10, self.CONFIG)
+        high = aog_size_constraints(0.15, self.CONFIG)
         assert low.w2_int == 7
         assert high.w2_int == 5
 
     def test_halving_rho_doubles_bounds(self):
-        a = aog_size_constraints(0.2, 4, 16, 4, 5)
-        b = aog_size_constraints(0.1, 4, 16, 4, 5)
+        a = aog_size_constraints(0.2, self.CONFIG)
+        b = aog_size_constraints(0.1, self.CONFIG)
         assert b.w1 == pytest.approx(2 * a.w1)
         assert b.w2 == pytest.approx(2 * a.w2)
 
     def test_spot_values_match_closed_form(self):
         rho, g, g1, g2, d = 0.1, 4, 16, 4, 5
-        out = aog_size_constraints(rho, g, g1, g2, d)
+        out = aog_size_constraints(rho, GridConfig(d=d, g1=g1, g2=g2, epsilon=1.0))
         factor = (0.5 - 1.0 / g) / rho
         w1 = factor * ((d - 1) * g1 + g2**2) / ((d - 1) * (g1 - 2 * g2) + g2**2)
         w2 = factor * g2 / (g2 - 3 + 3 * g1 / (g1 * (d - 1) + g2**2))
@@ -141,11 +153,11 @@ class TestSizeConstraints:
 
     def test_infeasible_configurations_raise(self):
         with pytest.raises(ValueError):
-            aog_size_constraints(0.0, 4, 16, 4, 5)
+            aog_size_constraints(0.0, self.CONFIG)
         with pytest.raises(ValueError):
             # g2=2 with g1=16, d=5 drives the 2-D denominator negative:
             # 2 - 3 + 48/68 < 0.
-            aog_size_constraints(0.1, 4, 16, 2, 5)
+            aog_size_constraints(0.1, GridConfig(d=5, g1=16, g2=2, epsilon=1.0))
 
 
 class TestMgaGrid:
@@ -353,27 +365,66 @@ class TestGridRangeAttack:
 
 class TestAaog:
     def test_load_limit_basic_bounds(self):
-        rng = np.random.default_rng(7)
         limit = aaog_compute_load_limit(
             threshold=10.0,
             beta=0.1,
             m_round=50,
             n_round_real=100,
             family_size=10_000,
-            trials=150,
-            rng=rng,
         )
         assert 1 <= limit <= 9  # below ceil(threshold) - 1
 
     def test_zero_fakes_gives_zero(self):
-        rng = np.random.default_rng(8)
-        assert aaog_compute_load_limit(10.0, 0.1, 0, 100, 100, 100, rng) == 0
+        assert aaog_compute_load_limit(10.0, 0.1, 0, 100, 100) == 0
 
     def test_crowded_family_is_infeasible(self):
         # Single bin: honest occupancy always equals the whole round, so no
         # cap can stay under the threshold.
-        rng = np.random.default_rng(9)
-        assert aaog_compute_load_limit(5.0, 0.1, 10, 100, 1, 100, rng) == 0
+        assert aaog_compute_load_limit(5.0, 0.1, 10, 100, 1) == 0
+
+    def test_exact_tail_within_binomial_tolerance_of_simulation(self):
+        # The simulated tail pools family_size * trials per-function loads.
+        # Loads of one round are negatively associated, so the count of
+        # loads >= k is at least as concentrated as Bin(N, tail[k]); the
+        # band below is that law's [1e-7, 1 - 1e-7] quantile range, a
+        # false-failure rate under 2e-7 per k (about 1e-6 over every k).
+        family_size, trials = 211 * 210, 200
+        n_samples = family_size * trials
+        for n_round_real in (800, 2000, 6667):
+            exact = binomial_pmf(n_round_real, 1.0 / family_size)[::-1].cumsum()[::-1]
+            simulated = simulated_load_tail(
+                n_round_real, family_size, trials, np.random.default_rng(n_round_real)
+            )
+            hits = np.rint(simulated * n_samples)
+            p = np.clip(exact, 0.0, 1.0)
+            lo = stats.binom.ppf(1e-7, n_samples, p)
+            hi = stats.binom.isf(1e-7, n_samples, p)
+            assert np.all((lo <= hits) & (hits <= hi)), n_round_real
+
+    @pytest.mark.parametrize("round_size, m_round", [(888, 88), (2222, 222), (7407, 740)])
+    def test_cap_matches_simulated_reference(self, round_size, m_round):
+        # The prime-211 family at the bench's round sizes, with the harness
+        # defaults alpha = 0.005, beta = 0.1 split over 15 rounds.
+        family_size = 211 * 210
+        threshold = max_load_cdf(round_size, family_size, 1000).threshold(0.005)
+        beta_round = 1.0 - 0.9 ** (1.0 / 15)
+        args = (threshold, beta_round, m_round, round_size - m_round, family_size)
+        cap = aaog_compute_load_limit(*args)
+        # False-failure rate: the reference's cap moves only if a simulated
+        # tail value crosses a cap's decision point.  That chance, per seed,
+        # is bounded by the binomial law of the simulated count (see above).
+        tail = binomial_pmf(round_size - m_round, 1.0 / family_size)[::-1].cumsum()[::-1]
+        n_samples = family_size * 200
+        flip = 0.0
+        for trial_cap in range(min(math.ceil(threshold) - 1, m_round), 0, -1):
+            n_fns = math.ceil(m_round / trial_cap)
+            p_bad = tail[math.ceil(threshold - trial_cap)]
+            edge = n_samples * (1.0 - (1.0 - beta_round) ** (1.0 / n_fns))
+            safe = 1.0 - (1.0 - p_bad) ** n_fns <= beta_round
+            flip += stats.binom.cdf(edge, n_samples, p_bad) if not safe else stats.binom.sf(edge, n_samples, p_bad)
+        assert flip < 1e-6
+        for seed in range(5):
+            assert cap == aaog_load_limit_simulated(*args, 200, np.random.default_rng(seed))
 
     def test_matching_respects_quotas_and_is_stable(self):
         rng = np.random.default_rng(10)
@@ -398,7 +449,7 @@ class TestAaog:
     def test_plan_respects_cap_and_counts(self):
         config = GridConfig(d=5, prime=211)
         query = RangeQuery((0, 1, 2), ((16, 64), (0, 48), (16, 64)))
-        attack = AdaptiveGridAttack(config, query, load_trials=100, cdf_trials=1000)
+        attack = AdaptiveGridAttack(config, query, cdf_trials=1000)
         rng = np.random.default_rng(11)
         fake_counts = {key: 222 for key in grid_keys(5)}
         attack.begin(fake_counts, 33_330, rng)

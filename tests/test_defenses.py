@@ -10,7 +10,7 @@ from scipy import stats
 from ldplab.defenses import (
     DetectionResult,
     MaxLoadCdf,
-    TreeDefenseParams,
+    binomial_pmf,
     grid_detect,
     max_load_cdf,
     ones_count_cdf,
@@ -22,15 +22,50 @@ from .oracles import max_load_threshold_scan
 
 
 class TestTreeDefenseParams:
+    """The ones-count test's constants, read from ``tree_detect``'s metadata."""
+
     def test_alpha_constants(self):
-        params = TreeDefenseParams(alpha=0.005)
-        assert params.z_alpha == pytest.approx(2.5758, abs=1e-3)
-        assert params.outside_mass == pytest.approx(0.3190, abs=5e-4)
+        params = tree_detect([0], 16, 1.0, alpha=0.005).metadata
+        assert params["z_alpha"] == pytest.approx(2.5758, abs=1e-3)
+        assert params["outside_mass"] == pytest.approx(0.3190, abs=5e-4)
 
     def test_z_alpha_matches_scipy(self):
         for alpha in [1e-6, 1e-4, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.4]:
             expected = stats.norm.ppf(1.0 - alpha)
-            assert TreeDefenseParams(alpha=alpha).z_alpha == pytest.approx(expected, rel=1e-12)
+            z_alpha = tree_detect([0], 16, 1.0, alpha=alpha).metadata["z_alpha"]
+            assert z_alpha == pytest.approx(expected, rel=1e-12)
+
+
+class TestBinomialPmf:
+    QS = [0.0, 1e-5, 1.0 / 44_310, 0.05, 1.0 / (np.e + 1.0), 0.5, 0.8, 1.0]
+
+    def test_matches_scipy(self):
+        for n in [0, 1, 2, 7, 64, 800, 2000, 2222]:
+            for q in self.QS:
+                np.testing.assert_allclose(
+                    binomial_pmf(n, q), stats.binom.pmf(np.arange(n + 1), n, q),
+                    rtol=0, atol=1e-12, err_msg=f"n={n} q={q}",
+                )
+
+    def test_matches_scipy_at_large_rounds(self):
+        # log(n!) is about 6e4 at n = 7407, so its rounding alone moves a
+        # pmf value by about 1e-12 of itself: the tolerance is 1e-11 here.
+        for n in [6667, 7407]:
+            for q in self.QS:
+                np.testing.assert_allclose(
+                    binomial_pmf(n, q), stats.binom.pmf(np.arange(n + 1), n, q),
+                    rtol=0, atol=1e-11, err_msg=f"n={n} q={q}",
+                )
+
+    def test_degenerate_laws_are_point_masses(self):
+        np.testing.assert_array_equal(binomial_pmf(0, 0.3), [1.0])
+        np.testing.assert_array_equal(binomial_pmf(3, 0.0), [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(binomial_pmf(3, 1.0), [0.0, 0.0, 0.0, 1.0])
+
+    def test_rejects_bad_arguments(self):
+        for n, q in [(-1, 0.5), (4, -0.1), (4, 1.1)]:
+            with pytest.raises(ValueError):
+                binomial_pmf(n, q)
 
 
 def test_package_import_leaves_scipy_unloaded():
@@ -122,7 +157,7 @@ class TestTreeDetect:
                     below = np.nonzero(cdf <= half)[0]
                     i_minus = int(below[-1]) if below.size else -1
                     expected = (i_minus, int(np.nonzero(cdf >= 1.0 - half)[0][0]))
-                    result = tree_detect([0], n, epsilon, TreeDefenseParams(alpha=alpha))
+                    result = tree_detect([0], n, epsilon, alpha=alpha)
                     assert result.metadata["interval"] == expected, (epsilon, n, alpha)
 
 
@@ -143,6 +178,8 @@ class TestMaxLoad:
         b = max_load_cdf(200, 50, trials=150)
         assert a is b
         np.testing.assert_array_equal(a.samples, b.samples)
+        # The key is int-normalised: numpy and float counts hit the same entry.
+        assert max_load_cdf(np.int64(200), 50.0, trials=np.int32(150)) is a
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,9 @@ from ldplab.freq_oracles import (
     HashPair,
     OlhParams,
     OueParams,
+    debias_counts,
     olh_aggregate,
     olh_perturb_batch,
-    oue_aggregate_counts,
     oue_perturb_batch,
     smallest_prime_above,
 )
@@ -91,7 +91,7 @@ class TestOuePerturb:
 class TestOueAggregate:
     def test_full_presence_count(self):
         params = OueParams(np.log(3.0), 4)  # q = 0.25
-        est = oue_aggregate_counts(np.array([50.0, 25.0, 25.0, 25.0]), 100, params)
+        est = debias_counts(np.array([50.0, 25.0, 25.0, 25.0]), 100, params)
         assert est[0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(est[1:], 0.0, atol=1e-12)
 
@@ -99,7 +99,7 @@ class TestOueAggregate:
         params = OueParams(0.7, 12)
         rng = np.random.default_rng(2)
         counts = rng.integers(0, 500, 12).astype(float)
-        est = oue_aggregate_counts(counts, 500, params)
+        est = debias_counts(counts, 500, params)
         expected = (counts - 500 * params.q) / (500 * (params.p - params.q))
         np.testing.assert_allclose(est, expected, atol=1e-12)
 
@@ -107,10 +107,17 @@ class TestOueAggregate:
         params = OueParams(1.0, 3)
         reports = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
         est = oue_aggregate(reports, params)
-        expected = oue_aggregate_counts(reports.sum(axis=0).astype(float), 2, params)
+        expected = debias_counts(reports.sum(axis=0).astype(float), 2, params)
         np.testing.assert_allclose(est, expected)
         with pytest.raises(ValueError):
             oue_aggregate(np.zeros((0, 3)), params)
+
+    def test_olh_params_use_their_own_p_and_q(self):
+        params = OlhParams(1.0)  # g = 4: p = 1/2, q = 1/4
+        est = debias_counts(np.array([50.0, 25.0]), 100, params)
+        np.testing.assert_allclose(est, [1.0, 0.0], atol=1e-12)
+        with pytest.raises(ValueError):
+            debias_counts(np.zeros(2), 0, params)
 
 
 class TestHashFamily:
@@ -260,7 +267,7 @@ class TestOlhAggregate:
         keys = np.concatenate([keys, np.full(100, 2)])
         pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
         np.testing.assert_array_equal(
-            olh_aggregate((fn_ids, keys), family, np.arange(16), params, n_users=fn_ids.size),
+            olh_aggregate((fn_ids, keys), family, np.arange(16), params),
             olh_aggregate_pairs(pairs, family, np.arange(16), params),
         )
 

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -126,6 +126,17 @@ class TestExperimentConfig:
         assert (tree.dims_total, tree.dims_query, tree.domain_size) == (1, 1, 1024)
         grid = ExperimentConfig(protocol="hdg")
         assert (grid.dims_total, grid.dims_query, grid.domain_size) == (5, 3, 64)
+
+    def test_dataset_defaults_filled_once(self):
+        spec = {"kind": "laplace"}
+        config = ExperimentConfig(protocol="hdg", dataset=spec)
+        filled = {"kind": "laplace", "count": 100_000, "mean": 32.0, "std": 64 / 25}
+        assert config.dataset == filled
+        assert spec == {"kind": "laplace"}  # the caller's spec is not mutated
+        assert ExperimentConfig(protocol="hdg", dataset={}).dataset["kind"] == "gaussian"
+        again = replace(config, attack="none")
+        assert again.dataset == filled
+        assert replace(again, rho=0.2).dataset == filled
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
