@@ -396,7 +396,6 @@ def _run_trial(
     if not defend:
         observer = None
     elif tree:
-
         def observer(frontier, real_reports, fake_reports):
             counts = real_reports.sum(axis=1)
             if fake_reports is not None and fake_reports.size:
