@@ -8,8 +8,8 @@ Implements the two oracles used by the range-query protocols:
 * OLH (optimal local hashing): each user picks a random function from a
   universal linear-congruential hash family mapping cells into ``g`` keys and
   reports a (function, key) pair; the key equals the hash of the true cell
-  with probability ``p`` (1/2 today), otherwise it is uniform over the
-  remaining keys.
+  with probability ``p`` (``OlhParams.p``), otherwise it is uniform over
+  the remaining keys.
 
 Each mechanism's constants live in its params (:class:`OueParams`,
 :class:`OlhParams`), and both aggregators end in the one unbiased estimator
