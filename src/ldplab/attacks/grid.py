@@ -476,12 +476,10 @@ class AdaptiveGridAttack(_GridHook):
         query: RangeQuery,
         alpha: float = 0.005,
         beta: float = 0.1,
-        cdf_trials: int = 1000,
     ):
         super().__init__(config, query)
         self.alpha = alpha
         self.beta = beta
-        self.cdf_trials = cdf_trials
         self.load_limit: Optional[int] = None
         self._plan: Dict[GridKey, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -491,7 +489,7 @@ class AdaptiveGridAttack(_GridHook):
         family_size = self.family.n_random_functions
         n_groups = self.config.n_groups
         round_size = max(n_total // n_groups, 1)
-        cdf = max_load_cdf(round_size, family_size, self.cdf_trials)
+        cdf = max_load_cdf(round_size, family_size)
         threshold = cdf.threshold(self.alpha)
         m_round = max(fake_counts.values()) if fake_counts else 0
         # beta bounds the chance of being caught anywhere; the detector runs

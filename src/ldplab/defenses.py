@@ -4,14 +4,16 @@
   ``Bin(n-1, q) + Bin(1, 1/2)``.  The detector counts reports whose 1-count
   falls outside a central interval and flags the round when that count
   exceeds a normal-approximation threshold.
-* Grid rounds (OLH): honest users pick hash functions uniformly, so the
-  maximum per-function usage follows a balls-into-bins law estimated by
-  simulation; the round is flagged when the observed maximum load is in the
-  distribution's upper alpha tail.
+* Grid rounds (OLH): honest users pick hash functions uniformly, so each
+  function's usage follows ``Bin(n, 1/|H|)`` and the maximum usage a
+  balls-into-bins law.  Its CDF is bounded from below by the union bound over
+  functions; the round is flagged when the observed maximum load is above the
+  first load whose bound exceeds ``1 - alpha``.
 
 :func:`binomial_pmf` is the one binomial law of the package: the tree
-detector's 1-count law and the adaptive grid attack's per-function honest
-load are built from it.
+detector's 1-count law, the grid detector's max-load bound and the adaptive
+grid attack's per-function honest load are built from it.  Both detectors
+take a significance ``alpha`` in (0, 1).
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ class DetectionResult:
     statistic: float
     threshold: float
     metadata: dict = field(default_factory=dict)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def binomial_pmf(n: int, q: float) -> np.ndarray:
@@ -93,6 +100,7 @@ def tree_detect(
     it, thresholded at its honest mean plus ``z_alpha`` standard deviations.
     Both constants are reported as metadata.
     """
+    _check_alpha(alpha)
     counts = np.asarray(ones_counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("empty round")
@@ -118,81 +126,67 @@ def tree_detect(
 
 @dataclass(frozen=True)
 class MaxLoadCdf:
-    """Empirical distribution of the max balls-into-bins occupancy."""
+    """Lower bound on the CDF of the max balls-into-bins occupancy.
+
+    ``values[x]`` bounds ``P[max load <= x]`` from below for x in
+    0..n_balls (the union bound, see :func:`max_load_cdf`).
+    """
 
     n_balls: int
     n_bins: int
-    samples: np.ndarray
+    values: np.ndarray
 
     def cdf(self, x: float) -> float:
-        return float(np.mean(self.samples <= x))
+        if x < 0:
+            return 0.0
+        return float(self.values[min(math.floor(x), self.n_balls)])
 
     def threshold(self, alpha: float) -> int:
-        """Smallest integer load whose CDF value exceeds ``1 - alpha``.
-
-        That is the ``c``-th smallest sample for the smallest count ``c``
-        with ``c / n > 1 - alpha``; one above the largest sample when no
-        count qualifies.
-        """
-        ordered = np.sort(self.samples)
-        counts = np.arange(1, ordered.size + 1)
-        hits = np.flatnonzero(counts / ordered.size > 1.0 - alpha)
-        return int(ordered[hits[0]]) if hits.size else int(ordered[-1]) + 1
+        """Smallest integer load whose CDF bound exceeds ``1 - alpha``."""
+        _check_alpha(alpha)
+        return int(np.flatnonzero(1.0 - self.values < alpha)[0])
 
 
-def max_load_cdf(n_balls: int, n_bins: int, trials: int = 1000) -> MaxLoadCdf:
-    """Simulated max-load distribution, cached per (n_balls, n_bins, trials).
+def max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
+    """The max-load CDF bound, cached per (n_balls, n_bins).
 
-    The simulation seed is derived from the cache key, so results are
-    deterministic across processes, and a repeated key returns the same
-    object.
+    ``F(x) = max(0, 1 - n_bins * P[Bin(n_balls, 1/n_bins) > x])`` by the union
+    bound over bins, so ``F(x) <= P[max load <= x]``: a detector firing above
+    the first load with ``F > 1 - alpha`` flags honest rounds at most
+    ``alpha`` of the time.  A repeated key returns the same object.
     """
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
-    return _max_load_cdf(int(n_balls), int(n_bins), int(trials))
+    return _max_load_cdf(int(n_balls), int(n_bins))
 
 
 @functools.lru_cache(maxsize=None)
-def _max_load_cdf(n_balls: int, n_bins: int, trials: int) -> MaxLoadCdf:
-    rng = np.random.default_rng(np.random.SeedSequence([0x6C0AD, n_balls, n_bins, trials]))
-    samples = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        balls = rng.integers(0, n_bins, size=n_balls)
-        samples[t] = np.bincount(balls, minlength=n_bins).max()
-    return MaxLoadCdf(n_balls, n_bins, samples)
+def _max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
+    pmf = binomial_pmf(n_balls, 1.0 / n_bins)
+    above = np.append(pmf[::-1].cumsum()[::-1][1:], 0.0)  # P[Bin > x]
+    return MaxLoadCdf(n_balls, n_bins, np.maximum(1.0 - n_bins * above, 0.0))
 
 
 def grid_detect(
     fn_ids: Sequence[int],
     family_size: int,
     alpha: float = 0.005,
-    trials: int = 1000,
 ) -> DetectionResult:
     """Max-load test over one OLH round's reported hash functions.
 
     Flags the round when the observed maximum per-function usage exceeds
-    :meth:`MaxLoadCdf.threshold`, the smallest load whose simulated honest
-    CDF value exceeds ``1 - alpha``, so honest rounds are flagged at most
-    ``alpha`` of the time.  The rough analytic threshold
-    ``log N / (log N - log |H|)`` is reported as metadata only (and omitted
-    where it is singular).
+    :meth:`MaxLoadCdf.threshold`, the smallest load whose honest CDF bound
+    exceeds ``1 - alpha``, so honest rounds are flagged at most ``alpha`` of
+    the time.
     """
     fn_ids = np.asarray(fn_ids, dtype=np.int64)
     if fn_ids.size == 0:
         raise ValueError("empty round")
     usage = np.unique(fn_ids, return_counts=True)[1]
     statistic = float(usage.max())
-    cdf = max_load_cdf(fn_ids.size, family_size, trials)
+    cdf = max_load_cdf(fn_ids.size, family_size)
     threshold = float(cdf.threshold(alpha))
-    n = float(fn_ids.size)
-    analytic = None
-    if family_size != n and n > 1:
-        denominator = math.log(n) - math.log(family_size)
-        if denominator != 0:
-            analytic = math.log(n) / denominator
     return DetectionResult(
         detected=statistic > threshold,
         statistic=statistic,
         threshold=threshold,
-        metadata={"analytic_threshold": analytic, "cdf_value": cdf.cdf(statistic)},
+        metadata={"cdf_value": cdf.cdf(statistic)},
     )

@@ -263,7 +263,8 @@ def gen_queries(
     rng: np.random.Generator,
     snap: Optional[int] = None,
 ) -> List[RangeQuery]:
-    """Random range queries: uniform centers, lengths uniform in [c/8, 3c/8].
+    """Random range queries: uniform centers, lengths uniform in [c/8, 3c/8]
+    (at least 1).
 
     ``snap`` (grid protocol): snap every interval outward to multiples of the
     given width.
@@ -275,7 +276,7 @@ def gen_queries(
         attrs = tuple(sorted(int(a) for a in rng.choice(dims_total, dims_query, replace=False)))
         intervals = []
         for _ in attrs:
-            length = int(rng.integers(domain // 8, 3 * domain // 8 + 1))
+            length = int(rng.integers(max(domain // 8, 1), max(3 * domain // 8, 1) + 1))
             center = int(rng.integers(0, domain))
             lo = max(center - length // 2, 0)
             hi = min(lo + length, domain)

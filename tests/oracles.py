@@ -487,12 +487,26 @@ def grid_consistency_slices(
     return one_d, two_d
 
 
-def max_load_threshold_scan(samples: np.ndarray, alpha: float) -> int:
-    """Smallest integer load whose empirical CDF exceeds ``1 - alpha``, by scan."""
-    for x in range(int(samples.max()) + 2):
-        if np.mean(samples <= x) > 1.0 - alpha:
+def max_load_threshold_scan(n_balls: int, n_bins: int, alpha: float) -> int:
+    """Smallest load ``x`` with ``n_bins * P[Bin(n_balls, 1/n_bins) > x] < alpha``,
+    by scan over scipy's binomial tail: the first load whose union-bound CDF
+    ``1 - n_bins * P[Bin > x]`` exceeds ``1 - alpha``."""
+    from scipy import stats
+
+    for x in range(n_balls + 1):
+        if n_bins * stats.binom.sf(x, n_balls, 1.0 / n_bins) < alpha:
             return x
-    return int(samples.max()) + 1
+    raise ValueError("alpha must be positive")
+
+
+def simulated_max_load(
+    n_balls: int, n_bins: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Max bin occupancy of ``trials`` throws of ``n_balls`` balls into ``n_bins`` bins."""
+    samples = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        samples[t] = np.bincount(rng.integers(0, n_bins, size=n_balls), minlength=n_bins).max()
+    return samples
 
 
 def simulated_load_tail(

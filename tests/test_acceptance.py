@@ -344,11 +344,11 @@ def test_criterion_08_detection_rates():
     fake_counts = {key: fake_per_round for key in keys}
     n_total = (fake_per_round + real_per_round) * len(keys)
     query5 = RangeQuery((0, 1, 2), ((16, 64), (0, 48), (16, 64)))
-    max_load_cdf(fake_per_round + real_per_round, family_size, 1000)  # warm cache
+    max_load_cdf(fake_per_round + real_per_round, family_size)  # warm cache
     aaog_hits = 0
     for seed in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([1080, seed]))
-        attack = AdaptiveGridAttack(config, query5, alpha=alpha, beta=0.1, cdf_trials=1000)
+        attack = AdaptiveGridAttack(config, query5, alpha=alpha, beta=0.1)
         attack.begin(fake_counts, n_total, rng)
         flagged = False
         for key in keys:
@@ -357,7 +357,7 @@ def test_criterion_08_detection_rates():
             honest_fns = a * config.prime + b
             fake_fns, _ = attack(key, fake_per_round, rng)
             fn_ids = np.concatenate([honest_fns, fake_fns])
-            if grid_detect(fn_ids, family_size, alpha=alpha, trials=1000).detected:
+            if grid_detect(fn_ids, family_size, alpha=alpha).detected:
                 flagged = True
         aaog_hits += flagged
 
@@ -475,13 +475,13 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
     queries = gen_queries(
         20, 64, 5, 3, np.random.default_rng(111), snap=16
     )
-    max_load_cdf(fake_per_round + real_per_round, family.n_random_functions, 1000)
+    max_load_cdf(fake_per_round + real_per_round, family.n_random_functions)
 
     cap_violations = 0
     unstable = 0
     for trial, query in enumerate(queries):
         rng = np.random.default_rng(np.random.SeedSequence([1110, trial]))
-        attack = AdaptiveGridAttack(config, query, cdf_trials=1000)
+        attack = AdaptiveGridAttack(config, query)
         attack.begin(fake_counts, n_total, rng)
         limit = attack.load_limit
         all_fns = []

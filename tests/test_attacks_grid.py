@@ -406,7 +406,7 @@ class TestAaog:
         # The prime-211 family at the bench's round sizes, with the harness
         # defaults alpha = 0.005, beta = 0.1 split over 15 rounds.
         family_size = 211 * 210
-        threshold = max_load_cdf(round_size, family_size, 1000).threshold(0.005)
+        threshold = max_load_cdf(round_size, family_size).threshold(0.005)
         beta_round = 1.0 - 0.9 ** (1.0 / 15)
         args = (threshold, beta_round, m_round, round_size - m_round, family_size)
         cap = aaog_compute_load_limit(*args)
@@ -449,7 +449,7 @@ class TestAaog:
     def test_plan_respects_cap_and_counts(self):
         config = GridConfig(d=5, prime=211)
         query = RangeQuery((0, 1, 2), ((16, 64), (0, 48), (16, 64)))
-        attack = AdaptiveGridAttack(config, query, cdf_trials=1000)
+        attack = AdaptiveGridAttack(config, query)
         rng = np.random.default_rng(11)
         fake_counts = {key: 222 for key in grid_keys(5)}
         attack.begin(fake_counts, 33_330, rng)

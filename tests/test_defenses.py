@@ -9,7 +9,6 @@ from scipy import stats
 
 from ldplab.defenses import (
     DetectionResult,
-    MaxLoadCdf,
     binomial_pmf,
     grid_detect,
     max_load_cdf,
@@ -18,7 +17,7 @@ from ldplab.defenses import (
 )
 from ldplab.grid_protocol import GridConfig
 
-from .oracles import max_load_threshold_scan
+from .oracles import max_load_threshold_scan, simulated_max_load
 
 
 class TestTreeDefenseParams:
@@ -161,60 +160,103 @@ class TestTreeDetect:
                     assert result.metadata["interval"] == expected, (epsilon, n, alpha)
 
 
+# Round sizes of the bench's prime-211 family (44,310 functions) and of
+# smaller families.
+LAW_SIZES = [
+    (1900, 44_310), (2222, 44_310), (7407, 44_310), (8000, 44_310),
+    (2000, 272), (200, 50), (1000, 1000),
+]
+
+
+def _mallows_cdf(n_balls, n_bins, x):
+    """``P[Bin(n_balls, 1/n_bins) <= x] ** n_bins``: by Mallows' inequality
+    (Biometrika 1968) an upper bound on ``P[max load <= x]``."""
+    return float(np.exp(n_bins * np.log1p(-stats.binom.sf(x, n_balls, 1.0 / n_bins))))
+
+
 class TestMaxLoad:
     def test_single_bin_is_degenerate(self):
-        cdf = max_load_cdf(50, 1, trials=100)
-        assert np.all(cdf.samples == 50)
+        cdf = max_load_cdf(50, 1)
+        assert cdf.cdf(49) == 0.0 and cdf.cdf(50) == 1.0
         # Smallest load whose CDF value exceeds 1 - alpha is the point mass.
         assert cdf.threshold(0.005) == 50
 
     def test_thousand_in_thousand_regime(self):
-        cdf = max_load_cdf(1000, 1000, trials=400)
-        median = float(np.median(cdf.samples))
+        median = max_load_cdf(1000, 1000).threshold(0.5)
         assert 4 <= median <= 9  # ln n / ln ln n regime
 
     def test_cache_and_determinism(self):
-        a = max_load_cdf(200, 50, trials=150)
-        b = max_load_cdf(200, 50, trials=150)
-        assert a is b
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = max_load_cdf(200, 50)
+        assert max_load_cdf(200, 50) is a
         # The key is int-normalised: numpy and float counts hit the same entry.
-        assert max_load_cdf(np.int64(200), 50.0, trials=np.int32(150)) is a
-
-    def test_too_few_trials(self):
-        with pytest.raises(ValueError):
-            max_load_cdf(10, 10, trials=50)
+        assert max_load_cdf(np.int64(200), 50.0) is a
 
     def test_cdf_interface(self):
-        cdf = MaxLoadCdf(4, 2, np.array([2, 3, 3, 4]))
-        assert cdf.cdf(2) == pytest.approx(0.25)
-        assert cdf.threshold(0.2) == 4
+        # Two bins: a load above n/2 fits in one bin only, so the union
+        # bound is exact there; P[max <= 1] = 0 and 1 - 2 * 11/16 < 0.
+        cdf = max_load_cdf(4, 2)
+        np.testing.assert_allclose(cdf.values, [0.0, 0.0, 0.375, 0.875, 1.0], rtol=0, atol=1e-15)
+        assert cdf.cdf(-1) == 0.0
+        assert cdf.cdf(2.5) == pytest.approx(0.375)
+        assert cdf.cdf(9) == 1.0
+        assert cdf.threshold(0.2) == 3
+        assert cdf.threshold(0.1) == 4
 
     def test_threshold_matches_scan_oracle(self):
         rng = np.random.default_rng(16)
-        # Exact count boundaries (c / n == 1 - alpha) and degenerate alphas.
-        edge_alphas = [0.0, 1e-18, 0.005, 0.01, 0.05, 0.25, 0.5, 0.995, 1.0]
-        for _ in range(200):
-            n = int(rng.choice([1, 2, 3, 7, 10, 100, 400, 1000]))
-            samples = rng.integers(0, int(rng.integers(1, 40)), n) + int(rng.integers(0, 5))
-            cdf = MaxLoadCdf(0, 0, samples)
-            alphas = list(rng.random(5)) + list(rng.random(3) * 0.02) + edge_alphas
-            alphas += [c / n for c in range(n + 1)][:: max(n // 20, 1)]
-            for alpha in alphas:
-                assert cdf.threshold(alpha) == max_load_threshold_scan(samples, alpha)
+        edge_alphas = [1e-9, 1e-4, 0.005, 0.01, 0.05, 0.25, 0.5, 0.995]
+        for n_balls, n_bins in LAW_SIZES + [(1, 1), (50, 1), (4, 2), (37, 5)]:
+            cdf = max_load_cdf(n_balls, n_bins)
+            for alpha in list(rng.random(5)) + list(rng.random(3) * 0.02) + edge_alphas:
+                expected = max_load_threshold_scan(n_balls, n_bins, alpha)
+                assert cdf.threshold(alpha) == expected, (n_balls, n_bins, alpha)
 
+    @pytest.mark.parametrize("n_balls, n_bins", LAW_SIZES)
+    def test_law_bounds_simulated_cdf(self, n_balls, n_bins):
+        # hits(x), the trials with max load <= x, is Bin(trials, P[max <= x]),
+        # and F(x) <= P[max <= x] <= the Mallows product M(x).  Binomial laws
+        # grow stochastically with p, so hits falls below Bin(trials, F(x))'s
+        # 1e-6 quantile, or above Bin(trials, M(x))'s 1 - 1e-6 quantile, with
+        # probability under 1e-6 each: a false-failure rate under 2e-6 per
+        # load, under 1e-4 over the about 40 loads of all sizes.
+        trials = 2000
+        samples = simulated_max_load(n_balls, n_bins, trials, np.random.default_rng(n_balls + n_bins))
+        cdf = max_load_cdf(n_balls, n_bins)
+        for x in range(int(samples.min()) - 1, int(samples.max()) + 1):
+            hits = np.count_nonzero(samples <= x)
+            assert hits >= stats.binom.ppf(1e-6, trials, cdf.cdf(x)), (x, hits)
+            assert hits <= stats.binom.isf(1e-6, trials, _mallows_cdf(n_balls, n_bins, x)), (x, hits)
+
+    @pytest.mark.parametrize("n_balls, n_bins", LAW_SIZES)
+    def test_no_smaller_threshold_is_valid(self, n_balls, n_bins):
+        # P[max <= threshold - 1] <= M(threshold - 1) <= 1 - alpha, so a
+        # detector firing above threshold - 1 would flag honest rounds at
+        # least alpha of the time.  At the threshold itself the union bound
+        # is within 3e-5 of the Mallows product.
+        cdf = max_load_cdf(n_balls, n_bins)
+        for alpha in (0.001, 0.005):
+            t = cdf.threshold(alpha)
+            assert _mallows_cdf(n_balls, n_bins, t - 1) <= 1.0 - alpha, alpha
+            assert 0.0 <= _mallows_cdf(n_balls, n_bins, t) - cdf.cdf(t) < 3e-5, alpha
+
+    def test_grid_thresholds_at_bench_round_sizes(self):
+        # The simulated CDF this law replaces gave 3 at 1,900 reports, where
+        # M(3) = 0.99401 < 0.995, and 6 at 8,000 reports.
+        family_size = 211 * 210
+        assert max_load_cdf(1900, family_size).threshold(0.005) == 4
+        assert max_load_cdf(8000, family_size).threshold(0.005) == 5
 
 class TestGridDetect:
     def test_uniform_usage_is_clean(self):
         rng = np.random.default_rng(3)
         fn_ids = rng.integers(0, 5000, 2000)
-        result = grid_detect(fn_ids, 5000, trials=300)
+        result = grid_detect(fn_ids, 5000)
         assert not result.detected
 
     def test_single_function_spike_detected(self):
         rng = np.random.default_rng(4)
         fn_ids = np.concatenate([rng.integers(0, 5000, 1800), np.full(200, 77)])
-        result = grid_detect(fn_ids, 5000, trials=300)
+        result = grid_detect(fn_ids, 5000)
         assert result.detected
         assert result.statistic >= 200
 
@@ -222,7 +264,7 @@ class TestGridDetect:
         rng = np.random.default_rng(5)
         for _ in range(10):
             fn_ids = rng.integers(0, 300, 500)
-            result = grid_detect(fn_ids, 300, trials=300)
+            result = grid_detect(fn_ids, 300)
             assert result.detected == (result.statistic > result.threshold)
 
     def test_honest_rounds_flagged_at_most_alpha(self):
@@ -241,15 +283,6 @@ class TestGridDetect:
             )
             assert flagged <= cutoff, (round_size, flagged, cutoff)
 
-    def test_analytic_metadata(self):
-        rng = np.random.default_rng(6)
-        result = grid_detect(rng.integers(0, 5000, 2000), 5000, trials=300)
-        analytic = result.metadata["analytic_threshold"]
-        assert analytic is not None and np.isfinite(analytic)
-        # Singular when |H| equals the round size.
-        singular = grid_detect(rng.integers(0, 2000, 2000), 2000, trials=300)
-        assert singular.metadata["analytic_threshold"] is None
-
     def test_empty_round_raises(self):
         with pytest.raises(ValueError):
             grid_detect([], 100)
@@ -259,3 +292,14 @@ def test_detection_result_frozen():
     result = DetectionResult(True, 1.0, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.detected = False
+
+
+def test_detectors_reject_alpha_outside_open_unit_interval():
+    cdf = max_load_cdf(200, 50)
+    for alpha in (0.0, -0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            cdf.threshold(alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            grid_detect(np.arange(200) % 50, 50, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            tree_detect([0, 3, 5], 16, 1.0, alpha=alpha)

@@ -91,6 +91,14 @@ class TestQueriesAndMetrics:
             # only shorten an interval.
             assert hi - lo <= 384
 
+    def test_small_domains_give_nonempty_intervals(self):
+        # [c/8, 3c/8] holds 0 below c = 8; lengths are drawn from at least 1.
+        for domain in (2, 4):
+            for seed in range(20):
+                for query in gen_queries(20, domain, 2, 2, np.random.default_rng(seed)):
+                    for lo, hi in query.intervals:
+                        assert 0 <= lo < hi <= domain, (domain, seed)
+
     def test_query_snapping(self):
         rng = np.random.default_rng(3)
         for query in gen_queries(30, 64, 5, 3, rng, snap=16):
