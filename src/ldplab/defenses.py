@@ -126,25 +126,27 @@ def tree_detect(
 
 @dataclass(frozen=True)
 class MaxLoadCdf:
-    """Lower bound on the CDF of the max balls-into-bins occupancy.
+    """Bound on the CDF of the max balls-into-bins occupancy.
 
-    ``values[x]`` bounds ``P[max load <= x]`` from below for x in
-    0..n_balls (the union bound, see :func:`max_load_cdf`).
+    ``exceed[x]`` bounds ``P[max load > x]`` from above for x in 0..n_balls
+    (the union bound, see :func:`max_load_cdf`); the CDF bound is
+    ``1 - exceed[x]``.  Holding the upper tail, not one minus it, keeps
+    thresholds right for ``alpha`` far below float rounding (1e-16).
     """
 
     n_balls: int
     n_bins: int
-    values: np.ndarray
+    exceed: np.ndarray
 
     def cdf(self, x: float) -> float:
         if x < 0:
             return 0.0
-        return float(self.values[min(math.floor(x), self.n_balls)])
+        return 1.0 - float(self.exceed[min(math.floor(x), self.n_balls)])
 
     def threshold(self, alpha: float) -> int:
         """Smallest integer load whose CDF bound exceeds ``1 - alpha``."""
         _check_alpha(alpha)
-        return int(np.flatnonzero(1.0 - self.values < alpha)[0])
+        return int(np.flatnonzero(self.exceed < alpha)[0])
 
 
 def max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
@@ -162,7 +164,9 @@ def max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
 def _max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
     pmf = binomial_pmf(n_balls, 1.0 / n_bins)
     above = np.append(pmf[::-1].cumsum()[::-1][1:], 0.0)  # P[Bin > x]
-    return MaxLoadCdf(n_balls, n_bins, np.maximum(1.0 - n_bins * above, 0.0))
+    exceed = np.minimum(n_bins * above, 1.0)
+    exceed.setflags(write=False)  # one cached object serves every caller
+    return MaxLoadCdf(n_balls, n_bins, exceed)
 
 
 def grid_detect(
