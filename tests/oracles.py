@@ -13,6 +13,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import stats
 
 from ldplab.attacks.tree import Assignment, _check_search_inputs, assignment_objective
 from ldplab.freq_oracles import HashFamily, HashPair, OlhParams, OueParams
@@ -491,8 +492,6 @@ def max_load_threshold_scan(n_balls: int, n_bins: int, alpha: float) -> int:
     """Smallest load ``x`` with ``n_bins * P[Bin(n_balls, 1/n_bins) > x] < alpha``,
     by scan over scipy's binomial tail: the first load whose union-bound CDF
     ``1 - n_bins * P[Bin > x]`` exceeds ``1 - alpha``."""
-    from scipy import stats
-
     for x in range(n_balls + 1):
         if n_bins * stats.binom.sf(x, n_balls, 1.0 / n_bins) < alpha:
             return x

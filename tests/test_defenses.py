@@ -220,7 +220,7 @@ class TestMaxLoad:
         # grow stochastically with p, so hits falls below Bin(trials, F(x))'s
         # 1e-6 quantile, or above Bin(trials, M(x))'s 1 - 1e-6 quantile, with
         # probability under 1e-6 each: a false-failure rate under 2e-6 per
-        # load, under 1e-4 over the about 40 loads of all sizes.
+        # load, under 1e-4 over the 48 loads of all sizes.
         trials = 2000
         samples = simulated_max_load(n_balls, n_bins, trials, np.random.default_rng(n_balls + n_bins))
         cdf = max_load_cdf(n_balls, n_bins)
@@ -247,6 +247,7 @@ class TestMaxLoad:
         family_size = 211 * 210
         assert max_load_cdf(1900, family_size).threshold(0.005) == 4
         assert max_load_cdf(8000, family_size).threshold(0.005) == 5
+
 
 class TestGridDetect:
     def test_uniform_usage_is_clean(self):
