@@ -109,8 +109,8 @@ def _hit_table(family: HashFamily, n_cells: int) -> Tuple[np.ndarray, np.ndarray
     """Read-only ``(hits, sizes)`` of ``family`` over ``n_cells`` cells.
 
     ``hits`` is cell-major, shape ``(g, n_cells, n_random_functions)``, so a
-    scan sums whole rows of the in-range cells.  Built from
-    :meth:`HashFamily.key_table` on first use; the int64 table is dropped.
+    scan sums whole rows of the in-range cells.  Built on first use from
+    :meth:`HashFamily.key_table`, the family's cached cell-key table.
     """
     table = family.key_table(n_cells)
     hits = np.empty((family.g, n_cells, table.shape[0]), dtype=bool)
@@ -233,13 +233,20 @@ class ColumnBook:
     g2: int
     counts: Dict[int, np.ndarray] = field(default_factory=dict)
 
-    def check(self, attr: int, col_counts: np.ndarray) -> bool:
+    def admits(self, attr: int, col_counts: np.ndarray) -> np.ndarray:
+        """Per row of ``col_counts`` (one candidate's counts per row), whether
+        it matches every recorded column of ``attr`` up to +1."""
+        col_counts = np.atleast_2d(col_counts)
         recorded = self.counts.get(attr)
         if recorded is None:
-            return True
-        diff = np.asarray(col_counts) - recorded
+            return np.ones(col_counts.shape[0], dtype=bool)
         mask = recorded >= 0
-        return bool(np.all((diff[mask] == 0) | (diff[mask] == 1)))
+        diff = col_counts[:, mask] - recorded[mask]
+        return ((diff == 0) | (diff == 1)).all(axis=1)
+
+    def check(self, attr: int, col_counts: np.ndarray) -> bool:
+        """:meth:`admits` for one candidate's column counts."""
+        return bool(self.admits(attr, col_counts)[0])
 
     def record(self, attr: int, col_counts: np.ndarray) -> None:
         recorded = self.counts.setdefault(attr, np.full(self.g2, -1, dtype=np.int64))
@@ -311,21 +318,26 @@ class GridRangeAttack(_GridHook):
     ) -> Tuple[Dict[GridKey, HashPair], List[GridKey]]:
         """One greedy pass over ``keys``, extending ``book`` in place.
 
-        Returns the chosen pair per grid and the grids left without one.
+        Per grid, every candidate is checked against the book at once and
+        the first admitted one in a seeded random order is taken.  Returns
+        the chosen pair per grid and the grids left without one.
         """
         chosen: Dict[GridKey, HashPair] = {}
         failed: List[GridKey] = []
         for key in keys:
             pairs, counts = candidates[key]
-            for idx in rng.permutation(len(pairs)):
-                picked = {attr: cc[idx] for attr, cc in counts.items()}
-                if all(book.check(attr, cc) for attr, cc in picked.items()):
-                    for attr, cc in picked.items():
-                        book.record(attr, cc)
-                    chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
-                    break
-            else:
+            order = rng.permutation(len(pairs))
+            admitted = np.ones(len(pairs), dtype=bool)
+            for attr, cc in counts.items():
+                admitted &= book.admits(attr, cc)
+            hits = np.flatnonzero(admitted[order])
+            if hits.size == 0:
                 failed.append(key)
+                continue
+            idx = order[hits[0]]
+            for attr, cc in counts.items():
+                book.record(attr, cc[idx])
+            chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
         return chosen, failed
 
     def begin(
@@ -430,7 +442,7 @@ def aaog_compute_load_limit(
 
 
 def match_functions_to_grids(
-    values: np.ndarray, quotas: Sequence[int]
+    values: np.ndarray, quotas: Sequence[int], block: int = 8192
 ) -> List[List[int]]:
     """Assign each function to at most one grid under per-grid quotas.
 
@@ -438,24 +450,44 @@ def match_functions_to_grids(
     (both sides rank by the same matrix, so the greedy best-pair-first
     assignment is a stable matching).  Returns the list of function columns
     matched to each grid.
+
+    The greedy scan of the stable ``argsort`` order is resolved ``block``
+    entries at a time (the result does not depend on ``block``).  An entry is live if its grid has quota left and its
+    function is free.  Within a block the first live entry of each function
+    is taken, in order, up to the first one that would overfill its grid;
+    the greedy scan takes exactly those and rejects that one, and the next
+    block starts right after it.
     """
     n_grids, n_fns = values.shape
     if sum(quotas) > n_fns:
         raise ValueError("not enough functions to fill all quotas")
     order = np.argsort(-values, axis=None, kind="stable")
-    remaining = list(quotas)
+    remaining = np.array(quotas, dtype=np.int64).reshape(n_grids)
     taken = np.zeros(n_fns, dtype=bool)
     matched: List[List[int]] = [[] for _ in range(n_grids)]
-    needed = sum(quotas)
-    for flat in order:
-        g_idx, f_idx = divmod(int(flat), n_fns)
-        if remaining[g_idx] > 0 and not taken[f_idx]:
-            matched[g_idx].append(f_idx)
-            taken[f_idx] = True
-            remaining[g_idx] -= 1
-            needed -= 1
-            if needed == 0:
-                break
+    start = 0
+    while start < order.size and remaining.any():
+        g_idx, f_idx = np.divmod(order[start : start + block], n_fns)
+        live = np.flatnonzero((remaining[g_idx] > 0) & ~taken[f_idx])
+        _, first = np.unique(f_idx[live], return_index=True)
+        pos = live[np.sort(first)]
+        grids = g_idx[pos]
+        # Rank of each candidate among the block's earlier candidates of its grid.
+        by_grid = np.argsort(grids, kind="stable")
+        ranked = grids[by_grid]
+        rank = np.empty(pos.size, dtype=np.int64)
+        rank[by_grid] = np.arange(pos.size) - np.searchsorted(ranked, ranked)
+        over = np.flatnonzero(rank >= remaining[grids])
+        if over.size:
+            start += int(pos[over[0]]) + 1
+            pos, grids = pos[: over[0]], grids[: over[0]]
+        else:
+            start += g_idx.size
+        fns = f_idx[pos]
+        taken[fns] = True
+        remaining -= np.bincount(grids, minlength=n_grids)
+        for g in np.unique(grids):
+            matched[g].extend(fns[grids == g].tolist())
     return matched
 
 

@@ -14,10 +14,18 @@ Implements the two oracles used by the range-query protocols:
 Each mechanism's constants live in its params (:class:`OueParams`,
 :class:`OlhParams`), and both aggregators end in the one unbiased estimator
 :func:`debias_counts`, whose estimates may be negative.
+
+OLH aggregation and :meth:`HashFamily.key_table` (hence the grid attacks'
+support scans) evaluate no hash per call.  They read one cached, read-only
+cell-key table per (hash family, cell count): ``key[fn_id, cell]`` over all
+``prime**2`` functions, in the narrowest unsigned dtype that holds ``g - 1``.
+It takes ``prime**2 * n_cells`` bytes for ``g <= 256`` (712 KB at prime 211
+and 16 cells).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -148,17 +156,34 @@ class HashFamily:
     def key_table(self, n_cells: int) -> np.ndarray:
         """Key of every cell under every universal function.
 
-        Returns an int array of shape ``(n_random_functions, n_cells)`` whose
-        row order matches :meth:`random_fn_ids`.
+        Returns a read-only view of shape ``(n_random_functions, n_cells)``
+        of the family's cached cell-key table, whose row order matches
+        :meth:`random_fn_ids`.
         """
-        if n_cells > self.prime:
-            raise ValueError("cell domain must not exceed the prime modulus")
-        a = np.arange(1, self.prime)
-        b = np.arange(self.prime)
-        cells = np.arange(n_cells)
-        # shape (prime-1, prime, n_cells)
-        table = (a[:, None, None] * cells[None, None, :] + b[None, :, None]) % self.prime % self.g
-        return table.reshape(-1, n_cells)
+        return _cell_keys(self, n_cells)[self.prime :]
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_keys(family: HashFamily, n_cells: int) -> np.ndarray:
+    """Read-only ``key[fn_id, cell]`` of all ``prime**2`` functions of ``family``.
+
+    Row ``fn_id = a*prime + b`` holds ``((a*x + b) mod prime) mod g`` for
+    every cell ``x < n_cells``, in the narrowest unsigned dtype holding
+    ``g - 1``.  Built one ``a`` at a time, so no temporary exceeds
+    ``prime * n_cells`` int64 entries.
+    """
+    if n_cells > family.prime:
+        raise ValueError("cell domain must not exceed the prime modulus")
+    dtype = np.min_scalar_type(family.g - 1)
+    key_of = (np.arange(family.prime) % family.g).astype(dtype)
+    b = np.arange(family.prime)[:, None]
+    cells = np.arange(n_cells)
+    table = np.empty((family.prime, family.prime, n_cells), dtype=dtype)
+    for a in range(family.prime):
+        np.take(key_of, (a * cells + b) % family.prime, out=table[a])
+    table = table.reshape(family.size, n_cells)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -231,26 +256,35 @@ def olh_aggregate(
 ) -> np.ndarray:
     """Unbiased per-cell frequency estimate from OLH reports.
 
-    ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports; every key
-    must lie in ``[0, g)``.  The reports are counted as distinct (function,
-    key) pairs: each distinct pair's hash is evaluated over ``cells`` once and
-    its multiplicity is added to the cells whose key it hits.  The support
-    counts are integers, so the estimate equals a per-report count exactly;
+    ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports; every
+    function must lie in ``[0, prime**2)``, every key in ``[0, g)`` and every
+    cell in ``[0, prime)``.  The reports are counted as distinct (function,
+    key) pairs: each distinct pair's row of the family's cached cell-key
+    table (``prime**2`` rows of ``max(cells) + 1`` keys) is compared with its
+    key, and its multiplicity is added to the cells it hits by one float64
+    matmul.  The support counts are integers below 2**53, so they are exact;
     :func:`debias_counts` turns them into frequencies.
     """
     fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
     if fn_ids.size == 0:
         raise ValueError("empty report set")
+    if fn_ids.min() < 0 or fn_ids.max() >= family.size:
+        raise ValueError(f"report functions must lie in [0, {family.size})")
     if keys.min() < 0 or keys.max() >= family.g:
         raise ValueError(f"report keys must lie in [0, {family.g})")
     cells = np.asarray(cells, dtype=np.int64)
+    if cells.size and (cells.min() < 0 or cells.max() >= family.prime):
+        raise ValueError(f"cells must lie in [0, {family.prime})")
+    table = _cell_keys(family, int(cells.max()) + 1 if cells.size else 0)
+    if not np.array_equal(cells, np.arange(table.shape[1])):
+        table = table[:, cells]
     distinct, mult = np.unique(fn_ids * family.g + keys, return_counts=True)
     fns, keys = np.divmod(distinct, family.g)
-    a, b = np.divmod(fns, family.prime)
+    keys = keys.astype(table.dtype)
+    mult = mult.astype(np.float64)
     counts = np.zeros(cells.size, dtype=np.float64)
     chunk = 65536
     for start in range(0, distinct.size, chunk):
         sl = slice(start, start + chunk)
-        cell_keys = ((a[sl, None] * cells[None, :] + b[sl, None]) % family.prime) % family.g
-        counts += mult[sl] @ (cell_keys == keys[sl, None])
+        counts += mult[sl] @ (table[fns[sl]] == keys[sl, None])
     return debias_counts(counts, fn_ids.size, params)

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
+from ldplab.attacks.grid import ColumnBook
 from ldplab.attacks.tree import Assignment, _check_search_inputs, assignment_objective
 from ldplab.freq_oracles import HashFamily, HashPair, OlhParams, OueParams
 from ldplab.query import RangeQuery
@@ -378,7 +379,7 @@ def olh_support_scan(prime: int, g: int, fn_id: int, key: int, n_cells: int) -> 
 def support_scan_reference(family: HashFamily, in_range: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(sizes, inter)`` of every universal (function, key) pair over a cell mask.
 
-    Compares the int64 key table with one key at a time: ``sizes[f, k]``
+    Compares the family's key table with one key at a time: ``sizes[f, k]``
     counts the cells function ``f`` hashes to ``k``, ``inter[f, k]`` those of
     them inside ``in_range``.
     """
@@ -403,6 +404,57 @@ def olh_collision_prob(prime: int, g: int) -> float:
     sizes = np.bincount(np.arange(prime) % g, minlength=g)
     pairs_same = int((sizes * (sizes - 1)).sum())
     return pairs_same / (prime * (prime - 1))
+
+
+def match_functions_to_grids_loop(
+    values: np.ndarray, quotas: Sequence[int]
+) -> List[List[int]]:
+    """Greedy quota matching, one (grid, function) entry of the stable
+    ``argsort`` order at a time: the reference for the package's blocked
+    ``match_functions_to_grids``."""
+    n_grids, n_fns = values.shape
+    if sum(quotas) > n_fns:
+        raise ValueError("not enough functions to fill all quotas")
+    order = np.argsort(-values, axis=None, kind="stable")
+    remaining = list(quotas)
+    taken = np.zeros(n_fns, dtype=bool)
+    matched: List[List[int]] = [[] for _ in range(n_grids)]
+    needed = sum(quotas)
+    for flat in order:
+        if needed == 0:
+            break
+        g_idx, f_idx = divmod(int(flat), n_fns)
+        if remaining[g_idx] > 0 and not taken[f_idx]:
+            matched[g_idx].append(f_idx)
+            taken[f_idx] = True
+            remaining[g_idx] -= 1
+            needed -= 1
+    return matched
+
+
+def plan_once_loop(
+    keys: Sequence,
+    candidates: Dict,
+    rng: np.random.Generator,
+    book: ColumnBook,
+) -> Tuple[Dict, List]:
+    """Per-candidate reference of ``GridRangeAttack._plan_once``: per grid,
+    walk a seeded permutation of the candidates and take the first whose
+    column counts ``book.check`` admits for every attribute."""
+    chosen: Dict = {}
+    failed: List = []
+    for key in keys:
+        pairs, counts = candidates[key]
+        for idx in rng.permutation(len(pairs)):
+            picked = {attr: cc[idx] for attr, cc in counts.items()}
+            if all(book.check(attr, cc) for attr, cc in picked.items()):
+                for attr, cc in picked.items():
+                    book.record(attr, cc)
+                chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
+                break
+        else:
+            failed.append(key)
+    return chosen, failed
 
 
 def stable_matching_audit(

@@ -30,11 +30,14 @@ from ldplab.query import RangeQuery
 
 from .oracles import (
     aaog_load_limit_simulated,
+    match_functions_to_grids_loop,
     olh_support_scan,
+    plan_once_loop,
     simulated_load_tail,
     stable_matching_audit,
     support_scan_reference,
 )
+from .test_grid_plans import CONFIG, CONFLICT_QUERY, RHO, _queries
 
 
 def scan(family, in_range, scale=1.0):
@@ -215,6 +218,16 @@ class TestColumnBook:
         book.record(0, np.array([5, 7]))
         np.testing.assert_array_equal(book.counts[0], [5, 2])
 
+    def test_admits_rows_as_check_does(self):
+        book = ColumnBook(4)
+        book.counts[0] = np.array([2, -1, 1, 0])
+        rows = np.random.default_rng(17).integers(0, 4, (200, 4))
+        admitted = book.admits(0, rows)
+        assert admitted.dtype == bool and admitted.shape == (200,)
+        assert admitted.tolist() == [book.check(0, row) for row in rows]
+        assert admitted.any() and not admitted.all()
+        assert book.admits(1, rows).all()
+
 
 def test_attr_columns():
     config = GridConfig(d=3)
@@ -277,6 +290,48 @@ class TestFindHashPair:
         book.counts[0] = np.full(4, 9, dtype=np.int64)  # unsatisfiable baseline
         pair, failed = self.plan(GridConfig(d=2, prime=17), (0, 64), 1, book)
         assert pair is None and failed == [("1d", 0)]
+
+
+class TestPlanOnceEqualsLoop:
+    """The planner checks a grid's candidates in one array operation; the
+    per-candidate loop of ``tests.oracles`` is the reference."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_same_choices_failures_book_and_rng_state(self, index):
+        query = (_queries() + [CONFLICT_QUERY])[index * 2]
+        attack = GridRangeAttack(CONFIG, query, RHO)
+        keys = attack._relevant_keys()
+        candidates = {key: attack._candidates(key, attack.supports(key)) for key in keys}
+        rng_new = np.random.default_rng(100 + index)
+        rng_old = np.random.default_rng(100 + index)
+        for _ in range(5):  # restarts, each with a fresh book
+            book_new, book_old = ColumnBook(CONFIG.g2), ColumnBook(CONFIG.g2)
+            new = attack._plan_once(keys, candidates, rng_new, book_new)
+            old = plan_once_loop(keys, candidates, rng_old, book_old)
+            assert new == old
+            assert book_new.counts.keys() == book_old.counts.keys()
+            for attr, counts in book_new.counts.items():
+                np.testing.assert_array_equal(counts, book_old.counts[attr])
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_preset_book_with_conflicts(self):
+        config = GridConfig(d=3, prime=67)
+        query = RangeQuery((0, 1, 2), ((0, 48), (16, 64), (0, 64)))
+        attack = GridRangeAttack(config, query, rho=0.2)
+        attack.constraints = SizeConstraints(2, 2)
+        keys = attack._relevant_keys()
+        candidates = {key: attack._candidates(key, attack.supports(key)) for key in keys}
+        for seed in range(10):
+            books = []
+            for _ in range(2):
+                book = ColumnBook(config.g2)
+                book.counts[seed % 3] = np.random.default_rng(seed).integers(-1, 3, config.g2)
+                books.append(book)
+            rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+            new = attack._plan_once(keys, candidates, rngs[0], books[0])
+            old = plan_once_loop(keys, candidates, rngs[1], books[1])
+            assert new == old
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestHaog:
@@ -441,6 +496,34 @@ class TestAaog:
             for fns, quota in zip(matched, quotas):
                 assert len(fns) == quota
             assert stable_matching_audit(values, quotas, matched)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matching_equals_greedy_loop(self, data):
+        # Few distinct values make long runs of ties, so the stable order
+        # decides; small blocks put block boundaries inside those runs.
+        n_grids = data.draw(st.integers(1, 6), label="n_grids")
+        n_fns = data.draw(st.integers(1, 40), label="n_fns")
+        levels = data.draw(st.integers(1, 4), label="levels")
+        flat = data.draw(
+            st.lists(st.integers(0, levels - 1), min_size=n_grids * n_fns, max_size=n_grids * n_fns)
+        )
+        values = np.array(flat, dtype=np.float64).reshape(n_grids, n_fns)
+        total = data.draw(st.one_of(st.just(0), st.just(n_fns), st.integers(0, n_fns)), label="total")
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n_grids - 1, max_size=n_grids - 1)))
+        quotas = np.diff([0, *cuts, total]).tolist()
+        block = data.draw(st.integers(1, n_grids * n_fns + 1), label="block")
+        assert sum(quotas) == total
+        assert match_functions_to_grids(values, quotas, block) == match_functions_to_grids_loop(values, quotas)
+
+    def test_matching_grid_runs_out_mid_block(self):
+        # Grid 0 wants every function first, but its quota of 2 ends inside
+        # the first block; the rest of the block must go on to grid 1.
+        values = np.array([[3.0, 3.0, 3.0, 3.0], [2.0, 1.0, 2.0, 1.0]])
+        for block in (1, 3, 5, 8):
+            matched = match_functions_to_grids(values, [2, 2], block)
+            assert matched == match_functions_to_grids_loop(values, [2, 2])
+            assert matched == [[0, 1], [2, 3]]
 
     def test_matching_rejects_overfull_quotas(self):
         with pytest.raises(ValueError):

@@ -152,6 +152,16 @@ class TestHashFamily:
                 expected = olh_support_scan(17, 4, int(fn_ids[row]), key, 16)
                 np.testing.assert_array_equal(support, expected)
 
+    def test_key_table_is_a_shared_read_only_narrow_view(self):
+        family = HashFamily(17, 4)
+        table = family.key_table(16)
+        assert table.dtype == np.uint8
+        assert table.shape == (family.n_random_functions, 16)
+        assert np.shares_memory(table, HashFamily(17, 4).key_table(16))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert HashFamily(1031, 300).key_table(2).dtype == np.uint16
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HashFamily(16, 4)
@@ -257,6 +267,39 @@ class TestOlhAggregate:
             pairs = (np.array([20, 21]), np.array([0, bad_key]))
             with pytest.raises(ValueError):
                 olh_aggregate(pairs, family, np.arange(16), OlhParams(1.0))
+
+    def test_functions_outside_family_raise(self):
+        # A table lookup would wrap a negative id to another function and an
+        # id past the family would read past its rows.
+        family = HashFamily(17, 4)
+        for bad_fn in (-1, -290, 289, 10**6):
+            pairs = (np.array([20, bad_fn]), np.array([0, 1]))
+            with pytest.raises(ValueError, match="functions"):
+                olh_aggregate(pairs, family, np.arange(16), OlhParams(1.0))
+
+    def test_cells_outside_prime_raise(self):
+        family = HashFamily(17, 4)
+        pairs = (np.array([20, 21]), np.array([0, 1]))
+        for cells in ([-1, 0, 1], [0, 17], np.arange(18)):
+            with pytest.raises(ValueError, match="cells"):
+                olh_aggregate(pairs, family, cells, OlhParams(1.0))
+
+    @pytest.mark.parametrize("prime", [17, 67, 211])
+    def test_permuted_cell_subset_and_constant_functions(self, prime):
+        # Reports include the a = 0 (constant) functions, and the cells are a
+        # permuted subset of [0, prime), so the table's columns are gathered.
+        family = HashFamily(prime, 4)
+        params = OlhParams(np.log(3.0))
+        rng = np.random.default_rng(prime)
+        fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 300), family, params, rng)
+        fn_ids = np.concatenate([fn_ids, rng.integers(0, prime, 40)])
+        keys = np.concatenate([keys, rng.integers(0, 4, 40)])
+        cells = rng.permutation(prime)[: min(prime - 1, 40)]
+        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        np.testing.assert_array_equal(
+            olh_aggregate((fn_ids, keys), family, cells, params),
+            olh_aggregate_pairs(pairs, family, cells, params),
+        )
 
     def test_repeated_fake_pair_equals_per_pair_oracle(self):
         family = HashFamily(17, 4)
