@@ -547,7 +547,10 @@ class AdaptiveGridAttack(_GridHook):
         keys = [k for k, m in fake_counts.items() if m > 0]
         fn_ids = self.family.random_fn_ids()
         values = np.zeros((len(keys), fn_ids.size))
-        best_keys = np.zeros((len(keys), fn_ids.size), dtype=np.int64)
+        # Keys in the family's narrow key dtype keep this table, alive through
+        # the matching's sort, an eighth of its int64 size.
+        key_dtype = np.min_scalar_type(self.family.g - 1)
+        best_keys = np.zeros((len(keys), fn_ids.size), dtype=key_dtype)
         for g_idx, key in enumerate(keys):
             primary, secondary = self.supports(key).preference()
             score = primary * 1e6 + secondary
