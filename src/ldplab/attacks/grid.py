@@ -452,11 +452,12 @@ def match_functions_to_grids(
     matched to each grid.
 
     The greedy scan of the stable ``argsort`` order is resolved ``block``
-    entries at a time (the result does not depend on ``block``).  An entry is live if its grid has quota left and its
-    function is free.  Within a block the first live entry of each function
-    is taken, in order, up to the first one that would overfill its grid;
-    the greedy scan takes exactly those and rejects that one, and the next
-    block starts right after it.
+    entries at a time; the result does not depend on ``block``.  An entry is
+    live if its grid has quota left and its function is free.  Within a
+    block the first live entry of each function is taken, in order, up to
+    the first one that would overfill its grid; the greedy scan takes
+    exactly those and rejects that one, and the next block starts right
+    after it.
     """
     n_grids, n_fns = values.shape
     if sum(quotas) > n_fns:
