@@ -441,9 +441,11 @@ def aaog_compute_load_limit(
     return 0
 
 
-def match_functions_to_grids(
-    values: np.ndarray, quotas: Sequence[int], block: int = 8192
-) -> List[List[int]]:
+# Entries of the stable argsort order resolved per step of the quota matching.
+_MATCH_BLOCK = 8192
+
+
+def match_functions_to_grids(values: np.ndarray, quotas: Sequence[int]) -> List[List[int]]:
     """Assign each function to at most one grid under per-grid quotas.
 
     ``values[g, f]`` is the common worth of function ``f`` to grid ``g``
@@ -451,8 +453,9 @@ def match_functions_to_grids(
     assignment is a stable matching).  Returns the list of function columns
     matched to each grid.
 
-    The greedy scan of the stable ``argsort`` order is resolved ``block``
-    entries at a time; the result does not depend on ``block``.  An entry is
+    The greedy scan of the stable ``argsort`` order is resolved
+    ``_MATCH_BLOCK`` entries at a time; the result does not depend on the
+    block size.  An entry is
     live if its grid has quota left and its function is free.  Within a
     block the first live entry of each function is taken, in order, up to
     the first one that would overfill its grid; the greedy scan takes
@@ -468,7 +471,7 @@ def match_functions_to_grids(
     matched: List[List[int]] = [[] for _ in range(n_grids)]
     start = 0
     while start < order.size and remaining.any():
-        g_idx, f_idx = np.divmod(order[start : start + block], n_fns)
+        g_idx, f_idx = np.divmod(order[start : start + _MATCH_BLOCK], n_fns)
         live = np.flatnonzero((remaining[g_idx] > 0) & ~taken[f_idx])
         _, first = np.unique(f_idx[live], return_index=True)
         pos = live[np.sort(first)]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ldplab.attacks import (
     mga_grid,
     scan_supports,
 )
+from ldplab.attacks import grid
 from ldplab.attacks.grid import _hit_table
 from ldplab.defenses import binomial_pmf, max_load_cdf
 from ldplab.freq_oracles import HashFamily
@@ -514,14 +516,16 @@ class TestAaog:
         quotas = np.diff([0, *sorted(cuts), total]).tolist()
         block = data.draw(st.integers(1, n_grids * n_fns + 1), label="block")
         expected = match_functions_to_grids_loop(values, quotas)
-        assert match_functions_to_grids(values, quotas, block) == expected
+        with mock.patch.object(grid, "_MATCH_BLOCK", block):
+            assert match_functions_to_grids(values, quotas) == expected
 
     def test_matching_grid_runs_out_mid_block(self):
         # Grid 0 wants every function first, but its quota of 2 ends inside
         # the first block; the rest of the block must go on to grid 1.
         values = np.array([[3.0, 3.0, 3.0, 3.0], [2.0, 1.0, 2.0, 1.0]])
         for block in (1, 3, 5, 8):
-            matched = match_functions_to_grids(values, [2, 2], block)
+            with mock.patch.object(grid, "_MATCH_BLOCK", block):
+                matched = match_functions_to_grids(values, [2, 2])
             assert matched == match_functions_to_grids_loop(values, [2, 2])
             assert matched == [[0, 1], [2, 3]]
 
