@@ -556,10 +556,7 @@ class AdaptiveGridAttack(_GridHook):
         key_dtype = np.min_scalar_type(self.family.g - 1)
         best_keys = np.zeros((len(keys), fn_ids.size), dtype=key_dtype)
         for g_idx, key in enumerate(keys):
-            primary, secondary = self.supports(key).preference()
-            score = primary * 1e6 + secondary
-            best_keys[g_idx] = score.argmax(axis=1)
-            values[g_idx] = score.max(axis=1)
+            best_keys[g_idx], values[g_idx] = self._best_keys(key)
         quotas = [math.ceil(fake_counts[k] / self.load_limit) for k in keys]
         matched = match_functions_to_grids(values, quotas)
         for g_idx, key in enumerate(keys):
@@ -571,6 +568,17 @@ class AdaptiveGridAttack(_GridHook):
                 np.repeat(fn_ids[cols], uses),
                 np.repeat(best_keys[g_idx, cols], uses),
             )
+
+    def _best_keys(self, key: GridKey) -> Tuple[np.ndarray, np.ndarray]:
+        """Each universal function's best key for grid ``key``, and its score.
+
+        A function of its own, so one grid's (functions x g) score arrays
+        are freed before the next grid is scored.
+        """
+        primary, secondary = self.supports(key).preference()
+        score = primary * 1e6 + secondary
+        best = score.argmax(axis=1)
+        return best, np.take_along_axis(score, best[:, None], axis=1)[:, 0]
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator

@@ -4,7 +4,8 @@ Implements the two oracles used by the range-query protocols:
 
 * OUE (optimized unary encoding): one-hot vector of length ``n``; the true bit
   survives with probability ``p = 1/2`` and every other bit is set with
-  probability ``q = 1/(e^eps + 1)``.
+  probability ``q = 1/(e^eps + 1)``.  A batch of reports comes back as its
+  1-counts only (:class:`OueCounts`), never as a bit matrix.
 * OLH (optimal local hashing): each user picks a random function from a
   universal linear-congruential hash family mapping cells into ``g`` keys and
   reports a (function, key) pair; the key equals the hash of the true cell
@@ -33,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "OueParams",
+    "OueCounts",
     "OlhParams",
     "HashFamily",
     "HashPair",
@@ -198,26 +200,55 @@ class HashPair:
 # OUE
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class OueCounts:
+    """The 1-counts of a batch of OUE reports, which are not kept.
+
+    ``support[j]`` is the number of reports with bit ``j`` set (shape
+    ``(n,)``) and ``ones[i]`` the number of bits set in report ``i`` (shape
+    ``(users,)``), both int64.
+    """
+
+    support: np.ndarray
+    ones: np.ndarray
+
+
 def oue_perturb_batch(
     true_indices: Sequence[int], params: OueParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Perturb many users at once; returns a ``(len(users), n)`` uint8 bit matrix.
+) -> OueCounts:
+    """Perturb many users at once; returns the reports' 1-counts.
 
     The noise bits are drawn in row chunks of about 65,536 uniforms (at
-    least one row) straight into the bit matrix.  ``Generator.random``
-    consumes its stream in order, so the bits equal those of one draw of the
-    whole ``(users, n)`` matrix; the true bits are drawn after them.
+    least one row) into one reused buffer, thresholded at ``q`` in place and
+    summed by column and by row straight away; each user's noise bit at its
+    true index is kept aside.  The true bits are drawn after all chunks and
+    take the place of those noise bits in both counts.  ``Generator.random``
+    consumes its stream in order, so the counts are the column and row sums
+    of one draw of the whole ``(users, n)`` bit matrix.  They are float64
+    sums of 0/1 values below 2**53, hence exact.
     """
     idx = np.asarray(true_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= params.n):
         raise ValueError("index out of range")
-    bits = np.empty((idx.size, params.n), dtype=bool)
     step = max(1, 65536 // params.n)
+    buf = np.empty((min(step, idx.size), params.n))
+    per_row = np.ones(buf.shape[0])
+    per_col = np.ones(params.n)
+    support = np.zeros(params.n)
+    ones = np.empty(idx.size)
+    noise = np.empty(idx.size)
     for start in range(0, idx.size, step):
-        chunk = bits[start : start + step]
-        np.less(rng.random(chunk.shape), params.q, out=chunk)
-    bits[np.arange(idx.size), idx] = rng.random(idx.size) < params.p
-    return bits.view(np.uint8)
+        chunk = buf[: min(step, idx.size - start)]
+        rows = slice(start, start + chunk.shape[0])
+        rng.random(out=chunk)
+        np.less(chunk, params.q, out=chunk)
+        support += per_row[: chunk.shape[0]] @ chunk
+        ones[rows] = chunk @ per_col
+        noise[rows] = chunk[np.arange(chunk.shape[0]), idx[rows]]
+    change = (rng.random(idx.size) < params.p) - noise
+    support += np.bincount(idx, weights=change, minlength=params.n)
+    ones += change
+    return OueCounts(support.astype(np.int64), ones.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

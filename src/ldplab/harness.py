@@ -208,7 +208,9 @@ def gen_synthetic(
         raw = rng.laplace(mean, std, size=(count, dims))
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    return np.clip(np.rint(raw), 0, domain - 1).astype(np.int64)
+    np.rint(raw, out=raw)
+    np.clip(raw, 0, domain - 1, out=raw)
+    return raw.astype(np.int64)
 
 
 def load_csv(path: str, columns: Sequence[str], domain: int) -> np.ndarray:
@@ -397,10 +399,8 @@ def _run_trial(
     if not defend:
         observer = None
     elif tree:
-        def observer(frontier, real_reports, fake_reports):
-            counts = real_reports.sum(axis=1)
-            if fake_reports is not None and fake_reports.size:
-                counts = np.concatenate([counts, fake_reports.sum(axis=1)])
+        def observer(frontier, real_ones, fake_ones):
+            counts = real_ones if fake_ones is None else np.concatenate([real_ones, fake_ones])
             rounds.append(defenses.tree_detect(counts, len(frontier), config.epsilon, config.alpha))
     else:
         family_size = config.protocol_config.family().n_random_functions

@@ -178,8 +178,13 @@ def run_tree_protocol(
     ``hook``: called once per layer with (frontier ``lo``, frontier ``hi``,
     fake count, rng); must return a ``(fake count, frontier size)`` bit
     matrix of fabricated reports.
-    ``observer``: called per layer with (frontier ids, real reports, fake
-    reports); used by the harness to feed detectors.
+    ``observer``: called per layer with (frontier ids, each real report's
+    1-count, each fake report's 1-count or ``None`` without fakes); used by
+    the harness to feed detectors.
+
+    A layer's real reports exist only as their 1-counts (see
+    :func:`oue_perturb_batch`); the hook's fake matrix is summed by row and
+    by column.
 
     The split rule also runs after the last layer, so nodes split there get
     ``fanout`` children that no layer estimates; they keep ``f_hat = 0``, and
@@ -218,26 +223,27 @@ def run_tree_protocol(
         n_nodes = frontier.size
         params = OueParams(config.epsilon, n_nodes)
 
-        los = tree.lo[frontier]
-        node_idx = np.searchsorted(los, group, side="right") - 1
-        real_reports = oue_perturb_batch(node_idx, params, rng)
+        # The frontier tiles [0, domain) in lo order, so a domain-wide owner
+        # table maps each value to its frontier node.
+        los, his = tree.lo[frontier], tree.hi[frontier]
+        owner = np.repeat(np.arange(n_nodes), his - los)
+        real = oue_perturb_batch(owner[group], params, rng)
+        counts = real.support.astype(np.float64)
+        total_users = group.size
 
-        fake_reports: Optional[np.ndarray] = None
+        fake_ones: Optional[np.ndarray] = None
         if hook is not None and m_fake > 0:
-            fake_reports = np.asarray(hook(los, tree.hi[frontier], m_fake, rng), dtype=np.uint8)
+            fake_reports = np.asarray(hook(los, his, m_fake, rng), dtype=np.uint8)
             if fake_reports.shape != (m_fake, n_nodes):
                 raise ValueError(
                     f"attack hook returned shape {fake_reports.shape}, "
                     f"expected ({m_fake}, {n_nodes})"
                 )
-        if observer is not None:
-            observer(frontier, real_reports, fake_reports)
-
-        counts = real_reports.sum(axis=0, dtype=np.float64)
-        total_users = group.size
-        if fake_reports is not None:
+            fake_ones = fake_reports.sum(axis=1, dtype=np.int64)
             counts += fake_reports.sum(axis=0, dtype=np.float64)
             total_users += m_fake
+        if observer is not None:
+            observer(frontier, real.ones, fake_ones)
         if total_users == 0:
             continue
         freqs = norm_sub(debias_counts(counts, total_users, params)).normalized

@@ -29,6 +29,7 @@ from ldplab.freq_oracles import (
     HashFamily,
     OlhParams,
     OueParams,
+    debias_counts,
     olh_aggregate,
     olh_perturb_batch,
     oue_perturb_batch,
@@ -60,7 +61,6 @@ from .oracles import (
     exhaustive_best_objective,
     norm_sub_bisect,
     olh_collision_prob,
-    oue_aggregate,
     stable_matching_audit,
 )
 
@@ -252,7 +252,7 @@ def test_criterion_06_mga_oue_efficiency_bound():
         f_true = float((values == target).mean())
         real = oue_perturb_batch(values, params, rng)
         fake = mga_tree(lo, lo + 1, query, m_fake, params, rng)
-        counts = real.sum(axis=0, dtype=np.float64) + fake.sum(axis=0, dtype=np.float64)
+        counts = real.support + fake.sum(axis=0, dtype=np.float64)
         est = (counts - (n_real + m_fake) * params.q) / (
             (n_real + m_fake) * (params.p - params.q)
         )
@@ -410,7 +410,7 @@ def test_criterion_09_oracle_unbiasedness():
         sigma_oue = np.sqrt(var) / (n_users * (params.p - params.q))
         for rep in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([1090, rep, int(epsilon * 10)]))
-            est = oue_aggregate(oue_perturb_batch(values, params, rng), params)
+            est = debias_counts(oue_perturb_batch(values, params, rng).support, n_users, params)
             coverages.append(float((np.abs(est - f) <= 3 * sigma_oue).mean()))
 
         # OLH: expectation includes the hash-collision floor of the family.

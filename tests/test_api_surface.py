@@ -9,6 +9,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ldplab
@@ -73,3 +74,30 @@ def test_bench_counter_parameters_exist(name, params):
 
     signature = inspect.signature(getattr(freq_oracles, name))
     assert params <= set(signature.parameters), f"{name}{signature}"
+
+
+def test_bench_counters_read_real_results():
+    """The traced bench's counters accept what the wrapped functions return,
+    so a result type the tracer cannot read fails here, not in the bench."""
+    from ldplab import freq_oracles as fo
+
+    tracer_module = _bench_tracer()
+    tracer = tracer_module.Tracer()
+    counters = tracer_module._counters(tracer)
+    rng = np.random.default_rng(0)
+    olh = fo.OlhParams(1.0)
+    family = fo.HashFamily(17, olh.g)
+    cells = np.arange(8)
+    pairs = fo.olh_perturb_batch(cells, family, olh, rng)
+    calls = [
+        ("oue_perturb_batch", fo.oue_perturb_batch, (np.array([0, 2, 1]), fo.OueParams(1.0, 3), rng)),
+        ("olh_perturb_batch", fo.olh_perturb_batch, (cells, family, olh, rng)),
+        ("olh_aggregate", fo.olh_aggregate, (pairs, family, cells, olh)),
+        ("HashFamily.key_table", fo.HashFamily.key_table, (family, 8)),
+    ]
+    for target, function, args in calls:
+        counters[target](inspect.signature(function).bind(*args).arguments, function(*args))
+    c = tracer.counters
+    assert c["oue_bits"] == 9 and c["layer_nodes"] == 3 and c["oue_bytes"] > 0
+    assert c["olh_reports"] == 8 and c["olh_hash_evals"] == 64
+    assert c["key_table_entries"] == family.n_random_functions * 8

@@ -54,10 +54,11 @@ class TestOuePerturb:
         # with probability 1/2 (within 3 sigma over 1e5 draws).
         params = OueParams(20.0, 16)
         rng = np.random.default_rng(0)
-        reports = oue_perturb_batch(np.full(100_000, 3), params, rng)
-        off_target = np.delete(reports, 3, axis=1)
-        assert off_target.sum() == 0
-        rate = reports[:, 3].mean()
+        counts = oue_perturb_batch(np.full(100_000, 3), params, rng)
+        assert np.delete(counts.support, 3).sum() == 0
+        assert set(np.unique(counts.ones)) <= {0, 1}
+        assert counts.ones.sum() == counts.support[3]
+        rate = counts.support[3] / 100_000
         assert abs(rate - 0.5) <= 3.0 * np.sqrt(0.25 / 100_000)
 
     @pytest.mark.parametrize(
@@ -67,16 +68,19 @@ class TestOuePerturb:
             (200_000, 1),  # one column, several chunks of rows
             (3, 70_000),  # one row is wider than a chunk
             (5_000, 187),  # many rows per chunk, several chunks
+            (1_000, 100),  # a partial last chunk (655 rows per chunk)
         ],
     )
     def test_matches_one_shot_draw(self, users, n):
         params = OueParams(1.0, n)
         true_indices = np.random.default_rng(7).integers(0, n, users)
-        reports = oue_perturb_batch(true_indices, params, np.random.default_rng(8))
-        assert reports.dtype == np.uint8
-        assert reports.shape == (users, n)
+        counts = oue_perturb_batch(true_indices, params, np.random.default_rng(8))
+        assert counts.support.dtype == counts.ones.dtype == np.int64
+        assert counts.support.shape == (n,)
+        assert counts.ones.shape == (users,)
         expected = oue_perturb_batch_oneshot(true_indices, params, np.random.default_rng(8))
-        np.testing.assert_array_equal(reports, expected)
+        np.testing.assert_array_equal(counts.support, expected.sum(axis=0))
+        np.testing.assert_array_equal(counts.ones, expected.sum(axis=1))
 
     def test_single_report_shape_and_bounds(self):
         params = OueParams(1.0, 8)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldplab import tree_protocol
 from ldplab.attacks import tree_coefficients
+from ldplab.freq_oracles import OueCounts
 from ldplab.postprocess import tree_consistency
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
@@ -19,7 +21,12 @@ from ldplab.tree_protocol import (
     tree_to_json,
 )
 
-from .oracles import coefficients_by_linearity, estimate_by_consistency, json_nodes
+from .oracles import (
+    coefficients_by_linearity,
+    estimate_by_consistency,
+    json_nodes,
+    oue_perturb_batch_oneshot,
+)
 
 
 class TestConfig:
@@ -98,6 +105,41 @@ class TestRunProtocol:
         )
         assert [n for n, _ in seen] == [2, 4, 8, 16]
         assert all(fake is None for _, fake in seen)
+
+    @staticmethod
+    def _attacked_run():
+        # Narrow data and the default threshold give adaptive, uneven
+        # frontiers; the hook's random fake bits exercise the fake counts.
+        values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
+        seen = []
+        tree = run_tree_protocol(
+            values,
+            TreeConfig(domain_size=64),
+            hook=lambda lo, hi, m, r: (r.random((m, lo.size)) < 0.4).astype(np.uint8),
+            rho=0.1,
+            rng=np.random.default_rng(6),
+            observer=lambda nodes, real, fake: seen.append((nodes.copy(), real, fake)),
+        )
+        return tree_to_json(tree), seen
+
+    def test_counts_equal_one_shot_report_matrix(self, monkeypatch):
+        """The protocol run on the 1-counts equals a run on the sums of the
+        one-shot reference's whole report matrix."""
+        tree_json, seen = self._attacked_run()
+
+        def matrix_sums(true_indices, params, rng):
+            bits = oue_perturb_batch_oneshot(true_indices, params, rng).astype(np.int64)
+            return OueCounts(bits.sum(axis=0), bits.sum(axis=1))
+
+        monkeypatch.setattr(tree_protocol, "oue_perturb_batch", matrix_sums)
+        expected_json, expected_seen = self._attacked_run()
+        assert tree_json == expected_json
+        assert len(seen) == len(expected_seen) > 1
+        for (nodes, real, fake), (nodes_x, real_x, fake_x) in zip(seen, expected_seen):
+            np.testing.assert_array_equal(nodes, nodes_x)
+            np.testing.assert_array_equal(real, real_x)
+            np.testing.assert_array_equal(fake, fake_x)
+            assert fake is not None and fake.size in (92, 93)  # 556 fakes over 6 layers
 
 
 def test_split_replaces_masked_nodes_in_place():
