@@ -1,57 +1,7 @@
 """Report-level poisoning attacks against the tree and grid protocols."""
 
-from .tree import (
-    Assignment,
-    AdaptiveTreeAttack,
-    MgaTreeAttack,
-    OptimalTreeAttack,
-    aaot_transform,
-    aot_assignment_fast,
-    aot_zero_coeff_strategy,
-    assignment_objective,
-    expected_layer_estimates,
-    mga_tree,
-    tree_coefficients,
-)
-from .grid import (
-    AdaptiveGridAttack,
-    ColumnBook,
-    GridRangeAttack,
-    GridSupports,
-    HeuristicGridAttack,
-    MgaGridAttack,
-    SizeConstraints,
-    aaog_compute_load_limit,
-    aog_size_constraints,
-    haog_best_pair,
-    match_functions_to_grids,
-    mga_grid,
-    scan_supports,
-)
+from . import grid, tree
+from .grid import *  # noqa: F401,F403
+from .tree import *  # noqa: F401,F403
 
-__all__ = [
-    "Assignment",
-    "AdaptiveTreeAttack",
-    "MgaTreeAttack",
-    "OptimalTreeAttack",
-    "aaot_transform",
-    "aot_assignment_fast",
-    "aot_zero_coeff_strategy",
-    "assignment_objective",
-    "expected_layer_estimates",
-    "mga_tree",
-    "tree_coefficients",
-    "AdaptiveGridAttack",
-    "ColumnBook",
-    "GridRangeAttack",
-    "GridSupports",
-    "HeuristicGridAttack",
-    "MgaGridAttack",
-    "SizeConstraints",
-    "aaog_compute_load_limit",
-    "aog_size_constraints",
-    "haog_best_pair",
-    "match_functions_to_grids",
-    "mga_grid",
-    "scan_supports",
-]
+__all__ = [*tree.__all__, *grid.__all__]

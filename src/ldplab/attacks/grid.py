@@ -85,7 +85,9 @@ class GridSupports:
     inside the range.  ``hits`` and ``sizes`` are the family's shared,
     read-only tables.  ``scale`` is the grid's cells per ``g2``-cell of its
     attributes (``n_cells / g2**n_attrs``: ``g1/g2`` for a 1-D grid, 1 for a
-    2-D grid).
+    2-D grid).  :meth:`preference` is the one heuristic ranking score; the
+    heuristic attack, the constraint-driven fallback and the adaptive attack
+    all read it.
     """
 
     fn_ids: np.ndarray
@@ -94,14 +96,19 @@ class GridSupports:
     inter: np.ndarray
     scale: float
 
-    def preference(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(primary, secondary) heuristic ranking per (function, key).
+    def preference(self) -> np.ndarray:
+        """Heuristic score of each (function, key): spill first, then size.
 
-        Primary favors supports with no out-of-range spill; secondary favors
-        large supports.  Both are divided by ``scale`` so that scores of
-        grids with different cell counts are comparable.
+        A support with less out-of-range spill (primary ``inter - sizes``)
+        ranks first; among equal spill a larger support (secondary
+        ``sizes``) does.  Both are divided by ``scale`` so that scores of
+        grids with different cell counts are comparable.  The score
+        ``primary * 1e6 + secondary`` orders exactly lexicographically:
+        distinct primaries differ by at least ``1/scale`` and secondaries
+        span at most ``n_cells/scale``, so the order holds while
+        ``n_cells < 10**6``, which ``n_cells <= prime`` always meets.
         """
-        return (self.inter - self.sizes) / self.scale, self.sizes / self.scale
+        return ((self.inter - self.sizes) / self.scale) * 1e6 + self.sizes / self.scale
 
 
 @functools.lru_cache(maxsize=4)
@@ -113,9 +120,7 @@ def _hit_table(family: HashFamily, n_cells: int) -> Tuple[np.ndarray, np.ndarray
     :meth:`HashFamily.key_table`, the family's cached cell-key table.
     """
     table = family.key_table(n_cells)
-    hits = np.empty((family.g, n_cells, table.shape[0]), dtype=bool)
-    for key in range(family.g):
-        np.equal(table.T, key, out=hits[key])
+    hits = table.T == np.arange(family.g)[:, None, None]
     sizes = np.ascontiguousarray(np.count_nonzero(hits, axis=1).T, dtype=np.int64)
     hits.flags.writeable = False
     sizes.flags.writeable = False
@@ -125,15 +130,15 @@ def _hit_table(family: HashFamily, n_cells: int) -> Tuple[np.ndarray, np.ndarray
 def scan_supports(family: HashFamily, in_range: np.ndarray, scale: float) -> GridSupports:
     """Scan a grid's in-range cell mask against the family's hit table.
 
-    The hit table of ``(family, in_range.size)`` is cached, so a scan only
-    counts, per key, the hits of the in-range cells.  ``scale`` is carried to
+    The hit table of ``(family, in_range.size)`` is cached, so a scan is one
+    sum over the hit rows of the in-range cells, in an unsigned dtype that
+    holds every count.  ``scale`` is carried to
     :meth:`GridSupports.preference`.
     """
     in_range = np.asarray(in_range, dtype=bool)
     hits, sizes = _hit_table(family, in_range.size)
-    inter = np.empty_like(sizes)
-    for key in range(family.g):
-        inter[:, key] = np.count_nonzero(hits[key][in_range], axis=0)
+    counts = hits[:, in_range].sum(axis=1, dtype=np.min_scalar_type(in_range.size))
+    inter = np.ascontiguousarray(counts.T, dtype=np.int64)
     return GridSupports(family.random_fn_ids(), hits, sizes, inter, scale)
 
 
@@ -244,10 +249,6 @@ class ColumnBook:
         diff = col_counts[:, mask] - recorded[mask]
         return ((diff == 0) | (diff == 1)).all(axis=1)
 
-    def check(self, attr: int, col_counts: np.ndarray) -> bool:
-        """:meth:`admits` for one candidate's column counts."""
-        return bool(self.admits(attr, col_counts)[0])
-
     def record(self, attr: int, col_counts: np.ndarray) -> None:
         recorded = self.counts.setdefault(attr, np.full(self.g2, -1, dtype=np.int64))
         undefined = recorded < 0
@@ -255,6 +256,9 @@ class ColumnBook:
 
 
 _Candidates = Tuple[np.ndarray, Dict[int, np.ndarray]]
+
+# Planning attempts of the constraint-driven attack before it falls back.
+_MAX_RESTARTS = 50
 
 
 class GridRangeAttack(_GridHook):
@@ -264,26 +268,20 @@ class GridRangeAttack(_GridHook):
     Each attempt scans the grids in order and, per grid, takes the first
     candidate in a seeded random order whose column counts extend the column
     book; an attempt that leaves some grid without a compliant pair restarts
-    with a fresh order (up to ``max_restarts`` attempts).  A fixed ascending
+    with a fresh order (up to ``_MAX_RESTARTS`` attempts).  A fixed ascending
     order would always reach the maximally skewed single-column supports
     first, whose recorded column counts are mutually unsatisfiable across
-    grids sharing two attributes.  Grids left without a compliant pair fall
-    back to the heuristic pair; ``all_succeeded`` reports whether every
-    relevant grid got a compliant pair, and ``fallback_keys`` lists the grids
-    that did not.
+    grids sharing two attributes.  The attempt with the fewest failed grids
+    is kept.  Its failed grids, and the grids with no query attribute, take a
+    heuristic pair: a uniform pick among the maxima of
+    :meth:`GridSupports.preference`.  ``chosen`` maps every grid to its pair;
+    ``all_succeeded`` reports whether every relevant grid got a compliant
+    pair, and ``fallback_keys`` lists the grids that did not.
     """
 
-    def __init__(
-        self,
-        config: GridConfig,
-        query: RangeQuery,
-        rho: float,
-        max_restarts: int = 50,
-    ):
+    def __init__(self, config: GridConfig, query: RangeQuery, rho: float):
         super().__init__(config, query)
         self.constraints = aog_size_constraints(rho, config)
-        self.max_restarts = max_restarts
-        self.book = ColumnBook(config.g2)
         self.fallback_keys: List[GridKey] = []
         self.chosen: Dict[GridKey, HashPair] = {}
 
@@ -352,17 +350,16 @@ class GridRangeAttack(_GridHook):
             scan = self.supports(key)
             if key in keys:
                 candidates[key] = self._candidates(key, scan)
-            ties[key] = _haog_pairs(scan)
-        best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey], ColumnBook]] = None
-        for _ in range(self.max_restarts):
-            book = ColumnBook(self.config.g2)
-            chosen, failed = self._plan_once(keys, candidates, rng, book)
+            ties[key] = _best_pairs(scan.preference(), scan.fn_ids)
+        best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey]]] = None
+        for _ in range(_MAX_RESTARTS):
+            chosen, failed = self._plan_once(keys, candidates, rng, ColumnBook(self.config.g2))
             if best is None or len(failed) < len(best[1]):
-                best = (chosen, failed, book)
+                best = (chosen, failed)
             if not failed:
                 break
         assert best is not None
-        self.chosen, self.fallback_keys, self.book = best
+        self.chosen, self.fallback_keys = best
         # Fallback grids first, then the grids with no query attribute.
         others = [k for k in grid_keys(self.config.d) if k not in keys]
         for key in self.fallback_keys + others:
@@ -380,16 +377,9 @@ class GridRangeAttack(_GridHook):
 # Heuristic attack
 # ---------------------------------------------------------------------------
 
-def _haog_pairs(supports: GridSupports) -> np.ndarray:
-    """``(fn_id, key)`` rows tied at the lexicographic heuristic maximum."""
-    primary, secondary = supports.preference()
-    score = np.where(primary == primary.max(), secondary, -np.inf)
-    return _best_pairs(score, supports.fn_ids)
-
-
 def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> HashPair:
-    """Lexicographic argmax of the heuristic preference, ties uniform."""
-    return _pick(_haog_pairs(supports), rng)
+    """Argmax of the heuristic preference, ties uniform."""
+    return _pick(_best_pairs(supports.preference(), supports.fn_ids), rng)
 
 
 class HeuristicGridAttack(_GridHook):
@@ -575,8 +565,7 @@ class AdaptiveGridAttack(_GridHook):
         A function of its own, so one grid's (functions x g) score arrays
         are freed before the next grid is scored.
         """
-        primary, secondary = self.supports(key).preference()
-        score = primary * 1e6 + secondary
+        score = self.supports(key).preference()
         best = score.argmax(axis=1)
         return best, np.take_along_axis(score, best[:, None], axis=1)[:, 0]
 

@@ -150,10 +150,9 @@ class HashFamily:
         return self.prime * (self.prime - 1)
 
     def random_fn_ids(self) -> np.ndarray:
-        """All fn_ids of the universal sub-family (``a >= 1``), ascending."""
-        a = np.arange(1, self.prime)
-        b = np.arange(self.prime)
-        return (a[:, None] * self.prime + b[None, :]).ravel()
+        """All fn_ids ``a*prime + b`` of the universal sub-family (``a >= 1``),
+        ascending: exactly ``[prime, prime**2)``."""
+        return np.arange(self.prime, self.size)
 
     def key_table(self, n_cells: int) -> np.ndarray:
         """Key of every cell under every universal function.

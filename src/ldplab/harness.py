@@ -319,18 +319,16 @@ def _prism_encode(value: int, d: int) -> np.ndarray:
     return (value >= np.arange(d)).astype(np.int64)
 
 
-def prism_bruteforce_ratio(epsilon: float, output=(0, 0, 0), v_low: int = 0, v_high: int = 2) -> float:
-    """Exact likelihood ratio of ``output`` under two encoded values."""
+def prism_bruteforce_ratio(epsilon: float) -> float:
+    """Exact likelihood ratio of the all-zeros 3-bit output under values 0
+    and 2, by enumerating its per-bit probabilities."""
     p = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
-    d = len(output)
-    out = np.asarray(output)
 
     def likelihood(value: int) -> float:
-        bits = _prism_encode(value, d)
-        per_bit = np.where(bits == out, p, 1.0 - p)
+        per_bit = np.where(_prism_encode(value, 3) == 0, p, 1.0 - p)
         return float(np.prod(per_bit))
 
-    return likelihood(v_low) / likelihood(v_high)
+    return likelihood(0) / likelihood(2)
 
 
 # ---------------------------------------------------------------------------

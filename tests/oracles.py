@@ -432,6 +432,18 @@ def match_functions_to_grids_loop(
     return matched
 
 
+def book_admits_one(book: ColumnBook, attr: int, col_counts: np.ndarray) -> bool:
+    """Per-column reference of ``ColumnBook.admits`` for one candidate: every
+    recorded (non-negative) column of ``attr`` is matched exactly or by +1."""
+    recorded = book.counts.get(attr)
+    if recorded is None:
+        return True
+    for recorded_count, count in zip(recorded.tolist(), np.asarray(col_counts).tolist()):
+        if recorded_count >= 0 and count - recorded_count not in (0, 1):
+            return False
+    return True
+
+
 def plan_once_loop(
     keys: Sequence,
     candidates: Dict,
@@ -440,14 +452,14 @@ def plan_once_loop(
 ) -> Tuple[Dict, List]:
     """Per-candidate reference of ``GridRangeAttack._plan_once``: per grid,
     walk a seeded permutation of the candidates and take the first whose
-    column counts ``book.check`` admits for every attribute."""
+    column counts :func:`book_admits_one` admits for every attribute."""
     chosen: Dict = {}
     failed: List = []
     for key in keys:
         pairs, counts = candidates[key]
         for idx in rng.permutation(len(pairs)):
             picked = {attr: cc[idx] for attr, cc in counts.items()}
-            if all(book.check(attr, cc) for attr, cc in picked.items()):
+            if all(book_admits_one(book, attr, cc) for attr, cc in picked.items()):
                 for attr, cc in picked.items():
                     book.record(attr, cc)
                 chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))

@@ -414,14 +414,17 @@ def test_criterion_09_oracle_unbiasedness():
             coverages.append(float((np.abs(est - f) <= 3 * sigma_oue).mean()))
 
         # OLH: expectation includes the hash-collision floor of the family.
+        # A report keeps its hashed key with probability p, else it is
+        # uniform over the other g - 1 keys.
         olh = OlhParams(epsilon)
+        p = olh.p
         family = HashFamily(1031, olh.g)
         c = olh_collision_prob(1031, olh.g)
-        pi_wrong = 0.5 * c + (1 - c) / (2 * (olh.g - 1))
-        pi = f * 0.5 + (1 - f) * pi_wrong
-        denom = n_users * (0.5 - 1.0 / olh.g)
+        pi_wrong = p * c + (1 - c) * (1 - p) / (olh.g - 1)
+        pi = f * p + (1 - f) * pi_wrong
+        denom = n_users * (p - 1.0 / olh.g)
         mu = (n_users * pi - n_users / olh.g) / denom
-        var = item_counts * 0.25 + (n_users - item_counts) * pi_wrong * (1 - pi_wrong)
+        var = item_counts * (p * (1 - p)) + (n_users - item_counts) * pi_wrong * (1 - pi_wrong)
         sigma_olh = np.sqrt(var) / denom
         for rep in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([1091, rep, int(epsilon * 10)]))
@@ -497,8 +500,7 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
         for g_idx, key in enumerate(keys):
             mask = cells_in_range(config, query, key)
             scale = mask.size / config.g2 ** len(config.shape(key))
-            primary, secondary = scan_supports(family, mask, scale).preference()
-            values[g_idx] = (primary * 1e6 + secondary).max(axis=1)
+            values[g_idx] = scan_supports(family, mask, scale).preference().max(axis=1)
         quotas = [math.ceil(fake_per_round / limit)] * len(keys)
         matched = match_functions_to_grids(values, quotas)
         if not stable_matching_audit(values, quotas, matched):

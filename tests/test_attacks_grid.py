@@ -26,12 +26,13 @@ from ldplab.attacks import (
 from ldplab.attacks import grid
 from ldplab.attacks.grid import _hit_table
 from ldplab.defenses import binomial_pmf, max_load_cdf
-from ldplab.freq_oracles import HashFamily
+from ldplab.freq_oracles import HashFamily, OlhParams
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
 from ldplab.query import RangeQuery
 
 from .oracles import (
     aaog_load_limit_simulated,
+    book_admits_one,
     match_functions_to_grids_loop,
     olh_support_scan,
     plan_once_loop,
@@ -49,14 +50,19 @@ def scan(family, in_range, scale=1.0):
 class TestScanSupports:
     def test_matches_per_cell_scan(self):
         family = HashFamily(17, 4)
-        in_range = np.random.default_rng(13).random(16) < 0.5
-        supports = scan(family, in_range)
-        np.testing.assert_array_equal(supports.fn_ids, family.random_fn_ids())
-        for row in (0, 7, 100, supports.fn_ids.size - 1):
-            for key in range(4):
-                cells = olh_support_scan(17, 4, int(supports.fn_ids[row]), key, 16)
-                assert supports.sizes[row, key] == len(cells)
-                assert supports.inter[row, key] == int(in_range[cells].sum())
+        masks = (
+            np.random.default_rng(13).random(16) < 0.5,
+            np.zeros(16, dtype=bool),
+            np.ones(16, dtype=bool),
+        )
+        for in_range in masks:
+            supports = scan(family, in_range)
+            np.testing.assert_array_equal(supports.fn_ids, family.random_fn_ids())
+            for row in (0, 7, 100, supports.fn_ids.size - 1):
+                for key in range(4):
+                    cells = olh_support_scan(17, 4, int(supports.fn_ids[row]), key, 16)
+                    assert supports.sizes[row, key] == len(cells)
+                    assert supports.inter[row, key] == int(in_range[cells].sum())
 
     def test_hits_match_key_table(self):
         family = HashFamily(31, 4)
@@ -150,7 +156,7 @@ class TestSizeConstraints:
     def test_spot_values_match_closed_form(self):
         rho, g, g1, g2, d = 0.1, 4, 16, 4, 5
         out = aog_size_constraints(rho, GridConfig(d=d, g1=g1, g2=g2, epsilon=1.0))
-        factor = (0.5 - 1.0 / g) / rho
+        factor = (OlhParams(1.0).p - 1.0 / g) / rho
         w1 = factor * ((d - 1) * g1 + g2**2) / ((d - 1) * (g1 - 2 * g2) + g2**2)
         w2 = factor * g2 / (g2 - 3 + 3 * g1 / (g1 * (d - 1) + g2**2))
         assert out.w1 == pytest.approx(w1, abs=1e-12)
@@ -205,14 +211,19 @@ class TestColumnBook:
     def test_first_record_sets_baseline(self):
         book = ColumnBook(4)
         book.record(0, np.array([2, 0, 1, 0]))
-        assert book.check(0, np.array([2, 0, 1, 0]))
-        assert book.check(0, np.array([3, 1, 2, 1]))  # +1 everywhere is fine
-        assert not book.check(0, np.array([4, 0, 1, 0]))  # +2 rejected
-        assert not book.check(0, np.array([1, 0, 1, 0]))  # -1 rejected
+        rows = np.array(
+            [
+                [2, 0, 1, 0],
+                [3, 1, 2, 1],  # +1 everywhere is fine
+                [4, 0, 1, 0],  # +2 rejected
+                [1, 0, 1, 0],  # -1 rejected
+            ]
+        )
+        assert book.admits(0, rows).tolist() == [True, True, False, False]
 
     def test_unknown_attr_always_passes(self):
         book = ColumnBook(4)
-        assert book.check(3, np.array([9, 9, 9, 9]))
+        assert book.admits(3, np.array([9, 9, 9, 9])).tolist() == [True]
 
     def test_record_fills_only_undefined(self):
         book = ColumnBook(2)
@@ -220,13 +231,13 @@ class TestColumnBook:
         book.record(0, np.array([5, 7]))
         np.testing.assert_array_equal(book.counts[0], [5, 2])
 
-    def test_admits_rows_as_check_does(self):
+    def test_admits_rows_as_per_column_rule(self):
         book = ColumnBook(4)
         book.counts[0] = np.array([2, -1, 1, 0])
         rows = np.random.default_rng(17).integers(0, 4, (200, 4))
         admitted = book.admits(0, rows)
         assert admitted.dtype == bool and admitted.shape == (200,)
-        assert admitted.tolist() == [book.check(0, row) for row in rows]
+        assert admitted.tolist() == [book_admits_one(book, 0, row) for row in rows]
         assert admitted.any() and not admitted.all()
         assert book.admits(1, rows).all()
 
@@ -348,18 +359,48 @@ class TestHaog:
             inter=np.array([[5, 0, 8]]),
             scale=1.0,
         )
-        primary, secondary = supports.preference()
-        # 2-D grid (scale 1): subset support has no violation.
-        assert (primary[0, 0], secondary[0, 0]) == (0.0, 5.0)
+        score = supports.preference()
+        assert score.shape == (1, 3)
+        # 2-D grid (scale 1): subset support has no violation (primary 0,
+        # secondary 5).
+        assert score[0, 0] == 0.0 * 1e6 + 5.0
         # Disjoint support: primary = -|S|.
-        assert (primary[0, 1], secondary[0, 1]) == (-5.0, 5.0)
+        assert score[0, 1] == -5.0 * 1e6 + 5.0
         # 1-D grids rescale both components by g1/g2 = 4.
         hook = HeuristicGridAttack(config, RangeQuery((0,), ((0, 64),)))
         assert hook.supports(("2d", 0, 1)).scale == 1.0
         one_d = hook.supports(("1d", 0))
         assert one_d.scale == config.g1 / config.g2
-        primary, secondary = dataclasses.replace(supports, scale=one_d.scale).preference()
-        assert (primary[0, 2], secondary[0, 2]) == (0.0, 2.0)
+        score = dataclasses.replace(supports, scale=one_d.scale).preference()
+        assert score[0, 2] == 0.0 * 1e6 + 2.0
+        assert score[0, 1] == -1.25 * 1e6 + 1.25
+
+    @given(
+        n_cells=st.integers(1, 1031),
+        shape=st.tuples(st.integers(1, 40), st.sampled_from([2, 4, 8])),
+        scale=st.sampled_from([1.0, 3.0, 4.0, 5.0, 7.0, 0.75, None]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_preference_is_lexicographic(self, n_cells, shape, scale, data):
+        """One score orders (function, key) pairs by (spill, size): its tie
+        set over the grid is the heuristic pick, its per-row argmax the
+        adaptive attack's best key."""
+        scale = n_cells / 9 if scale is None else scale
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(0, n_cells + 1, shape)
+        inter = rng.integers(0, sizes + 1)
+        supports = GridSupports(np.arange(shape[0]), np.zeros((0,)), sizes, inter, scale)
+        score = supports.preference()
+        # Exact integer reference: rank by (inter - sizes, sizes), descending.
+        rank = [(int(i - s), int(s)) for i, s in zip(inter.ravel(), sizes.ravel())]
+        top = max(rank)
+        expected = [divmod(idx, shape[1]) for idx, r in enumerate(rank) if r == top]
+        assert grid._best_pairs(score, supports.fn_ids).tolist() == [list(t) for t in expected]
+        for row in range(shape[0]):
+            keys = rank[row * shape[1] : (row + 1) * shape[1]]
+            assert score[row].argmax() == keys.index(max(keys))
 
     def test_best_pair_on_full_range_has_max_support(self):
         config = GridConfig(d=2)
@@ -384,9 +425,10 @@ class TestGridRangeAttack:
     def test_plans_pair_for_every_grid(self):
         config = GridConfig(d=3, prime=211)
         query = RangeQuery((0, 1), ((16, 64), (0, 48)))
-        attack = GridRangeAttack(config, query, rho=0.2, max_restarts=10)
+        attack = GridRangeAttack(config, query, rho=0.2)
         rng = np.random.default_rng(5)
-        attack.begin({}, 0, rng)
+        with mock.patch.object(grid, "_MAX_RESTARTS", 10):
+            attack.begin({}, 0, rng)
         assert set(attack.chosen) == set(grid_keys(3))
         # Chosen pairs on relevant grids whose plan succeeded are in-range
         # subsets meeting the size floor.
@@ -404,9 +446,10 @@ class TestGridRangeAttack:
     def test_call_emits_planned_pair(self):
         config = GridConfig(d=3, prime=211)
         query = RangeQuery((0, 1), ((16, 64), (0, 48)))
-        attack = GridRangeAttack(config, query, rho=0.2, max_restarts=10)
+        attack = GridRangeAttack(config, query, rho=0.2)
         rng = np.random.default_rng(6)
-        attack.begin({}, 0, rng)
+        with mock.patch.object(grid, "_MAX_RESTARTS", 10):
+            attack.begin({}, 0, rng)
         fns, keys = attack(("2d", 0, 1), 7, rng)
         assert fns.shape == (7,)
         assert len(set(fns)) == 1
