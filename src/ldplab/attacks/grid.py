@@ -274,9 +274,9 @@ class GridRangeAttack(_GridHook):
     grids sharing two attributes.  The attempt with the fewest failed grids
     is kept.  Its failed grids, and the grids with no query attribute, take a
     heuristic pair: a uniform pick among the maxima of
-    :meth:`GridSupports.preference`.  ``chosen`` maps every grid to its pair;
-    ``all_succeeded`` reports whether every relevant grid got a compliant
-    pair, and ``fallback_keys`` lists the grids that did not.
+    :meth:`GridSupports.preference`.  ``chosen`` maps every grid to its
+    pair, and ``fallback_keys`` lists the relevant grids that got no
+    compliant pair (empty when every one did).
     """
 
     def __init__(self, config: GridConfig, query: RangeQuery, rho: float):
@@ -284,10 +284,6 @@ class GridRangeAttack(_GridHook):
         self.constraints = aog_size_constraints(rho, config)
         self.fallback_keys: List[GridKey] = []
         self.chosen: Dict[GridKey, HashPair] = {}
-
-    @property
-    def all_succeeded(self) -> bool:
-        return bool(self.chosen) and not self.fallback_keys
 
     def _relevant_keys(self) -> List[GridKey]:
         keys = grid_keys(self.config.d)
@@ -574,7 +570,4 @@ class AdaptiveGridAttack(_GridHook):
     ) -> Tuple[np.ndarray, np.ndarray]:
         if key not in self._plan:
             raise RuntimeError("begin() was not called before the grid rounds")
-        fns, rep_keys = self._plan[key]
-        if fns.size != m_fake:
-            raise RuntimeError("fake count mismatch with the planned matching")
-        return fns, rep_keys
+        return self._plan[key]

@@ -24,7 +24,7 @@ import numpy as np
 from ..freq_oracles import OueParams, debias_counts
 from ..postprocess import norm_sub
 from ..query import RangeQuery
-from ..tree_protocol import Tree, TreeConfig, _partition_sizes, query_cover
+from ..tree_protocol import Tree, TreeConfig, query_cover
 
 __all__ = [
     "Assignment",
@@ -34,6 +34,7 @@ __all__ = [
     "expected_layer_estimates",
     "assignment_objective",
     "aot_assignment_fast",
+    "ZERO_COEFF_STRATEGIES",
     "aot_zero_coeff_strategy",
     "OptimalTreeAttack",
     "aaot_transform",
@@ -290,6 +291,9 @@ def aot_assignment_fast(
     return Assignment(counts, value)
 
 
+ZERO_COEFF_STRATEGIES = ("zero", "one", "path")
+
+
 def aot_zero_coeff_strategy(
     strategy: str, lo: np.ndarray, hi: np.ndarray, query: RangeQuery
 ) -> np.ndarray:
@@ -299,50 +303,43 @@ def aot_zero_coeff_strategy(
     ``one`` sets every node, ``path`` sets exactly the nodes whose interval
     intersects the target query.
     """
-    n_nodes = len(lo)
-    if strategy == "zero":
-        return np.zeros(n_nodes, dtype=np.uint8)
-    if strategy == "one":
-        return np.ones(n_nodes, dtype=np.uint8)
+    if strategy not in ZERO_COEFF_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r} (expected one of {ZERO_COEFF_STRATEGIES})")
     if strategy == "path":
         q_lo, q_hi = query.intervals[0]
         return ((np.asarray(lo) < q_hi) & (np.asarray(hi) > q_lo)).astype(np.uint8)
-    raise ValueError(f"unknown strategy {strategy!r} (expected zero|one|path)")
+    return np.full(len(lo), strategy == "one", dtype=np.uint8)
 
 
 class OptimalTreeAttack:
     """Layer hook implementing the optimal-assignment tree attack.
 
     At each served layer the attacker rebuilds the tree whose leaves are the
-    frontier, extends it with the growth it predicts under a uniform-data
-    assumption, computes per-node coefficients for the target query, and
-    spreads its fake 1-bits according to the optimal front-loaded assignment.
-    Layers where every coefficient vanishes fall back to a simple bit
-    strategy (``zero`` / ``one`` / ``path``).
+    frontier, extends it with the growth it predicts from uniform data and
+    the protocol's own ``layer_plan`` and ``threshold_for``, computes
+    per-node coefficients for the target query, and spreads its fake 1-bits
+    by the optimal front-loaded assignment.  Layers where every coefficient
+    vanishes fall back to one of the ``ZERO_COEFF_STRATEGIES``.
     """
 
     def __init__(
         self,
         config: TreeConfig,
         query: RangeQuery,
-        assumed_n: int,
+        n_real: int,
         rho: float,
         strategy: str = "one",
     ):
-        if assumed_n < 1:
-            raise ValueError("assumed_n must be >= 1")
+        if n_real < 1:
+            raise ValueError("n_real must be >= 1")
         if not 0.0 < rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
-        if strategy not in ("zero", "one", "path"):
+        if strategy not in ZERO_COEFF_STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.config = config
         self.query = query
-        self.assumed_n = assumed_n
         self.strategy = strategy
-        depth = config.depth
-        assumed_m = int(round(assumed_n * rho / (1.0 - rho)))
-        self._real_sizes = _partition_sizes(assumed_n, depth)
-        self._fake_sizes = _partition_sizes(assumed_m, depth)
+        self._real_sizes, self._fake_sizes = config.layer_plan(n_real, rho)
         self.layer = 0
 
     def __call__(
@@ -361,18 +358,15 @@ class OptimalTreeAttack:
             if nodes is None:
                 break
         coeffs = tree_coefficients(tree, self.query)[frontier]
-        layer = min(self.layer, config.depth - 1)
+        n_real = max(self._real_sizes[self.layer], 1)
         self.layer += 1
 
-        if m_fake == 0:
-            return np.zeros((0, n_nodes), dtype=np.uint8)
         if not np.any(coeffs > 0):
             bits = aot_zero_coeff_strategy(self.strategy, lo, hi, self.query)
             return np.tile(bits, (m_fake, 1))
 
         order = np.argsort(-coeffs, kind="stable")
         freqs = (np.asarray(hi) - np.asarray(lo)) / config.domain_size
-        n_real = max(self._real_sizes[layer], 1)
         params = OueParams(config.epsilon, n_nodes)
         result = aot_assignment_fast(coeffs[order], m_fake, n_real, freqs[order], params)
         counts = np.zeros(n_nodes, dtype=np.int64)

@@ -8,8 +8,9 @@ Subcommands:
 
 Configs are JSON files whose keys mirror ExperimentConfig fields.  The
 whole config, the protocol's own settings and the dataset spec included, is
-checked when it is loaded, so a bad config exits before any data is
-generated.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
+checked when it is loaded (``sweep`` checks every combination before its
+first run), so a bad config exits before any data is generated or any file
+is written.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, prism_bruteforce_ratio, prism_violation_ratio, run_experiment
@@ -59,18 +61,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args)
-    epsilons = [float(x) for x in args.epsilons.split(",")] if args.epsilons else [base.epsilon]
-    rhos = [float(x) for x in args.rhos.split(",")] if args.rhos else [base.rho]
+    try:
+        epsilons = [float(x) for x in args.epsilons.split(",")] if args.epsilons else [base.epsilon]
+        rhos = [float(x) for x in args.rhos.split(",")] if args.rhos else [base.rho]
+    except ValueError as exc:
+        raise ConfigError(f"--epsilons and --rhos take comma-separated numbers: {exc}") from exc
     attacks = args.attacks.split(",") if args.attacks else [base.attack]
     out_dir = Path(base.out) if base.out else None
-    for attack in attacks:
-        for epsilon in epsilons:
-            for rho in rhos:
-                name = f"{base.protocol}_{attack}_eps{epsilon}_rho{rho}.jsonl"
-                out = str(out_dir / name) if out_dir is not None else None
-                config = replace(base, attack=attack, epsilon=epsilon, rho=rho, out=out)
-                _, summary = run_experiment(config)
-                print(json.dumps(summary, sort_keys=True))
+    configs = []
+    for attack, epsilon, rho in product(attacks, epsilons, rhos):
+        name = f"{base.protocol}_{attack}_eps{epsilon}_rho{rho}.jsonl"
+        out = str(out_dir / name) if out_dir is not None else None
+        configs.append(replace(base, attack=attack, epsilon=epsilon, rho=rho, out=out))
+    for config in configs:
+        _, summary = run_experiment(config)
+        print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,7 +35,6 @@ __all__ = [
     "assign_user_groups",
     "grid_keys",
     "cells_in_range",
-    "trim_query",
     "run_grid_protocol",
     "build_response_matrix",
     "estimate_query",
@@ -108,7 +107,6 @@ class GridSet:
 
     config: GridConfig
     freqs: Dict[GridKey, np.ndarray]
-    group_sizes: Dict[GridKey, int] = field(default_factory=dict)
 
 
 def grid_keys(d: int) -> List[GridKey]:
@@ -127,14 +125,9 @@ def assign_user_groups(total_users: int, d: int, rng: np.random.Generator) -> np
     return rng.permutation(base)
 
 
-def trim_query(query: RangeQuery, config: GridConfig) -> RangeQuery:
-    """Snap every interval outward to 2-D column boundaries."""
-    return query.snapped(config.col_width, config.domain_size)
-
-
 def cells_in_range(config: GridConfig, query: RangeQuery, key: GridKey) -> np.ndarray:
-    """Boolean mask of the grid's cells whose columns lie inside the trimmed query."""
-    query = trim_query(query, config)
+    """Boolean mask of the grid's cells whose columns lie inside the snapped query."""
+    query = query.snapped(config.col_width, config.domain_size)
     mask = np.ones(math.prod(config.shape(key)), dtype=bool)
     for attr, cols in config.columns(key).items():
         if attr in query.attrs:
@@ -194,7 +187,6 @@ def run_grid_protocol(
         )
 
     freqs: Dict[GridKey, np.ndarray] = {}
-    group_sizes: Dict[GridKey, int] = {}
 
     for gidx, key in enumerate(keys_order):
         members = by_group[starts[gidx] : starts[gidx + 1]]
@@ -215,14 +207,13 @@ def run_grid_protocol(
         if observer is not None:
             observer(key, fn_ids)
         freqs[key] = olh_aggregate((fn_ids, rep_keys), family, np.arange(math.prod(shape)), params)
-        group_sizes[key] = int(fn_ids.size)
 
     columns = {key: config.columns(key) for key in keys_order}
     for _ in range(config.pp_rounds):
         freqs = grid_consistency(freqs, columns, config.g2)
         freqs = {key: norm_sub(v).normalized for key, v in freqs.items()}
 
-    return GridSet(config, freqs, group_sizes)
+    return GridSet(config, freqs)
 
 
 def build_response_matrix(grids: GridSet, i: int, j: int) -> np.ndarray:
@@ -260,7 +251,7 @@ def estimate_query(grids: GridSet, query: RangeQuery) -> float:
         raise ValueError("query must concern between 2 and d attributes")
     if any(a not in range(config.d) for a in attrs):
         raise ValueError("attribute outside grid set")
-    trimmed = trim_query(query, config)
+    trimmed = query.snapped(config.col_width, config.domain_size)
 
     def fine_range(attr: int) -> slice:
         lo, hi = trimmed.interval_for(attr)

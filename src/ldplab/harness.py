@@ -30,6 +30,7 @@ from .attacks import (
     MgaGridAttack,
     MgaTreeAttack,
     OptimalTreeAttack,
+    ZERO_COEFF_STRATEGIES,
 )
 from .grid_protocol import GridConfig, estimate_query as grid_estimate, run_grid_protocol
 from .query import RangeQuery
@@ -81,7 +82,6 @@ class ExperimentConfig:
     g2: int = 4
     pp_rounds: int = 1
     family_prime: Optional[int] = None
-    attacker_n: Optional[int] = None  # attacker-assumed user count (tree attack)
     seeds: Tuple[int, ...] = (0,)
     threads: int = 1
     out: Optional[str] = None
@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("rho must be in [0, 1)")
         if self.rho == 0.0 and self.attack != "none":
             raise ConfigError("rho must be > 0 when an attack is enabled")
+        if self.strategy not in ZERO_COEFF_STRATEGIES:
+            raise ConfigError(f"strategy must be one of {ZERO_COEFF_STRATEGIES}")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
         for name in ("alpha", "beta"):
@@ -141,6 +143,10 @@ class ExperimentConfig:
                 )
         except ValueError as exc:
             raise ConfigError(f"{self.protocol} config: {exc}") from exc
+        # A csv dataset's row count is known only once it is loaded.
+        groups = self.protocol_config.n_groups if self.protocol == "hdg" else 1
+        if self.dataset["kind"] != "csv" and self.dataset["count"] < groups:
+            raise ConfigError(f"dataset count must be >= {groups}, one user per grid group")
 
     def _check_dataset(self) -> None:
         spec = self.dataset
@@ -350,20 +356,13 @@ def _build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> np.nda
     )
 
 
-def _optimal_tree_attack(config: ExperimentConfig, query: RangeQuery, n_real: int):
-    assumed_n = config.attacker_n or n_real
-    return OptimalTreeAttack(
-        config.protocol_config, query, assumed_n, config.rho, strategy=config.strategy
-    )
-
-
 # (protocol, attack token) -> hook constructor of (config, query, real user
 # count).  The keys are also the attack tokens each protocol accepts.
 _HOOKS = {
     ("ahead", "none"): lambda c, q, n: None,
     ("ahead", "mga"): lambda c, q, n: MgaTreeAttack(q, c.epsilon),
-    ("ahead", "aot"): _optimal_tree_attack,
-    ("ahead", "aaot"): lambda c, q, n: AdaptiveTreeAttack(_optimal_tree_attack(c, q, n), c.epsilon),
+    ("ahead", "aot"): lambda c, q, n: OptimalTreeAttack(c.protocol_config, q, n, c.rho, c.strategy),
+    ("ahead", "aaot"): lambda c, q, n: AdaptiveTreeAttack(_HOOKS["ahead", "aot"](c, q, n), c.epsilon),
     ("hdg", "none"): lambda c, q, n: None,
     ("hdg", "mga"): lambda c, q, n: MgaGridAttack(c.protocol_config, q),
     ("hdg", "haog"): lambda c, q, n: HeuristicGridAttack(c.protocol_config, q),

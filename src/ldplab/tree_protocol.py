@@ -122,33 +122,39 @@ class Tree:
 class TreeConfig:
     """Configuration of the tree protocol.
 
-    ``split_threshold``: explicit threshold, or ``None`` to use twice the
-    analytic OUE standard deviation of the layer's estimate (a configurable
-    stand-in; attack code always reads the threshold through this config).
+    The protocol and the optimal tree attack read the layer schedule through
+    this config only: :meth:`layer_plan` gives each layer's real and fake
+    user counts, and :meth:`threshold_for` the split threshold of a layer.
     """
 
     domain_size: int = 1024
     fanout: int = 2
     epsilon: float = 1.0
-    split_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.fanout < 2:
             raise ValueError("fanout must be >= 2")
-        depth = round(math.log(self.domain_size, self.fanout))
-        if self.fanout**depth != self.domain_size:
+        if self.fanout**self.depth != self.domain_size:
             raise ValueError("domain_size must be a power of fanout")
-        if self.split_threshold is not None and self.split_threshold < 0:
-            raise ValueError("split_threshold must be >= 0")
 
     @property
     def depth(self) -> int:
         """Number of estimated layers (leaf layer has unit intervals)."""
         return round(math.log(self.domain_size, self.fanout))
 
+    def layer_plan(self, n_real: int, rho: float) -> Tuple[List[int], ...]:
+        """``(real_sizes, fake_sizes)``: ``n_real`` users and ``round(n_real *
+        rho / (1 - rho))`` fakes (none at ``rho = 0``), each split into
+        ``depth`` near-equal layer groups, larger ones first."""
+        n_fake = int(round(n_real * rho / (1.0 - rho)))
+        plan = []
+        for total in (n_real, n_fake):
+            base, extra = divmod(total, self.depth)
+            plan.append([base + 1] * extra + [base] * (self.depth - extra))
+        return tuple(plan)
+
     def threshold_for(self, layer_users: int) -> float:
-        if self.split_threshold is not None:
-            return self.split_threshold
+        """Twice the analytic OUE standard deviation of a layer's estimate."""
         return 2.0 * oue_sigma(self.epsilon, max(layer_users, 1))
 
 
@@ -157,12 +163,6 @@ def oue_sigma(epsilon: float, n_users: int) -> float:
     params = OueParams(epsilon, 1)  # p and q do not depend on the vector length
     q = params.q
     return float(np.sqrt(q * (1.0 - q)) / ((params.p - q) * np.sqrt(n_users)))
-
-
-def _partition_sizes(total: int, parts: int) -> List[int]:
-    """Split ``total`` into ``parts`` near-equal group sizes, larger ones first."""
-    base, extra = divmod(total, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
 
 
 def run_tree_protocol(
@@ -200,26 +200,14 @@ def run_tree_protocol(
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must be in [0, 1)")
 
-    depth = config.depth
-    n_real = values.size
-    n_fake = int(round(n_real * rho / (1.0 - rho))) if rho > 0 else 0
-
-    perm = rng.permutation(n_real)
-    real_sizes = _partition_sizes(n_real, depth)
-    fake_sizes = _partition_sizes(n_fake, depth)
-    real_groups: List[np.ndarray] = []
-    offset = 0
-    for size in real_sizes:
-        real_groups.append(values[perm[offset : offset + size]])
-        offset += size
+    real_sizes, fake_sizes = config.layer_plan(values.size, rho)
+    real_groups = np.split(values[rng.permutation(values.size)], np.cumsum(real_sizes)[:-1])
 
     tree = Tree(config.domain_size, config.fanout)
     tree.f_hat[0] = 1.0
     frontier = tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
 
-    for layer in range(depth):
-        group = real_groups[layer]
-        m_fake = fake_sizes[layer]
+    for group, m_fake in zip(real_groups, fake_sizes):
         n_nodes = frontier.size
         params = OueParams(config.epsilon, n_nodes)
 

@@ -199,7 +199,7 @@ def test_criterion_04_grid_attack_full_concentration():
         attack = GridRangeAttack(config, query, rho)
         grids = run_grid_protocol(records, config, hook=attack, rho=rho, rng=rng)
         response = grid_estimate(grids, query)
-        if attack.all_succeeded:
+        if not attack.fallback_keys:
             planned += 1
             if abs(response - 1.0) <= 1e-6:
                 good += 1
@@ -288,7 +288,7 @@ def test_criterion_07_tree_attack_effectiveness():
     opt_effs, mga_effs = [], []
     for qid, query in enumerate(queries):
         f_true = true_frequency(values, query)
-        opt = OptimalTreeAttack(config, query, assumed_n=n_real, rho=rho, strategy="one")
+        opt = OptimalTreeAttack(config, query, n_real=n_real, rho=rho, strategy="one")
         opt_effs.append(efficiency(f_true, run(query, opt, 2 * qid), rho))
         mga = MgaTreeAttack(query, config.epsilon)
         mga_effs.append(efficiency(f_true, run(query, mga, 2 * qid + 1), rho))

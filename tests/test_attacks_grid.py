@@ -295,7 +295,6 @@ class TestFindHashPair:
         attack.constraints = SizeConstraints(17, 17)
         attack.begin({}, 0, np.random.default_rng(15))
         assert attack.fallback_keys == attack._relevant_keys()
-        assert not attack.all_succeeded
         assert set(attack.chosen) == set(grid_keys(2))
 
     def test_book_conflict_returns_none(self):

@@ -263,7 +263,7 @@ class TestOptimalTreeAttack:
     def test_hook_output_is_valid_bit_matrix(self):
         config = TreeConfig(domain_size=64, epsilon=1.0)
         query = RangeQuery((0,), ((16, 48),))
-        hook = OptimalTreeAttack(config, query, assumed_n=10_000, rho=0.1)
+        hook = OptimalTreeAttack(config, query, n_real=10_000, rho=0.1)
         rng = np.random.default_rng(7)
         reports = hook(np.array([0, 32]), np.array([32, 64]), 50, rng)
         assert reports.shape == (50, 2)

@@ -103,3 +103,30 @@ def test_protocol_config_error_exits_before_data(tmp_path, monkeypatch):
         {"dataset": {"kind": "gaussian", "count": "many"}},
     ):
         assert main(["run", "--config", write_config(tmp_path, **bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "overrides, extra",
+    [
+        ({"strategy": "bogus", "rho": 0.1, "attack": "aot"}, []),
+        ({"protocol": "hdg", "dataset": {"kind": "gaussian", "count": 14}}, []),
+        ({"rho": 0.1}, ["--attacks", "none,mga,haog"]),
+        ({}, ["--epsilons", "1,x"]),
+        ({}, ["--rhos", "0.1,"]),
+    ],
+    ids=["strategy", "small-hdg", "sweep-attacks", "sweep-epsilons", "sweep-rhos"],
+)
+def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overrides, extra):
+    from ldplab import harness
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated for a bad config")
+
+    monkeypatch.setattr(harness, "gen_synthetic", no_data)
+    out = tmp_path / "out"
+    out.mkdir()
+    config = write_config(tmp_path, **overrides)
+    command = "sweep" if extra else "run"
+    target = str(out) if extra else str(out / "results.jsonl")
+    assert main([command, "--config", config, "--out", target, *extra]) == EXIT_CONFIG
+    assert list(out.iterdir()) == []

@@ -177,9 +177,20 @@ class TestExperimentConfig:
             dict(alpha=1.0),
             dict(beta=0.0),
             dict(beta=1.5),
+            dict(strategy="bogus"),
+            dict(attack="aot", strategy="bogus"),
+            dict(protocol="hdg", dataset={"kind": "gaussian", "count": 14}),  # 15 groups
+            dict(protocol="hdg", dims_total=2, dataset={"kind": "laplace", "count": 2}),
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
+
+    def test_smallest_grid_dataset(self):
+        config = ExperimentConfig(protocol="hdg", dims_total=2, dataset={"count": 3})
+        assert config.protocol_config.n_groups == 3
+        # A csv dataset's row count is known only once it is loaded.
+        csv = {"kind": "csv", "path": "x.csv", "columns": ["a", "b"]}
+        ExperimentConfig(protocol="hdg", dims_total=2, dataset=csv)
 
 
 def small_tree_config(**overrides):

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldplab import tree_protocol
-from ldplab.attacks import tree_coefficients
+from ldplab.attacks import OptimalTreeAttack, tree_coefficients
 from ldplab.freq_oracles import OueCounts
 from ldplab.postprocess import tree_consistency
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
     Tree,
     TreeConfig,
-    _partition_sizes,
     estimate_query,
     oue_sigma,
     query_cover,
@@ -39,41 +38,60 @@ class TestConfig:
             TreeConfig(domain_size=100, fanout=2)  # not a power of fanout
         with pytest.raises(ValueError):
             TreeConfig(fanout=1)
-        with pytest.raises(ValueError):
-            TreeConfig(split_threshold=-0.1)
 
     def test_threshold(self):
-        assert TreeConfig(split_threshold=0.25).threshold_for(1000) == 0.25
         default = TreeConfig(epsilon=1.0).threshold_for(1000)
         assert default == pytest.approx(2.0 * oue_sigma(1.0, 1000))
 
 
-class TestPartitionSizes:
-    def test_even_split(self):
-        sizes = _partition_sizes(10, 3)
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
+class TestLayerPlan:
+    @given(
+        n_real=st.integers(1, 10**5),
+        rho=st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5, 0.9]),
+        shape=st.sampled_from([(16, 2), (64, 2), (1024, 2), (256, 4), (27, 3)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_near_equal_groups_larger_first(self, n_real, rho, shape):
+        config = TreeConfig(domain_size=shape[0], fanout=shape[1])
+        plan = config.layer_plan(n_real, rho)
+        n_fake = int(round(n_real * rho / (1.0 - rho)))
+        for sizes, total in zip(plan, (n_real, n_fake)):
+            assert len(sizes) == config.depth and sum(sizes) == total
+            assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes == [a.size for a in np.array_split(np.arange(total), config.depth)]
+
+    def test_no_fakes_without_rho(self):
+        real, fake = TreeConfig(domain_size=16).layer_plan(10, 0.0)
+        assert real == [3, 3, 2, 2] and fake == [0, 0, 0, 0]
+
+
+def _fixed_threshold(monkeypatch, theta):
+    monkeypatch.setattr(TreeConfig, "threshold_for", lambda self, layer_users: theta)
 
 
 class TestRunProtocol:
-    def test_large_threshold_stops_after_first_layer(self):
-        config = TreeConfig(domain_size=64, split_threshold=0.9)
+    def test_large_threshold_stops_after_first_layer(self, monkeypatch):
+        _fixed_threshold(monkeypatch, 0.9)
+        config = TreeConfig(domain_size=64)
         rng = np.random.default_rng(0)
         values = rng.integers(0, 64, 5000)
         tree = run_tree_protocol(values, config, rng=rng)
         # Uniform data: every first-layer frequency ~ 1/2 < 0.9, no splits.
         assert tree.leaves()[tree.children([0])].all()
 
-    def test_zero_threshold_builds_full_tree(self):
-        config = TreeConfig(domain_size=16, split_threshold=0.0)
+    def test_zero_threshold_builds_full_tree(self, monkeypatch):
+        _fixed_threshold(monkeypatch, 0.0)
+        config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(1)
         values = rng.integers(0, 16, 4000)
         tree = run_tree_protocol(values, config, rng=rng)
         assert tree.exists.all()  # root + 4 estimated layers, all complete
         assert tree.depth == 4
 
-    def test_hook_shape_checked(self):
-        config = TreeConfig(domain_size=16, split_threshold=0.0)
+    def test_hook_shape_checked(self, monkeypatch):
+        _fixed_threshold(monkeypatch, 0.0)
+        config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="attack hook"):
             run_tree_protocol(
@@ -93,8 +111,9 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_tree_protocol([0], config, rho=1.0)
 
-    def test_observer_sees_every_layer(self):
-        config = TreeConfig(domain_size=16, split_threshold=0.0)
+    def test_observer_sees_every_layer(self, monkeypatch):
+        _fixed_threshold(monkeypatch, 0.0)
+        config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(3)
         seen = []
         run_tree_protocol(
@@ -105,6 +124,31 @@ class TestRunProtocol:
         )
         assert [n for n, _ in seen] == [2, 4, 8, 16]
         assert all(fake is None for _, fake in seen)
+
+    def test_optimal_attack_plans_on_the_protocol_layers(self):
+        """The attack's layer plan is the protocol's: every layer's fake count
+        and real group size equal the attack's ``_fake_sizes`` and
+        ``_real_sizes``."""
+        values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
+        config = TreeConfig(domain_size=64)
+        attack = OptimalTreeAttack(config, RangeQuery((0,), ((24, 40),)), values.size, 0.1)
+        fakes, reals = [], []
+
+        def recording(lo, hi, m_fake, rng):
+            fakes.append(m_fake)
+            return attack(lo, hi, m_fake, rng)
+
+        run_tree_protocol(
+            values,
+            config,
+            hook=recording,
+            rho=0.1,
+            rng=np.random.default_rng(6),
+            observer=lambda nodes, real, fake: reals.append(real.size),
+        )
+        assert len(fakes) == config.depth and attack.layer == config.depth
+        assert fakes == attack._fake_sizes and sum(fakes) == 556
+        assert reals == attack._real_sizes
 
     @staticmethod
     def _attacked_run():
@@ -166,8 +210,9 @@ def test_from_leaves_builds_exactly_the_ancestors():
 class TestQueries:
     def _tree(self):
         rng = np.random.default_rng(4)
-        config = TreeConfig(domain_size=64, split_threshold=0.0)
-        return run_tree_protocol(rng.integers(0, 64, 8000), config, rng=rng)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _fixed_threshold(monkeypatch, 0.0)
+            return run_tree_protocol(rng.integers(0, 64, 8000), TreeConfig(domain_size=64), rng=rng)
 
     def test_full_domain_is_root(self):
         tree = self._tree()
