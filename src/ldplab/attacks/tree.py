@@ -316,10 +316,10 @@ class OptimalTreeAttack:
 
     At each served layer the attacker rebuilds the tree whose leaves are the
     frontier, extends it with the growth it predicts from uniform data and
-    the protocol's own ``layer_plan`` and ``threshold_for``, computes
-    per-node coefficients for the target query, and spreads its fake 1-bits
-    by the optimal front-loaded assignment.  Layers where every coefficient
-    vanishes fall back to one of the ``ZERO_COEFF_STRATEGIES``.
+    the protocol's own ``layer_plan(n_real, n_fake)`` and ``threshold_for``,
+    computes per-node coefficients for the target query, and spreads its fake
+    1-bits by the optimal front-loaded assignment.  Layers where every
+    coefficient vanishes fall back to one of the ``ZERO_COEFF_STRATEGIES``.
     """
 
     def __init__(
@@ -327,19 +327,17 @@ class OptimalTreeAttack:
         config: TreeConfig,
         query: RangeQuery,
         n_real: int,
-        rho: float,
+        n_fake: int,
         strategy: str = "one",
     ):
         if n_real < 1:
             raise ValueError("n_real must be >= 1")
-        if not 0.0 < rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
         if strategy not in ZERO_COEFF_STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.config = config
         self.query = query
         self.strategy = strategy
-        self._real_sizes, self._fake_sizes = config.layer_plan(n_real, rho)
+        self._real_sizes, self._fake_sizes = config.layer_plan(n_real, n_fake)
         self.layer = 0
 
     def __call__(

@@ -40,6 +40,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError("config file must hold a JSON object")
     if args.seed is not None:
         payload["seeds"] = [args.seed]
     if args.out is not None:

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+def _check_fake_count(n_fake) -> None:
+    """Raise unless the fake user count ``n_fake`` is a non-negative integer."""
+    if not isinstance(n_fake, (int, np.integer)) or n_fake < 0:
+        raise ValueError(f"n_fake must be a non-negative integer, got {n_fake!r}")
+
+
 def smallest_prime_above(n: int) -> int:
     """Return the smallest prime strictly greater than ``n``."""
     candidate = max(2, n + 1)

@@ -26,13 +26,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .freq_oracles import HashFamily, OlhParams, olh_aggregate, olh_perturb_batch, smallest_prime_above
+from .freq_oracles import _check_fake_count
 from .postprocess import grid_consistency, norm_sub
 from .query import RangeQuery
 
 __all__ = [
     "GridConfig",
     "GridSet",
-    "assign_user_groups",
     "grid_keys",
     "cells_in_range",
     "run_grid_protocol",
@@ -84,6 +84,15 @@ class GridConfig:
     def cell_width(self) -> int:
         return self.domain_size // self.g1
 
+    def round_plan(self, n_real: int, n_fake: int, rng: np.random.Generator) -> Tuple:
+        """``(groups, fake_counts)``: each real user's grid round and each
+        round's fake count, from one random near-equal partition of all users."""
+        _check_fake_count(n_fake)
+        if n_real + n_fake < self.n_groups:
+            raise ValueError("fewer users than groups")
+        groups = rng.permutation(np.arange(n_real + n_fake) % self.n_groups)
+        return groups[:n_real], np.bincount(groups[n_real:], minlength=self.n_groups)
+
     def olh_params(self) -> OlhParams:
         return OlhParams(self.epsilon)
 
@@ -116,15 +125,6 @@ def grid_keys(d: int) -> List[GridKey]:
     return keys
 
 
-def assign_user_groups(total_users: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random near-equal partition of users into ``d + C(d,2)`` groups."""
-    n_groups = d + d * (d - 1) // 2
-    if total_users < n_groups:
-        raise ValueError("fewer users than groups")
-    base = np.arange(total_users) % n_groups
-    return rng.permutation(base)
-
-
 def cells_in_range(config: GridConfig, query: RangeQuery, key: GridKey) -> np.ndarray:
     """Boolean mask of the grid's cells whose columns lie inside the snapped query."""
     query = query.snapped(config.col_width, config.domain_size)
@@ -140,18 +140,19 @@ def run_grid_protocol(
     records,
     config: GridConfig,
     hook: Optional[Callable[[GridKey, int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None,
-    rho: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    n_fake: int = 0,
+    *,
+    rng: np.random.Generator,
     observer: Optional[Callable[[GridKey, np.ndarray], None]] = None,
 ) -> GridSet:
     """Run collection and post-processing; returns the final :class:`GridSet`.
 
+    ``n_fake``: fakes planned by :meth:`GridConfig.round_plan` with the users.
     ``hook``: called per grid with (grid key, fake count, rng); must return
     ``(fn_ids, keys)`` arrays of fabricated reports for that grid's round.
     ``observer``: called per grid with the fn_ids of every report in the
     round (real then fake), for the max-load detector.
     """
-    rng = rng if rng is not None else np.random.default_rng()
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != config.d:
         raise ValueError(f"records must have shape (n, {config.d})")
@@ -159,32 +160,20 @@ def run_grid_protocol(
         raise ValueError("empty input")
     if records.min() < 0 or records.max() >= config.domain_size:
         raise ValueError("records outside domain")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must be in [0, 1)")
 
-    n_real = records.shape[0]
-    n_fake = int(round(n_real * rho / (1.0 - rho))) if rho > 0 else 0
-    groups = assign_user_groups(n_real + n_fake, config.d, rng)
-    real_groups = groups[:n_real]
-    fake_groups = groups[n_real:]
+    real_groups, fake_counts = config.round_plan(len(records), n_fake, rng)
 
     params = config.olh_params()
     family = config.family()
     keys_order = grid_keys(config.d)
-    n_groups = len(keys_order)
 
     # One stable sort lists every grid's users in record order; the bounds
     # of grid ``gidx`` are ``starts[gidx]:starts[gidx + 1]``.
-    by_group = np.argsort(real_groups.astype(np.min_scalar_type(n_groups)), kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(real_groups, minlength=n_groups))))
-    fake_counts = np.bincount(fake_groups, minlength=n_groups)
+    by_group = np.argsort(real_groups.astype(np.min_scalar_type(config.n_groups)), kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(real_groups, minlength=config.n_groups))))
 
     if hook is not None and hasattr(hook, "begin"):
-        hook.begin(
-            {key: int(fake_counts[gidx]) for gidx, key in enumerate(keys_order)},
-            n_real + n_fake,
-            rng,
-        )
+        hook.begin(dict(zip(keys_order, fake_counts.tolist())), len(records) + n_fake, rng)
 
     freqs: Dict[GridKey, np.ndarray] = {}
 

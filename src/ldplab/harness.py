@@ -120,9 +120,11 @@ class ExperimentConfig:
             raise ConfigError("dims_query must not exceed dims_total")
         if self.protocol == "ahead" and self.dims_query != 1:
             raise ConfigError("the tree protocol answers 1-D queries")
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
+        if self.protocol == "hdg" and self.dims_query < 2:
+            raise ConfigError("the grid protocol answers queries on 2 or more attributes")
         self.seeds = tuple(int(s) for s in self.seeds)
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be one or more non-negative integers")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         self._check_dataset()
@@ -147,6 +149,10 @@ class ExperimentConfig:
         groups = self.protocol_config.n_groups if self.protocol == "hdg" else 1
         if self.dataset["kind"] != "csv" and self.dataset["count"] < groups:
             raise ConfigError(f"dataset count must be >= {groups}, one user per grid group")
+
+    def fake_count(self, n_real: int) -> int:
+        """Fakes making up ``rho`` of all users next to ``n_real`` real ones."""
+        return int(round(n_real * self.rho / (1.0 - self.rho)))
 
     def _check_dataset(self) -> None:
         spec = self.dataset
@@ -361,7 +367,7 @@ def _build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> np.nda
 _HOOKS = {
     ("ahead", "none"): lambda c, q, n: None,
     ("ahead", "mga"): lambda c, q, n: MgaTreeAttack(q, c.epsilon),
-    ("ahead", "aot"): lambda c, q, n: OptimalTreeAttack(c.protocol_config, q, n, c.rho, c.strategy),
+    ("ahead", "aot"): lambda c, q, n: OptimalTreeAttack(c.protocol_config, q, n, c.fake_count(n), c.strategy),
     ("ahead", "aaot"): lambda c, q, n: AdaptiveTreeAttack(_HOOKS["ahead", "aot"](c, q, n), c.epsilon),
     ("hdg", "none"): lambda c, q, n: None,
     ("hdg", "mga"): lambda c, q, n: MgaGridAttack(c.protocol_config, q),
@@ -396,16 +402,16 @@ def _run_trial(
     if not defend:
         observer = None
     elif tree:
-        def observer(frontier, real_ones, fake_ones):
-            counts = real_ones if fake_ones is None else np.concatenate([real_ones, fake_ones])
-            rounds.append(defenses.tree_detect(counts, len(frontier), config.epsilon, config.alpha))
+        def observer(frontier, ones):
+            rounds.append(defenses.tree_detect(ones, len(frontier), config.epsilon, config.alpha))
     else:
         family_size = config.protocol_config.family().n_random_functions
 
         def observer(key, fn_ids):
             rounds.append(defenses.grid_detect(fn_ids, family_size, alpha=config.alpha))
 
-    result = run(data, config.protocol_config, hook=hook, rho=config.rho, rng=rng, observer=observer)
+    n_fake = config.fake_count(len(records))
+    result = run(data, config.protocol_config, hook=hook, n_fake=n_fake, rng=rng, observer=observer)
     return estimate(result, query), _fold_detection(rounds) if defend else None
 
 

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .freq_oracles import OueParams, debias_counts, oue_perturb_batch
+from .freq_oracles import OueParams, _check_fake_count, debias_counts, oue_perturb_batch
 from .postprocess import norm_sub, tree_consistency
 from .query import RangeQuery
 
@@ -51,7 +51,7 @@ class Tree:
     def __init__(self, domain_size: int, fanout: int):
         self.domain_size = domain_size
         self.fanout = fanout
-        self.depth = round(math.log(domain_size, fanout))
+        self.depth = TreeConfig(domain_size, fanout).depth
         sizes = fanout ** np.arange(self.depth + 1)
         self.lo = np.concatenate([np.arange(n) * (domain_size // n) for n in sizes])
         self.hi = self.lo + np.repeat(domain_size // sizes, sizes)
@@ -142,11 +142,10 @@ class TreeConfig:
         """Number of estimated layers (leaf layer has unit intervals)."""
         return round(math.log(self.domain_size, self.fanout))
 
-    def layer_plan(self, n_real: int, rho: float) -> Tuple[List[int], ...]:
-        """``(real_sizes, fake_sizes)``: ``n_real`` users and ``round(n_real *
-        rho / (1 - rho))`` fakes (none at ``rho = 0``), each split into
-        ``depth`` near-equal layer groups, larger ones first."""
-        n_fake = int(round(n_real * rho / (1.0 - rho)))
+    def layer_plan(self, n_real: int, n_fake: int) -> Tuple[List[int], ...]:
+        """``(real_sizes, fake_sizes)``: ``n_real`` users and ``n_fake`` fakes,
+        each split into ``depth`` near-equal layer groups, larger ones first."""
+        _check_fake_count(n_fake)
         plan = []
         for total in (n_real, n_fake):
             base, extra = divmod(total, self.depth)
@@ -169,38 +168,37 @@ def run_tree_protocol(
     real_values: Sequence[int],
     config: TreeConfig,
     hook: Optional[Callable[[np.ndarray, np.ndarray, int, np.random.Generator], np.ndarray]] = None,
-    rho: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    observer: Optional[Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], None]] = None,
+    n_fake: int = 0,
+    *,
+    rng: np.random.Generator,
+    observer: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> Tree:
     """Run the full protocol and return the post-processed tree.
 
+    ``n_fake``: fakes planned by :meth:`TreeConfig.layer_plan` with the users.
     ``hook``: called once per layer with (frontier ``lo``, frontier ``hi``,
     fake count, rng); must return a ``(fake count, frontier size)`` bit
     matrix of fabricated reports.
-    ``observer``: called per layer with (frontier ids, each real report's
-    1-count, each fake report's 1-count or ``None`` without fakes); used by
-    the harness to feed detectors.
+    ``observer``: called per layer with (frontier ids, the 1-count of every
+    report of the layer, real reports first, then fakes); used by the
+    harness to feed detectors.
 
     A layer's real reports exist only as their 1-counts (see
-    :func:`oue_perturb_batch`); the hook's fake matrix is summed by row and
-    by column.
+    :func:`oue_perturb_batch`); the hook's fake matrix is summed by column,
+    and by row only for an observer.
 
     The split rule also runs after the last layer, so nodes split there get
     ``fanout`` children that no layer estimates; they keep ``f_hat = 0``, and
     consistency cuts their parent's ``f_tilde`` to ``fanout / (fanout + 1)``
     of its ``f_hat``.
     """
-    rng = rng if rng is not None else np.random.default_rng()
     values = np.asarray(real_values, dtype=np.int64)
     if values.size == 0:
         raise ValueError("empty user set")
     if values.min() < 0 or values.max() >= config.domain_size:
         raise ValueError("values outside domain")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must be in [0, 1)")
 
-    real_sizes, fake_sizes = config.layer_plan(values.size, rho)
+    real_sizes, fake_sizes = config.layer_plan(values.size, n_fake)
     real_groups = np.split(values[rng.permutation(values.size)], np.cumsum(real_sizes)[:-1])
 
     tree = Tree(config.domain_size, config.fanout)
@@ -219,7 +217,7 @@ def run_tree_protocol(
         counts = real.support.astype(np.float64)
         total_users = group.size
 
-        fake_ones: Optional[np.ndarray] = None
+        ones = real.ones
         if hook is not None and m_fake > 0:
             fake_reports = np.asarray(hook(los, his, m_fake, rng), dtype=np.uint8)
             if fake_reports.shape != (m_fake, n_nodes):
@@ -227,11 +225,12 @@ def run_tree_protocol(
                     f"attack hook returned shape {fake_reports.shape}, "
                     f"expected ({m_fake}, {n_nodes})"
                 )
-            fake_ones = fake_reports.sum(axis=1, dtype=np.int64)
             counts += fake_reports.sum(axis=0, dtype=np.float64)
             total_users += m_fake
+            if observer is not None:
+                ones = np.concatenate([ones, fake_reports.sum(axis=1, dtype=np.int64)])
         if observer is not None:
-            observer(frontier, real.ones, fake_ones)
+            observer(frontier, ones)
         if total_users == 0:
             continue
         freqs = norm_sub(debias_counts(counts, total_users, params)).normalized

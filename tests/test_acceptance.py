@@ -191,13 +191,14 @@ def test_criterion_04_grid_attack_full_concentration():
     query = RangeQuery((0, 1, 2), ((16, 64), (0, 48), (16, 64)))
     rho = 0.2
     n_real = 24_000
+    n_fake = int(round(n_real * rho / (1.0 - rho)))
     good = 0
     planned = 0
     for seed in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([104, seed]))
         records = rng.integers(0, 64, (n_real, 3))
         attack = GridRangeAttack(config, query, rho)
-        grids = run_grid_protocol(records, config, hook=attack, rho=rho, rng=rng)
+        grids = run_grid_protocol(records, config, hook=attack, n_fake=n_fake, rng=rng)
         response = grid_estimate(grids, query)
         if not attack.fallback_keys:
             planned += 1
@@ -276,19 +277,20 @@ def test_criterion_07_tree_attack_effectiveness():
     config = TreeConfig(domain_size=1024, fanout=2, epsilon=1.0)
     n_real = 100_000
     rho = 0.1
+    n_fake = int(round(n_real * rho / (1.0 - rho)))
     data_rng = np.random.default_rng(107)
     values = np.clip(np.rint(data_rng.normal(512.0, 40.0, n_real)), 0, 1023).astype(int)
     queries = gen_queries(20, 1024, 1, 1, np.random.default_rng(1007))
 
     def run(query, hook, seed):
         rng = np.random.default_rng(np.random.SeedSequence([1070, seed]))
-        tree = run_tree_protocol(values, config, hook=hook, rho=rho, rng=rng)
+        tree = run_tree_protocol(values, config, hook=hook, n_fake=n_fake, rng=rng)
         return tree_estimate(tree, query)
 
     opt_effs, mga_effs = [], []
     for qid, query in enumerate(queries):
         f_true = true_frequency(values, query)
-        opt = OptimalTreeAttack(config, query, n_real=n_real, rho=rho, strategy="one")
+        opt = OptimalTreeAttack(config, query, n_real=n_real, n_fake=n_fake, strategy="one")
         opt_effs.append(efficiency(f_true, run(query, opt, 2 * qid), rho))
         mga = MgaTreeAttack(query, config.epsilon)
         mga_effs.append(efficiency(f_true, run(query, mga, 2 * qid + 1), rho))

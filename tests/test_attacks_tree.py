@@ -263,7 +263,7 @@ class TestOptimalTreeAttack:
     def test_hook_output_is_valid_bit_matrix(self):
         config = TreeConfig(domain_size=64, epsilon=1.0)
         query = RangeQuery((0,), ((16, 48),))
-        hook = OptimalTreeAttack(config, query, n_real=10_000, rho=0.1)
+        hook = OptimalTreeAttack(config, query, n_real=10_000, n_fake=1111)
         rng = np.random.default_rng(7)
         reports = hook(np.array([0, 32]), np.array([32, 64]), 50, rng)
         assert reports.shape == (50, 2)
@@ -271,7 +271,7 @@ class TestOptimalTreeAttack:
 
     def test_zero_fakes(self):
         config = TreeConfig(domain_size=16, epsilon=1.0)
-        hook = OptimalTreeAttack(config, RangeQuery((0,), ((0, 8),)), 1000, 0.1)
+        hook = OptimalTreeAttack(config, RangeQuery((0,), ((0, 8),)), 1000, 111)
         out = hook(np.array([0, 8]), np.array([8, 16]), 0, np.random.default_rng(8))
         assert out.shape == (0, 2)
 
@@ -279,11 +279,20 @@ class TestOptimalTreeAttack:
         config = TreeConfig(domain_size=16)
         query = RangeQuery((0,), ((0, 8),))
         with pytest.raises(ValueError):
-            OptimalTreeAttack(config, query, 0, 0.1)
+            OptimalTreeAttack(config, query, 0, 11)
+        for n_fake in (-1, 0.1, 2.0):
+            with pytest.raises(ValueError, match="n_fake"):
+                OptimalTreeAttack(config, query, 100, n_fake)
         with pytest.raises(ValueError):
-            OptimalTreeAttack(config, query, 100, 0.0)
-        with pytest.raises(ValueError):
-            OptimalTreeAttack(config, query, 100, 0.1, strategy="typo")
+            OptimalTreeAttack(config, query, 100, 11, strategy="typo")
+
+    def test_accepts_no_fakes(self):
+        """A tiny real count can round its fakes to 0; the attack still plans."""
+        config = TreeConfig(domain_size=16)
+        hook = OptimalTreeAttack(config, RangeQuery((0,), ((0, 8),)), 3, 0)
+        assert hook._fake_sizes == [0] * config.depth
+        out = hook(np.array([0, 8]), np.array([8, 16]), 0, np.random.default_rng(8))
+        assert out.shape == (0, 2)
 
 
 class TestAaot:

@@ -130,3 +130,32 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
     target = str(out) if extra else str(out / "results.jsonl")
     assert main([command, "--config", config, "--out", target, *extra]) == EXIT_CONFIG
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "payload, extra",
+    [
+        ({"protocol": "hdg", "dims_query": 1}, []),
+        ([{"protocol": "ahead"}], ["--seed", "1"]),
+        ({}, ["--seed", "-1"]),
+        ({"seeds": [0, -2]}, []),
+    ],
+    ids=["hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed"],
+)
+def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):
+    from ldplab import harness
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated for a bad config")
+
+    monkeypatch.setattr(harness, "gen_synthetic", no_data)
+    out = tmp_path / "out"
+    out.mkdir()
+    if isinstance(payload, dict):
+        config = write_config(tmp_path, **payload)
+    else:
+        config = tmp_path / "list.json"
+        config.write_text(json.dumps(payload))
+    args = ["run", "--config", str(config), "--out", str(out / "results.jsonl"), *extra]
+    assert main(args) == EXIT_CONFIG
+    assert list(out.iterdir()) == []

@@ -5,7 +5,6 @@ import pytest
 
 from ldplab.grid_protocol import (
     GridConfig,
-    assign_user_groups,
     build_response_matrix,
     cells_in_range,
     estimate_query,
@@ -61,13 +60,22 @@ def test_grid_keys_order():
     ]
 
 
-def test_assign_user_groups_balanced():
-    rng = np.random.default_rng(0)
-    groups = assign_user_groups(8, 2, rng)  # 3 groups
-    sizes = sorted(np.bincount(groups, minlength=3))
-    assert sizes == [2, 3, 3]
-    with pytest.raises(ValueError):
-        assign_user_groups(2, 2, rng)
+def test_round_plan_is_one_balanced_draw():
+    """Real users and fakes share one near-equal random partition: the draw
+    ``rng.permutation(arange(n_real + n_fake) % n_groups)``, real users first."""
+    config = GridConfig(d=2)  # 3 groups
+    groups, fake_counts = config.round_plan(5, 3, np.random.default_rng(0))
+    draw = np.random.default_rng(0).permutation(np.arange(8) % 3)
+    np.testing.assert_array_equal(groups, draw[:5])
+    np.testing.assert_array_equal(fake_counts, np.bincount(draw[5:], minlength=3))
+    assert sorted(np.bincount(groups, minlength=3) + fake_counts) == [2, 3, 3]
+    rng = np.random.default_rng(1)
+    for n_real, n_fake in ((2, 0), (1, 1)):
+        with pytest.raises(ValueError, match="fewer users than groups"):
+            config.round_plan(n_real, n_fake, rng)
+    for n_fake in (-1, 0.1, 2.0):
+        with pytest.raises(ValueError, match="n_fake"):
+            config.round_plan(8, n_fake, rng)
 
 
 class TestQueryGeometry:
@@ -161,14 +169,38 @@ class TestRunProtocol:
         assert set(seen.values()) == {1000}  # 3,000 users over 3 grids
         assert sum(seen.values()) == 3000
 
+    def test_observer_sees_the_round_plan(self):
+        """Each round's observer array holds the plan's real users and then
+        its fakes."""
+        config = GridConfig(d=3)
+        records = self._records(np.random.default_rng(7), n=3000, d=3)
+        groups, fake_counts = config.round_plan(3000, 333, np.random.default_rng(8))
+        seen = {}
+        run_grid_protocol(
+            records,
+            config,
+            hook=lambda key, m, rng: (np.full(m, 7), np.zeros(m, dtype=int)),
+            n_fake=333,
+            rng=np.random.default_rng(8),
+            observer=lambda key, fn_ids: seen.__setitem__(key, fn_ids),
+        )
+        real_counts = np.bincount(groups, minlength=config.n_groups)
+        for gidx, key in enumerate(grid_keys(3)):
+            fn_ids = seen[key]
+            assert fn_ids.size == real_counts[gidx] + fake_counts[gidx]
+            assert (fn_ids[real_counts[gidx] :] == 7).all()
+        assert fake_counts.sum() == 333
+
     def test_input_validation(self):
         config = GridConfig(d=2)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_grid_protocol(np.zeros((5, 3), dtype=int), config)
+            run_grid_protocol(np.zeros((5, 3), dtype=int), config, rng=rng)
         with pytest.raises(ValueError):
-            run_grid_protocol(np.full((5, 2), 64), config)
-        with pytest.raises(ValueError):
-            run_grid_protocol(np.zeros((5, 2), dtype=int), config, rho=-0.1)
+            run_grid_protocol(np.full((5, 2), 64), config, rng=rng)
+        for n_fake in (-1, 0.1, 2.0):
+            with pytest.raises(ValueError, match="n_fake"):
+                run_grid_protocol(np.zeros((5, 2), dtype=int), config, n_fake=n_fake, rng=rng)
 
 
 class TestResponseMatrix:

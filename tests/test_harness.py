@@ -166,6 +166,8 @@ class TestExperimentConfig:
             dict(protocol="hdg", family_prime=10),  # below the cell count
             dict(protocol="hdg", family_prime=20),  # not a prime
             dict(protocol="hdg", dims_total=1, dims_query=1),
+            dict(protocol="hdg", dims_query=1),  # grid queries span 2+ attributes
+            dict(seeds=(0, -1)),
             dict(dataset={"kind": "csv"}),
             dict(dataset={"kind": "csv", "path": "x.csv"}),
             dict(dataset={"kind": "csv", "path": "x.csv", "columns": ["a", "b"]}),
@@ -184,6 +186,11 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
+
+    def test_fake_count(self):
+        assert ExperimentConfig(rho=0.1).fake_count(9000) == 1000
+        assert ExperimentConfig(rho=0.1).fake_count(4) == 0  # 0.44 rounds to 0
+        assert ExperimentConfig(rho=0.0).fake_count(9000) == 0
 
     def test_smallest_grid_dataset(self):
         config = ExperimentConfig(protocol="hdg", dims_total=2, dataset={"count": 3})
@@ -216,6 +223,13 @@ class TestRunExperiment:
             assert r.poisoned_response == r.honest_response
             assert r.efficiency is None and r.detected is None
         assert summary["mean_efficiency"] is None
+
+    def test_optimal_tree_attack_runs_when_fakes_round_to_zero(self):
+        dataset = {"kind": "gaussian", "count": 40, "mean": 32.0, "std": 10.0}
+        config = small_tree_config(attack="aot", rho=0.01, dataset=dataset, defense=True)
+        assert config.fake_count(40) == 0
+        results, _ = run_experiment(config)
+        assert len(results) == 3 and all(r.detected is not None for r in results)
 
     def test_fixed_seed_is_deterministic(self, tmp_path):
         out_a = tmp_path / "a.jsonl"

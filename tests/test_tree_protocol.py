@@ -53,8 +53,8 @@ class TestLayerPlan:
     @settings(max_examples=200, deadline=None)
     def test_near_equal_groups_larger_first(self, n_real, rho, shape):
         config = TreeConfig(domain_size=shape[0], fanout=shape[1])
-        plan = config.layer_plan(n_real, rho)
         n_fake = int(round(n_real * rho / (1.0 - rho)))
+        plan = config.layer_plan(n_real, n_fake)
         for sizes, total in zip(plan, (n_real, n_fake)):
             assert len(sizes) == config.depth and sum(sizes) == total
             assert max(sizes) - min(sizes) <= 1
@@ -62,8 +62,13 @@ class TestLayerPlan:
             assert sizes == [a.size for a in np.array_split(np.arange(total), config.depth)]
 
     def test_no_fakes_without_rho(self):
-        real, fake = TreeConfig(domain_size=16).layer_plan(10, 0.0)
+        real, fake = TreeConfig(domain_size=16).layer_plan(10, 0)
         assert real == [3, 3, 2, 2] and fake == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n_fake", [-1, 0.1, 2.0])
+    def test_rejects_counts_that_are_not_non_negative_integers(self, n_fake):
+        with pytest.raises(ValueError, match="n_fake"):
+            TreeConfig(domain_size=16).layer_plan(10, n_fake)
 
 
 def _fixed_threshold(monkeypatch, theta):
@@ -98,18 +103,22 @@ class TestRunProtocol:
                 np.zeros(100, dtype=int),
                 config,
                 hook=lambda lo, hi, m, r: np.zeros((m + 1, len(lo))),
-                rho=0.1,
+                n_fake=11,
                 rng=rng,
             )
 
     def test_input_validation(self):
         config = TreeConfig(domain_size=16)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_tree_protocol([], config)
+            run_tree_protocol([], config, rng=rng)
         with pytest.raises(ValueError):
-            run_tree_protocol([16], config)
-        with pytest.raises(ValueError):
-            run_tree_protocol([0], config, rho=1.0)
+            run_tree_protocol([16], config, rng=rng)
+        for n_fake in (-1, 0.1, 2.0):
+            with pytest.raises(ValueError, match="n_fake"):
+                run_tree_protocol([0], config, n_fake=n_fake, rng=rng)
+        with pytest.raises(ValueError, match="n_fake"):
+            run_tree_protocol([0], config, None, 0.1, rng=rng)  # a stale positional rho
 
     def test_observer_sees_every_layer(self, monkeypatch):
         _fixed_threshold(monkeypatch, 0.0)
@@ -120,19 +129,19 @@ class TestRunProtocol:
             rng.integers(0, 16, 1000),
             config,
             rng=rng,
-            observer=lambda nodes, real, fake: seen.append((len(nodes), fake)),
+            observer=lambda nodes, ones: seen.append((len(nodes), ones.size)),
         )
         assert [n for n, _ in seen] == [2, 4, 8, 16]
-        assert all(fake is None for _, fake in seen)
+        assert [size for _, size in seen] == config.layer_plan(1000, 0)[0]
 
     def test_optimal_attack_plans_on_the_protocol_layers(self):
         """The attack's layer plan is the protocol's: every layer's fake count
-        and real group size equal the attack's ``_fake_sizes`` and
-        ``_real_sizes``."""
+        equals the attack's ``_fake_sizes``, and the observer sees each
+        layer's ``_real_sizes`` real and ``_fake_sizes`` fake reports."""
         values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
         config = TreeConfig(domain_size=64)
-        attack = OptimalTreeAttack(config, RangeQuery((0,), ((24, 40),)), values.size, 0.1)
-        fakes, reals = [], []
+        attack = OptimalTreeAttack(config, RangeQuery((0,), ((24, 40),)), values.size, 556)
+        fakes, reports = [], []
 
         def recording(lo, hi, m_fake, rng):
             fakes.append(m_fake)
@@ -142,13 +151,13 @@ class TestRunProtocol:
             values,
             config,
             hook=recording,
-            rho=0.1,
+            n_fake=556,
             rng=np.random.default_rng(6),
-            observer=lambda nodes, real, fake: reals.append(real.size),
+            observer=lambda nodes, ones: reports.append(ones.size),
         )
         assert len(fakes) == config.depth and attack.layer == config.depth
         assert fakes == attack._fake_sizes and sum(fakes) == 556
-        assert reals == attack._real_sizes
+        assert reports == [r + f for r, f in zip(attack._real_sizes, attack._fake_sizes)]
 
     @staticmethod
     def _attacked_run():
@@ -160,9 +169,9 @@ class TestRunProtocol:
             values,
             TreeConfig(domain_size=64),
             hook=lambda lo, hi, m, r: (r.random((m, lo.size)) < 0.4).astype(np.uint8),
-            rho=0.1,
+            n_fake=556,
             rng=np.random.default_rng(6),
-            observer=lambda nodes, real, fake: seen.append((nodes.copy(), real, fake)),
+            observer=lambda nodes, ones: seen.append((nodes.copy(), ones)),
         )
         return tree_to_json(tree), seen
 
@@ -179,11 +188,11 @@ class TestRunProtocol:
         expected_json, expected_seen = self._attacked_run()
         assert tree_json == expected_json
         assert len(seen) == len(expected_seen) > 1
-        for (nodes, real, fake), (nodes_x, real_x, fake_x) in zip(seen, expected_seen):
+        plan = zip(*TreeConfig(domain_size=64).layer_plan(5000, 556))
+        for (nodes, ones), (nodes_x, ones_x), (n_real, n_fake) in zip(seen, expected_seen, plan):
             np.testing.assert_array_equal(nodes, nodes_x)
-            np.testing.assert_array_equal(real, real_x)
-            np.testing.assert_array_equal(fake, fake_x)
-            assert fake is not None and fake.size in (92, 93)  # 556 fakes over 6 layers
+            np.testing.assert_array_equal(ones, ones_x)
+            assert n_fake in (92, 93) and ones.size == n_real + n_fake  # 556 fakes over 6 layers
 
 
 def test_split_replaces_masked_nodes_in_place():
