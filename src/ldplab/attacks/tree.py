@@ -16,7 +16,6 @@ Three attack families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
@@ -27,12 +26,10 @@ from ..query import RangeQuery
 from ..tree_protocol import Tree, TreeConfig, query_cover
 
 __all__ = [
-    "Assignment",
     "mga_tree",
     "MgaTreeAttack",
     "tree_coefficients",
     "expected_layer_estimates",
-    "assignment_objective",
     "aot_assignment_fast",
     "ZERO_COEFF_STRATEGIES",
     "aot_zero_coeff_strategy",
@@ -56,14 +53,6 @@ def _key_chunks(
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
         yield rows, rng.random((rows.stop - rows.start, width))
-
-
-@dataclass
-class Assignment:
-    """Fake-report 1-counts per layer node (aligned with the caller's order)."""
-
-    counts: np.ndarray
-    value: float
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +161,6 @@ def expected_layer_estimates(
     return debias_counts(counts, total, params)
 
 
-def assignment_objective(
-    coeffs: np.ndarray,
-    freqs: np.ndarray,
-    assignment: np.ndarray,
-    n_real: int,
-    m_fake: int,
-    params: OueParams,
-) -> float:
-    """Coefficient-weighted normalized expected estimate for one assignment."""
-    est = expected_layer_estimates(freqs, assignment, n_real, m_fake, params)
-    return float(np.dot(coeffs, norm_sub(est).normalized))
-
-
 def _check_search_inputs(sorted_coeffs: np.ndarray, m_fake: int) -> np.ndarray:
     c = np.asarray(sorted_coeffs, dtype=np.float64)
     if c.size == 0:
@@ -204,8 +180,11 @@ def aot_assignment_fast(
     n_real: int,
     freqs: Sequence[float],
     params: OueParams,
-) -> Assignment:
+) -> np.ndarray:
     """Best front-loaded assignment via incremental threshold tracking.
+
+    Returns the fake reports' ``int64`` 1-count per node, in the order of
+    ``sorted_coeffs``.
 
     For each base assignment (first ``i`` nodes at M) a trailing count ``t``
     on node ``i`` sweeps [0, M].  The normalization threshold and objective
@@ -287,8 +266,7 @@ def aot_assignment_fast(
     counts = np.zeros(n_nodes, dtype=np.int64)
     counts[:best_i] = m_fake
     counts[best_i] = best_t
-    value = assignment_objective(c, f, counts.astype(np.float64), n_real, m_fake, params)
-    return Assignment(counts, value)
+    return counts
 
 
 ZERO_COEFF_STRATEGIES = ("zero", "one", "path")
@@ -366,9 +344,8 @@ class OptimalTreeAttack:
         order = np.argsort(-coeffs, kind="stable")
         freqs = (np.asarray(hi) - np.asarray(lo)) / config.domain_size
         params = OueParams(config.epsilon, n_nodes)
-        result = aot_assignment_fast(coeffs[order], m_fake, n_real, freqs[order], params)
         counts = np.zeros(n_nodes, dtype=np.int64)
-        counts[order] = result.counts
+        counts[order] = aot_assignment_fast(coeffs[order], m_fake, n_real, freqs[order], params)
         return (np.arange(m_fake)[:, None] < counts[None, :]).astype(np.uint8)
 
 

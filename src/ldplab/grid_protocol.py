@@ -17,9 +17,8 @@ range masks, consistency and the attacks all derive from these two.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,7 +37,6 @@ __all__ = [
     "run_grid_protocol",
     "build_response_matrix",
     "estimate_query",
-    "grids_to_json",
 ]
 
 GridKey = Tuple  # ("1d", i) or ("2d", i, j)
@@ -254,15 +252,3 @@ def estimate_query(grids: GridSet, query: RangeQuery) -> float:
     combined = float(np.prod(answers) ** (1.0 / (len(attrs) - 1)))
     return min(max(combined, 0.0), 1.0)
 
-
-def grids_to_json(grids: GridSet) -> str:
-    config = grids.config
-    payload = {
-        "config": asdict(config),
-        "one_d": [grids.freqs[("1d", i)].tolist() for i in range(config.d)],
-        "two_d": {
-            f"{i},{j}": grids.freqs[("2d", i, j)].reshape(config.shape(("2d", i, j))).tolist()
-            for i, j in combinations(range(config.d), 2)
-        },
-    }
-    return json.dumps(payload)

@@ -60,6 +60,21 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+# Fields that count or index something: a float there would be truncated or
+# fail mid-run, so it is rejected when the config is built.
+_INTEGER_FIELDS = (
+    "n_queries", "dims_total", "dims_query", "domain_size", "fanout", "g1", "g2", "pp_rounds", "threads",
+)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; anything but an ``int`` or ``np.integer``
+    (a bool or a whole float included) is a :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     protocol: str = "ahead"  # ahead (tree) | hdg (grid)
@@ -98,6 +113,11 @@ class ExperimentConfig:
             self.dims_query = 1 if self.protocol == "ahead" else min(3, self.dims_total)
         if self.domain_size is None:
             self.domain_size = 1024 if self.protocol == "ahead" else 64
+        for name in _INTEGER_FIELDS:
+            setattr(self, name, _integer(name, getattr(self, name)))
+        if self.family_prime is not None:
+            self.family_prime = _integer("family_prime", self.family_prime)
+        self.seeds = tuple(_integer("seeds", s) for s in self.seeds)
         valid = tuple(token for protocol, token in _HOOKS if protocol == self.protocol)
         if self.attack not in valid:
             raise ConfigError(
@@ -122,7 +142,6 @@ class ExperimentConfig:
             raise ConfigError("the tree protocol answers 1-D queries")
         if self.protocol == "hdg" and self.dims_query < 2:
             raise ConfigError("the grid protocol answers queries on 2 or more attributes")
-        self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("seeds must be one or more non-negative integers")
         if self.threads < 1:
@@ -166,15 +185,16 @@ class ExperimentConfig:
             if not isinstance(columns, (list, tuple)) or len(columns) != self.dims_total:
                 raise ConfigError(f"csv dataset needs {self.dims_total} columns (dims_total)")
         elif kind in ("gaussian", "laplace"):
+            count = _integer("dataset count", spec.get("count", 100_000))
             try:
                 filled = {
                     "kind": kind,
-                    "count": int(spec.get("count", 100_000)),
+                    "count": count,
                     "mean": float(spec.get("mean", self.domain_size / 2)),
                     "std": float(spec.get("std", self.domain_size / 25)),
                 }
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"dataset count, mean and std must be numbers: {exc}") from exc
+                raise ConfigError(f"dataset mean and std must be numbers: {exc}") from exc
             if filled["count"] < 1:
                 raise ConfigError("dataset count must be >= 1")
             self.dataset = {**spec, **filled}
@@ -445,6 +465,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     )
 
     honest_cfg = replace(config, attack="none", rho=0.0)
+    # A tiny dataset can round its fakes to 0: no fake user, no efficiency.
+    injects = config.fake_count(len(records)) > 0
 
     results: List[TrialResult] = []
     for qid, query in enumerate(queries):
@@ -459,7 +481,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
             poisoned, detection = honest, None
 
         f_true = true_frequency(records, query)
-        eff = efficiency(f_true, poisoned, config.rho) if config.rho > 0 else None
+        eff = efficiency(f_true, poisoned, config.rho) if injects else None
         results.append(
             TrialResult(
                 seed=seed,

@@ -15,7 +15,6 @@ of the decomposition is one contiguous slice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -33,7 +32,6 @@ __all__ = [
     "run_tree_protocol",
     "query_cover",
     "estimate_query",
-    "tree_to_json",
 ]
 
 
@@ -281,17 +279,3 @@ def estimate_query(tree: Tree, query: RangeQuery) -> float:
     total += sum((tree.f_tilde[partial] * fractions).tolist())
     return float(total)
 
-
-def tree_to_json(tree: Tree) -> str:
-    """Serialize a tree to JSON (interval, f_hat, f_tilde, children)."""
-
-    def encode(i: int) -> dict:
-        kids = tree.children([i]) if i < tree.level(tree.depth).start else []
-        return {
-            "interval": [int(tree.lo[i]), int(tree.hi[i])],
-            "f_hat": float(tree.f_hat[i]),
-            "f_tilde": float(tree.f_tilde[i]),
-            "children": [encode(int(k)) for k in kids if tree.exists[k]],
-        }
-
-    return json.dumps(encode(0))

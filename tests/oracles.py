@@ -1,24 +1,63 @@
 """Independent reference implementations used to validate the library.
 
-Everything here is deliberately written with different algorithms than the
-package (bisection instead of sort-and-scan, recursion over the JSON tree
+Every reference here is deliberately written with different algorithms than
+the package (bisection instead of sort-and-scan, recursion over the JSON tree
 instead of flat level passes, per-report loops instead of batches,
 exhaustive enumeration instead of search) so agreement is meaningful.
+
+It also holds the code only tests read: the JSON serializers of trees and
+grid sets (hashed by the digest tests and read by the JSON-tree oracles)
+and the expected assignment objective that turns the assignment search's
+counts into a value.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
 from ldplab.attacks.grid import ColumnBook
-from ldplab.attacks.tree import Assignment, _check_search_inputs, assignment_objective
+from ldplab.attacks.tree import _check_search_inputs, expected_layer_estimates
 from ldplab.freq_oracles import HashFamily, HashPair, OlhParams, OueParams
+from ldplab.grid_protocol import GridSet
+from ldplab.postprocess import norm_sub
 from ldplab.query import RangeQuery
+from ldplab.tree_protocol import Tree
+
+
+def tree_to_json(tree: Tree) -> str:
+    """Serialize a tree to JSON (interval, f_hat, f_tilde, children)."""
+
+    def encode(i: int) -> dict:
+        kids = tree.children([i]) if i < tree.level(tree.depth).start else []
+        return {
+            "interval": [int(tree.lo[i]), int(tree.hi[i])],
+            "f_hat": float(tree.f_hat[i]),
+            "f_tilde": float(tree.f_tilde[i]),
+            "children": [encode(int(k)) for k in kids if tree.exists[k]],
+        }
+
+    return json.dumps(encode(0))
+
+
+def grids_to_json(grids: GridSet) -> str:
+    config = grids.config
+    payload = {
+        "config": asdict(config),
+        "one_d": [grids.freqs[("1d", i)].tolist() for i in range(config.d)],
+        "two_d": {
+            f"{i},{j}": grids.freqs[("2d", i, j)].reshape(config.shape(("2d", i, j))).tolist()
+            for i, j in combinations(range(config.d), 2)
+        },
+    }
+    return json.dumps(payload)
 
 
 def norm_sub_bisect(values: Sequence[float], tol: float = 1e-12) -> Tuple[np.ndarray, float]:
@@ -121,6 +160,27 @@ def objective_reference(
     est = (counts - total * q) / (total * (p - q))
     normalized, _ = norm_sub_bisect(est)
     return float(np.dot(coeffs, normalized))
+
+
+def assignment_objective(
+    coeffs: np.ndarray,
+    freqs: np.ndarray,
+    assignment: np.ndarray,
+    n_real: int,
+    m_fake: int,
+    params: OueParams,
+) -> float:
+    """Coefficient-weighted normalized expected estimate for one assignment."""
+    est = expected_layer_estimates(freqs, assignment, n_real, m_fake, params)
+    return float(np.dot(coeffs, norm_sub(est).normalized))
+
+
+@dataclass
+class Assignment:
+    """Fake-report 1-counts per layer node (aligned with the caller's order)."""
+
+    counts: np.ndarray
+    value: float
 
 
 def exhaustive_best_objective(

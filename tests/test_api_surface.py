@@ -1,8 +1,16 @@
 """Every exported name resolves, and the attacks package re-exports exactly
 its two submodules' public names (so a deleted helper leaves no stale
 export behind).  The benchmark's span tracer patches package functions by
-name, so every name it targets must resolve too."""
+name, so every name it targets must resolve too.
 
+Every exported name also has a caller in the package or the benchmark: a
+name in an ``ldplab`` module's ``__all__`` must be read (as a name, an
+attribute or an imported name) somewhere in ``src/ldplab`` or ``bench/``.
+Docstrings and ``__all__`` strings do not count.  Code that only tests read,
+such as reference implementations and fixture serializers, belongs in
+``tests/oracles.py``."""
+
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -20,6 +28,7 @@ import ldplab.attacks.tree
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(ldplab.__path__, prefix="ldplab.")
 )
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_module_is_found():
@@ -35,6 +44,32 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+def _names_read(directory: Path) -> set:
+    """Every name read in the directory's Python files: loaded names and
+    attributes, and the names of import aliases."""
+    names = set()
+    for path in sorted(directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_package_caller():
+    read = _names_read(ROOT / "src" / "ldplab") | _names_read(ROOT / "bench")
+    uncalled = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", [])
+        if attr not in read
+    ]
+    assert not uncalled, f"exported with no caller in src/ldplab or bench/: {uncalled}"
+
+
 def test_attacks_reexports_both_submodules():
     expected = set(ldplab.attacks.tree.__all__) | set(ldplab.attacks.grid.__all__)
     assert set(ldplab.attacks.__all__) == expected
@@ -42,7 +77,7 @@ def test_attacks_reexports_both_submodules():
 
 
 def _bench_tracer():
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

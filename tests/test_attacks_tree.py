@@ -9,7 +9,6 @@ from ldplab.attacks import (
     aaot_transform,
     aot_assignment_fast,
     aot_zero_coeff_strategy,
-    assignment_objective,
     mga_tree,
     tree_coefficients,
 )
@@ -22,6 +21,7 @@ from .oracles import (
     aaot_transform_oneshot,
     aaot_transform_rows,
     aot_assignment_bruteforce,
+    assignment_objective,
     exhaustive_best_objective,
     mga_tree_oneshot,
     mga_tree_rows,
@@ -221,7 +221,9 @@ class TestAssignmentSearch:
             params = OueParams(1.0, size)
             slow = aot_assignment_bruteforce(coeffs, m_fake, 1000, freqs, params)
             fast = aot_assignment_fast(coeffs, m_fake, 1000, freqs, params)
-            assert fast.value == pytest.approx(slow.value, abs=1e-9)
+            assert fast.dtype == np.int64 and fast.shape == (size,)
+            fast_value = assignment_objective(coeffs, freqs, fast, 1000, m_fake, params)
+            assert fast_value == pytest.approx(slow.value, abs=1e-9)
 
     def test_input_validation(self):
         params = self._params()

@@ -139,8 +139,13 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ([{"protocol": "ahead"}], ["--seed", "1"]),
         ({}, ["--seed", "-1"]),
         ({"seeds": [0, -2]}, []),
+        ({"seeds": [1.5]}, []),
+        ({"n_queries": 2.5}, []),
     ],
-    ids=["hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed"],
+    ids=[
+        "hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed",
+        "fractional-seed", "fractional-n-queries",
+    ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):
     from ldplab import harness

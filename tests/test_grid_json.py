@@ -4,8 +4,9 @@ Each case runs ``run_grid_protocol`` on seeded Gaussian data and compares the
 sha256 of the ``grids_to_json`` bytes with ``data/grid_json_sha256.json``, so
 any change to cell mapping, aggregation, consistency, Norm-Sub or the JSON
 encoding shows.  The cases vary ``d``, ``g1``, ``g2``, the domain, the prime
-and the number of post-processing rounds.  Regenerate only for a change meant
-to alter honest grids, and say so where the change is recorded::
+and the number of post-processing rounds.  The serializer is fixture code, so
+it lives in ``tests/oracles.py``.  Regenerate only for a change meant to
+alter honest grids, and say so where the change is recorded::
 
     PYTHONPATH=src python -m tests.test_grid_json --write
 """
@@ -20,7 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldplab.grid_protocol import GridConfig, grids_to_json, run_grid_protocol
+from ldplab.grid_protocol import GridConfig, run_grid_protocol
+
+from .oracles import grids_to_json
 
 FIXTURE = Path(__file__).parent / "data" / "grid_json_sha256.json"
 

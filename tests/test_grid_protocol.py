@@ -9,11 +9,12 @@ from ldplab.grid_protocol import (
     cells_in_range,
     estimate_query,
     grid_keys,
-    grids_to_json,
     run_grid_protocol,
 )
 from ldplab.harness import gen_queries
 from ldplab.query import RangeQuery
+
+from .oracles import grids_to_json
 
 
 class TestConfig:

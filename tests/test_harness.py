@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from ldplab.attacks.grid import _hit_table
+from ldplab.defenses import DetectionResult
 from ldplab.harness import (
     ConfigError,
     ExperimentConfig,
+    _fold_detection,
     efficiency,
     gen_queries,
     gen_synthetic,
@@ -183,9 +185,34 @@ class TestExperimentConfig:
             dict(attack="aot", strategy="bogus"),
             dict(protocol="hdg", dataset={"kind": "gaussian", "count": 14}),  # 15 groups
             dict(protocol="hdg", dims_total=2, dataset={"kind": "laplace", "count": 2}),
+            # Integer fields take integers only: a float is not truncated.
+            dict(seeds=[1.5, 1.9]),
+            dict(seeds=[True]),
+            dict(n_queries=2.5),
+            dict(n_queries=True),
+            dict(threads=1.5),
+            dict(dataset={"kind": "gaussian", "count": 3000.7}),
+            dict(dataset={"kind": "gaussian", "count": "3000"}),
+            dict(protocol="ahead", fanout=2.0),
+            dict(protocol="ahead", domain_size=64.0),
+            dict(protocol="ahead", dims_query=1.0),
+            dict(protocol="hdg", g1=16.0),
+            dict(protocol="hdg", g2=4.0),
+            dict(protocol="hdg", dims_total=5.0),
+            dict(protocol="hdg", pp_rounds=1.5),
+            dict(protocol="hdg", family_prime=211.0),
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
+
+    def test_integer_fields_take_numpy_integers(self):
+        config = ExperimentConfig(
+            protocol="hdg", seeds=[np.int64(3)], n_queries=np.int32(2), family_prime=np.int64(211),
+            dataset={"kind": "gaussian", "count": np.int64(3000)},
+        )
+        values = (config.seeds[0], config.n_queries, config.family_prime, config.dataset["count"])
+        assert values == (3, 2, 211, 3000)
+        assert all(type(v) is int for v in values)
 
     def test_fake_count(self):
         assert ExperimentConfig(rho=0.1).fake_count(9000) == 1000
@@ -228,8 +255,28 @@ class TestRunExperiment:
         dataset = {"kind": "gaussian", "count": 40, "mean": 32.0, "std": 10.0}
         config = small_tree_config(attack="aot", rho=0.01, dataset=dataset, defense=True)
         assert config.fake_count(40) == 0
-        results, _ = run_experiment(config)
+        results, summary = run_experiment(config)
         assert len(results) == 3 and all(r.detected is not None for r in results)
+        # No fake user was injected, so there is no attack effect to report.
+        assert all(r.efficiency is None for r in results)
+        assert summary["mean_efficiency"] is None
+
+    def test_fold_detection(self):
+        # A trial is flagged when any round is, and reports the round whose
+        # statistic is furthest past (or closest to) its threshold.
+        flagged = [
+            DetectionResult(False, 5.0, 10.0),
+            DetectionResult(True, 40.0, 35.0),  # largest statistic, margin 5
+            DetectionResult(True, 30.0, 12.0),  # largest margin, 18
+            DetectionResult(False, 9.0, 9.5),
+        ]
+        assert _fold_detection(flagged) == DetectionResult(True, 30.0, 12.0)
+        quiet = [
+            DetectionResult(False, 5.0, 10.0),
+            DetectionResult(False, 12.0, 20.0),
+            DetectionResult(False, 9.0, 9.5),  # closest to its threshold
+        ]
+        assert _fold_detection(quiet) == DetectionResult(False, 9.0, 9.5)
 
     def test_fixed_seed_is_deterministic(self, tmp_path):
         out_a = tmp_path / "a.jsonl"

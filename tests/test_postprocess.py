@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from ldplab.grid_protocol import GridConfig, grid_keys
 from ldplab.postprocess import grid_consistency, norm_sub, tree_consistency
-from ldplab.tree_protocol import Tree, tree_to_json
+from ldplab.tree_protocol import Tree
 
-from .oracles import consistency_recursive, grid_consistency_slices, json_nodes, norm_sub_bisect
+from .oracles import (
+    consistency_recursive,
+    grid_consistency_slices,
+    json_nodes,
+    norm_sub_bisect,
+    tree_to_json,
+)
 
 
 class TestNormSub:

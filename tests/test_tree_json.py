@@ -3,6 +3,7 @@
 Each case runs ``run_tree_protocol`` on seeded Gaussian data and compares the
 sha256 of the ``tree_to_json`` bytes with ``data/tree_json_sha256.json``, so
 any change to tree shape, estimates, consistency or the JSON encoding shows.
+The serializer is fixture code, so it lives in ``tests/oracles.py``.
 Regenerate only for a change meant to alter honest trees, and say so where
 the change is recorded::
 
@@ -19,7 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldplab.tree_protocol import TreeConfig, run_tree_protocol, tree_to_json
+from ldplab.tree_protocol import TreeConfig, run_tree_protocol
+
+from .oracles import tree_to_json
 
 FIXTURE = Path(__file__).parent / "data" / "tree_json_sha256.json"
 

@@ -17,7 +17,6 @@ from ldplab.tree_protocol import (
     oue_sigma,
     query_cover,
     run_tree_protocol,
-    tree_to_json,
 )
 
 from .oracles import (
@@ -25,6 +24,7 @@ from .oracles import (
     estimate_by_consistency,
     json_nodes,
     oue_perturb_batch_oneshot,
+    tree_to_json,
 )
 
 
