@@ -8,7 +8,8 @@ Subpackages / modules:
     grid_protocol  -- 1-D/2-D grid range-query protocol (OLH based).
     attacks        -- report-level poisoning attacks for both protocols.
     defenses       -- hypothesis-test detectors (ones-count interval, max hash load).
-    harness        -- datasets, query generation, metrics, experiment driver, CLI.
+    harness        -- datasets, query generation, metrics, experiment driver.
+    cli            -- the ``ldplab`` command line (run, sweep, detect, prism-check).
 """
 
 __version__ = "0.1.0"

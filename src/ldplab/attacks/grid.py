@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..defenses import binomial_pmf, max_load_cdf
-from ..freq_oracles import HashFamily, HashPair
+from ..freq_oracles import HashFamily
 from ..grid_protocol import GridConfig, GridKey, cells_in_range, grid_keys
 from ..query import RangeQuery
 
@@ -53,6 +53,9 @@ __all__ = [
     "match_functions_to_grids",
     "AdaptiveGridAttack",
 ]
+
+# A report pair as the grid attacks pick it: (fn_id, key).
+_Pair = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,14 @@ def _best_pairs(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
     return ties
 
 
-def _pick(pairs: np.ndarray, rng: np.random.Generator) -> HashPair:
+def _pick(pairs: np.ndarray, rng: np.random.Generator) -> _Pair:
     fn_id, key = pairs[rng.integers(0, len(pairs))]
-    return HashPair(int(fn_id), int(key))
+    return int(fn_id), int(key)
 
 
-def _repeat(pair: HashPair, m_fake: int) -> Tuple[np.ndarray, np.ndarray]:
-    return (
-        np.full(m_fake, pair.fn_id, dtype=np.int64),
-        np.full(m_fake, pair.key, dtype=np.int64),
-    )
+def _repeat(pair: _Pair, m_fake: int) -> Tuple[np.ndarray, np.ndarray]:
+    fn_id, key = pair
+    return np.full(m_fake, fn_id, dtype=np.int64), np.full(m_fake, key, dtype=np.int64)
 
 
 class _GridHook:
@@ -183,8 +184,8 @@ class _GridHook:
 # Max-gain baseline
 # ---------------------------------------------------------------------------
 
-def mga_grid(supports: GridSupports, rng: np.random.Generator) -> HashPair:
-    """Hash pair with the largest in-range support, ties broken uniformly."""
+def mga_grid(supports: GridSupports, rng: np.random.Generator) -> _Pair:
+    """``(fn_id, key)`` with the largest in-range support, ties broken uniformly."""
     if not supports.inter.any():
         raise ValueError("query covers no cell of this grid")
     return _pick(_best_pairs(supports.inter, supports.fn_ids), rng)
@@ -231,11 +232,11 @@ def aog_size_constraints(rho: float, config: GridConfig) -> SizeConstraints:
 class ColumnBook:
     """Per-attribute record of per-column support counts across grids.
 
-    The first grid that picks a pair for an attribute records its counts;
-    later grids must match each recorded column count up to +1.
+    The first grid that picks a pair for an attribute records its whole
+    column vector; later grids must match every recorded column count up
+    to +1.
     """
 
-    g2: int
     counts: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def admits(self, attr: int, col_counts: np.ndarray) -> np.ndarray:
@@ -245,14 +246,11 @@ class ColumnBook:
         recorded = self.counts.get(attr)
         if recorded is None:
             return np.ones(col_counts.shape[0], dtype=bool)
-        mask = recorded >= 0
-        diff = col_counts[:, mask] - recorded[mask]
+        diff = col_counts - recorded
         return ((diff == 0) | (diff == 1)).all(axis=1)
 
     def record(self, attr: int, col_counts: np.ndarray) -> None:
-        recorded = self.counts.setdefault(attr, np.full(self.g2, -1, dtype=np.int64))
-        undefined = recorded < 0
-        recorded[undefined] = np.asarray(col_counts, dtype=np.int64)[undefined]
+        self.counts.setdefault(attr, np.array(col_counts, dtype=np.int64))
 
 
 _Candidates = Tuple[np.ndarray, Dict[int, np.ndarray]]
@@ -283,7 +281,7 @@ class GridRangeAttack(_GridHook):
         super().__init__(config, query)
         self.constraints = aog_size_constraints(rho, config)
         self.fallback_keys: List[GridKey] = []
-        self.chosen: Dict[GridKey, HashPair] = {}
+        self.chosen: Dict[GridKey, _Pair] = {}
 
     def _relevant_keys(self) -> List[GridKey]:
         keys = grid_keys(self.config.d)
@@ -309,14 +307,14 @@ class GridRangeAttack(_GridHook):
         candidates: Dict[GridKey, _Candidates],
         rng: np.random.Generator,
         book: ColumnBook,
-    ) -> Tuple[Dict[GridKey, HashPair], List[GridKey]]:
+    ) -> Tuple[Dict[GridKey, _Pair], List[GridKey]]:
         """One greedy pass over ``keys``, extending ``book`` in place.
 
         Per grid, every candidate is checked against the book at once and
         the first admitted one in a seeded random order is taken.  Returns
         the chosen pair per grid and the grids left without one.
         """
-        chosen: Dict[GridKey, HashPair] = {}
+        chosen: Dict[GridKey, _Pair] = {}
         failed: List[GridKey] = []
         for key in keys:
             pairs, counts = candidates[key]
@@ -331,7 +329,7 @@ class GridRangeAttack(_GridHook):
             idx = order[hits[0]]
             for attr, cc in counts.items():
                 book.record(attr, cc[idx])
-            chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
+            chosen[key] = (int(pairs[idx, 0]), int(pairs[idx, 1]))
         return chosen, failed
 
     def begin(
@@ -347,9 +345,9 @@ class GridRangeAttack(_GridHook):
             if key in keys:
                 candidates[key] = self._candidates(key, scan)
             ties[key] = _best_pairs(scan.preference(), scan.fn_ids)
-        best: Optional[Tuple[Dict[GridKey, HashPair], List[GridKey]]] = None
+        best: Optional[Tuple[Dict[GridKey, _Pair], List[GridKey]]] = None
         for _ in range(_MAX_RESTARTS):
-            chosen, failed = self._plan_once(keys, candidates, rng, ColumnBook(self.config.g2))
+            chosen, failed = self._plan_once(keys, candidates, rng, ColumnBook())
             if best is None or len(failed) < len(best[1]):
                 best = (chosen, failed)
             if not failed:
@@ -373,8 +371,8 @@ class GridRangeAttack(_GridHook):
 # Heuristic attack
 # ---------------------------------------------------------------------------
 
-def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> HashPair:
-    """Argmax of the heuristic preference, ties uniform."""
+def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> _Pair:
+    """``(fn_id, key)`` maximizing the heuristic preference, ties uniform."""
     return _pick(_best_pairs(supports.preference(), supports.fn_ids), rng)
 
 

@@ -16,7 +16,7 @@ Three attack families:
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -39,22 +39,6 @@ __all__ = [
 ]
 
 
-# Row chunks of about this many cells bound the key matrices' memory.
-_CHUNK = 65536
-
-
-def _key_chunks(
-    rng: np.random.Generator, m: int, width: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Uniform ``(rows, width)`` keys for ``m`` rows, in row chunks of about
-    ``_CHUNK`` cells (at least one row).  The chunks stacked are equal to
-    one ``rng.random((m, width))`` draw."""
-    step = max(1, _CHUNK // width)
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        yield rows, rng.random((rows.stop - rows.start, width))
-
-
 # ---------------------------------------------------------------------------
 # Max-gain baseline
 # ---------------------------------------------------------------------------
@@ -73,8 +57,8 @@ def mga_tree(
     the ``k`` nodes contained in the query and on
     ``extra = max(floor(p + (L-1)q - k), 0)`` out-of-range nodes, matching
     the expected honest 1-count when possible.  A report pads its ``extra``
-    lowest-keyed out-of-range nodes under uniform keys, drawn in row chunks
-    of about 65,536 cells (equal to one draw of all keys).
+    lowest-keyed out-of-range nodes under uniform keys, one per cell of
+    an ``(m_fake, out-of-range)`` draw.
     """
     n_nodes = len(lo)
     if n_nodes == 0:
@@ -89,9 +73,9 @@ def mga_tree(
     extra = min(extra, out_idx.size)
     reports = np.tile(in_range.astype(np.uint8), (m_fake, 1))
     if extra:
-        for rows, keys in _key_chunks(rng, m_fake, out_idx.size):
-            picked = np.argpartition(keys, extra - 1, axis=1)[:, :extra]
-            np.put_along_axis(reports[rows], out_idx[picked], 1, axis=1)
+        keys = rng.random((m_fake, out_idx.size))
+        picked = np.argpartition(keys, extra - 1, axis=1)[:, :extra]
+        np.put_along_axis(reports, out_idx[picked], 1, axis=1)
     return reports
 
 
@@ -360,26 +344,24 @@ def aaot_transform(
 
     ``reports`` is an ``(m, n)`` 0/1 matrix; a new uint8 matrix is returned.
     Draws all ``m`` targets ``X ~ Bin(n-1, q)``, then all ``m`` coins added
-    to them, then one uniform key per cell in row chunks as in
-    :func:`mga_tree`.  A row with ``k`` ones sets its ``X - k``
-    lowest-keyed zeros or clears its ``k - X`` lowest-keyed ones, so it
-    keeps its targeting bits whenever the count allows and the flipped bits
-    are a uniformly random subset.
+    to them, then one uniform key per cell of the matrix.  A row with ``k``
+    ones sets its ``X - k`` lowest-keyed zeros or clears its ``k - X``
+    lowest-keyed ones, so it keeps its targeting bits whenever the count
+    allows and the flipped bits are a uniformly random subset.
     """
     out = np.array(reports, dtype=np.uint8)
     if out.ndim != 2 or out.shape[1] != n:
         raise ValueError(f"reports must be an (m, {n}) matrix, got shape {out.shape}")
     m = out.shape[0]
     target = rng.binomial(n - 1, q, m) + (rng.random(m) < 0.5)
-    delta = target - out.sum(axis=1, dtype=np.int64)
-    for rows, keys in _key_chunks(rng, m, n):
-        chunk, d = out[rows], delta[rows, None]
-        # Only zeros may flip in a row that gains ones, only ones in a row
-        # that loses them: every other cell sorts after all candidates.
-        keys[(chunk == 1) == (d > 0)] = 2.0
-        order = np.argsort(keys, axis=1)
-        r, rank = np.nonzero(np.arange(n) < np.abs(d))
-        chunk[r, order[r, rank]] ^= 1
+    delta = (target - out.sum(axis=1, dtype=np.int64))[:, None]
+    keys = rng.random((m, n))
+    # Only zeros may flip in a row that gains ones, only ones in a row that
+    # loses them: every other cell sorts after all candidates.
+    keys[(out == 1) == (delta > 0)] = 2.0
+    order = np.argsort(keys, axis=1)
+    r, rank = np.nonzero(np.arange(n) < np.abs(delta))
+    out[r, order[r, rank]] ^= 1
     return out
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "OueCounts",
     "OlhParams",
     "HashFamily",
-    "HashPair",
     "smallest_prime_above",
     "debias_counts",
     "oue_perturb_batch",
@@ -193,14 +192,6 @@ def _cell_keys(family: HashFamily, n_cells: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class HashPair:
-    """A reported (hash function, key) pair."""
-
-    fn_id: int
-    key: int
-
-
 # ---------------------------------------------------------------------------
 # OUE
 # ---------------------------------------------------------------------------
@@ -317,10 +308,5 @@ def olh_aggregate(
     distinct, mult = np.unique(fn_ids * family.g + keys, return_counts=True)
     fns, keys = np.divmod(distinct, family.g)
     keys = keys.astype(table.dtype)
-    mult = mult.astype(np.float64)
-    counts = np.zeros(cells.size, dtype=np.float64)
-    chunk = 65536
-    for start in range(0, distinct.size, chunk):
-        sl = slice(start, start + chunk)
-        counts += mult[sl] @ (table[fns[sl]] == keys[sl, None])
+    counts = mult.astype(np.float64) @ (table[fns] == keys[:, None])
     return debias_counts(counts, fn_ids.size, params)

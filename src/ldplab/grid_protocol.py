@@ -148,6 +148,8 @@ def run_grid_protocol(
     ``n_fake``: fakes planned by :meth:`GridConfig.round_plan` with the users.
     ``hook``: called per grid with (grid key, fake count, rng); must return
     ``(fn_ids, keys)`` arrays of fabricated reports for that grid's round.
+    A hook with a ``begin`` method has it called once before the rounds,
+    with the fake count per grid, when ``n_fake > 0``.
     ``observer``: called per grid with the fn_ids of every report in the
     round (real then fake), for the max-load detector.
     """
@@ -170,7 +172,7 @@ def run_grid_protocol(
     by_group = np.argsort(real_groups.astype(np.min_scalar_type(config.n_groups)), kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(real_groups, minlength=config.n_groups))))
 
-    if hook is not None and hasattr(hook, "begin"):
+    if hook is not None and n_fake > 0 and hasattr(hook, "begin"):
         hook.begin(dict(zip(keys_order, fake_counts.tolist())), len(records) + n_fake, rng)
 
     freqs: Dict[GridKey, np.ndarray] = {}

@@ -138,8 +138,8 @@ class ExperimentConfig:
             raise ConfigError("n_queries must be >= 1")
         if self.dims_query > self.dims_total:
             raise ConfigError("dims_query must not exceed dims_total")
-        if self.protocol == "ahead" and self.dims_query != 1:
-            raise ConfigError("the tree protocol answers 1-D queries")
+        if self.protocol == "ahead" and (self.dims_total, self.dims_query) != (1, 1):
+            raise ConfigError("the tree protocol reads one attribute: dims_total and dims_query must be 1")
         if self.protocol == "hdg" and self.dims_query < 2:
             raise ConfigError("the grid protocol answers queries on 2 or more attributes")
         if not self.seeds or min(self.seeds) < 0:
@@ -465,8 +465,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     )
 
     honest_cfg = replace(config, attack="none", rho=0.0)
-    # A tiny dataset can round its fakes to 0: no fake user, no efficiency.
-    injects = config.fake_count(len(records)) > 0
+    # No attack, or a tiny dataset whose fakes round to 0: no fake user, no
+    # efficiency.
+    injects = config.attack != "none" and config.fake_count(len(records)) > 0
 
     results: List[TrialResult] = []
     for qid, query in enumerate(queries):

@@ -25,7 +25,7 @@ from scipy import stats
 
 from ldplab.attacks.grid import ColumnBook
 from ldplab.attacks.tree import _check_search_inputs, expected_layer_estimates
-from ldplab.freq_oracles import HashFamily, HashPair, OlhParams, OueParams
+from ldplab.freq_oracles import HashFamily, OlhParams, OueParams
 from ldplab.grid_protocol import GridSet
 from ldplab.postprocess import norm_sub
 from ldplab.query import RangeQuery
@@ -392,8 +392,9 @@ def hash_eval(family: HashFamily, fn_id: int, cell: int | np.ndarray) -> int | n
 
 def olh_perturb(
     true_cell: int, family: HashFamily, params: OlhParams, rng: np.random.Generator
-) -> HashPair:
-    """Draw a random universal function and a perturbed key for ``true_cell``."""
+) -> Tuple[int, int]:
+    """Draw a random universal function and a perturbed key for ``true_cell``;
+    returns the ``(fn_id, key)`` pair."""
     if not 0 <= true_cell < family.prime:
         raise ValueError("cell out of domain")
     fn = hash_fn_id(family, int(rng.integers(1, family.prime)), int(rng.integers(0, family.prime)))
@@ -404,22 +405,24 @@ def olh_perturb(
         key = int(rng.integers(0, family.g - 1))
         if key >= true_key:
             key += 1
-    return HashPair(fn, key)
+    return fn, key
 
 
 def olh_support(
-    pair: HashPair, family: HashFamily, cells: Sequence[int]
+    pair: Tuple[int, int], family: HashFamily, cells: Sequence[int]
 ) -> np.ndarray:
-    """Cells of ``cells`` that the pair's function hashes to the pair's key."""
+    """Cells of ``cells`` that the ``(fn_id, key)`` pair's function hashes
+    to its key."""
+    fn_id, key = pair
     cells = np.asarray(cells, dtype=np.int64)
-    keys = hash_eval(family, pair.fn_id, cells)
-    return cells[keys == pair.key]
+    return cells[hash_eval(family, fn_id, cells) == key]
 
 
 def olh_aggregate_pairs(
-    pairs: Sequence[HashPair], family: HashFamily, cells: Sequence[int], params: OlhParams
+    pairs: Sequence[Tuple[int, int]], family: HashFamily, cells: Sequence[int], params: OlhParams
 ) -> np.ndarray:
-    """Per-cell OLH estimate from a list of pairs, one support at a time."""
+    """Per-cell OLH estimate from a list of ``(fn_id, key)`` pairs, one
+    support at a time."""
     if not pairs:
         raise ValueError("empty report set")
     cells = np.asarray(cells, dtype=np.int64)
@@ -494,12 +497,12 @@ def match_functions_to_grids_loop(
 
 def book_admits_one(book: ColumnBook, attr: int, col_counts: np.ndarray) -> bool:
     """Per-column reference of ``ColumnBook.admits`` for one candidate: every
-    recorded (non-negative) column of ``attr`` is matched exactly or by +1."""
+    recorded column of ``attr`` is matched exactly or by +1."""
     recorded = book.counts.get(attr)
     if recorded is None:
         return True
     for recorded_count, count in zip(recorded.tolist(), np.asarray(col_counts).tolist()):
-        if recorded_count >= 0 and count - recorded_count not in (0, 1):
+        if count - recorded_count not in (0, 1):
             return False
     return True
 
@@ -522,7 +525,7 @@ def plan_once_loop(
             if all(book_admits_one(book, attr, cc) for attr, cc in picked.items()):
                 for attr, cc in picked.items():
                     book.record(attr, cc)
-                chosen[key] = HashPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
+                chosen[key] = (int(pairs[idx, 0]), int(pairs[idx, 1]))
                 break
         else:
             failed.append(key)

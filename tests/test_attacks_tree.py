@@ -76,9 +76,8 @@ class TestMgaTree:
         table = np.vstack([columns, rows[:, 1:].sum(axis=0)])
         assert stats.chi2_contingency(table)[1] > 0.001
 
-    def test_chunked_equals_oneshot(self):
-        # 2 of 40 nodes in range: about 1,724 rows per chunk, so 5,000 rows
-        # cross two chunk boundaries.
+    def test_equals_oneshot_reference(self):
+        # 2 of 40 nodes in range, 5,000 reports.
         nodes = unit_leaves(40)
         params = OueParams(1.0, 40)
         query = RangeQuery((0,), ((10, 12),))
@@ -347,8 +346,8 @@ class TestAaot:
         table = np.array(kept)[:, np.array(kept).sum(axis=0) >= 10]  # expected >= 5
         assert stats.chi2_contingency(table)[1] > 0.001
 
-    def test_chunked_equals_oneshot(self):
-        # 55 nodes: 1,191 rows per chunk, so 3,000 rows cross two boundaries.
+    def test_equals_oneshot_reference(self):
+        # 55 nodes, 3,000 reports.
         rng = np.random.default_rng(18)
         base = (rng.random((3000, 55)) < 0.2).astype(np.uint8)
         batch = aaot_transform(base, 55, 0.27, np.random.default_rng(19))

@@ -141,10 +141,11 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"seeds": [0, -2]}, []),
         ({"seeds": [1.5]}, []),
         ({"n_queries": 2.5}, []),
+        ({"protocol": "ahead", "dims_total": 2}, []),
     ],
     ids=[
         "hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed",
-        "fractional-seed", "fractional-n-queries",
+        "fractional-seed", "fractional-n-queries", "ahead-two-attributes",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

@@ -3,7 +3,6 @@ import pytest
 
 from ldplab.freq_oracles import (
     HashFamily,
-    HashPair,
     OlhParams,
     OueParams,
     debias_counts,
@@ -129,10 +128,10 @@ class TestHashFamily:
         family = HashFamily(17, 4)
         assert hash_eval(family, hash_fn_id(family, 0, 0), 5) == 0
         np.testing.assert_array_equal(
-            olh_support(HashPair(hash_fn_id(family, 0, 0), 0), family, range(16)),
+            olh_support((hash_fn_id(family, 0, 0), 0), family, range(16)),
             np.arange(16),
         )
-        assert olh_support(HashPair(hash_fn_id(family, 0, 0), 1), family, range(16)).size == 0
+        assert olh_support((hash_fn_id(family, 0, 0), 1), family, range(16)).size == 0
 
     def test_identity_function(self):
         family = HashFamily(17, 4)
@@ -207,9 +206,9 @@ class TestOlhParams:
         family = HashFamily(17, 4)
         params = OlhParams(1.0)
         rng = np.random.default_rng(5)
-        pair = olh_perturb(3, family, params, rng)
-        assert 0 <= pair.key < family.g
-        a, _ = hash_ab(family, pair.fn_id)
+        fn_id, key = olh_perturb(3, family, params, rng)
+        assert 0 <= key < family.g
+        a, _ = hash_ab(family, fn_id)
         assert a >= 1
         with pytest.raises(ValueError):
             olh_perturb(17, family, params, rng)
@@ -254,7 +253,7 @@ class TestOlhAggregate:
         # formula through pairs that never support cell 0.
         pairs = (np.full(80, hash_fn_id(family, 1, 1)), np.full(80, 3))
         est = olh_aggregate(pairs, family, np.arange(16), params)
-        support = olh_support(HashPair(hash_fn_id(family, 1, 1), 3), family, range(16))
+        support = olh_support((hash_fn_id(family, 1, 1), 3), family, range(16))
         outside = np.setdiff1d(np.arange(16), support)
         # Unsupported cells have count 0 -> estimate -q/(1/2-q) = -1.
         np.testing.assert_allclose(est[outside], -1.0, atol=1e-9)
@@ -299,7 +298,7 @@ class TestOlhAggregate:
         fn_ids = np.concatenate([fn_ids, rng.integers(0, prime, 40)])
         keys = np.concatenate([keys, rng.integers(0, 4, 40)])
         cells = rng.permutation(prime)[: min(prime - 1, 40)]
-        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        pairs = list(zip(fn_ids.tolist(), keys.tolist()))
         np.testing.assert_array_equal(
             olh_aggregate((fn_ids, keys), family, cells, params),
             olh_aggregate_pairs(pairs, family, cells, params),
@@ -312,19 +311,19 @@ class TestOlhAggregate:
         fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 400), family, params, rng)
         fn_ids = np.concatenate([fn_ids, np.full(100, hash_fn_id(family, 3, 5))])
         keys = np.concatenate([keys, np.full(100, 2)])
-        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        pairs = list(zip(fn_ids.tolist(), keys.tolist()))
         np.testing.assert_array_equal(
             olh_aggregate((fn_ids, keys), family, np.arange(16), params),
             olh_aggregate_pairs(pairs, family, np.arange(16), params),
         )
 
-    def test_more_distinct_pairs_than_one_chunk(self):
+    def test_many_distinct_pairs_equal_per_pair_oracle(self):
         family = HashFamily(211, 4)
         params = OlhParams(np.log(3.0))
         rng = np.random.default_rng(10)
         fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 120_000), family, params, rng)
         assert np.unique(fn_ids * family.g + keys).size > 65_536
-        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        pairs = list(zip(fn_ids.tolist(), keys.tolist()))
         np.testing.assert_array_equal(
             olh_aggregate((fn_ids, keys), family, np.arange(16), params),
             olh_aggregate_pairs(pairs, family, np.arange(16), params),
@@ -335,7 +334,7 @@ class TestOlhAggregate:
         params = OlhParams(np.log(3.0))
         rng = np.random.default_rng(6)
         fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 300), family, params, rng)
-        pairs = [HashPair(int(f), int(k)) for f, k in zip(fn_ids, keys)]
+        pairs = list(zip(fn_ids.tolist(), keys.tolist()))
         np.testing.assert_allclose(
             olh_aggregate((fn_ids, keys), family, np.arange(16), params),
             olh_aggregate_pairs(pairs, family, np.arange(16), params),

@@ -81,12 +81,12 @@ def _plan(attack: str, query, rng: np.random.Generator) -> dict:
         hook = (MgaGridAttack if attack == "mga" else HeuristicGridAttack)(CONFIG, query)
         pick = mga_grid if attack == "mga" else haog_best_pair
         pairs = {_name(key): pick(hook.supports(key), rng) for key in keys}
-        return {name: [pair.fn_id, pair.key] for name, pair in pairs.items()}
+        return {name: list(pair) for name, pair in pairs.items()}
     if attack == "aog":
         hook = GridRangeAttack(CONFIG, query, RHO)
         hook.begin(fake_counts, n_total, rng)
         return {
-            "chosen": {_name(k): [p.fn_id, p.key] for k, p in sorted(hook.chosen.items())},
+            "chosen": {_name(k): list(p) for k, p in sorted(hook.chosen.items())},
             "fallback_keys": [_name(k) for k in hook.fallback_keys],
         }
     hook = AdaptiveGridAttack(CONFIG, query)

@@ -161,6 +161,10 @@ class TestExperimentConfig:
             ExperimentConfig(epsilon=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(protocol="ahead", dims_query=2, dims_total=3)
+        with pytest.raises(ConfigError, match="dims_total"):
+            # The tree reads attribute 0 only, so a query on another
+            # attribute would be answered from the wrong column.
+            ExperimentConfig(protocol="ahead", dims_total=2)
         with pytest.raises(ConfigError):
             ExperimentConfig(seeds=())
         for bad in (
@@ -258,6 +262,34 @@ class TestRunExperiment:
         results, summary = run_experiment(config)
         assert len(results) == 3 and all(r.detected is not None for r in results)
         # No fake user was injected, so there is no attack effect to report.
+        assert all(r.efficiency is None for r in results)
+        assert summary["mean_efficiency"] is None
+
+    @pytest.mark.parametrize("attack", ["aog", "aaog"])
+    def test_grid_attack_runs_when_fakes_round_to_zero(self, attack):
+        # With no fakes the protocol calls no hook and no begin, so the
+        # adaptive attack does not plan a load cap it cannot meet.
+        config = ExperimentConfig(
+            protocol="hdg",
+            dataset={"kind": "gaussian", "count": 40, "mean": 32.0, "std": 10.0},
+            family_prime=211,
+            attack=attack,
+            rho=0.01,
+            defense=True,
+            n_queries=2,
+            seeds=(0,),
+        )
+        assert config.fake_count(40) == 0
+        results, summary = run_experiment(config)
+        assert len(results) == 2 and all(r.detected is not None for r in results)
+        assert all(r.efficiency is None for r in results)
+        assert summary["mean_efficiency"] is None
+
+    def test_no_attack_records_no_efficiency(self):
+        # rho > 0 with no attack injects no fake report: the poisoned run
+        # is honest noise, not an attack effect.
+        results, summary = run_experiment(small_tree_config(rho=0.1))
+        assert len(results) == 3
         assert all(r.efficiency is None for r in results)
         assert summary["mean_efficiency"] is None
 
