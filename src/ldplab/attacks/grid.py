@@ -417,8 +417,6 @@ def aaog_compute_load_limit(
             continue
         # A chosen function fails if its honest load reaches threshold - cap.
         k_bad = int(math.ceil(threshold - cap))
-        if k_bad <= 0:
-            continue
         p_bad = tail[k_bad] if k_bad <= n_round_real else 0.0
         if 1.0 - (1.0 - p_bad) ** n_fns <= beta:
             return cap

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ class DetectionResult:
     detected: bool
     statistic: float
     threshold: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -98,7 +97,6 @@ def tree_detect(
     evenly between tails), where ``z_alpha`` is the standard normal
     ``1 - alpha`` quantile; the statistic is the number of reports outside
     it, thresholded at its honest mean plus ``z_alpha`` standard deviations.
-    Both constants are reported as metadata.
     """
     _check_alpha(alpha)
     counts = np.asarray(ones_counts, dtype=np.int64)
@@ -116,12 +114,7 @@ def tree_detect(
     n_users = counts.size
     statistic = float(np.count_nonzero((counts < i_minus) | (counts > i_plus)))
     threshold = n_users * f_out + z_alpha * math.sqrt(n_users * f_out * (1.0 - f_out))
-    return DetectionResult(
-        detected=statistic > threshold,
-        statistic=statistic,
-        threshold=threshold,
-        metadata={"interval": (i_minus, i_plus), "outside_mass": f_out, "z_alpha": z_alpha},
-    )
+    return DetectionResult(statistic > threshold, statistic, threshold)
 
 
 @dataclass(frozen=True)
@@ -134,14 +127,7 @@ class MaxLoadCdf:
     thresholds right for ``alpha`` far below float rounding (1e-16).
     """
 
-    n_balls: int
-    n_bins: int
     exceed: np.ndarray
-
-    def cdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return 1.0 - float(self.exceed[min(math.floor(x), self.n_balls)])
 
     def threshold(self, alpha: float) -> int:
         """Smallest integer load whose CDF bound exceeds ``1 - alpha``."""
@@ -149,6 +135,7 @@ class MaxLoadCdf:
         return int(np.flatnonzero(self.exceed < alpha)[0])
 
 
+@functools.lru_cache(maxsize=None)
 def max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
     """The max-load CDF bound, cached per (n_balls, n_bins).
 
@@ -157,16 +144,11 @@ def max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
     the first load with ``F > 1 - alpha`` flags honest rounds at most
     ``alpha`` of the time.  A repeated key returns the same object.
     """
-    return _max_load_cdf(int(n_balls), int(n_bins))
-
-
-@functools.lru_cache(maxsize=None)
-def _max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
     pmf = binomial_pmf(n_balls, 1.0 / n_bins)
     above = np.append(pmf[::-1].cumsum()[::-1][1:], 0.0)  # P[Bin > x]
     exceed = np.minimum(n_bins * above, 1.0)
     exceed.setflags(write=False)  # one cached object serves every caller
-    return MaxLoadCdf(n_balls, n_bins, exceed)
+    return MaxLoadCdf(exceed)
 
 
 def grid_detect(
@@ -186,11 +168,5 @@ def grid_detect(
         raise ValueError("empty round")
     usage = np.unique(fn_ids, return_counts=True)[1]
     statistic = float(usage.max())
-    cdf = max_load_cdf(fn_ids.size, family_size)
-    threshold = float(cdf.threshold(alpha))
-    return DetectionResult(
-        detected=statistic > threshold,
-        statistic=statistic,
-        threshold=threshold,
-        metadata={"cdf_value": cdf.cdf(statistic)},
-    )
+    threshold = float(max_load_cdf(fn_ids.size, family_size).threshold(alpha))
+    return DetectionResult(statistic > threshold, statistic, threshold)

@@ -18,10 +18,10 @@ Each mechanism's constants live in its params (:class:`OueParams`,
 
 OLH aggregation and :meth:`HashFamily.key_table` (hence the grid attacks'
 support scans) evaluate no hash per call.  They read one cached, read-only
-cell-key table per (hash family, cell count): ``key[fn_id, cell]`` over all
-``prime**2`` functions, in the narrowest unsigned dtype that holds ``g - 1``.
-It takes ``prime**2 * n_cells`` bytes for ``g <= 256`` (712 KB at prime 211
-and 16 cells).
+cell-key table per (hash family, cell count): the key of every cell under
+each of the family's ``prime * (prime - 1)`` functions, in the narrowest
+unsigned dtype that holds ``g - 1``.  It takes ``prime * (prime - 1) *
+n_cells`` bytes for ``g <= 256`` (709 KB at prime 211 and 16 cells).
 """
 
 from __future__ import annotations
@@ -129,10 +129,9 @@ def debias_counts(
 class HashFamily:
     """Linear-congruential universal hash family over a prime modulus.
 
-    ``h_{a,b}(x) = ((a*x + b) mod prime) mod g`` with ``fn_id = a*prime + b``.
-    All ``prime**2`` pairs ``(a, b)`` are indexable (including the degenerate
-    constant functions with ``a = 0``), but random draws and attack scans use
-    the universal sub-family ``a in [1, prime-1]``, ``b in [0, prime-1]``.
+    ``h_{a,b}(x) = ((a*x + b) mod prime) mod g`` with ``fn_id = a*prime + b``
+    for ``a in [1, prime-1]`` and ``b in [0, prime-1]``: the ids are exactly
+    ``[prime, prime**2)``.  The constant functions ``a = 0`` are not members.
     """
 
     prime: int
@@ -145,38 +144,33 @@ class HashFamily:
             raise ValueError("g must be >= 2")
 
     @property
-    def size(self) -> int:
-        """Total number of indexable functions (``prime**2``)."""
-        return self.prime * self.prime
-
-    @property
     def n_random_functions(self) -> int:
-        """Number of functions in the universal sub-family used for draws."""
+        """Number of functions in the family (``prime * (prime - 1)``)."""
         return self.prime * (self.prime - 1)
 
     def random_fn_ids(self) -> np.ndarray:
-        """All fn_ids ``a*prime + b`` of the universal sub-family (``a >= 1``),
-        ascending: exactly ``[prime, prime**2)``."""
-        return np.arange(self.prime, self.size)
+        """All fn_ids ``a*prime + b`` of the family, ascending: exactly
+        ``[prime, prime**2)``."""
+        return np.arange(self.prime, self.prime * self.prime)
 
     def key_table(self, n_cells: int) -> np.ndarray:
-        """Key of every cell under every universal function.
+        """Key of every cell under every function of the family.
 
-        Returns a read-only view of shape ``(n_random_functions, n_cells)``
-        of the family's cached cell-key table, whose row order matches
+        Returns the family's cached, read-only cell-key table of shape
+        ``(n_random_functions, n_cells)``, whose row order matches
         :meth:`random_fn_ids`.
         """
-        return _cell_keys(self, n_cells)[self.prime :]
+        return _cell_keys(self, n_cells)
 
 
 @functools.lru_cache(maxsize=4)
 def _cell_keys(family: HashFamily, n_cells: int) -> np.ndarray:
-    """Read-only ``key[fn_id, cell]`` of all ``prime**2`` functions of ``family``.
+    """Read-only cell-key table of ``family``'s functions.
 
-    Row ``fn_id = a*prime + b`` holds ``((a*x + b) mod prime) mod g`` for
-    every cell ``x < n_cells``, in the narrowest unsigned dtype holding
-    ``g - 1``.  Built one ``a`` at a time, so no temporary exceeds
-    ``prime * n_cells`` int64 entries.
+    Row ``fn_id - prime`` of function ``fn_id = a*prime + b`` holds
+    ``((a*x + b) mod prime) mod g`` for every cell ``x < n_cells``, in the
+    narrowest unsigned dtype holding ``g - 1``.  Built one ``a`` at a time,
+    so no temporary exceeds ``prime * n_cells`` int64 entries.
     """
     if n_cells > family.prime:
         raise ValueError("cell domain must not exceed the prime modulus")
@@ -184,10 +178,10 @@ def _cell_keys(family: HashFamily, n_cells: int) -> np.ndarray:
     key_of = (np.arange(family.prime) % family.g).astype(dtype)
     b = np.arange(family.prime)[:, None]
     cells = np.arange(n_cells)
-    table = np.empty((family.prime, family.prime, n_cells), dtype=dtype)
-    for a in range(family.prime):
-        np.take(key_of, (a * cells + b) % family.prime, out=table[a])
-    table = table.reshape(family.size, n_cells)
+    table = np.empty((family.prime - 1, family.prime, n_cells), dtype=dtype)
+    for a in range(1, family.prime):
+        np.take(key_of, (a * cells + b) % family.prime, out=table[a - 1])
+    table = table.reshape(family.n_random_functions, n_cells)
     table.flags.writeable = False
     return table
 
@@ -284,19 +278,19 @@ def olh_aggregate(
     """Unbiased per-cell frequency estimate from OLH reports.
 
     ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports; every
-    function must lie in ``[0, prime**2)``, every key in ``[0, g)`` and every
-    cell in ``[0, prime)``.  The reports are counted as distinct (function,
-    key) pairs: each distinct pair's row of the family's cached cell-key
-    table (``prime**2`` rows of ``max(cells) + 1`` keys) is compared with its
-    key, and its multiplicity is added to the cells it hits by one float64
+    function must lie in ``[prime, prime**2)``, every key in ``[0, g)`` and
+    every cell in ``[0, prime)``.  The reports are counted as distinct
+    (function, key) pairs: each distinct pair's row of the family's cached
+    cell-key table (``max(cells) + 1`` keys per function) is compared with
+    its key, and its multiplicity is added to the cells it hits by one float64
     matmul.  The support counts are integers below 2**53, so they are exact;
     :func:`debias_counts` turns them into frequencies.
     """
     fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
     if fn_ids.size == 0:
         raise ValueError("empty report set")
-    if fn_ids.min() < 0 or fn_ids.max() >= family.size:
-        raise ValueError(f"report functions must lie in [0, {family.size})")
+    if fn_ids.min() < family.prime or fn_ids.max() >= family.prime * family.prime:
+        raise ValueError(f"report functions must lie in [{family.prime}, {family.prime ** 2})")
     if keys.min() < 0 or keys.max() >= family.g:
         raise ValueError(f"report keys must lie in [0, {family.g})")
     cells = np.asarray(cells, dtype=np.int64)
@@ -307,6 +301,7 @@ def olh_aggregate(
         table = table[:, cells]
     distinct, mult = np.unique(fn_ids * family.g + keys, return_counts=True)
     fns, keys = np.divmod(distinct, family.g)
+    fns -= family.prime
     keys = keys.astype(table.dtype)
     counts = mult.astype(np.float64) @ (table[fns] == keys[:, None])
     return debias_counts(counts, fn_ids.size, params)

@@ -368,8 +368,8 @@ def oue_aggregate(reports: Sequence[np.ndarray] | np.ndarray, params: OueParams)
 
 def hash_ab(family: HashFamily, fn_id: int) -> Tuple[int, int]:
     """The ``(a, b)`` of the function with index ``fn_id = a*prime + b``."""
-    if not 0 <= fn_id < family.size:
-        raise ValueError(f"fn_id {fn_id} out of range [0, {family.size})")
+    if not 0 <= fn_id < family.prime**2:
+        raise ValueError(f"fn_id {fn_id} out of range [0, {family.prime**2})")
     return divmod(fn_id, family.prime)
 
 
@@ -673,8 +673,6 @@ def aaog_load_limit_simulated(
         if n_fns > family_size:
             continue
         k_bad = int(math.ceil(threshold - cap))
-        if k_bad <= 0:
-            continue
         p_bad = tail[k_bad] if k_bad <= n_round_real else 0.0
         if 1.0 - (1.0 - p_bad) ** n_fns <= beta:
             return cap

@@ -20,19 +20,34 @@ from ldplab.grid_protocol import GridConfig
 from .oracles import max_load_threshold_scan, simulated_max_load
 
 
+def _tree_constants(alpha):
+    """``(z_alpha, outside_mass)`` of the ones-count test, read off its
+    threshold ``t(N) = N f + z sqrt(N f (1 - f))`` over N = 1 and 4 reports:
+    ``t(4) - 2 t(1) = 2 f``."""
+    t1, t4 = (tree_detect([0] * users, 16, 1.0, alpha=alpha).threshold for users in (1, 4))
+    f_out = (t4 - 2.0 * t1) / 2.0
+    return (t1 - f_out) / np.sqrt(f_out * (1.0 - f_out)), f_out
+
+
+def _outside(counts, n, epsilon, alpha=0.005):
+    """Whether ``tree_detect`` counts each 1-count alone as outside its interval."""
+    return [tree_detect([c], n, epsilon, alpha=alpha).statistic for c in counts]
+
+
 class TestTreeDefenseParams:
-    """The ones-count test's constants, read from ``tree_detect``'s metadata."""
+    """The ones-count test's constants, read from ``tree_detect``'s threshold."""
 
     def test_alpha_constants(self):
-        params = tree_detect([0], 16, 1.0, alpha=0.005).metadata
-        assert params["z_alpha"] == pytest.approx(2.5758, abs=1e-3)
-        assert params["outside_mass"] == pytest.approx(0.3190, abs=5e-4)
+        z_alpha, outside_mass = _tree_constants(0.005)
+        assert z_alpha == pytest.approx(2.5758, abs=1e-3)
+        assert outside_mass == pytest.approx(0.3190, abs=5e-4)
 
     def test_z_alpha_matches_scipy(self):
         for alpha in [1e-6, 1e-4, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.4]:
-            expected = stats.norm.ppf(1.0 - alpha)
-            z_alpha = tree_detect([0], 16, 1.0, alpha=alpha).metadata["z_alpha"]
-            assert z_alpha == pytest.approx(expected, rel=1e-12)
+            z = stats.norm.ppf(1.0 - alpha)
+            z_alpha, outside_mass = _tree_constants(alpha)
+            assert z_alpha == pytest.approx(z, rel=1e-12)
+            assert outside_mass == pytest.approx((1.0 - np.sqrt(1.0 / (1.0 + z**2))) / 2.0, rel=1e-12)
 
 
 class TestBinomialPmf:
@@ -129,13 +144,17 @@ class TestTreeDetect:
         assert result.detected
         assert result.statistic > result.threshold
 
-    def test_metadata_interval(self):
-        rng = np.random.default_rng(2)
-        result = tree_detect(self._honest_counts(rng), 128, 1.0)
-        i_minus, i_plus = result.metadata["interval"]
+    def test_interval_leaves_outside_mass_in_each_tail(self):
+        # The 1-counts the statistic leaves out form one interval [i-, i+];
+        # -1 is inside when no count lies below it.
+        outside = _outside(range(-1, 130), 128, 1.0)
+        inside = [c for c, out in zip(range(-1, 130), outside) if out == 0]
+        i_minus, i_plus = inside[0], inside[-1]
+        assert inside == list(range(i_minus, i_plus + 1))
+        assert set(outside) == {0.0, 1.0}
         assert i_minus < i_plus
         cdf = ones_count_cdf(128, 1.0 / (np.e + 1.0))
-        half = result.metadata["outside_mass"] / 2.0
+        half = _tree_constants(0.005)[1] / 2.0
         assert cdf[i_plus] >= 1.0 - half
         if i_minus >= 0:
             assert cdf[i_minus] <= half
@@ -155,9 +174,10 @@ class TestTreeDetect:
                     half = (1.0 - np.sqrt(1.0 / (1.0 + z**2))) / 4.0
                     below = np.nonzero(cdf <= half)[0]
                     i_minus = int(below[-1]) if below.size else -1
-                    expected = (i_minus, int(np.nonzero(cdf >= 1.0 - half)[0][0]))
-                    result = tree_detect([0], n, epsilon, alpha=alpha)
-                    assert result.metadata["interval"] == expected, (epsilon, n, alpha)
+                    i_plus = int(np.nonzero(cdf >= 1.0 - half)[0][0])
+                    counts = [i_minus - 1, i_minus, i_plus, i_plus + 1]
+                    outside = _outside(counts, n, epsilon, alpha)
+                    assert outside == [1.0, 0.0, 0.0, 1.0], (epsilon, n, alpha)
 
 
 # Round sizes of the bench's prime-211 family (44,310 functions) and of
@@ -177,7 +197,7 @@ def _mallows_cdf(n_balls, n_bins, x):
 class TestMaxLoad:
     def test_single_bin_is_degenerate(self):
         cdf = max_load_cdf(50, 1)
-        assert cdf.cdf(49) == 0.0 and cdf.cdf(50) == 1.0
+        assert cdf.exceed[49] == 1.0 and cdf.exceed[50] == 0.0
         # Smallest load whose CDF value exceeds 1 - alpha is the point mass.
         assert cdf.threshold(0.005) == 50
 
@@ -188,19 +208,15 @@ class TestMaxLoad:
     def test_cache_and_determinism(self):
         a = max_load_cdf(200, 50)
         assert max_load_cdf(200, 50) is a
-        # The key is int-normalised: numpy and float counts hit the same entry.
+        # Numpy and float counts equal to the int key hit the same entry.
         assert max_load_cdf(np.int64(200), 50.0) is a
         assert not a.exceed.flags.writeable
 
-    def test_cdf_interface(self):
+    def test_two_bin_exceed(self):
         # Two bins: a load above n/2 fits in one bin only, so the union
-        # bound is exact there; P[max <= 1] = 0 and 1 - 2 * 11/16 < 0.
+        # bound is exact there; P[max > 1] = 1 and 2 * 11/16 is capped at 1.
         cdf = max_load_cdf(4, 2)
-        values = [cdf.cdf(x) for x in range(5)]
-        np.testing.assert_allclose(values, [0.0, 0.0, 0.375, 0.875, 1.0], rtol=0, atol=1e-15)
-        assert cdf.cdf(-1) == 0.0
-        assert cdf.cdf(2.5) == pytest.approx(0.375)
-        assert cdf.cdf(9) == 1.0
+        np.testing.assert_allclose(cdf.exceed, [1.0, 1.0, 0.625, 0.125, 0.0], rtol=0, atol=1e-15)
         assert cdf.threshold(0.2) == 3
         assert cdf.threshold(0.1) == 4
 
@@ -226,7 +242,7 @@ class TestMaxLoad:
         cdf = max_load_cdf(n_balls, n_bins)
         for x in range(int(samples.min()) - 1, int(samples.max()) + 1):
             hits = np.count_nonzero(samples <= x)
-            assert hits >= stats.binom.ppf(1e-6, trials, cdf.cdf(x)), (x, hits)
+            assert hits >= stats.binom.ppf(1e-6, trials, 1.0 - cdf.exceed[x]), (x, hits)
             assert hits <= stats.binom.isf(1e-6, trials, _mallows_cdf(n_balls, n_bins, x)), (x, hits)
 
     @pytest.mark.parametrize("n_balls, n_bins", LAW_SIZES)
@@ -239,7 +255,7 @@ class TestMaxLoad:
         for alpha in (0.001, 0.005):
             t = cdf.threshold(alpha)
             assert _mallows_cdf(n_balls, n_bins, t - 1) <= 1.0 - alpha, alpha
-            assert 0.0 <= _mallows_cdf(n_balls, n_bins, t) - cdf.cdf(t) < 3e-5, alpha
+            assert 0.0 <= _mallows_cdf(n_balls, n_bins, t) - (1.0 - cdf.exceed[t]) < 3e-5, alpha
 
     def test_grid_thresholds_at_bench_round_sizes(self):
         # At 1,900 reports M(3) = 0.99401 < 0.995, so a threshold of 3 would

@@ -139,10 +139,10 @@ class TestHashFamily:
 
     def test_sizes(self):
         family = HashFamily(17, 4)
-        assert family.size == 289
         assert family.n_random_functions == 272
         assert family.random_fn_ids().size == 272
         assert family.random_fn_ids().min() == 17  # a = 1, b = 0
+        assert family.random_fn_ids().max() == 288  # a = b = 16
 
     def test_key_table_matches_per_cell_scan(self):
         family = HashFamily(17, 4)
@@ -160,7 +160,7 @@ class TestHashFamily:
         table = family.key_table(16)
         assert table.dtype == np.uint8
         assert table.shape == (family.n_random_functions, 16)
-        assert np.shares_memory(table, HashFamily(17, 4).key_table(16))
+        assert HashFamily(17, 4).key_table(16) is table
         with pytest.raises(ValueError):
             table[0, 0] = 1
         assert HashFamily(1031, 300).key_table(2).dtype == np.uint16
@@ -280,6 +280,14 @@ class TestOlhAggregate:
             with pytest.raises(ValueError, match="functions"):
                 olh_aggregate(pairs, family, np.arange(16), OlhParams(1.0))
 
+    def test_constant_functions_raise(self):
+        # The a = 0 ids [0, prime) are no member of the family.
+        family = HashFamily(17, 4)
+        for bad_fn in range(17):
+            pairs = (np.array([20, bad_fn]), np.array([0, 1]))
+            with pytest.raises(ValueError, match="functions"):
+                olh_aggregate(pairs, family, np.arange(16), OlhParams(1.0))
+
     def test_cells_outside_prime_raise(self):
         family = HashFamily(17, 4)
         pairs = (np.array([20, 21]), np.array([0, 1]))
@@ -289,13 +297,14 @@ class TestOlhAggregate:
 
     @pytest.mark.parametrize("prime", [17, 67, 211])
     def test_permuted_cell_subset_and_constant_functions(self, prime):
-        # Reports include the a = 0 (constant) functions, and the cells are a
-        # permuted subset of [0, prime), so the table's columns are gathered.
+        # The cells are a permuted subset of [0, prime), so the table's
+        # columns are gathered.  Reports of the a = 0 (constant) functions
+        # among them are rejected.
         family = HashFamily(prime, 4)
         params = OlhParams(np.log(3.0))
         rng = np.random.default_rng(prime)
         fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 300), family, params, rng)
-        fn_ids = np.concatenate([fn_ids, rng.integers(0, prime, 40)])
+        fn_ids = np.concatenate([fn_ids, rng.integers(prime, prime * prime, 40)])
         keys = np.concatenate([keys, rng.integers(0, 4, 40)])
         cells = rng.permutation(prime)[: min(prime - 1, 40)]
         pairs = list(zip(fn_ids.tolist(), keys.tolist()))
@@ -303,6 +312,9 @@ class TestOlhAggregate:
             olh_aggregate((fn_ids, keys), family, cells, params),
             olh_aggregate_pairs(pairs, family, cells, params),
         )
+        constant = (np.append(fn_ids, rng.integers(0, prime)), np.append(keys, 0))
+        with pytest.raises(ValueError, match="functions"):
+            olh_aggregate(constant, family, cells, params)
 
     def test_repeated_fake_pair_equals_per_pair_oracle(self):
         family = HashFamily(17, 4)

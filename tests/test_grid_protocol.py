@@ -176,11 +176,12 @@ class TestRunProtocol:
         config = GridConfig(d=3)
         records = self._records(np.random.default_rng(7), n=3000, d=3)
         groups, fake_counts = config.round_plan(3000, 333, np.random.default_rng(8))
+        fake_fn = config.prime + 7  # a = 1, b = 7
         seen = {}
         run_grid_protocol(
             records,
             config,
-            hook=lambda key, m, rng: (np.full(m, 7), np.zeros(m, dtype=int)),
+            hook=lambda key, m, rng: (np.full(m, fake_fn), np.zeros(m, dtype=int)),
             n_fake=333,
             rng=np.random.default_rng(8),
             observer=lambda key, fn_ids: seen.__setitem__(key, fn_ids),
@@ -189,7 +190,7 @@ class TestRunProtocol:
         for gidx, key in enumerate(grid_keys(3)):
             fn_ids = seen[key]
             assert fn_ids.size == real_counts[gidx] + fake_counts[gidx]
-            assert (fn_ids[real_counts[gidx] :] == 7).all()
+            assert (fn_ids[real_counts[gidx] :] == fake_fn).all()
         assert fake_counts.sum() == 333
 
     def test_input_validation(self):
