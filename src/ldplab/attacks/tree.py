@@ -311,7 +311,7 @@ class OptimalTreeAttack:
         # Predict growth under uniform data: a node's frequency is its share
         # of the domain, split with the protocol's rule at each future layer.
         nodes = frontier
-        for future in range(self.layer, config.depth):
+        for future in range(self.layer, config.depth - 1):
             theta = config.threshold_for(self._real_sizes[future] + self._fake_sizes[future])
             width = tree.hi[nodes] - tree.lo[nodes]
             nodes = tree.split(nodes, width / config.domain_size >= theta)

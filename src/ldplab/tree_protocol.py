@@ -183,12 +183,8 @@ def run_tree_protocol(
 
     A layer's real reports exist only as their 1-counts (see
     :func:`oue_perturb_batch`); the hook's fake matrix is summed by column,
-    and by row only for an observer.
-
-    The split rule also runs after the last layer, so nodes split there get
-    ``fanout`` children that no layer estimates; they keep ``f_hat = 0``, and
-    consistency cuts their parent's ``f_tilde`` to ``fanout / (fanout + 1)``
-    of its ``f_hat``.
+    and by row only for an observer.  The split rule runs after every
+    layer but the last, so every node of the tree is estimated.
     """
     values = np.asarray(real_values, dtype=np.int64)
     if values.size == 0:
@@ -203,7 +199,7 @@ def run_tree_protocol(
     tree.f_hat[0] = 1.0
     frontier = tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
 
-    for group, m_fake in zip(real_groups, fake_sizes):
+    for layer, (group, m_fake) in enumerate(zip(real_groups, fake_sizes)):
         n_nodes = frontier.size
         params = OueParams(config.epsilon, n_nodes)
 
@@ -233,6 +229,8 @@ def run_tree_protocol(
             continue
         freqs = norm_sub(debias_counts(counts, total_users, params)).normalized
         tree.f_hat[frontier] = freqs
+        if layer == config.depth - 1:
+            break
 
         theta = config.threshold_for(total_users)
         frontier = tree.split(frontier, freqs >= theta)

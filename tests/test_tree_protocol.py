@@ -134,6 +134,18 @@ class TestRunProtocol:
         assert [n for n, _ in seen] == [2, 4, 8, 16]
         assert [size for _, size in seen] == config.layer_plan(1000, 0)[0]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_node_is_estimated(self, seed):
+        """Every non-root node of the tree appeared in an observed frontier:
+        no split follows the last layer."""
+        rng = np.random.default_rng(seed)
+        values = np.clip(rng.normal(512, 40, 30_000), 0, 1023).astype(int)
+        observed = []
+        tree = run_tree_protocol(
+            values, TreeConfig(), rng=rng, observer=lambda nodes, ones: observed.extend(nodes)
+        )
+        np.testing.assert_array_equal(np.flatnonzero(tree.exists)[1:], np.unique(observed))
+
     def test_optimal_attack_plans_on_the_protocol_layers(self):
         """The attack's layer plan is the protocol's: every layer's fake count
         equals the attack's ``_fake_sizes``, and the observer sees each
