@@ -129,8 +129,8 @@ class ExperimentConfig:
             raise ConfigError("rho must be > 0 when an attack is enabled")
         if self.strategy not in ZERO_COEFF_STRATEGIES:
             raise ConfigError(f"strategy must be one of {ZERO_COEFF_STRATEGIES}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         for name in ("alpha", "beta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1)")
@@ -197,6 +197,8 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset mean and std must be numbers: {exc}") from exc
             if filled["count"] < 1:
                 raise ConfigError("dataset count must be >= 1")
+            if not math.isfinite(filled["mean"]) or not 0.0 <= filled["std"] < math.inf:
+                raise ConfigError("dataset mean must be finite and std finite and >= 0")
             self.dataset = {**spec, **filled}
         else:
             raise ConfigError(f"unknown dataset kind {kind!r} (expected gaussian|laplace|csv)")

@@ -142,10 +142,16 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"seeds": [1.5]}, []),
         ({"n_queries": 2.5}, []),
         ({"protocol": "ahead", "dims_total": 2}, []),
+        ({"epsilon": float("nan")}, []),
+        ({"epsilon": float("inf")}, []),
+        ({"protocol": "hdg", "epsilon": float("inf")}, []),
+        ({"dataset": {"kind": "gaussian", "count": 3000, "mean": 32, "std": -1}}, []),
+        ({"dataset": {"kind": "gaussian", "count": 3000, "mean": float("nan"), "std": 10}}, []),
     ],
     ids=[
         "hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed",
         "fractional-seed", "fractional-n-queries", "ahead-two-attributes",
+        "nan-epsilon", "infinite-epsilon", "hdg-infinite-epsilon", "negative-std", "nan-mean",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

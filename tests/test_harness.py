@@ -205,6 +205,17 @@ class TestExperimentConfig:
             dict(protocol="hdg", dims_total=5.0),
             dict(protocol="hdg", pp_rounds=1.5),
             dict(protocol="hdg", family_prime=211.0),
+            # Real fields must be finite: json reads NaN and Infinity.
+            dict(epsilon=-1.0),
+            dict(epsilon=float("nan")),
+            dict(epsilon=float("inf")),
+            dict(protocol="hdg", epsilon=float("inf")),
+            dict(dataset={"kind": "gaussian", "std": -1.0}),
+            dict(dataset={"kind": "laplace", "std": -0.5}),
+            dict(dataset={"kind": "gaussian", "std": float("nan")}),
+            dict(dataset={"kind": "gaussian", "std": float("inf")}),
+            dict(dataset={"kind": "gaussian", "mean": float("nan")}),
+            dict(dataset={"kind": "gaussian", "mean": float("-inf")}),
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
