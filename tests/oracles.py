@@ -548,10 +548,11 @@ def stable_matching_audit(
         for f in fns:
             assigned[f] = g_idx
     for g_idx in range(n_grids):
-        worst = min((values[g_idx, f] for f in matched[g_idx]), default=np.inf)
+        mine = set(matched[g_idx])
+        worst = min((values[g_idx, f] for f in mine), default=np.inf)
         unfilled = len(matched[g_idx]) < quotas[g_idx]
         for f in range(n_fns):
-            if f in matched[g_idx]:
+            if f in mine:
                 continue
             grid_wants = unfilled or values[g_idx, f] > worst
             if not grid_wants:
