@@ -2,9 +2,9 @@
 
 Every attack picks OLH (function, key) report pairs from one support scan of
 a grid (:func:`scan_supports`): per pair, the size of its support and the
-part of the support inside the target range.  The query-independent part of
-the scan (which cells each pair hits, and its support size) is built once
-per (hash family, cell count) and shared by every hook and thread.
+part of the support inside the target range, both counted over the family's
+cell-key table.  The query-independent sizes are cached once per (hash
+family, cell count) and shared by every hook and thread.
 
 Attack families:
 
@@ -82,19 +82,18 @@ class SizeConstraints:
 class GridSupports:
     """Support statistics of every (function, key) pair on one grid.
 
-    Rows follow :meth:`HashFamily.random_fn_ids`.  ``hits[k, c, f]`` is true
-    when function ``f`` hashes cell ``c`` to key ``k``; ``sizes[f, k]``
-    counts the cells hashing to key ``k`` and ``inter[f, k]`` those of them
-    inside the range.  ``hits`` and ``sizes`` are the family's shared,
-    read-only tables.  ``scale`` is the grid's cells per ``g2``-cell of its
-    attributes (``n_cells / g2**n_attrs``: ``g1/g2`` for a 1-D grid, 1 for a
-    2-D grid).  :meth:`preference` is the one heuristic ranking score; the
-    heuristic attack, the constraint-driven fallback and the adaptive attack
-    all read it.
+    Rows follow :meth:`HashFamily.random_fn_ids`.  ``table`` is the family's
+    cell-key table, so the support of row ``f``'s key ``k`` is ``table[f] ==
+    k``; ``sizes[f, k]`` counts its cells and ``inter[f, k]`` those inside
+    the range.  ``table`` and ``sizes`` are shared and read-only.  ``scale``
+    is the grid's cells per ``g2``-cell of its attributes (``g1/g2`` for a
+    1-D grid, 1 for a 2-D grid).  :meth:`preference` is the one heuristic
+    ranking score; the heuristic attack, the constraint-driven fallback and
+    the adaptive attack all read it.
     """
 
     fn_ids: np.ndarray
-    hits: np.ndarray
+    table: np.ndarray
     sizes: np.ndarray
     inter: np.ndarray
     scale: float
@@ -114,35 +113,34 @@ class GridSupports:
         return ((self.inter - self.sizes) / self.scale) * 1e6 + self.sizes / self.scale
 
 
-@functools.lru_cache(maxsize=4)
-def _hit_table(family: HashFamily, n_cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(hits, sizes)`` of ``family`` over ``n_cells`` cells.
+def _count_keys(rows: np.ndarray, g: int) -> np.ndarray:
+    """int64 ``counts[f, k]`` of key ``k`` in column ``f`` of the cell-major
+    ``rows``, each summed in an unsigned dtype holding every count."""
+    counts = np.empty((rows.shape[1], g), dtype=np.int64)
+    dtype = np.min_scalar_type(rows.shape[0])
+    for key in range(g):
+        counts[:, key] = (rows == key).sum(axis=0, dtype=dtype)
+    return counts
 
-    ``hits`` is cell-major, shape ``(g, n_cells, n_random_functions)``, so a
-    scan sums whole rows of the in-range cells.  Built on first use from
-    :meth:`HashFamily.key_table`, the family's cached cell-key table.
-    """
-    table = family.key_table(n_cells)
-    hits = table.T == np.arange(family.g)[:, None, None]
-    sizes = np.ascontiguousarray(np.count_nonzero(hits, axis=1).T, dtype=np.int64)
-    hits.flags.writeable = False
+
+@functools.lru_cache(maxsize=4)
+def _key_sizes(family: HashFamily, n_cells: int) -> np.ndarray:
+    """Read-only support sizes: key counts over all ``n_cells`` cells."""
+    sizes = _count_keys(family.key_table(n_cells).T, family.g)
     sizes.flags.writeable = False
-    return hits, sizes
+    return sizes
 
 
 def scan_supports(family: HashFamily, in_range: np.ndarray, scale: float) -> GridSupports:
-    """Scan a grid's in-range cell mask against the family's hit table.
+    """Count each key over the family's cell-key rows of the in-range cells.
 
-    The hit table of ``(family, in_range.size)`` is cached, so a scan is one
-    sum over the hit rows of the in-range cells, in an unsigned dtype that
-    holds every count.  ``scale`` is carried to
-    :meth:`GridSupports.preference`.
+    ``scale`` is carried to :meth:`GridSupports.preference`.
     """
     in_range = np.asarray(in_range, dtype=bool)
-    hits, sizes = _hit_table(family, in_range.size)
-    counts = hits[:, in_range].sum(axis=1, dtype=np.min_scalar_type(in_range.size))
-    inter = np.ascontiguousarray(counts.T, dtype=np.int64)
-    return GridSupports(family.random_fn_ids(), hits, sizes, inter, scale)
+    table = family.key_table(in_range.size)
+    inter = _count_keys(table.T[in_range], family.g)
+    sizes = _key_sizes(family, in_range.size)
+    return GridSupports(family.random_fn_ids(), table, sizes, inter, scale)
 
 
 def _best_pairs(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
@@ -163,11 +161,8 @@ def _repeat(pair: _Pair, m_fake: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _GridHook:
-    """Set-up shared by the grid hooks: config, target query, hash family.
-
-    :meth:`supports` scans one grid against the family's shared hit table;
-    the per-grid scans are not kept.
-    """
+    """Set-up shared by the grid hooks: config, target query, hash family;
+    :meth:`supports` scans one grid (the scans are not kept)."""
 
     def __init__(self, config: GridConfig, query: RangeQuery):
         self.config = config
@@ -293,7 +288,7 @@ class GridRangeAttack(_GridHook):
         eye = np.eye(self.config.g2, dtype=np.int64)
         w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
         cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
-        support = scan.hits[cand[:, 1], :, cand[:, 0]].astype(np.int64)
+        support = (scan.table[cand[:, 0]] == cand[:, 1:]).astype(np.int64)
         counts = {
             attr: support @ eye[cols]
             for attr, cols in self.config.columns(key).items()

@@ -16,9 +16,10 @@ Each mechanism's constants live in its params (:class:`OueParams`,
 :class:`OlhParams`), and both aggregators end in the one unbiased estimator
 :func:`debias_counts`, whose estimates may be negative.
 
-OLH aggregation and :meth:`HashFamily.key_table` (hence the grid attacks'
-support scans) evaluate no hash per call.  They read one cached, read-only
-cell-key table per (hash family, cell count): the key of every cell under
+OLH aggregation and the grid attacks' support scans (key counts over the
+table's rows, with one cached 2-D array of support sizes) evaluate no hash
+per call.  They read one cached, read-only cell-key table per (hash family,
+cell count), :meth:`HashFamily.key_table`: the key of every cell under
 each of the family's ``prime * (prime - 1)`` functions, in the narrowest
 unsigned dtype that holds ``g - 1``.  It takes ``prime * (prime - 1) *
 n_cells`` bytes for ``g <= 256`` (709 KB at prime 211 and 16 cells).
@@ -103,9 +104,11 @@ class OlhParams:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        self.g = max(2, int(round(np.exp(self.epsilon) + 1.0)))
+        with np.errstate(over="ignore"):
+            e_eps = np.exp(self.epsilon)
+        if not (self.epsilon > 0 and np.isfinite(e_eps)):
+            raise ValueError(f"epsilon must be > 0 with e^epsilon finite, got {self.epsilon!r}")
+        self.g = max(2, int(round(e_eps + 1.0)))
         self.p = 0.5
         self.q = 1.0 / self.g
 

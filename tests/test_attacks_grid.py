@@ -24,7 +24,7 @@ from ldplab.attacks import (
     scan_supports,
 )
 from ldplab.attacks import grid
-from ldplab.attacks.grid import _hit_table
+from ldplab.attacks.grid import _key_sizes
 from ldplab.defenses import binomial_pmf, max_load_cdf
 from ldplab.freq_oracles import HashFamily, OlhParams
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
@@ -67,13 +67,11 @@ class TestScanSupports:
     def test_hits_match_key_table(self):
         family = HashFamily(31, 4)
         supports = scan(family, np.ones(20, dtype=bool))
-        table = family.key_table(20)
-        for key in range(4):
-            np.testing.assert_array_equal(supports.hits[key], (table == key).T)
+        assert supports.table is family.key_table(20)
 
     @given(
         prime=st.sampled_from([17, 31, 67, 211]),
-        g=st.sampled_from([2, 4, 8]),
+        g=st.sampled_from([2, 4, 8, 21, 56]),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
@@ -90,39 +88,37 @@ class TestScanSupports:
 
 
 @pytest.fixture
-def empty_hit_cache():
-    _hit_table.cache_clear()
+def empty_sizes_cache():
+    _key_sizes.cache_clear()
     yield
-    _hit_table.cache_clear()
+    _key_sizes.cache_clear()
 
 
-@pytest.mark.usefixtures("empty_hit_cache")
+@pytest.mark.usefixtures("empty_sizes_cache")
 class TestHitTableCache:
     def test_equal_families_share_one_entry(self):
         a = scan(HashFamily(17, 4), np.arange(16) < 5)
         b = scan(HashFamily(17, 4), np.arange(16) >= 5)
-        assert a.hits is b.hits and a.sizes is b.sizes
-        assert _hit_table.cache_info().currsize == 1
+        assert a.table is b.table and a.sizes is b.sizes
+        assert _key_sizes.cache_info().currsize == 1
 
     def test_cached_tables_are_read_only(self):
         family = HashFamily(17, 4)
-        hits, sizes = _hit_table(family, 16)
-        with pytest.raises(ValueError):
-            hits[0, 0, 0] = not hits[0, 0, 0]
+        sizes = _key_sizes(family, 16)
         with pytest.raises(ValueError):
             sizes += 1
         supports = scan(family, np.ones(16, dtype=bool))
         with pytest.raises(ValueError):
             supports.sizes[0, 0] = 0
         with pytest.raises(ValueError):
-            supports.hits[:] = False
+            supports.table[:] = 0
 
     def test_cache_stays_bounded(self):
-        maxsize = _hit_table.cache_parameters()["maxsize"]
+        maxsize = _key_sizes.cache_parameters()["maxsize"]
         family = HashFamily(17, 4)
         for n_cells in range(1, maxsize + 4):
             scan(family, np.ones(n_cells, dtype=bool))
-        assert _hit_table.cache_info().currsize == maxsize
+        assert _key_sizes.cache_info().currsize == maxsize
 
     def test_masks_give_independent_inter(self):
         family = HashFamily(31, 4)
@@ -347,7 +343,7 @@ class TestHaog:
         # (5, 5), (5, 0) and (8, 8).
         supports = GridSupports(
             fn_ids=np.array([0]),
-            hits=np.zeros((3, 16, 1), dtype=bool),
+            table=np.zeros((1, 16), dtype=np.uint8),
             sizes=np.array([[5, 5, 8]]),
             inter=np.array([[5, 0, 8]]),
             scale=1.0,

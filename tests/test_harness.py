@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from ldplab.attacks.grid import _hit_table
+from ldplab.attacks.grid import _key_sizes
 from ldplab.defenses import DetectionResult
 from ldplab.harness import (
     ConfigError,
@@ -173,6 +173,7 @@ class TestExperimentConfig:
             dict(protocol="hdg", family_prime=20),  # not a prime
             dict(protocol="hdg", dims_total=1, dims_query=1),
             dict(protocol="hdg", dims_query=1),  # grid queries span 2+ attributes
+            dict(protocol="hdg", epsilon=800.0),  # e^epsilon overflows OLH's g
             dict(seeds=(0, -1)),
             dict(dataset={"kind": "csv"}),
             dict(dataset={"kind": "csv", "path": "x.csv"}),
@@ -388,7 +389,7 @@ class TestRunExperiment:
         def rows(results):
             return [{**asdict(r), "elapsed_s": None} for r in results]
 
-        _hit_table.cache_clear()  # both seeds' threads fill the shared cache
+        _key_sizes.cache_clear()  # both seeds' threads fill the shared cache
         threaded, _ = run_experiment(config(2))
         serial, _ = run_experiment(config(1))
         assert rows(threaded) == rows(serial)
