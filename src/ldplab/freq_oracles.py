@@ -69,6 +69,16 @@ def smallest_prime_above(n: int) -> int:
         candidate += 1
 
 
+def _exp_epsilon(epsilon: float) -> float:
+    """``e^epsilon`` of a budget that is > 0 and whose ``e^epsilon`` is
+    finite; any other budget is a ``ValueError``."""
+    with np.errstate(over="ignore"):
+        e_eps = np.exp(epsilon)
+    if not (epsilon > 0 and np.isfinite(e_eps)):
+        raise ValueError(f"epsilon must be > 0 with e^epsilon finite, got {epsilon!r}")
+    return float(e_eps)
+
+
 @dataclass
 class OueParams:
     """Perturbation parameters for OUE on a length-``n`` bit vector."""
@@ -79,12 +89,11 @@ class OueParams:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        e_eps = _exp_epsilon(self.epsilon)
         if self.n < 1:
             raise ValueError("vector length n must be >= 1")
         self.p = 0.5
-        self.q = 1.0 / (np.exp(self.epsilon) + 1.0)
+        self.q = 1.0 / (e_eps + 1.0)
 
 
 @dataclass
@@ -104,10 +113,7 @@ class OlhParams:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        with np.errstate(over="ignore"):
-            e_eps = np.exp(self.epsilon)
-        if not (self.epsilon > 0 and np.isfinite(e_eps)):
-            raise ValueError(f"epsilon must be > 0 with e^epsilon finite, got {self.epsilon!r}")
+        e_eps = _exp_epsilon(self.epsilon)
         self.g = max(2, int(round(e_eps + 1.0)))
         self.p = 0.5
         self.q = 1.0 / self.g

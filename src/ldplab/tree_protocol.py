@@ -134,6 +134,7 @@ class TreeConfig:
             raise ValueError("fanout must be >= 2")
         if self.fanout**self.depth != self.domain_size:
             raise ValueError("domain_size must be a power of fanout")
+        OueParams(self.epsilon, 1)  # raises unless epsilon > 0 and e^epsilon is finite
 
     @property
     def depth(self) -> int:

@@ -146,6 +146,7 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"epsilon": float("inf")}, []),
         ({"protocol": "hdg", "epsilon": float("inf")}, []),
         ({"protocol": "hdg", "epsilon": 800}, []),
+        ({"protocol": "ahead", "epsilon": 800}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": 32, "std": -1}}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": float("nan"), "std": 10}}, []),
     ],
@@ -153,7 +154,7 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         "hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed",
         "fractional-seed", "fractional-n-queries", "ahead-two-attributes",
         "nan-epsilon", "infinite-epsilon", "hdg-infinite-epsilon",
-        "hdg-overflowing-epsilon", "negative-std", "nan-mean",
+        "hdg-overflowing-epsilon", "ahead-overflowing-epsilon", "negative-std", "nan-mean",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

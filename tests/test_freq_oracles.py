@@ -43,6 +43,8 @@ class TestOueParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             OueParams(0.0, 8)
+        with pytest.raises(ValueError, match="finite"):
+            OueParams(800.0, 8)  # e^epsilon overflows, so q would read 0
         with pytest.raises(ValueError):
             OueParams(1.0, 0)
 

@@ -174,6 +174,7 @@ class TestExperimentConfig:
             dict(protocol="hdg", dims_total=1, dims_query=1),
             dict(protocol="hdg", dims_query=1),  # grid queries span 2+ attributes
             dict(protocol="hdg", epsilon=800.0),  # e^epsilon overflows OLH's g
+            dict(protocol="ahead", epsilon=800.0),  # e^epsilon overflows OUE's q
             dict(seeds=(0, -1)),
             dict(dataset={"kind": "csv"}),
             dict(dataset={"kind": "csv", "path": "x.csv"}),
