@@ -6,6 +6,12 @@ fraction, attack, defense, and query generation.  ``run_experiment``
 executes every (seed, query) trial, recording the honest response, the
 poisoned response, the attack efficiency, and optional detection outcomes;
 results are written as JSON lines plus a CSV summary.
+
+The honest collection does not depend on the query, so each seed runs the
+honest protocol once, inside its first trial (whose ``elapsed_s`` carries
+that cost), and answers all its queries from it.  The honest answers of one
+seed are therefore correlated.  Each query gets its own poisoned run, and the
+efficiency reads only the poisoned answer, so it is unaffected.
 """
 
 from __future__ import annotations
@@ -217,6 +223,8 @@ class TrialResult:
     detected: Optional[bool]
     detection_statistic: Optional[float]
     detection_threshold: Optional[float]
+    # Wall time of the trial; a seed's first trial also runs its one honest
+    # collection, which the later trials of the seed reuse.
     elapsed_s: float
 
 
@@ -401,23 +409,24 @@ _HOOKS = {
 }
 
 
-def _run_trial(
+def _run_protocol(
     config: ExperimentConfig,
     records: np.ndarray,
     query: RangeQuery,
     rng: np.random.Generator,
     defend: bool,
 ):
-    """One protocol run with the config's attack, answered for ``query``.
+    """One protocol run of ``config``, its attack aimed at ``query``.
 
-    Returns ``(response, detection)``; with ``defend`` the protocol's
-    observer runs the round's detector as each round is collected, and the
-    rounds are folded into one outcome, otherwise ``detection`` is None.
+    Returns ``(result, detection)``: the protocol's ``Tree`` or ``GridSet``,
+    and with ``defend`` the detector results of the rounds (the observer runs
+    the round's detector as each round is collected) folded into one outcome,
+    otherwise None.
     """
     # Functions are looked up here, not stored, so patched module attributes
     # (such as a tracer's wrappers) are the ones called.
     tree = config.protocol == "ahead"
-    run, estimate = (run_tree_protocol, tree_estimate) if tree else (run_grid_protocol, grid_estimate)
+    run = run_tree_protocol if tree else run_grid_protocol
     data = records[:, 0] if tree else records
     hook = _HOOKS[config.protocol, config.attack](config, query, len(records))
     rounds: List[defenses.DetectionResult] = []
@@ -434,7 +443,7 @@ def _run_trial(
 
     n_fake = config.fake_count(len(records))
     result = run(data, config.protocol_config, hook=hook, n_fake=n_fake, rng=rng, observer=observer)
-    return estimate(result, query), _fold_detection(rounds) if defend else None
+    return result, _fold_detection(rounds) if defend else None
 
 
 def _fold_detection(results: List[defenses.DetectionResult]) -> defenses.DetectionResult:
@@ -467,6 +476,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     )
 
     honest_cfg = replace(config, attack="none", rho=0.0)
+    estimate = tree_estimate if config.protocol == "ahead" else grid_estimate
     # No attack, or a tiny dataset whose fakes round to 0: no fake user, no
     # efficiency.
     injects = config.attack != "none" and config.fake_count(len(records)) > 0
@@ -474,12 +484,18 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     results: List[TrialResult] = []
     for qid, query in enumerate(queries):
         started = time.perf_counter()
-        honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, qid]))
-        honest, _ = _run_trial(honest_cfg, records, query, honest_rng, False)
+        if qid == 0:
+            # The honest collection does not depend on the query: one run per
+            # seed answers every query.  It runs inside the first trial, so
+            # that trial's elapsed_s carries its cost.
+            honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
+            honest_run, _ = _run_protocol(honest_cfg, records, query, honest_rng, False)
+        honest = estimate(honest_run, query)
 
-        poison_rng = np.random.default_rng(np.random.SeedSequence([seed, 3, qid]))
         if config.rho > 0:
-            poisoned, detection = _run_trial(config, records, query, poison_rng, config.defense)
+            poison_rng = np.random.default_rng(np.random.SeedSequence([seed, 3, qid]))
+            poisoned_run, detection = _run_protocol(config, records, query, poison_rng, config.defense)
+            poisoned = estimate(poisoned_run, query)
         else:
             poisoned, detection = honest, None
 

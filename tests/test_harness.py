@@ -5,8 +5,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from ldplab import harness
 from ldplab.attacks.grid import _key_sizes
 from ldplab.defenses import DetectionResult
+from ldplab.grid_protocol import estimate_query as grid_estimate, run_grid_protocol
 from ldplab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +23,7 @@ from ldplab.harness import (
     true_frequency,
 )
 from ldplab.query import RangeQuery
+from ldplab.tree_protocol import estimate_query as tree_estimate, run_tree_protocol
 
 
 class TestDatasets:
@@ -259,6 +262,25 @@ def small_tree_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def small_grid_config(**overrides):
+    base = dict(
+        protocol="hdg",
+        dataset={"kind": "gaussian", "count": 4000, "mean": 32.0, "std": 10.0},
+        dims_total=2,
+        dims_query=2,
+        rho=0.0,
+        attack="none",
+        n_queries=3,
+        seeds=(0,),
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def small_config(protocol, **overrides):
+    return (small_tree_config if protocol == "ahead" else small_grid_config)(**overrides)
+
+
 class TestRunExperiment:
     def test_no_attack_poisoned_equals_honest(self):
         results, summary = run_experiment(small_tree_config())
@@ -306,6 +328,45 @@ class TestRunExperiment:
         assert all(r.efficiency is None for r in results)
         assert summary["mean_efficiency"] is None
 
+    @pytest.mark.parametrize("protocol", ["ahead", "hdg"])
+    @pytest.mark.parametrize("rho, runs_per_seed", [(0.1, 1 + 3), (0.0, 1)])
+    def test_one_honest_run_per_seed(self, monkeypatch, protocol, rho, runs_per_seed):
+        # The honest run (no fakes) happens once per seed and inside its
+        # first trial; each query gets its own poisoned run.
+        calls = []
+        for name in ("run_tree_protocol", "run_grid_protocol"):
+            def counted(*args, _run=getattr(harness, name), **kwargs):
+                calls.append(kwargs["n_fake"])
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        attack = "mga" if rho else "none"
+        results, _ = run_experiment(small_config(protocol, rho=rho, attack=attack, seeds=(0, 1)))
+        assert len(results) == 6
+        assert [n > 0 for n in calls] == ([False] + [True] * (runs_per_seed - 1)) * 2
+
+    @pytest.mark.parametrize("protocol", ["ahead", "hdg"])
+    def test_honest_answers_share_one_run(self, protocol):
+        config = small_config(protocol, rho=0.1, attack="mga", seeds=(0, 2))
+        results, _ = run_experiment(config)
+        spec = config.dataset
+        for seed in config.seeds:
+            data_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            records = gen_synthetic(
+                spec["kind"], spec["count"], spec["mean"], spec["std"],
+                config.domain_size, config.dims_total, data_rng,
+            )
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
+            if protocol == "hdg":
+                honest, estimate = run_grid_protocol(records, config.protocol_config, rng=rng), grid_estimate
+            else:
+                honest, estimate = run_tree_protocol(records[:, 0], config.protocol_config, rng=rng), tree_estimate
+            trials = [r for r in results if r.seed == seed]
+            assert len(trials) == config.n_queries
+            for r in trials:
+                assert r.honest_response == estimate(honest, RangeQuery(r.attrs, r.intervals))
+                assert r.poisoned_response != r.honest_response
+
     def test_fold_detection(self):
         # A trial is flagged when any round is, and reports the round whose
         # statistic is furthest past (or closest to) its threshold.
@@ -350,27 +411,19 @@ class TestRunExperiment:
         assert summary["detection_rate"] is not None
 
     def test_grid_protocol_runs(self):
-        config = ExperimentConfig(
-            protocol="hdg",
-            dataset={"kind": "gaussian", "count": 4000, "mean": 32.0, "std": 10.0},
-            dims_total=2,
-            dims_query=2,
-            rho=0.0,
-            n_queries=2,
-            seeds=(1,),
-        )
-        results, summary = run_experiment(config)
+        results, summary = run_experiment(small_grid_config(n_queries=2, seeds=(1,)))
         assert len(results) == 2
         for r in results:
             assert 0.0 <= r.poisoned_response <= 1.0
 
     def test_threaded_matches_serial(self):
-        config = small_tree_config(seeds=(0, 1))
-        serial, _ = run_experiment(config)
-        threaded, _ = run_experiment(small_tree_config(seeds=(0, 1), threads=2))
-        assert [r.poisoned_response for r in serial] == [
-            r.poisoned_response for r in threaded
-        ]
+        # Each seed's honest run is shared by its queries only, never across
+        # the seeds' threads.
+        def rows(threads):
+            config = small_tree_config(attack="mga", rho=0.1, defense=True, seeds=(0, 1), threads=threads)
+            return [{**asdict(r), "elapsed_s": None} for r in run_experiment(config)[0]]
+
+        assert rows(2) == rows(1)
 
     @pytest.mark.parametrize("attack", ["aog", "aaog"])
     def test_threaded_grid_attacks_match_serial(self, attack):
