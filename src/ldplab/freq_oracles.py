@@ -5,7 +5,10 @@ Implements the two oracles used by the range-query protocols:
 * OUE (optimized unary encoding): one-hot vector of length ``n``; the true bit
   survives with probability ``p = 1/2`` and every other bit is set with
   probability ``q = 1/(e^eps + 1)``.  A batch of reports comes back as its
-  1-counts only (:class:`OueCounts`), never as a bit matrix.
+  1-counts only (:class:`OueCounts`), never as a bit matrix.  The bits are
+  independent, so column ``j``'s count is ``Bin(n_j, p) + Bin(m - n_j, q)``
+  for ``n_j`` of the batch's ``m`` users holding item ``j``; a batch whose
+  per-report 1-counts nobody reads is drawn from that law alone.
 * OLH (optimal local hashing): each user picks a random function from a
   universal linear-congruential hash family mapping cells into ``g`` keys and
   reports a (function, key) pair; the key equals the hash of the true cell
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -205,22 +208,32 @@ class OueCounts:
 
     ``support[j]`` is the number of reports with bit ``j`` set (shape
     ``(n,)``) and ``ones[i]`` the number of bits set in report ``i`` (shape
-    ``(users,)``), both int64.
+    ``(users,)``), both int64.  ``ones`` is ``None`` for a batch drawn
+    without per-report counts.
     """
 
     support: np.ndarray
-    ones: np.ndarray
+    ones: Optional[np.ndarray]
 
 
 def oue_perturb_batch(
-    true_indices: Sequence[int], params: OueParams, rng: np.random.Generator
+    true_indices: Sequence[int],
+    params: OueParams,
+    rng: np.random.Generator,
+    *,
+    per_report: bool = True,
 ) -> OueCounts:
     """Perturb many users at once; returns the reports' 1-counts.
 
-    The noise bits are drawn in row chunks of about 65,536 uniforms (at
-    least one row) into one reused buffer, thresholded at ``q`` in place and
-    summed by column and by row straight away; each user's noise bit at its
-    true index is kept aside.  The true bits are drawn after all chunks and
+    With ``per_report=False`` only the column counts are drawn, each from
+    its exact law ``Bin(n_j, p) + Bin(users - n_j, q)`` given the number
+    ``n_j`` of users whose true index is ``j``, and ``ones`` is ``None``.
+    The columns are independent, as the bits are.
+
+    With ``per_report=True`` (the default) the noise bits are drawn in row
+    chunks of about 65,536 uniforms (at least one row) into one reused
+    buffer, thresholded at ``q`` in place and summed by column and by row
+    straight away; each user's noise bit at its true index is kept aside.  The true bits are drawn after all chunks and
     take the place of those noise bits in both counts.  ``Generator.random``
     consumes its stream in order, so the counts are the column and row sums
     of one draw of the whole ``(users, n)`` bit matrix.  They are float64
@@ -229,6 +242,10 @@ def oue_perturb_batch(
     idx = np.asarray(true_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= params.n):
         raise ValueError("index out of range")
+    if not per_report:
+        hist = np.bincount(idx, minlength=params.n)
+        support = rng.binomial(hist, params.p) + rng.binomial(idx.size - hist, params.q)
+        return OueCounts(support, None)
     step = max(1, 65536 // params.n)
     buf = np.empty((min(step, idx.size), params.n))
     per_row = np.ones(buf.shape[0])

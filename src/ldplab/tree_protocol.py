@@ -184,8 +184,13 @@ def run_tree_protocol(
 
     A layer's real reports exist only as their 1-counts (see
     :func:`oue_perturb_batch`); the hook's fake matrix is summed by column,
-    and by row only for an observer.  The split rule runs after every
-    layer but the last, so every node of the tree is estimated.
+    and by row only for an observer.  Without an observer (every honest run
+    and every undefended poisoned run) each layer's real column counts are
+    drawn from their binomial law, ``Bin(n_j, p) + Bin(m - n_j, q)`` over
+    the layer's ``m`` users, ``n_j`` of them in node ``j``; with one they
+    come from per-report bits, which give the observer each report's
+    1-count.  The split rule runs after every layer but the last, so every
+    node of the tree is estimated.
     """
     values = np.asarray(real_values, dtype=np.int64)
     if values.size == 0:
@@ -208,7 +213,7 @@ def run_tree_protocol(
         # table maps each value to its frontier node.
         los, his = tree.lo[frontier], tree.hi[frontier]
         owner = np.repeat(np.arange(n_nodes), his - los)
-        real = oue_perturb_batch(owner[group], params, rng)
+        real = oue_perturb_batch(owner[group], params, rng, per_report=observer is not None)
         counts = real.support.astype(np.float64)
         total_users = group.size
 

@@ -124,15 +124,19 @@ def test_bench_counters_read_real_results():
     family = fo.HashFamily(17, olh.g)
     cells = np.arange(8)
     pairs = fo.olh_perturb_batch(cells, family, olh, rng)
+    oue = (np.array([0, 2, 1]), fo.OueParams(1.0, 3), rng)
     calls = [
-        ("oue_perturb_batch", fo.oue_perturb_batch, (np.array([0, 2, 1]), fo.OueParams(1.0, 3), rng)),
-        ("olh_perturb_batch", fo.olh_perturb_batch, (cells, family, olh, rng)),
-        ("olh_aggregate", fo.olh_aggregate, (pairs, family, cells, olh)),
-        ("HashFamily.key_table", fo.HashFamily.key_table, (family, 8)),
+        ("oue_perturb_batch", fo.oue_perturb_batch, oue, {}),
+        # Column counts alone: the result's ``ones`` is None.
+        ("oue_perturb_batch", fo.oue_perturb_batch, oue, {"per_report": False}),
+        ("olh_perturb_batch", fo.olh_perturb_batch, (cells, family, olh, rng), {}),
+        ("olh_aggregate", fo.olh_aggregate, (pairs, family, cells, olh), {}),
+        ("HashFamily.key_table", fo.HashFamily.key_table, (family, 8), {}),
     ]
-    for target, function, args in calls:
-        counters[target](inspect.signature(function).bind(*args).arguments, function(*args))
+    for target, function, args, kwargs in calls:
+        bound = inspect.signature(function).bind(*args, **kwargs).arguments
+        counters[target](bound, function(*args, **kwargs))
     c = tracer.counters
-    assert c["oue_bits"] == 9 and c["layer_nodes"] == 3 and c["oue_bytes"] > 0
+    assert c["oue_bits"] == 18 and c["layer_nodes"] == 6 and c["oue_bytes"] > 0
     assert c["olh_reports"] == 8 and c["olh_hash_evals"] == 64
     assert c["key_table_entries"] == family.n_random_functions * 8

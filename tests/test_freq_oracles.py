@@ -83,6 +83,79 @@ class TestOuePerturb:
         np.testing.assert_array_equal(counts.support, expected.sum(axis=0))
         np.testing.assert_array_equal(counts.ones, expected.sum(axis=1))
 
+    # 4-sigma bands: a two-sided normal tail of 6.3e-5 per z-test, so a
+    # correct draw fails one of the 24 z-tests below (6 columns, mean and
+    # variance, then the estimates' means at two budgets) with probability
+    # below 1.6e-3 over the choice of seed.  The seeds are fixed.
+    _REPS = 2_000
+    _HIST = np.array([0, 1, 10, 100, 300, 589])  # users per column, 1,000 in all
+
+    def test_column_counts_follow_their_binomial_law(self):
+        """Column j's count is Bin(n_j, p) + Bin(m - n_j, q): its mean and
+        variance over repetitions match the law's within 4 sigma each.  The
+        sample variance's sigma uses the law's fourth cumulant."""
+        params = OueParams(1.0, self._HIST.size)
+        true_indices = np.repeat(np.arange(params.n), self._HIST)
+        rng = np.random.default_rng(11)
+        counts = np.array(
+            [
+                oue_perturb_batch(true_indices, params, rng, per_report=False).support
+                for _ in range(self._REPS)
+            ]
+        )
+        # Cumulants of Bin(k, r): k r (1 - r) for the variance and
+        # k r (1 - r) (1 - 6 r (1 - r)) for the fourth; they add over the
+        # two independent terms.
+        rest = true_indices.size - self._HIST
+        mean = self._HIST * params.p + rest * params.q
+        vp, vq = params.p * (1 - params.p), params.q * (1 - params.q)
+        var = self._HIST * vp + rest * vq
+        k4 = self._HIST * vp * (1 - 6 * vp) + rest * vq * (1 - 6 * vq)
+        r = self._REPS
+        z_mean = (counts.mean(axis=0) - mean) / np.sqrt(var / r)
+        z_var = (counts.var(axis=0, ddof=1) - var) / np.sqrt(2 * var**2 / (r - 1) + k4 / r)
+        assert np.abs(z_mean).max() <= 4.0, z_mean
+        assert np.abs(z_var).max() <= 4.0, z_var
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_column_count_estimates_are_unbiased(self, epsilon):
+        """``debias_counts`` of the column counts averages to the true
+        frequencies within 4 sigma of the mean's analytic spread."""
+        params = OueParams(epsilon, self._HIST.size)
+        true_indices = np.random.default_rng(12).permutation(
+            np.repeat(np.arange(params.n), self._HIST)
+        )
+        m = true_indices.size
+        rng = np.random.default_rng(13)
+        estimates = np.array(
+            [
+                debias_counts(
+                    oue_perturb_batch(true_indices, params, rng, per_report=False).support,
+                    m,
+                    params,
+                )
+                for _ in range(self._REPS)
+            ]
+        )
+        freqs = self._HIST / m
+        var = (freqs * params.p * (1 - params.p) + (1 - freqs) * params.q * (1 - params.q)) / (
+            m * (params.p - params.q) ** 2
+        )
+        z = (estimates.mean(axis=0) - freqs) / np.sqrt(var / self._REPS)
+        assert np.abs(z).max() <= 4.0, z
+
+    @pytest.mark.parametrize("per_report", [True, False])
+    @pytest.mark.parametrize("bad", [[0, -1], [0, 5]])
+    def test_out_of_range_indices_raise(self, per_report, bad):
+        with pytest.raises(ValueError, match="index out of range"):
+            oue_perturb_batch(bad, OueParams(1.0, 5), np.random.default_rng(0), per_report=per_report)
+
+    def test_column_counts_of_no_users_are_zero(self):
+        counts = oue_perturb_batch([], OueParams(1.0, 5), np.random.default_rng(0), per_report=False)
+        assert counts.support.dtype == np.int64
+        np.testing.assert_array_equal(counts.support, np.zeros(5))
+        assert counts.support.shape == (5,) and counts.ones is None
+
     def test_single_report_shape_and_bounds(self):
         params = OueParams(1.0, 8)
         rng = np.random.default_rng(1)

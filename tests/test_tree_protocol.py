@@ -172,7 +172,7 @@ class TestRunProtocol:
         assert reports == [r + f for r, f in zip(attack._real_sizes, attack._fake_sizes)]
 
     @staticmethod
-    def _attacked_run():
+    def _attacked_run(observe=True):
         # Narrow data and the default threshold give adaptive, uneven
         # frontiers; the hook's random fake bits exercise the fake counts.
         values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
@@ -183,16 +183,18 @@ class TestRunProtocol:
             hook=lambda lo, hi, m, r: (r.random((m, lo.size)) < 0.4).astype(np.uint8),
             n_fake=556,
             rng=np.random.default_rng(6),
-            observer=lambda nodes, ones: seen.append((nodes.copy(), ones)),
+            observer=(lambda nodes, ones: seen.append((nodes.copy(), ones))) if observe else None,
         )
         return tree_to_json(tree), seen
 
     def test_counts_equal_one_shot_report_matrix(self, monkeypatch):
         """The protocol run on the 1-counts equals a run on the sums of the
-        one-shot reference's whole report matrix."""
+        one-shot reference's whole report matrix.  An observer reads every
+        report's 1-count, so each layer asks for per-report counts."""
         tree_json, seen = self._attacked_run()
 
-        def matrix_sums(true_indices, params, rng):
+        def matrix_sums(true_indices, params, rng, *, per_report):
+            assert per_report is True
             bits = oue_perturb_batch_oneshot(true_indices, params, rng).astype(np.int64)
             return OueCounts(bits.sum(axis=0), bits.sum(axis=1))
 
@@ -205,6 +207,21 @@ class TestRunProtocol:
             np.testing.assert_array_equal(nodes, nodes_x)
             np.testing.assert_array_equal(ones, ones_x)
             assert n_fake in (92, 93) and ones.size == n_real + n_fake  # 556 fakes over 6 layers
+
+    def test_unobserved_run_draws_column_counts_only(self, monkeypatch):
+        """Without an observer every layer asks for its column counts alone,
+        and the run is the one the real draw gives."""
+        tree_json, _ = self._attacked_run(observe=False)
+        real_draw = tree_protocol.oue_perturb_batch
+        per_report_flags = []
+
+        def column_counts(true_indices, params, rng, *, per_report):
+            per_report_flags.append(per_report)
+            return real_draw(true_indices, params, rng, per_report=per_report)
+
+        monkeypatch.setattr(tree_protocol, "oue_perturb_batch", column_counts)
+        assert self._attacked_run(observe=False)[0] == tree_json
+        assert per_report_flags == [False] * TreeConfig(domain_size=64).depth
 
 
 def test_split_replaces_masked_nodes_in_place():
