@@ -233,11 +233,13 @@ def oue_perturb_batch(
     With ``per_report=True`` (the default) the noise bits are drawn in row
     chunks of about 65,536 uniforms (at least one row) into one reused
     buffer, thresholded at ``q`` in place and summed by column and by row
-    straight away; each user's noise bit at its true index is kept aside.  The true bits are drawn after all chunks and
-    take the place of those noise bits in both counts.  ``Generator.random``
-    consumes its stream in order, so the counts are the column and row sums
-    of one draw of the whole ``(users, n)`` bit matrix.  They are float64
-    sums of 0/1 values below 2**53, hence exact.
+    straight away; each user's noise bit at its true index is kept aside.
+    The true bits are drawn after all chunks and take the place of those
+    noise bits in both counts.  ``Generator.random`` consumes its stream in
+    order, so the counts are the column and row sums of one draw of the
+    whole ``(users, n)`` bit matrix.  They are float64 sums of 0/1 values
+    below 2**53, hence exact.  This is the draw a detector of per-report
+    1-counts needs: both counts come from the same bits.
     """
     idx = np.asarray(true_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= params.n):

@@ -152,9 +152,8 @@ class TestOuePerturb:
 
     def test_column_counts_of_no_users_are_zero(self):
         counts = oue_perturb_batch([], OueParams(1.0, 5), np.random.default_rng(0), per_report=False)
-        assert counts.support.dtype == np.int64
+        assert counts.support.dtype == np.int64 and counts.ones is None
         np.testing.assert_array_equal(counts.support, np.zeros(5))
-        assert counts.support.shape == (5,) and counts.ones is None
 
     def test_single_report_shape_and_bounds(self):
         params = OueParams(1.0, 8)
