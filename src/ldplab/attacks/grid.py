@@ -16,9 +16,9 @@ Attack families:
   for grids sharing an attribute (so that one consistency + normalization
   pass concentrates all mass in the target range);
 * a heuristic fallback ranking hash pairs by (violation, support size);
-* an adaptive variant that caps per-function usage below the max-load
-  detector's threshold and spreads fake reports over many functions via a
-  quota matching between grids and functions.
+* an adaptive variant that caps per-function usage as if the max-load
+  detector fired at its threshold (it fires above it) and spreads fakes over
+  many functions via a quota matching between grids and functions.
 
 OLH keeps a report's hashed key with probability ``p`` (``OlhParams.p``);
 the size bounds read it through ``GridConfig.olh_params()``.
@@ -394,9 +394,11 @@ def aaog_compute_load_limit(
     """Largest per-function usage cap that keeps detection risk below beta.
 
     For candidate cap ``l`` the attacker spreads its ``m_round`` reports over
-    ``ceil(m_round / l)`` functions.  The detector fires when a load reaches
-    ``threshold``, so a round is safe if the honest occupancy of every chosen
-    function stays below ``threshold - l``.  Each function's honest
+    ``ceil(m_round / l)`` functions.  It plans as if the detector fired when
+    a load reaches ``threshold`` (``grid_detect`` fires only above it, so the
+    cap is one load unit tighter than it needs to be; ROADMAP.md item 2(b)
+    changes the rule): a round is safe if the honest occupancy of every
+    chosen function stays below ``threshold - l``.  Each function's honest
     occupancy is exactly ``Bin(n_round_real, 1 / family_size)``; treating
     the attacker's functions as independent draws of it, the round failure
     probability is ``1 - (1 - tail)^n_fns``.  Returns 0 when no cap is safe.

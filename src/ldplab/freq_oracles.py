@@ -101,13 +101,14 @@ class OueParams:
 
 @dataclass
 class OlhParams:
-    """Parameters for OLH: number of keys ``g``, keep probability ``p`` and
-    aggregation constant ``q``.
+    """OLH parameters: number of keys ``g``, keep probability ``p``, aggregation constant ``q``.
 
     ``g`` is ``e^eps + 1`` rounded to the nearest integer.  A report keeps
-    its hashed key with probability ``p = 1/2``.  The aggregation uses
-    ``q = 1/g``, the post-hash collision probability, which matches the
-    constants the grid attacks are calibrated against.
+    its hashed key with probability ``p = 1/2``.  ``q = 1/g`` matches the
+    constants the grid attacks are calibrated against, but only approximates
+    the chance that an ``a >= 1`` hash maps a non-target cell to the report's
+    key: raw cell estimates are biased by about ``-(1 - f_c) / prime``
+    (measured -0.059 at prime 17, -0.0045 at prime 211; ROADMAP.md item 1).
     """
 
     epsilon: float

@@ -110,10 +110,11 @@ class GridConfig:
 
 @dataclass
 class GridSet:
-    """Post-processed grid frequencies: one flat cell vector per grid key."""
+    """Post-processed grid frequencies (one flat cell vector per grid key) and the rounds."""
 
     config: GridConfig
     freqs: Dict[GridKey, np.ndarray]
+    rounds: List[Tuple[GridKey, Optional[np.ndarray]]]
 
 
 def grid_keys(d: int) -> List[GridKey]:
@@ -141,7 +142,7 @@ def run_grid_protocol(
     n_fake: int = 0,
     *,
     rng: np.random.Generator,
-    observer: Optional[Callable[[GridKey, np.ndarray], None]] = None,
+    keep_reports: bool = False,
 ) -> GridSet:
     """Run collection and post-processing; returns the final :class:`GridSet`.
 
@@ -150,8 +151,9 @@ def run_grid_protocol(
     ``(fn_ids, keys)`` arrays of fabricated reports for that grid's round.
     A hook with a ``begin`` method has it called once before the rounds,
     with the fake count per grid, when ``n_fake > 0``.
-    ``observer``: called per grid with the fn_ids of every report in the
-    round (real then fake), for the max-load detector.
+    The result's ``rounds`` hold one ``(grid key, reports)`` pair per grid;
+    ``reports`` is each report's fn_id, real then fake (the max-load
+    detector's input), with ``keep_reports``, otherwise ``None``.
     """
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != config.d:
@@ -176,6 +178,7 @@ def run_grid_protocol(
         hook.begin(dict(zip(keys_order, fake_counts.tolist())), len(records) + n_fake, rng)
 
     freqs: Dict[GridKey, np.ndarray] = {}
+    rounds: List[Tuple[GridKey, Optional[np.ndarray]]] = []
 
     for gidx, key in enumerate(keys_order):
         members = by_group[starts[gidx] : starts[gidx + 1]]
@@ -193,8 +196,7 @@ def run_grid_protocol(
                 raise ValueError("attack hook must return one report per fake user")
             fn_ids = np.concatenate([fn_ids, fake_fns])
             rep_keys = np.concatenate([rep_keys, fake_keys])
-        if observer is not None:
-            observer(key, fn_ids)
+        rounds.append((key, fn_ids if keep_reports else None))
         freqs[key] = olh_aggregate((fn_ids, rep_keys), family, np.arange(math.prod(shape)), params)
 
     columns = {key: config.columns(key) for key in keys_order}
@@ -202,7 +204,7 @@ def run_grid_protocol(
         freqs = grid_consistency(freqs, columns, config.g2)
         freqs = {key: norm_sub(v).normalized for key, v in freqs.items()}
 
-    return GridSet(config, freqs)
+    return GridSet(config, freqs, rounds)
 
 
 def build_response_matrix(grids: GridSet, i: int, j: int) -> np.ndarray:

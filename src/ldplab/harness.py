@@ -414,14 +414,13 @@ def _run_protocol(
     records: np.ndarray,
     query: RangeQuery,
     rng: np.random.Generator,
-    defend: bool,
 ):
     """One protocol run of ``config``, its attack aimed at ``query``.
 
     Returns ``(result, detection)``: the protocol's ``Tree`` or ``GridSet``,
-    and with ``defend`` the detector results of the rounds (the observer runs
-    the round's detector as each round is collected) folded into one outcome,
-    otherwise None.
+    and with ``config.defense`` the detector results of its rounds (the
+    ones-count test per tree layer, the max-load test per grid) folded into
+    one outcome, otherwise None.
     """
     # Functions are looked up here, not stored, so patched module attributes
     # (such as a tracer's wrappers) are the ones called.
@@ -429,21 +428,16 @@ def _run_protocol(
     run = run_tree_protocol if tree else run_grid_protocol
     data = records[:, 0] if tree else records
     hook = _HOOKS[config.protocol, config.attack](config, query, len(records))
-    rounds: List[defenses.DetectionResult] = []
-    if not defend:
-        observer = None
-    elif tree:
-        def observer(frontier, ones):
-            rounds.append(defenses.tree_detect(ones, len(frontier), config.epsilon, config.alpha))
+    n_fake = config.fake_count(len(records))
+    result = run(data, config.protocol_config, hook=hook, n_fake=n_fake, rng=rng, keep_reports=config.defense)
+    if not config.defense:
+        return result, None
+    if tree:
+        found = [defenses.tree_detect(ones, len(ids), config.epsilon, config.alpha) for ids, ones in result.rounds]
     else:
         family_size = config.protocol_config.family().n_random_functions
-
-        def observer(key, fn_ids):
-            rounds.append(defenses.grid_detect(fn_ids, family_size, alpha=config.alpha))
-
-    n_fake = config.fake_count(len(records))
-    result = run(data, config.protocol_config, hook=hook, n_fake=n_fake, rng=rng, observer=observer)
-    return result, _fold_detection(rounds) if defend else None
+        found = [defenses.grid_detect(fn_ids, family_size, alpha=config.alpha) for _, fn_ids in result.rounds]
+    return result, _fold_detection(found)
 
 
 def _fold_detection(results: List[defenses.DetectionResult]) -> defenses.DetectionResult:
@@ -475,7 +469,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
         snap=snap,
     )
 
-    honest_cfg = replace(config, attack="none", rho=0.0)
+    honest_cfg = replace(config, attack="none", rho=0.0, defense=False)
     estimate = tree_estimate if config.protocol == "ahead" else grid_estimate
     # No attack, or a tiny dataset whose fakes round to 0: no fake user, no
     # efficiency.
@@ -489,12 +483,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
             # seed answers every query.  It runs inside the first trial, so
             # that trial's elapsed_s carries its cost.
             honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
-            honest_run, _ = _run_protocol(honest_cfg, records, query, honest_rng, False)
+            honest_run, _ = _run_protocol(honest_cfg, records, query, honest_rng)
         honest = estimate(honest_run, query)
 
         if config.rho > 0:
             poison_rng = np.random.default_rng(np.random.SeedSequence([seed, 3, qid]))
-            poisoned_run, detection = _run_protocol(config, records, query, poison_rng, config.defense)
+            poisoned_run, detection = _run_protocol(config, records, query, poison_rng)
             poisoned = estimate(poisoned_run, query)
         else:
             poisoned, detection = honest, None

@@ -57,6 +57,7 @@ class Tree:
         self.exists[0] = True
         self.f_hat = np.zeros(self.lo.size)
         self.f_tilde = np.zeros(self.lo.size)
+        self.rounds: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
 
     def level(self, k: int) -> slice:
         """Slots of the nodes ``k`` steps below the root, in ``lo`` order."""
@@ -170,7 +171,7 @@ def run_tree_protocol(
     n_fake: int = 0,
     *,
     rng: np.random.Generator,
-    observer: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+    keep_reports: bool = False,
 ) -> Tree:
     """Run the full protocol and return the post-processed tree.
 
@@ -178,19 +179,19 @@ def run_tree_protocol(
     ``hook``: called once per layer with (frontier ``lo``, frontier ``hi``,
     fake count, rng); must return a ``(fake count, frontier size)`` bit
     matrix of fabricated reports.
-    ``observer``: called per layer with (frontier ids, the 1-count of every
-    report of the layer, real reports first, then fakes); used by the
-    harness to feed detectors.
+    The tree's ``rounds`` hold one ``(frontier ids, reports)`` pair per
+    layer; ``reports`` is each report's 1-count, real then fake (the
+    ones-count detector's input), with ``keep_reports``, otherwise ``None``.
 
     A layer's real reports exist only as their 1-counts (see
     :func:`oue_perturb_batch`); the hook's fake matrix is summed by column,
-    and by row only for an observer.  Without an observer (every honest run
-    and every undefended poisoned run) each layer's real column counts are
-    drawn from their binomial law, ``Bin(n_j, p) + Bin(m - n_j, q)`` over
-    the layer's ``m`` users, ``n_j`` of them in node ``j``; with one they
-    come from per-report bits, which give the observer each report's
-    1-count.  The split rule runs after every layer but the last, so every
-    node of the tree is estimated.
+    and by row only with ``keep_reports``.  Without it (every honest run and
+    every undefended poisoned run) each layer's real column counts are drawn
+    from their binomial law, ``Bin(n_j, p) + Bin(m - n_j, q)`` over the
+    layer's ``m`` users, ``n_j`` of them in node ``j``; with it they come
+    from per-report bits, which give each report's 1-count.  The split rule
+    runs after every layer but the last, so every node of the tree is
+    estimated.
     """
     values = np.asarray(real_values, dtype=np.int64)
     if values.size == 0:
@@ -213,7 +214,7 @@ def run_tree_protocol(
         # table maps each value to its frontier node.
         los, his = tree.lo[frontier], tree.hi[frontier]
         owner = np.repeat(np.arange(n_nodes), his - los)
-        real = oue_perturb_batch(owner[group], params, rng, per_report=observer is not None)
+        real = oue_perturb_batch(owner[group], params, rng, per_report=keep_reports)
         counts = real.support.astype(np.float64)
         total_users = group.size
 
@@ -227,10 +228,9 @@ def run_tree_protocol(
                 )
             counts += fake_reports.sum(axis=0, dtype=np.float64)
             total_users += m_fake
-            if observer is not None:
+            if keep_reports:
                 ones = np.concatenate([ones, fake_reports.sum(axis=1, dtype=np.int64)])
-        if observer is not None:
-            observer(frontier, ones)
+        tree.rounds.append((frontier, ones))
         if total_users == 0:
             continue
         freqs = norm_sub(debias_counts(counts, total_users, params)).normalized

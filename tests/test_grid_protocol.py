@@ -156,42 +156,59 @@ class TestRunProtocol:
             assert vec.min() >= 0
             assert vec.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_observer_and_group_sizes(self):
+    def test_rounds_and_group_sizes(self):
         rng = np.random.default_rng(4)
         config = GridConfig(d=2)
-        seen = {}
-        run_grid_protocol(
-            self._records(rng, n=3000, d=2),
-            config,
-            rng=rng,
-            observer=lambda key, fn_ids: seen.__setitem__(key, fn_ids.size),
-        )
-        assert set(seen) == set(grid_keys(2))
-        assert set(seen.values()) == {1000}  # 3,000 users over 3 grids
-        assert sum(seen.values()) == 3000
+        grids = run_grid_protocol(self._records(rng, n=3000, d=2), config, rng=rng, keep_reports=True)
+        assert [key for key, _ in grids.rounds] == grid_keys(2)
+        sizes = [fn_ids.size for _, fn_ids in grids.rounds]
+        assert set(sizes) == {1000}  # 3,000 users over 3 grids
+        assert sum(sizes) == 3000
 
-    def test_observer_sees_the_round_plan(self):
-        """Each round's observer array holds the plan's real users and then
-        its fakes."""
+    def test_rounds_follow_the_round_plan(self):
+        """Each round's reports hold the plan's real users and then its
+        fakes."""
         config = GridConfig(d=3)
         records = self._records(np.random.default_rng(7), n=3000, d=3)
         groups, fake_counts = config.round_plan(3000, 333, np.random.default_rng(8))
         fake_fn = config.prime + 7  # a = 1, b = 7
-        seen = {}
-        run_grid_protocol(
+        grids = run_grid_protocol(
             records,
             config,
             hook=lambda key, m, rng: (np.full(m, fake_fn), np.zeros(m, dtype=int)),
             n_fake=333,
             rng=np.random.default_rng(8),
-            observer=lambda key, fn_ids: seen.__setitem__(key, fn_ids),
+            keep_reports=True,
         )
         real_counts = np.bincount(groups, minlength=config.n_groups)
-        for gidx, key in enumerate(grid_keys(3)):
-            fn_ids = seen[key]
+        assert [key for key, _ in grids.rounds] == grid_keys(3)
+        for gidx, (key, fn_ids) in enumerate(grids.rounds):
             assert fn_ids.size == real_counts[gidx] + fake_counts[gidx]
             assert (fn_ids[real_counts[gidx] :] == fake_fn).all()
         assert fake_counts.sum() == 333
+
+    def test_keep_reports_moves_no_draw(self):
+        """Keeping the reports changes no draw: the frequencies are
+        bit-equal, also with a hook that draws from the protocol's rng.
+        Without ``keep_reports`` every round's reports are ``None``."""
+        config = GridConfig(d=3)
+        records = self._records(np.random.default_rng(7), n=3000, d=3)
+
+        def run(keep_reports):
+            return run_grid_protocol(
+                records,
+                config,
+                hook=lambda key, m, rng: (config.prime + rng.integers(0, 50, m), rng.integers(0, 4, m)),
+                n_fake=333,
+                rng=np.random.default_rng(8),
+                keep_reports=keep_reports,
+            )
+
+        kept, dropped = run(True), run(False)
+        assert dropped.rounds == [(key, None) for key in grid_keys(3)]
+        assert list(kept.freqs) == list(dropped.freqs) == grid_keys(3)
+        for key, freqs in kept.freqs.items():
+            np.testing.assert_array_equal(freqs, dropped.freqs[key])
 
     def test_input_validation(self):
         config = GridConfig(d=2)

@@ -367,6 +367,27 @@ class TestRunExperiment:
                 assert r.honest_response == estimate(honest, RangeQuery(r.attrs, r.intervals))
                 assert r.poisoned_response != r.honest_response
 
+    @pytest.mark.parametrize("protocol, attack", [("ahead", "aot"), ("hdg", "mga")])
+    def test_shared_honest_run_keeps_no_reports(self, protocol, attack):
+        """The honest run is the same with and without defense: it keeps no
+        reports, so a defended tree's honest layers still draw their column
+        counts.  A grid run draws the same either way, so its poisoned answers
+        match too."""
+        dataset = {"kind": "gaussian", "count": 20_000, "mean": 32.0, "std": 10.0}
+
+        def trials(defense):
+            config = small_config(
+                protocol, attack=attack, rho=0.1, dataset=dataset, n_queries=2, seeds=(3,), defense=defense
+            )
+            return run_experiment(config)[0]
+
+        defended, undefended = trials(True), trials(False)
+        assert [r.honest_response for r in defended] == [r.honest_response for r in undefended]
+        assert all(r.detected is not None for r in defended)
+        assert all(r.detected is None for r in undefended)
+        if protocol == "hdg":
+            assert [r.poisoned_response for r in defended] == [r.poisoned_response for r in undefended]
+
     def test_fold_detection(self):
         # A trial is flagged when any round is, and reports the round whose
         # statistic is furthest past (or closest to) its threshold.

@@ -120,78 +120,65 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="n_fake"):
             run_tree_protocol([0], config, None, 0.1, rng=rng)  # a stale positional rho
 
-    def test_observer_sees_every_layer(self, monkeypatch):
+    def test_rounds_cover_every_layer(self, monkeypatch):
         _fixed_threshold(monkeypatch, 0.0)
         config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(3)
-        seen = []
-        run_tree_protocol(
-            rng.integers(0, 16, 1000),
-            config,
-            rng=rng,
-            observer=lambda nodes, ones: seen.append((len(nodes), ones.size)),
-        )
-        assert [n for n, _ in seen] == [2, 4, 8, 16]
-        assert [size for _, size in seen] == config.layer_plan(1000, 0)[0]
+        tree = run_tree_protocol(rng.integers(0, 16, 1000), config, rng=rng, keep_reports=True)
+        assert [len(nodes) for nodes, _ in tree.rounds] == [2, 4, 8, 16]
+        assert [ones.size for _, ones in tree.rounds] == config.layer_plan(1000, 0)[0]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_node_is_estimated(self, seed):
-        """Every non-root node of the tree appeared in an observed frontier:
+        """Every non-root node of the tree appeared in a round's frontier:
         no split follows the last layer."""
         rng = np.random.default_rng(seed)
         values = np.clip(rng.normal(512, 40, 30_000), 0, 1023).astype(int)
-        observed = []
-        tree = run_tree_protocol(
-            values, TreeConfig(), rng=rng, observer=lambda nodes, ones: observed.extend(nodes)
-        )
+        tree = run_tree_protocol(values, TreeConfig(), rng=rng, keep_reports=True)
+        observed = np.concatenate([nodes for nodes, _ in tree.rounds])
         np.testing.assert_array_equal(np.flatnonzero(tree.exists)[1:], np.unique(observed))
 
     def test_optimal_attack_plans_on_the_protocol_layers(self):
         """The attack's layer plan is the protocol's: every layer's fake count
-        equals the attack's ``_fake_sizes``, and the observer sees each
+        equals the attack's ``_fake_sizes``, and each round holds the
         layer's ``_real_sizes`` real and ``_fake_sizes`` fake reports."""
         values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
         config = TreeConfig(domain_size=64)
         attack = OptimalTreeAttack(config, RangeQuery((0,), ((24, 40),)), values.size, 556)
-        fakes, reports = [], []
+        fakes = []
 
         def recording(lo, hi, m_fake, rng):
             fakes.append(m_fake)
             return attack(lo, hi, m_fake, rng)
 
-        run_tree_protocol(
-            values,
-            config,
-            hook=recording,
-            n_fake=556,
-            rng=np.random.default_rng(6),
-            observer=lambda nodes, ones: reports.append(ones.size),
+        tree = run_tree_protocol(
+            values, config, hook=recording, n_fake=556, rng=np.random.default_rng(6), keep_reports=True
         )
         assert len(fakes) == config.depth and attack.layer == config.depth
         assert fakes == attack._fake_sizes and sum(fakes) == 556
+        reports = [ones.size for _, ones in tree.rounds]
         assert reports == [r + f for r, f in zip(attack._real_sizes, attack._fake_sizes)]
 
     @staticmethod
-    def _attacked_run(observe=True):
+    def _attacked_run(keep_reports=True):
         # Narrow data and the default threshold give adaptive, uneven
         # frontiers; the hook's random fake bits exercise the fake counts.
         values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
-        seen = []
         tree = run_tree_protocol(
             values,
             TreeConfig(domain_size=64),
             hook=lambda lo, hi, m, r: (r.random((m, lo.size)) < 0.4).astype(np.uint8),
             n_fake=556,
             rng=np.random.default_rng(6),
-            observer=(lambda nodes, ones: seen.append((nodes.copy(), ones))) if observe else None,
+            keep_reports=keep_reports,
         )
-        return tree_to_json(tree), seen
+        return tree_to_json(tree), tree.rounds
 
     def test_counts_equal_one_shot_report_matrix(self, monkeypatch):
         """The protocol run on the 1-counts equals a run on the sums of the
-        one-shot reference's whole report matrix.  An observer reads every
+        one-shot reference's whole report matrix.  Kept rounds hold every
         report's 1-count, so each layer asks for per-report counts."""
-        tree_json, seen = self._attacked_run()
+        tree_json, rounds = self._attacked_run()
 
         def matrix_sums(true_indices, params, rng, *, per_report):
             assert per_report is True
@@ -199,19 +186,21 @@ class TestRunProtocol:
             return OueCounts(bits.sum(axis=0), bits.sum(axis=1))
 
         monkeypatch.setattr(tree_protocol, "oue_perturb_batch", matrix_sums)
-        expected_json, expected_seen = self._attacked_run()
+        expected_json, expected_rounds = self._attacked_run()
         assert tree_json == expected_json
-        assert len(seen) == len(expected_seen) > 1
+        assert len(rounds) == len(expected_rounds) > 1
         plan = zip(*TreeConfig(domain_size=64).layer_plan(5000, 556))
-        for (nodes, ones), (nodes_x, ones_x), (n_real, n_fake) in zip(seen, expected_seen, plan):
+        for (nodes, ones), (nodes_x, ones_x), (n_real, n_fake) in zip(rounds, expected_rounds, plan):
             np.testing.assert_array_equal(nodes, nodes_x)
             np.testing.assert_array_equal(ones, ones_x)
             assert n_fake in (92, 93) and ones.size == n_real + n_fake  # 556 fakes over 6 layers
 
-    def test_unobserved_run_draws_column_counts_only(self, monkeypatch):
-        """Without an observer every layer asks for its column counts alone,
-        and the run is the one the real draw gives."""
-        tree_json, _ = self._attacked_run(observe=False)
+    def test_run_without_reports_draws_column_counts_only(self, monkeypatch):
+        """Without ``keep_reports`` every layer asks for its column counts
+        alone, every round's reports are ``None``, and the run is the one the
+        real draw gives."""
+        tree_json, rounds = self._attacked_run(keep_reports=False)
+        assert len(rounds) > 1 and all(ones is None for _, ones in rounds)
         real_draw = tree_protocol.oue_perturb_batch
         per_report_flags = []
 
@@ -220,7 +209,7 @@ class TestRunProtocol:
             return real_draw(true_indices, params, rng, per_report=per_report)
 
         monkeypatch.setattr(tree_protocol, "oue_perturb_batch", column_counts)
-        assert self._attacked_run(observe=False)[0] == tree_json
+        assert self._attacked_run(keep_reports=False)[0] == tree_json
         assert per_report_flags == [False] * TreeConfig(domain_size=64).depth
 
 
