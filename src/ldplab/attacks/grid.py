@@ -4,7 +4,10 @@ Every attack picks OLH (function, key) report pairs from one support scan of
 a grid (:func:`scan_supports`): per pair, the size of its support and the
 part of the support inside the target range, both counted over the family's
 cell-key table.  The query-independent sizes are cached once per (hash
-family, cell count) and shared by every hook and thread.
+family, cell count) and shared by every hook and thread.  Pairs are compared
+by one exact integer, :meth:`GridSupports.rank`: least out-of-range spill
+first, then the larger support, on a base common to every grid of a config,
+so the adaptive attack's matching sorts all grids' ranks together.
 
 Attack families:
 
@@ -87,9 +90,10 @@ class GridSupports:
     k``; ``sizes[f, k]`` counts its cells and ``inter[f, k]`` those inside
     the range.  ``table`` and ``sizes`` are shared and read-only.  ``scale``
     is the grid's cells per ``g2``-cell of its attributes (``g1/g2`` for a
-    1-D grid, 1 for a 2-D grid).  :meth:`preference` is the one heuristic
-    ranking score; the heuristic attack, the constraint-driven fallback and
-    the adaptive attack all read it.
+    1-D grid, 1 for a 2-D grid) and ``layout`` the config's ``(g1, g2)``.
+    :meth:`rank` is the one heuristic order; the heuristic attack, the
+    constraint-driven fallback and the adaptive attack all read it.
+    :meth:`preference` is the same order as a float score.
     """
 
     fn_ids: np.ndarray
@@ -97,6 +101,7 @@ class GridSupports:
     sizes: np.ndarray
     inter: np.ndarray
     scale: float
+    layout: Tuple[int, int]
 
     def preference(self) -> np.ndarray:
         """Heuristic score of each (function, key): spill first, then size.
@@ -112,15 +117,37 @@ class GridSupports:
         """
         return ((self.inter - self.sizes) / self.scale) * 1e6 + self.sizes / self.scale
 
+    def rank(self) -> np.ndarray:
+        """:meth:`preference`'s order as one exact integer per (function, key).
+
+        ``f*sizes - M*f*spill``, with ``spill = sizes - inter``, ``f =
+        (g1/g2)/scale`` (1 on a 1-D grid, ``g1/g2`` on a 2-D one) and ``M =
+        g1*g2 + 1``: the preference's two terms times ``g1/g2``, integers on
+        every grid of the config, with ``0 <= f*sizes <= g1*g2 < M``.  So it
+        orders and ties as the preference does across all grids of a config
+        (a per-grid base does not: at ``g1 = 16, g2 = 4`` a 1-D spill of 4
+        and a 2-D spill of 1 are the same scaled spill).  Its dtype is the
+        narrowest signed one holding ``±M**2``, so no term or negation wraps:
+        int16 at ``g1 = 16, g2 = 4``, which numpy stable-sorts by radix.
+        """
+        g1, g2 = self.layout
+        weight = g1 * g2 + 1
+        dtype = np.min_scalar_type(-weight * weight)
+        factor = dtype.type(round(g1 / g2 / self.scale))
+        sizes = self.sizes.astype(dtype)
+        spill = sizes - self.inter.astype(dtype)
+        return factor * sizes - factor * dtype.type(weight) * spill
+
 
 def _count_keys(rows: np.ndarray, g: int) -> np.ndarray:
     """int64 ``counts[f, k]`` of key ``k`` in column ``f`` of the cell-major
-    ``rows``, each summed in an unsigned dtype holding every count."""
-    counts = np.empty((rows.shape[1], g), dtype=np.int64)
+    ``rows``, each summed in an unsigned dtype holding every count and
+    stored key-major (the result is the transposed view)."""
+    counts = np.empty((g, rows.shape[1]), dtype=np.int64)
     dtype = np.min_scalar_type(rows.shape[0])
     for key in range(g):
-        counts[:, key] = (rows == key).sum(axis=0, dtype=dtype)
-    return counts
+        counts[key] = (rows == key).view(np.uint8).sum(axis=0, dtype=dtype)
+    return counts.T
 
 
 @functools.lru_cache(maxsize=4)
@@ -131,23 +158,40 @@ def _key_sizes(family: HashFamily, n_cells: int) -> np.ndarray:
     return sizes
 
 
-def scan_supports(family: HashFamily, in_range: np.ndarray, scale: float) -> GridSupports:
+def scan_supports(
+    family: HashFamily, in_range: np.ndarray, scale: float, layout: Tuple[int, int]
+) -> GridSupports:
     """Count each key over the family's cell-key rows of the in-range cells.
 
-    ``scale`` is carried to :meth:`GridSupports.preference`.
+    When fewer cells lie outside the range, ``inter`` is ``sizes`` minus the
+    count over the out-of-range rows, so a grid with no query attribute
+    counts nothing.  ``scale`` and ``layout`` are carried to
+    :meth:`GridSupports.rank`.
     """
     in_range = np.asarray(in_range, dtype=bool)
     table = family.key_table(in_range.size)
-    inter = _count_keys(table.T[in_range], family.g)
     sizes = _key_sizes(family, in_range.size)
-    return GridSupports(family.random_fn_ids(), table, sizes, inter, scale)
+    if 2 * np.count_nonzero(in_range) <= in_range.size:
+        inter = _count_keys(table.T[in_range], family.g)
+    else:
+        inter = sizes - _count_keys(table.T[~in_range], family.g)
+    return GridSupports(family.random_fn_ids(), table, sizes, inter, scale, layout)
+
+
+def _where(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, keys)`` of the true entries of a (row, key) mask, in
+    row-major order.  They are found over ``mask.T``, which is contiguous
+    for masks built from the key-major scans, and then sorted."""
+    n_rows, g = mask.shape
+    keys, rows = np.divmod(np.flatnonzero(mask.T), n_rows)
+    return np.divmod(np.sort(rows * g + keys), g)
 
 
 def _best_pairs(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
-    """``(fn_id, key)`` rows of every maximum of ``values[row, key]``."""
-    ties = np.argwhere(values == values.max())
-    ties[:, 0] = fn_ids[ties[:, 0]]
-    return ties
+    """``(fn_id, key)`` rows of every maximum of ``values[row, key]``, in
+    row-major order."""
+    rows, keys = _where(values == values.max())
+    return np.column_stack([fn_ids[rows], keys])
 
 
 def _pick(pairs: np.ndarray, rng: np.random.Generator) -> _Pair:
@@ -172,7 +216,7 @@ class _GridHook:
     def supports(self, key: GridKey) -> GridSupports:
         mask = cells_in_range(self.config, self.query, key)
         scale = mask.size / self.config.g2 ** len(self.config.shape(key))
-        return scan_supports(self.family, mask, scale)
+        return scan_supports(self.family, mask, scale, (self.config.g1, self.config.g2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +331,14 @@ class GridRangeAttack(_GridHook):
         per-attribute column counts (one row per pair)."""
         eye = np.eye(self.config.g2, dtype=np.int64)
         w = self.constraints.w1_int if key[0] == "1d" else self.constraints.w2_int
-        cand = np.argwhere((scan.sizes == scan.inter) & (scan.sizes >= w))
-        support = (scan.table[cand[:, 0]] == cand[:, 1:]).astype(np.int64)
+        rows, keys = _where((scan.sizes == scan.inter) & (scan.sizes >= w))
+        support = (scan.table[rows] == keys[:, None]).astype(np.int64)
         counts = {
             attr: support @ eye[cols]
             for attr, cols in self.config.columns(key).items()
             if attr in self.query.attrs
         }
-        return np.column_stack([scan.fn_ids[cand[:, 0]], cand[:, 1]]), counts
+        return np.column_stack([scan.fn_ids[rows], keys]), counts
 
     def _plan_once(
         self,
@@ -339,7 +383,7 @@ class GridRangeAttack(_GridHook):
             scan = self.supports(key)
             if key in keys:
                 candidates[key] = self._candidates(key, scan)
-            ties[key] = _best_pairs(scan.preference(), scan.fn_ids)
+            ties[key] = _best_pairs(scan.rank(), scan.fn_ids)
         best: Optional[Tuple[Dict[GridKey, _Pair], List[GridKey]]] = None
         for _ in range(_MAX_RESTARTS):
             chosen, failed = self._plan_once(keys, candidates, rng, ColumnBook())
@@ -368,7 +412,7 @@ class GridRangeAttack(_GridHook):
 
 def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> _Pair:
     """``(fn_id, key)`` maximizing the heuristic preference, ties uniform."""
-    return _pick(_best_pairs(supports.preference(), supports.fn_ids), rng)
+    return _pick(_best_pairs(supports.rank(), supports.fn_ids), rng)
 
 
 class HeuristicGridAttack(_GridHook):
@@ -430,7 +474,10 @@ def match_functions_to_grids(values: np.ndarray, quotas: Sequence[int]) -> List[
     ``values[g, f]`` is the common worth of function ``f`` to grid ``g``
     (both sides rank by the same matrix, so the greedy best-pair-first
     assignment is a stable matching).  Returns the list of function columns
-    matched to each grid.
+    matched to each grid.  The order is the stable ``argsort`` of
+    ``-values``, so ``values`` must hold its negation: the adaptive attack
+    passes :meth:`GridSupports.rank` values, whose dtype does, and whose
+    int16 at ``g1 = 16, g2 = 4`` numpy stable-sorts by radix sort.
 
     The greedy scan of the stable ``argsort`` order is resolved
     ``_MATCH_BLOCK`` entries at a time; the result does not depend on the
@@ -529,13 +576,9 @@ class AdaptiveGridAttack(_GridHook):
 
         keys = [k for k, m in fake_counts.items() if m > 0]
         fn_ids = self.family.random_fn_ids()
-        values = np.zeros((len(keys), fn_ids.size))
-        # Keys in the family's narrow key dtype keep this table, alive through
-        # the matching's sort, an eighth of its int64 size.
-        key_dtype = np.min_scalar_type(self.family.g - 1)
-        best_keys = np.zeros((len(keys), fn_ids.size), dtype=key_dtype)
-        for g_idx, key in enumerate(keys):
-            best_keys[g_idx], values[g_idx] = self._best_keys(key)
+        # One row per grid of each function's best key and its rank, both in
+        # narrow dtypes: the matching stable-sorts the ranks of all grids.
+        best_keys, values = (np.stack(rows) for rows in zip(*map(self._best_keys, keys)))
         quotas = [math.ceil(fake_counts[k] / self.load_limit) for k in keys]
         matched = match_functions_to_grids(values, quotas)
         for g_idx, key in enumerate(keys):
@@ -549,14 +592,19 @@ class AdaptiveGridAttack(_GridHook):
             )
 
     def _best_keys(self, key: GridKey) -> Tuple[np.ndarray, np.ndarray]:
-        """Each universal function's best key for grid ``key``, and its score.
+        """Each universal function's best key for grid ``key``, in the
+        family's narrow key dtype, and its rank.
 
-        A function of its own, so one grid's (functions x g) score arrays
-        are freed before the next grid is scored.
+        A function of its own, so one grid's (functions x g) ranks are freed
+        before the next grid is ranked.
         """
-        score = self.supports(key).preference()
-        best = score.argmax(axis=1)
-        return best, np.take_along_axis(score, best[:, None], axis=1)[:, 0]
+        rank = self.supports(key).rank()
+        top = rank.max(axis=1)
+        # The first key reaching the top, as argmax(axis=1) would pick it.
+        best = np.zeros(top.size, dtype=np.min_scalar_type(self.family.g - 1))
+        for k in reversed(range(rank.shape[1])):
+            np.putmask(best, rank[:, k] == top, k)
+        return best, top
 
     def __call__(
         self, key: GridKey, m_fake: int, rng: np.random.Generator

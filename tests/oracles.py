@@ -13,17 +13,20 @@ counts into a value.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 from scipy import stats
 
-from ldplab.attacks.grid import ColumnBook
+from ldplab.attacks import grid
+from ldplab.attacks.grid import AdaptiveGridAttack, ColumnBook, GridSupports
 from ldplab.attacks.tree import _check_search_inputs, expected_layer_estimates
 from ldplab.freq_oracles import HashFamily, OlhParams, OueParams
 from ldplab.grid_protocol import GridSet
@@ -493,6 +496,44 @@ def match_functions_to_grids_loop(
             remaining[g_idx] -= 1
             needed -= 1
     return matched
+
+
+def best_pairs_argwhere(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
+    """Reference of the grid attacks' ``_best_pairs``: every maximum of
+    ``values[row, key]`` found by a 2-D ``np.argwhere``, as ``(fn_id, key)``
+    rows in row-major order."""
+    ties = np.argwhere(values == values.max())
+    ties[:, 0] = fn_ids[ties[:, 0]]
+    return ties
+
+
+def best_keys_by_preference(hook: AdaptiveGridAttack, key) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference of ``AdaptiveGridAttack._best_keys``: each function's
+    ``argmax`` of the float ``GridSupports.preference()`` and that score."""
+    score = hook.supports(key).preference()
+    best = score.argmax(axis=1)
+    return best, np.take_along_axis(score, best[:, None], axis=1)[:, 0]
+
+
+@contextlib.contextmanager
+def float_ranking() -> Iterator[None]:
+    """Run the grid attacks on the float64 path that the integer
+    ``GridSupports.rank`` replaced: pairs scored by
+    ``GridSupports.preference()``, maxima and candidates found by
+    ``np.argwhere``, the adaptive attack's values taken from the preference,
+    and its quota matching by :func:`match_functions_to_grids_loop`, which
+    stable-sorts the float64 values one entry at a time."""
+    patches = (
+        mock.patch.object(GridSupports, "rank", GridSupports.preference),
+        mock.patch.object(grid, "_best_pairs", best_pairs_argwhere),
+        mock.patch.object(grid, "_where", lambda mask: tuple(np.argwhere(mask).T)),
+        mock.patch.object(AdaptiveGridAttack, "_best_keys", best_keys_by_preference),
+        mock.patch.object(grid, "match_functions_to_grids", match_functions_to_grids_loop),
+    )
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        yield
 
 
 def book_admits_one(book: ColumnBook, attr: int, col_counts: np.ndarray) -> bool:

@@ -503,7 +503,8 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
         for g_idx, key in enumerate(keys):
             mask = cells_in_range(config, query, key)
             scale = mask.size / config.g2 ** len(config.shape(key))
-            values[g_idx] = scan_supports(family, mask, scale).preference().max(axis=1)
+            scan = scan_supports(family, mask, scale, (config.g1, config.g2))
+            values[g_idx] = scan.preference().max(axis=1)
         quotas = [math.ceil(fake_per_round / limit)] * len(keys)
         matched = match_functions_to_grids(values, quotas)
         if not stable_matching_audit(values, quotas, matched):

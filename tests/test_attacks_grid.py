@@ -28,11 +28,13 @@ from ldplab.attacks.grid import _key_sizes
 from ldplab.defenses import binomial_pmf, max_load_cdf
 from ldplab.freq_oracles import HashFamily, OlhParams
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
+from ldplab.harness import gen_queries
 from ldplab.query import RangeQuery
 
 from .oracles import (
     aaog_load_limit_simulated,
     book_admits_one,
+    float_ranking,
     match_functions_to_grids_loop,
     olh_support_scan,
     plan_once_loop,
@@ -40,11 +42,11 @@ from .oracles import (
     stable_matching_audit,
     support_scan_reference,
 )
-from .test_grid_plans import CONFIG, CONFLICT_QUERY, RHO, _queries
+from .test_grid_plans import CONFIG, CONFLICT_QUERY, RHO, _plan, _queries
 
 
-def scan(family, in_range, scale=1.0):
-    return scan_supports(family, np.asarray(in_range, dtype=bool), scale)
+def scan(family, in_range, scale=1.0, layout=(16, 4)):
+    return scan_supports(family, np.asarray(in_range, dtype=bool), scale, layout)
 
 
 class TestScanSupports:
@@ -336,6 +338,85 @@ class TestPlanOnceEqualsLoop:
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
+# (d, prime, g1, g2): the bench layout, whose ranks fit int16, and two
+# layouts at prime 67 whose ranks need int32.
+RANK_LAYOUTS = [(5, 211, 16, 4), (4, 67, 32, 8), (4, 67, 64, 8)]
+
+
+def _descending(values: np.ndarray) -> np.ndarray:
+    return np.argsort(-values, axis=None, kind="stable")
+
+
+class TestRank:
+    @pytest.mark.parametrize("layout", RANK_LAYOUTS)
+    def test_dtype_is_the_narrowest_that_negates(self, layout):
+        d, prime, g1, g2 = layout
+        config = GridConfig(d=d, g1=g1, g2=g2, prime=prime)
+        hook = HeuristicGridAttack(config, RangeQuery((0,), ((0, 16),)))
+        dtypes = {hook.supports(key).rank().dtype for key in grid_keys(d)}
+        # The rank spans [-(g1*g2)**2, g1*g2]: int16 holds it (and its
+        # negation) only at g1*g2 = 64.
+        assert dtypes == {np.dtype(np.int16) if g1 * g2 == 64 else np.dtype(np.int32)}
+
+    @given(layout=st.sampled_from(RANK_LAYOUTS), dims=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=24, deadline=None)
+    def test_orders_like_preference_across_grids(self, layout, dims, seed):
+        """The integer rank is the float preference's order, ties included,
+        over all grids of a query at once: the values the quota matching
+        stable-sorts."""
+        d, prime, g1, g2 = layout
+        config = GridConfig(d=d, g1=g1, g2=g2, prime=prime)
+        (query,) = gen_queries(1, 64, d, min(dims, d), np.random.default_rng(seed), snap=config.col_width)
+        hook = HeuristicGridAttack(config, query)
+        scans = [hook.supports(key) for key in grid_keys(d)]
+        rank = np.stack([scan.rank() for scan in scans])
+        preference = np.stack([scan.preference() for scan in scans])
+        np.testing.assert_array_equal(_descending(rank), _descending(preference))
+        # Negation does not wrap, so the descending sort is safe.
+        np.testing.assert_array_equal(-rank.astype(np.int64), (-rank).astype(np.int64))
+
+    def test_one_d_spill_4_against_two_d_spill_1(self):
+        """At g1 = 16, g2 = 4 a 1-D spill of 4 and a 2-D spill of 1 tie on
+        the preference's primary, so the larger scaled size decides.  A
+        per-grid base (``sizes - (n_cells + 1) * spill``) orders the two
+        the other way; the config's common base does not."""
+        def one_pair(size, inter, scale):
+            return GridSupports(
+                np.array([0]), np.zeros((1, 16)), np.array([[size]]), np.array([[inter]]), scale, (16, 4)
+            )
+
+        one_d, two_d = one_pair(12, 8, 4.0), one_pair(2, 1, 1.0)
+        preference = np.stack([one_d.preference(), two_d.preference()])
+        assert preference[0, 0, 0] > preference[1, 0, 0]  # secondaries 3 > 2
+        rank = np.stack([one_d.rank(), two_d.rank()])
+        np.testing.assert_array_equal(_descending(rank), _descending(preference))
+        per_grid = np.stack([s.sizes - 17 * (s.sizes - s.inter) for s in (one_d, two_d)])
+        assert _descending(per_grid).tolist() != _descending(preference).tolist()
+
+
+# A layout whose ranks need int32, with queries over two of its attributes.
+WIDE_CONFIG = GridConfig(d=4, g1=64, g2=8, prime=67)
+WIDE_QUERIES = gen_queries(4, 64, 4, 2, np.random.default_rng(5), snap=WIDE_CONFIG.col_width)
+
+
+@pytest.mark.parametrize("attack", ["mga", "haog", "aog", "aaog"])
+@pytest.mark.parametrize("index", range(len(WIDE_QUERIES)))
+def test_plans_equal_the_float_path(attack, index):
+    """Every grid attack plans as it did on float64 preference scores,
+    argwhere searches and a float64 matching sort, at a layout the plan
+    pins do not cover.  10k users leave the adaptive attack a cap of 1, so
+    its matching fills 333 functions per grid from 4,422."""
+    def plan():
+        rng = np.random.default_rng(np.random.SeedSequence([670, index]))
+        return _plan(attack, WIDE_QUERIES[index], rng, WIDE_CONFIG, 10_000)
+
+    expected = plan()
+    with float_ranking():
+        assert plan() == expected
+    if attack == "aaog":
+        assert expected["load_limit"] == 1
+
+
 class TestHaog:
     def test_preference_values(self):
         config = GridConfig(d=2)
@@ -347,6 +428,7 @@ class TestHaog:
             sizes=np.array([[5, 5, 8]]),
             inter=np.array([[5, 0, 8]]),
             scale=1.0,
+            layout=(config.g1, config.g2),
         )
         score = supports.preference()
         assert score.shape == (1, 3)
@@ -380,7 +462,7 @@ class TestHaog:
         rng = np.random.default_rng(seed)
         sizes = rng.integers(0, n_cells + 1, shape)
         inter = rng.integers(0, sizes + 1)
-        supports = GridSupports(np.arange(shape[0]), np.zeros((0,)), sizes, inter, scale)
+        supports = GridSupports(np.arange(shape[0]), np.zeros((0,)), sizes, inter, scale, (16, 4))
         score = supports.preference()
         # Exact integer reference: rank by (inter - sizes, sizes), descending.
         rank = [(int(i - s), int(s)) for i, s in zip(inter.ravel(), sizes.ravel())]

@@ -62,34 +62,34 @@ CASES = [f"q{i}-{attack}" for i in range(N_QUERIES) for attack in ATTACKS] + [
 ]
 
 
-def _fake_counts():
-    n_fake = round(N_REAL * RHO / (1 - RHO))
-    keys = grid_keys(CONFIG.d)
+def _fake_counts(config=CONFIG, n_real=N_REAL):
+    n_fake = round(n_real * RHO / (1 - RHO))
+    keys = grid_keys(config.d)
     base, extra = divmod(n_fake, len(keys))
     counts = {key: base + (i < extra) for i, key in enumerate(keys)}
-    return counts, N_REAL + n_fake
+    return counts, n_real + n_fake
 
 
 def _name(key) -> str:
     return "-".join(str(part) for part in key)
 
 
-def _plan(attack: str, query, rng: np.random.Generator) -> dict:
-    keys = grid_keys(CONFIG.d)
-    fake_counts, n_total = _fake_counts()
+def _plan(attack: str, query, rng: np.random.Generator, config=CONFIG, n_real=N_REAL) -> dict:
+    keys = grid_keys(config.d)
+    fake_counts, n_total = _fake_counts(config, n_real)
     if attack in ("mga", "haog"):
-        hook = (MgaGridAttack if attack == "mga" else HeuristicGridAttack)(CONFIG, query)
+        hook = (MgaGridAttack if attack == "mga" else HeuristicGridAttack)(config, query)
         pick = mga_grid if attack == "mga" else haog_best_pair
         pairs = {_name(key): pick(hook.supports(key), rng) for key in keys}
         return {name: list(pair) for name, pair in pairs.items()}
     if attack == "aog":
-        hook = GridRangeAttack(CONFIG, query, RHO)
+        hook = GridRangeAttack(config, query, RHO)
         hook.begin(fake_counts, n_total, rng)
         return {
             "chosen": {_name(k): list(p) for k, p in sorted(hook.chosen.items())},
             "fallback_keys": [_name(k) for k in hook.fallback_keys],
         }
-    hook = AdaptiveGridAttack(CONFIG, query)
+    hook = AdaptiveGridAttack(config, query)
     hook.begin(fake_counts, n_total, rng)
     plan = {}
     for key in keys:
