@@ -575,11 +575,16 @@ class AdaptiveGridAttack(_GridHook):
             )
 
         keys = [k for k, m in fake_counts.items() if m > 0]
+        quotas = [math.ceil(fake_counts[k] / self.load_limit) for k in keys]
+        if sum(quotas) > family_size:
+            raise RuntimeError(
+                f"adaptive grid attack infeasible: {sum(quotas)} functions needed at cap "
+                f"{self.load_limit}, the family has {family_size}"
+            )
         fn_ids = self.family.random_fn_ids()
         # One row per grid of each function's best key and its rank, both in
         # narrow dtypes: the matching stable-sorts the ranks of all grids.
         best_keys, values = (np.stack(rows) for rows in zip(*map(self._best_keys, keys)))
-        quotas = [math.ceil(fake_counts[k] / self.load_limit) for k in keys]
         matched = match_functions_to_grids(values, quotas)
         for g_idx, key in enumerate(keys):
             # Each matched function in turn takes up to load_limit fakes.

@@ -16,8 +16,10 @@ Implements the two oracles used by the range-query protocols:
   the remaining keys.
 
 Each mechanism's constants live in its params (:class:`OueParams`,
-:class:`OlhParams`), and both aggregators end in the one unbiased estimator
-:func:`debias_counts`, whose estimates may be negative.
+:class:`OlhParams`).  Both oracles aggregate to integer support counts (OUE's
+column 1-counts, :func:`olh_aggregate`'s per-cell counts), which the one
+unbiased estimator :func:`debias_counts` turns into frequencies that may be
+negative.
 
 OLH aggregation and the grid attacks' support scans (key counts over the
 table's rows, with one cached 2-D array of support sizes) evaluate no hash
@@ -302,9 +304,9 @@ def olh_aggregate(
     pairs: tuple[np.ndarray, np.ndarray],
     family: HashFamily,
     cells: Sequence[int],
-    params: OlhParams,
 ) -> np.ndarray:
-    """Unbiased per-cell frequency estimate from OLH reports.
+    """Per-cell support counts of OLH reports: how many reports' (function,
+    key) pair hashes each cell to the report's key, as int64.
 
     ``pairs`` is the ``(fn_ids, keys)`` array tuple of the reports; every
     function must lie in ``[prime, prime**2)``, every key in ``[0, g)`` and
@@ -312,8 +314,9 @@ def olh_aggregate(
     (function, key) pairs: each distinct pair's row of the family's cached
     cell-key table (``max(cells) + 1`` keys per function) is compared with
     its key, and its multiplicity is added to the cells it hits by one float64
-    matmul.  The support counts are integers below 2**53, so they are exact;
-    :func:`debias_counts` turns them into frequencies.
+    matmul.  The counts are integers below 2**53, so they are exact.  Counts
+    are additive over reports: the counts of two report sets sum to those of
+    their union, and :func:`debias_counts` turns them into frequencies.
     """
     fn_ids, keys = (np.asarray(x, dtype=np.int64) for x in pairs)
     if fn_ids.size == 0:
@@ -333,4 +336,4 @@ def olh_aggregate(
     fns -= family.prime
     keys = keys.astype(table.dtype)
     counts = mult.astype(np.float64) @ (table[fns] == keys[:, None])
-    return debias_counts(counts, fn_ids.size, params)
+    return counts.astype(np.int64)

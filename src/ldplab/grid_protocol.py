@@ -13,6 +13,13 @@ Every grid is one flat row-major vector of cells.  Only :class:`GridConfig`
 knows a grid's shape: ``shape(key)`` gives its cells per attribute and
 ``columns(key)`` the ``g2``-column of every cell per attribute; cell mapping,
 range masks, consistency and the attacks all derive from these two.
+
+A run has two steps.  :func:`collect_grid_reports` partitions the real users
+over the grids and perturbs and counts their reports; it does not depend on
+any fake user.  :func:`run_grid_protocol` adds fake reports to those counts
+and post-processes, so one collection serves an honest run and any number of
+poisoned runs, as in a threat model where fakes join a population whose
+genuine reports are fixed.
 """
 
 from __future__ import annotations
@@ -20,20 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .freq_oracles import HashFamily, OlhParams, olh_aggregate, olh_perturb_batch, smallest_prime_above
-from .freq_oracles import _check_fake_count
+from .freq_oracles import HashFamily, OlhParams, debias_counts, olh_aggregate, olh_perturb_batch
+from .freq_oracles import _check_fake_count, smallest_prime_above
 from .postprocess import grid_consistency, norm_sub
 from .query import RangeQuery
 
 __all__ = [
     "GridConfig",
     "GridSet",
+    "GridRound",
     "grid_keys",
     "cells_in_range",
+    "collect_grid_reports",
     "run_grid_protocol",
     "build_response_matrix",
     "estimate_query",
@@ -82,14 +91,13 @@ class GridConfig:
     def cell_width(self) -> int:
         return self.domain_size // self.g1
 
-    def round_plan(self, n_real: int, n_fake: int, rng: np.random.Generator) -> Tuple:
-        """``(groups, fake_counts)``: each real user's grid round and each
-        round's fake count, from one random near-equal partition of all users."""
+    def fake_counts(self, n_fake: int) -> Dict[GridKey, int]:
+        """Each grid's share of ``n_fake`` fakes, in :func:`grid_keys` order:
+        a near-equal split with no draw, the first ``n_fake % n_groups``
+        grids taking one more."""
         _check_fake_count(n_fake)
-        if n_real + n_fake < self.n_groups:
-            raise ValueError("fewer users than groups")
-        groups = rng.permutation(np.arange(n_real + n_fake) % self.n_groups)
-        return groups[:n_real], np.bincount(groups[n_real:], minlength=self.n_groups)
+        base, extra = divmod(int(n_fake), self.n_groups)
+        return {key: base + (i < extra) for i, key in enumerate(grid_keys(self.d))}
 
     def olh_params(self) -> OlhParams:
         return OlhParams(self.epsilon)
@@ -106,6 +114,20 @@ class GridConfig:
         shape = self.shape(key)
         coords = np.unravel_index(np.arange(math.prod(shape)), shape)
         return {attr: c * self.g2 // n for attr, c, n in zip(key[1:], coords, shape)}
+
+
+class GridRound(NamedTuple):
+    """One grid's real reports, as :func:`collect_grid_reports` keeps them.
+
+    ``users`` is the number of reports, ``support`` their read-only int64
+    support count per cell (:func:`olh_aggregate`), and ``fn_ids`` each
+    report's read-only function id, or ``None`` when the collection did not
+    keep them.
+    """
+
+    users: int
+    support: np.ndarray
+    fn_ids: Optional[np.ndarray]
 
 
 @dataclass
@@ -135,25 +157,16 @@ def cells_in_range(config: GridConfig, query: RangeQuery, key: GridKey) -> np.nd
     return mask
 
 
-def run_grid_protocol(
-    records,
-    config: GridConfig,
-    hook: Optional[Callable[[GridKey, int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None,
-    n_fake: int = 0,
-    *,
-    rng: np.random.Generator,
-    keep_reports: bool = False,
-) -> GridSet:
-    """Run collection and post-processing; returns the final :class:`GridSet`.
+def collect_grid_reports(
+    records, config: GridConfig, *, rng: np.random.Generator, keep_reports: bool = False
+) -> Dict[GridKey, GridRound]:
+    """Collect the real users' reports: one :class:`GridRound` per grid, in
+    :func:`grid_keys` order.
 
-    ``n_fake``: fakes planned by :meth:`GridConfig.round_plan` with the users.
-    ``hook``: called per grid with (grid key, fake count, rng); must return
-    ``(fn_ids, keys)`` arrays of fabricated reports for that grid's round.
-    A hook with a ``begin`` method has it called once before the rounds,
-    with the fake count per grid, when ``n_fake > 0``.
-    The result's ``rounds`` hold one ``(grid key, reports)`` pair per grid;
-    ``reports`` is each report's fn_id, real then fake (the max-load
-    detector's input), with ``keep_reports``, otherwise ``None``.
+    The users are split into ``n_groups`` near-equal groups by one draw,
+    ``rng.permutation(arange(n_real) % n_groups)``, and each group reports
+    its grid's cell through OLH.  ``keep_reports`` keeps each report's
+    fn_id, the max-load detector's input; it changes no draw.
     """
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != config.d:
@@ -162,42 +175,88 @@ def run_grid_protocol(
         raise ValueError("empty input")
     if records.min() < 0 or records.max() >= config.domain_size:
         raise ValueError("records outside domain")
+    if len(records) < config.n_groups:
+        raise ValueError("fewer users than groups")
 
-    real_groups, fake_counts = config.round_plan(len(records), n_fake, rng)
-
+    groups = rng.permutation(np.arange(len(records)) % config.n_groups)
     params = config.olh_params()
     family = config.family()
-    keys_order = grid_keys(config.d)
 
     # One stable sort lists every grid's users in record order; the bounds
     # of grid ``gidx`` are ``starts[gidx]:starts[gidx + 1]``.
-    by_group = np.argsort(real_groups.astype(np.min_scalar_type(config.n_groups)), kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(real_groups, minlength=config.n_groups))))
+    by_group = np.argsort(groups.astype(np.min_scalar_type(config.n_groups)), kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=config.n_groups))))
 
-    if hook is not None and n_fake > 0 and hasattr(hook, "begin"):
-        hook.begin(dict(zip(keys_order, fake_counts.tolist())), len(records) + n_fake, rng)
-
-    freqs: Dict[GridKey, np.ndarray] = {}
-    rounds: List[Tuple[GridKey, Optional[np.ndarray]]] = []
-
-    for gidx, key in enumerate(keys_order):
+    reports: Dict[GridKey, GridRound] = {}
+    for gidx, key in enumerate(grid_keys(config.d)):
         members = by_group[starts[gidx] : starts[gidx + 1]]
-        m_fake = int(fake_counts[gidx])
         shape = config.shape(key)
         widths = [config.domain_size // n for n in shape]
         coords = tuple(records[members, a] // w for a, w in zip(key[1:], widths))
-        cells = np.ravel_multi_index(coords, shape)
-        fn_ids, rep_keys = olh_perturb_batch(cells, family, params, rng)
+        fn_ids, keys = olh_perturb_batch(np.ravel_multi_index(coords, shape), family, params, rng)
+        support = olh_aggregate((fn_ids, keys), family, np.arange(math.prod(shape)))
+        # Every run of the collection reads these arrays; none may write them.
+        support.flags.writeable = False
+        fn_ids.flags.writeable = False
+        reports[key] = GridRound(members.size, support, fn_ids if keep_reports else None)
+    return reports
+
+
+def run_grid_protocol(
+    reports: Dict[GridKey, GridRound],
+    config: GridConfig,
+    hook: Optional[Callable[[GridKey, int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None,
+    n_fake: int = 0,
+    *,
+    rng: np.random.Generator,
+    keep_reports: bool = False,
+) -> GridSet:
+    """Add fake reports to collected real ones and post-process; returns the
+    final :class:`GridSet`.
+
+    ``reports``: the real reports of :func:`collect_grid_reports` on the
+    same config, which this function does not change.
+    ``n_fake``: fakes split over the grids by :meth:`GridConfig.fake_counts`.
+    ``hook``: called per grid with (grid key, fake count, rng); must return
+    ``(fn_ids, keys)`` arrays of fabricated reports for that grid's round.
+    Their support counts are added to the real ones.
+    A hook with a ``begin`` method has it called once before the rounds,
+    with the fake count per grid, when ``n_fake > 0``.  Only the hook draws
+    from ``rng``.
+    The result's ``rounds`` hold one ``(grid key, reports)`` pair per grid;
+    ``reports`` is each report's fn_id, real then fake (the max-load
+    detector's input), with ``keep_reports``, which needs a collection that
+    kept them; otherwise ``None``.
+    """
+    fake_counts = config.fake_counts(n_fake)
+    keys_order = grid_keys(config.d)
+    if list(reports) != keys_order:
+        raise ValueError("reports must hold one round per grid of the config, in grid_keys order")
+    if keep_reports and any(real.fn_ids is None for real in reports.values()):
+        raise ValueError("keep_reports needs reports collected with keep_reports")
+
+    params = config.olh_params()
+    family = config.family()
+    if hook is not None and n_fake > 0 and hasattr(hook, "begin"):
+        n_real = sum(real.users for real in reports.values())
+        hook.begin(fake_counts, n_real + n_fake, rng)
+
+    freqs: Dict[GridKey, np.ndarray] = {}
+    rounds: List[Tuple[GridKey, Optional[np.ndarray]]] = []
+    for key, (users, support, fn_ids) in reports.items():
+        m_fake = fake_counts[key]
         if hook is not None and m_fake > 0:
             fake_fns, fake_keys = hook(key, m_fake, rng)
             fake_fns = np.asarray(fake_fns, dtype=np.int64)
             fake_keys = np.asarray(fake_keys, dtype=np.int64)
             if fake_fns.size != m_fake or fake_keys.size != m_fake:
                 raise ValueError("attack hook must return one report per fake user")
-            fn_ids = np.concatenate([fn_ids, fake_fns])
-            rep_keys = np.concatenate([rep_keys, fake_keys])
+            support = support + olh_aggregate((fake_fns, fake_keys), family, np.arange(support.size))
+            users += m_fake
+            if keep_reports:
+                fn_ids = np.concatenate([fn_ids, fake_fns])
         rounds.append((key, fn_ids if keep_reports else None))
-        freqs[key] = olh_aggregate((fn_ids, rep_keys), family, np.arange(math.prod(shape)), params)
+        freqs[key] = debias_counts(support, users, params)
 
     columns = {key: config.columns(key) for key in keys_order}
     for _ in range(config.pp_rounds):

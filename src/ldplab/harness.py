@@ -12,6 +12,14 @@ honest protocol once, inside its first trial (whose ``elapsed_s`` carries
 that cost), and answers all its queries from it.  The honest answers of one
 seed are therefore correlated.  Each query gets its own poisoned run, and the
 efficiency reads only the poisoned answer, so it is unaffected.
+
+A grid seed also collects its real users' reports only once
+(:func:`~ldplab.grid_protocol.collect_grid_reports`, in the first trial):
+its honest run and every poisoned run add their fakes to those same reports.
+So a grid's poisoned answers within a seed are correlated too, and poisoned
+minus honest is the attack's own effect, with no real-user noise in it.  A
+tree's layers depend on the fakes of earlier layers, so every tree run
+collects its own real reports.
 """
 
 from __future__ import annotations
@@ -38,7 +46,12 @@ from .attacks import (
     OptimalTreeAttack,
     ZERO_COEFF_STRATEGIES,
 )
-from .grid_protocol import GridConfig, estimate_query as grid_estimate, run_grid_protocol
+from .grid_protocol import (
+    GridConfig,
+    collect_grid_reports,
+    estimate_query as grid_estimate,
+    run_grid_protocol,
+)
 from .query import RangeQuery
 from .tree_protocol import (
     TreeConfig,
@@ -411,12 +424,15 @@ _HOOKS = {
 
 def _run_protocol(
     config: ExperimentConfig,
-    records: np.ndarray,
+    data,
+    n_real: int,
     query: RangeQuery,
     rng: np.random.Generator,
 ):
     """One protocol run of ``config``, its attack aimed at ``query``.
 
+    ``data`` is the protocol's real input: the tree's values, or the grids'
+    collected reports (:func:`collect_grid_reports`) of ``n_real`` users.
     Returns ``(result, detection)``: the protocol's ``Tree`` or ``GridSet``,
     and with ``config.defense`` the detector results of its rounds (the
     ones-count test per tree layer, the max-load test per grid) folded into
@@ -426,9 +442,8 @@ def _run_protocol(
     # (such as a tracer's wrappers) are the ones called.
     tree = config.protocol == "ahead"
     run = run_tree_protocol if tree else run_grid_protocol
-    data = records[:, 0] if tree else records
-    hook = _HOOKS[config.protocol, config.attack](config, query, len(records))
-    n_fake = config.fake_count(len(records))
+    hook = _HOOKS[config.protocol, config.attack](config, query, n_real)
+    n_fake = config.fake_count(n_real)
     result = run(data, config.protocol_config, hook=hook, n_fake=n_fake, rng=rng, keep_reports=config.defense)
     if not config.defense:
         return result, None
@@ -470,7 +485,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     )
 
     honest_cfg = replace(config, attack="none", rho=0.0, defense=False)
-    estimate = tree_estimate if config.protocol == "ahead" else grid_estimate
+    tree = config.protocol == "ahead"
+    estimate = tree_estimate if tree else grid_estimate
     # No attack, or a tiny dataset whose fakes round to 0: no fake user, no
     # efficiency.
     injects = config.attack != "none" and config.fake_count(len(records)) > 0
@@ -481,14 +497,21 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
         if qid == 0:
             # The honest collection does not depend on the query: one run per
             # seed answers every query.  It runs inside the first trial, so
-            # that trial's elapsed_s carries its cost.
+            # that trial's elapsed_s carries its cost.  A grid seed's real
+            # reports are collected here once, for the poisoned runs too.
             honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
-            honest_run, _ = _run_protocol(honest_cfg, records, query, honest_rng)
+            if tree:
+                data = records[:, 0]
+            else:
+                data = collect_grid_reports(
+                    records, config.protocol_config, rng=honest_rng, keep_reports=config.defense
+                )
+            honest_run, _ = _run_protocol(honest_cfg, data, len(records), query, honest_rng)
         honest = estimate(honest_run, query)
 
         if config.rho > 0:
             poison_rng = np.random.default_rng(np.random.SeedSequence([seed, 3, qid]))
-            poisoned_run, detection = _run_protocol(config, records, query, poison_rng)
+            poisoned_run, detection = _run_protocol(config, data, len(records), query, poison_rng)
             poisoned = estimate(poisoned_run, query)
         else:
             poisoned, detection = honest, None

@@ -422,18 +422,17 @@ def olh_support(
 
 
 def olh_aggregate_pairs(
-    pairs: Sequence[Tuple[int, int]], family: HashFamily, cells: Sequence[int], params: OlhParams
+    pairs: Sequence[Tuple[int, int]], family: HashFamily, cells: Sequence[int]
 ) -> np.ndarray:
-    """Per-cell OLH estimate from a list of ``(fn_id, key)`` pairs, one
+    """Per-cell OLH support counts of a list of ``(fn_id, key)`` pairs, one
     support at a time."""
     if not pairs:
         raise ValueError("empty report set")
     cells = np.asarray(cells, dtype=np.int64)
-    counts = np.zeros(cells.size)
+    counts = np.zeros(cells.size, dtype=np.int64)
     for pair in pairs:
         counts += np.isin(cells, olh_support(pair, family, cells))
-    n = len(pairs)
-    return (counts - n * params.q) / (n * (params.p - params.q))
+    return counts
 
 
 def olh_support_scan(prime: int, g: int, fn_id: int, key: int, n_cells: int) -> List[int]:

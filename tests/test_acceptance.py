@@ -36,6 +36,7 @@ from ldplab.freq_oracles import (
 from ldplab.grid_protocol import (
     GridConfig,
     cells_in_range,
+    collect_grid_reports,
     estimate_query as grid_estimate,
     grid_keys,
     run_grid_protocol,
@@ -199,7 +200,8 @@ def test_criterion_04_grid_attack_full_concentration():
         rng = np.random.default_rng(np.random.SeedSequence([104, seed]))
         records = rng.integers(0, 64, (n_real, 3))
         attack = GridRangeAttack(config, query, rho)
-        grids = run_grid_protocol(records, config, hook=attack, n_fake=n_fake, rng=rng)
+        reports = collect_grid_reports(records, config, rng=rng)
+        grids = run_grid_protocol(reports, config, hook=attack, n_fake=n_fake, rng=rng)
         response = grid_estimate(grids, query)
         if not attack.fallback_keys:
             planned += 1
@@ -432,7 +434,7 @@ def test_criterion_09_oracle_unbiasedness():
         for rep in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([1091, rep, int(epsilon * 10)]))
             pairs = olh_perturb_batch(values, family, olh, rng)
-            est = olh_aggregate(pairs, family, np.arange(n_items), olh)
+            est = debias_counts(olh_aggregate(pairs, family, np.arange(n_items)), n_users, olh)
             coverages.append(float((np.abs(est - mu) <= 3 * sigma_olh).mean()))
 
     coverage = float(np.mean(coverages))

@@ -130,7 +130,7 @@ def test_bench_counters_read_real_results():
         # Column counts alone: the result's ``ones`` is None.
         ("oue_perturb_batch", fo.oue_perturb_batch, oue, {"per_report": False}),
         ("olh_perturb_batch", fo.olh_perturb_batch, (cells, family, olh, rng), {}),
-        ("olh_aggregate", fo.olh_aggregate, (pairs, family, cells, olh), {}),
+        ("olh_aggregate", fo.olh_aggregate, (pairs, family, cells), {}),
         ("HashFamily.key_table", fo.HashFamily.key_table, (family, 8), {}),
     ]
     for target, function, args, kwargs in calls:

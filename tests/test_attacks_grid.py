@@ -645,6 +645,17 @@ class TestAaog:
         with pytest.raises(ValueError):
             match_functions_to_grids(np.ones((2, 3)), [2, 2])
 
+    def test_quotas_beyond_the_family_are_infeasible(self):
+        # 100k users at rho 0.1 on the prime-67 family: the cap is 1, so the
+        # 11,111 fakes need 11,111 functions of the family's 4,422.
+        config = GridConfig(d=5, g1=32, g2=8, prime=67)
+        query = RangeQuery((0, 1), ((0, 32), (16, 48)))
+        attack = AdaptiveGridAttack(config, query)
+        fake_counts = config.fake_counts(11_111)
+        with pytest.raises(RuntimeError, match="adaptive grid attack infeasible: 11111 functions"):
+            attack.begin(fake_counts, 111_111, np.random.default_rng(0))
+        assert attack.load_limit == 1
+
     def test_plan_respects_cap_and_counts(self):
         config = GridConfig(d=5, prime=211)
         query = RangeQuery((0, 1, 2), ((16, 64), (0, 48), (16, 64)))

@@ -1,6 +1,7 @@
 """The serialized grids of seeded honest runs are pinned to a fixture.
 
-Each case runs ``run_grid_protocol`` on seeded Gaussian data and compares the
+Each case collects seeded Gaussian data with ``collect_grid_reports``, runs
+``run_grid_protocol`` on the reports with no fakes and compares the
 sha256 of the ``grids_to_json`` bytes with ``data/grid_json_sha256.json``, so
 any change to cell mapping, aggregation, consistency, Norm-Sub or the JSON
 encoding shows.  The cases vary ``d``, ``g1``, ``g2``, the domain, the prime
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldplab.grid_protocol import GridConfig, run_grid_protocol
+from ldplab.grid_protocol import GridConfig, collect_grid_reports, run_grid_protocol
 
 from .oracles import grids_to_json
 
@@ -43,7 +44,7 @@ def _digest(name: str) -> str:
     domain = config.domain_size
     records = rng.normal(domain / 2, domain / 6, (20_000, config.d))
     records = np.clip(np.rint(records), 0, domain - 1).astype(int)
-    grids = run_grid_protocol(records, config, rng=rng)
+    grids = run_grid_protocol(collect_grid_reports(records, config, rng=rng), config, rng=rng)
     return hashlib.sha256(grids_to_json(grids).encode()).hexdigest()
 
 

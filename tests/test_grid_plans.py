@@ -64,10 +64,7 @@ CASES = [f"q{i}-{attack}" for i in range(N_QUERIES) for attack in ATTACKS] + [
 
 def _fake_counts(config=CONFIG, n_real=N_REAL):
     n_fake = round(n_real * RHO / (1 - RHO))
-    keys = grid_keys(config.d)
-    base, extra = divmod(n_fake, len(keys))
-    counts = {key: base + (i < extra) for i, key in enumerate(keys)}
-    return counts, n_real + n_fake
+    return config.fake_counts(n_fake), n_real + n_fake
 
 
 def _name(key) -> str:

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from ldplab import grid_protocol
+from ldplab.freq_oracles import olh_aggregate
 from ldplab.grid_protocol import (
     GridConfig,
     build_response_matrix,
     cells_in_range,
+    collect_grid_reports,
     estimate_query,
     grid_keys,
     run_grid_protocol,
@@ -15,6 +18,12 @@ from ldplab.harness import gen_queries
 from ldplab.query import RangeQuery
 
 from .oracles import grids_to_json
+
+
+def honest_run(records, config, rng, keep_reports=False):
+    """Collect and run with no fakes, both from ``rng``."""
+    reports = collect_grid_reports(records, config, rng=rng, keep_reports=keep_reports)
+    return run_grid_protocol(reports, config, rng=rng, keep_reports=keep_reports)
 
 
 class TestConfig:
@@ -61,22 +70,50 @@ def test_grid_keys_order():
     ]
 
 
-def test_round_plan_is_one_balanced_draw():
-    """Real users and fakes share one near-equal random partition: the draw
-    ``rng.permutation(arange(n_real + n_fake) % n_groups)``, real users first."""
-    config = GridConfig(d=2)  # 3 groups
-    groups, fake_counts = config.round_plan(5, 3, np.random.default_rng(0))
-    draw = np.random.default_rng(0).permutation(np.arange(8) % 3)
-    np.testing.assert_array_equal(groups, draw[:5])
-    np.testing.assert_array_equal(fake_counts, np.bincount(draw[5:], minlength=3))
-    assert sorted(np.bincount(groups, minlength=3) + fake_counts) == [2, 3, 3]
-    rng = np.random.default_rng(1)
-    for n_real, n_fake in ((2, 0), (1, 1)):
-        with pytest.raises(ValueError, match="fewer users than groups"):
-            config.round_plan(n_real, n_fake, rng)
+@pytest.mark.parametrize("n_fake", [0, 1, 2, 3, 5, 14, 15, 16, 333, 11_111])
+def test_fake_counts_split_evenly_with_no_draw(n_fake):
+    """The fakes of a run are split near-equally over the grids: the counts
+    sum to ``n_fake``, differ by at most one, and the extra fakes go to the
+    leading grids in ``grid_keys`` order."""
+    config = GridConfig(d=5)  # 15 groups
+    counts = config.fake_counts(n_fake)
+    assert list(counts) == grid_keys(5)
+    values = list(counts.values())
+    assert sum(values) == n_fake
+    assert max(values) - min(values) <= 1
+    assert values == sorted(values, reverse=True)
+    assert values.count(n_fake // 15 + 1) == n_fake % 15
+
+
+def test_fake_counts_reject_bad_counts():
     for n_fake in (-1, 0.1, 2.0):
         with pytest.raises(ValueError, match="n_fake"):
-            config.round_plan(8, n_fake, rng)
+            GridConfig(d=2).fake_counts(n_fake)
+
+
+def test_collection_is_one_balanced_draw():
+    """The real users are split by one draw,
+    ``rng.permutation(arange(n_real) % n_groups)``, and each grid's reports
+    are its users' reports, in record order."""
+    config = GridConfig(d=2)  # 3 groups
+    records = np.random.default_rng(0).integers(0, 64, (8, 2))
+    reports = collect_grid_reports(records, config, rng=np.random.default_rng(1), keep_reports=True)
+    rng = np.random.default_rng(1)
+    groups = rng.permutation(np.arange(8) % 3)
+    assert list(reports) == grid_keys(2)
+    for gidx, (key, real) in enumerate(reports.items()):
+        members = np.flatnonzero(groups == gidx)
+        cells = (records[members, key[1]] // 4) if key[0] == "1d" else np.ravel_multi_index(
+            (records[members, 0] // 16, records[members, 1] // 16), (4, 4)
+        )
+        fn_ids, keys = grid_protocol.olh_perturb_batch(cells, config.family(), config.olh_params(), rng)
+        assert real.users == members.size
+        np.testing.assert_array_equal(real.fn_ids, fn_ids)
+        np.testing.assert_array_equal(real.support, olh_aggregate((fn_ids, keys), config.family(), np.arange(16)))
+        assert real.support.dtype == np.int64
+        assert not real.support.flags.writeable and not real.fn_ids.flags.writeable
+    with pytest.raises(ValueError, match="fewer users than groups"):
+        collect_grid_reports(records[:2], config, rng=rng)
 
 
 class TestQueryGeometry:
@@ -131,7 +168,7 @@ class TestRunProtocol:
     def test_full_domain_query_is_one(self):
         rng = np.random.default_rng(1)
         config = GridConfig(d=3)
-        grids = run_grid_protocol(self._records(rng), config, rng=rng)
+        grids = honest_run(self._records(rng), config, rng)
         query = RangeQuery((0, 1, 2), ((0, 64),) * 3)
         assert estimate_query(grids, query) == pytest.approx(1.0, abs=1e-9)
 
@@ -139,7 +176,7 @@ class TestRunProtocol:
         rng = np.random.default_rng(2)
         records = self._records(rng)
         config = GridConfig(d=3)
-        grids = run_grid_protocol(records, config, rng=rng)
+        grids = honest_run(records, config, rng)
         query = RangeQuery((0, 1), ((16, 48), (16, 48)))
         truth = (
             (records[:, 0] >= 16) & (records[:, 0] < 48)
@@ -150,7 +187,7 @@ class TestRunProtocol:
     def test_grids_are_distributions(self):
         rng = np.random.default_rng(3)
         config = GridConfig(d=2)
-        grids = run_grid_protocol(self._records(rng, n=5000, d=2), config, rng=rng)
+        grids = honest_run(self._records(rng, n=5000, d=2), config, rng)
         assert list(grids.freqs) == grid_keys(2)
         for vec in grids.freqs.values():
             assert vec.min() >= 0
@@ -159,33 +196,64 @@ class TestRunProtocol:
     def test_rounds_and_group_sizes(self):
         rng = np.random.default_rng(4)
         config = GridConfig(d=2)
-        grids = run_grid_protocol(self._records(rng, n=3000, d=2), config, rng=rng, keep_reports=True)
+        grids = honest_run(self._records(rng, n=3000, d=2), config, rng, keep_reports=True)
         assert [key for key, _ in grids.rounds] == grid_keys(2)
         sizes = [fn_ids.size for _, fn_ids in grids.rounds]
         assert set(sizes) == {1000}  # 3,000 users over 3 grids
         assert sum(sizes) == 3000
 
-    def test_rounds_follow_the_round_plan(self):
-        """Each round's reports hold the plan's real users and then its
-        fakes."""
-        config = GridConfig(d=3)
-        records = self._records(np.random.default_rng(7), n=3000, d=3)
-        groups, fake_counts = config.round_plan(3000, 333, np.random.default_rng(8))
+    def _poisoned(self, reports, config, keep_reports=True, **kwargs):
         fake_fn = config.prime + 7  # a = 1, b = 7
-        grids = run_grid_protocol(
-            records,
+        return run_grid_protocol(
+            reports,
             config,
             hook=lambda key, m, rng: (np.full(m, fake_fn), np.zeros(m, dtype=int)),
             n_fake=333,
             rng=np.random.default_rng(8),
-            keep_reports=True,
+            keep_reports=keep_reports,
+            **kwargs,
         )
-        real_counts = np.bincount(groups, minlength=config.n_groups)
+
+    def test_rounds_follow_the_fake_split(self):
+        """Each round's reports hold the collection's real users and then
+        the grid's share of the fakes."""
+        config = GridConfig(d=3)
+        records = self._records(np.random.default_rng(7), n=3000, d=3)
+        reports = collect_grid_reports(records, config, rng=np.random.default_rng(8), keep_reports=True)
+        grids = self._poisoned(reports, config)
+        fake_counts = config.fake_counts(333)
         assert [key for key, _ in grids.rounds] == grid_keys(3)
-        for gidx, (key, fn_ids) in enumerate(grids.rounds):
-            assert fn_ids.size == real_counts[gidx] + fake_counts[gidx]
-            assert (fn_ids[real_counts[gidx] :] == fake_fn).all()
-        assert fake_counts.sum() == 333
+        for key, fn_ids in grids.rounds:
+            real = reports[key].fn_ids
+            assert fn_ids.size == real.size + fake_counts[key]
+            np.testing.assert_array_equal(fn_ids[: real.size], real)
+            assert (fn_ids[real.size :] == config.prime + 7).all()
+
+    def test_poisoned_real_counts_equal_the_honest_ones(self, monkeypatch):
+        """A poisoned run adds the fakes' support counts to the collection's:
+        its counts less the fakes' equal the honest run's, grid by grid, and
+        the collection is left as it was."""
+        config = GridConfig(d=3)
+        records = self._records(np.random.default_rng(7), n=3000, d=3)
+        reports = collect_grid_reports(records, config, rng=np.random.default_rng(8))
+        kept = {key: real.support.copy() for key, real in reports.items()}
+        seen = []
+        debias = grid_protocol.debias_counts
+        monkeypatch.setattr(
+            grid_protocol, "debias_counts", lambda c, n, p: seen.append((c, n)) or debias(c, n, p)
+        )
+        run_grid_protocol(reports, config, rng=np.random.default_rng(9))
+        self._poisoned(reports, config, keep_reports=False)
+        honest, poisoned = seen[: len(reports)], seen[len(reports) :]
+        fake_counts = config.fake_counts(333)
+        family = config.family()
+        for key, (c_honest, n_honest), (c_poisoned, n_poisoned) in zip(grid_keys(3), honest, poisoned):
+            m = fake_counts[key]
+            fakes = olh_aggregate((np.full(m, config.prime + 7), np.zeros(m)), family, np.arange(c_honest.size))
+            np.testing.assert_array_equal(c_honest, reports[key].support)
+            np.testing.assert_array_equal(c_poisoned - fakes, c_honest)
+            assert n_honest == reports[key].users and n_poisoned == n_honest + m
+            np.testing.assert_array_equal(reports[key].support, kept[key])
 
     def test_keep_reports_moves_no_draw(self):
         """Keeping the reports changes no draw: the frequencies are
@@ -195,12 +263,13 @@ class TestRunProtocol:
         records = self._records(np.random.default_rng(7), n=3000, d=3)
 
         def run(keep_reports):
+            reports = collect_grid_reports(records, config, rng=np.random.default_rng(8), keep_reports=keep_reports)
             return run_grid_protocol(
-                records,
+                reports,
                 config,
                 hook=lambda key, m, rng: (config.prime + rng.integers(0, 50, m), rng.integers(0, 4, m)),
                 n_fake=333,
-                rng=np.random.default_rng(8),
+                rng=np.random.default_rng(9),
                 keep_reports=keep_reports,
             )
 
@@ -214,23 +283,24 @@ class TestRunProtocol:
         config = GridConfig(d=2)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_grid_protocol(np.zeros((5, 3), dtype=int), config, rng=rng)
+            collect_grid_reports(np.zeros((5, 3), dtype=int), config, rng=rng)
         with pytest.raises(ValueError):
-            run_grid_protocol(np.full((5, 2), 64), config, rng=rng)
+            collect_grid_reports(np.full((5, 2), 64), config, rng=rng)
+        reports = collect_grid_reports(np.zeros((5, 2), dtype=int), config, rng=rng)
         for n_fake in (-1, 0.1, 2.0):
             with pytest.raises(ValueError, match="n_fake"):
-                run_grid_protocol(np.zeros((5, 2), dtype=int), config, n_fake=n_fake, rng=rng)
+                run_grid_protocol(reports, config, n_fake=n_fake, rng=rng)
+        with pytest.raises(ValueError, match="keep_reports"):
+            run_grid_protocol(reports, config, rng=rng, keep_reports=True)
+        with pytest.raises(ValueError, match="one round per grid"):
+            run_grid_protocol(reports, GridConfig(d=3), rng=rng)
 
 
 class TestResponseMatrix:
     def _grids(self):
         rng = np.random.default_rng(5)
         config = GridConfig(d=2)
-        return run_grid_protocol(
-            np.clip(np.rint(rng.normal(32, 10, (8000, 2))), 0, 63).astype(int),
-            config,
-            rng=rng,
-        )
+        return honest_run(np.clip(np.rint(rng.normal(32, 10, (8000, 2))), 0, 63).astype(int), config, rng)
 
     def test_mass_preserved(self):
         grids = self._grids()
@@ -266,9 +336,7 @@ class TestResponseMatrix:
 def test_json_round_trip():
     rng = np.random.default_rng(6)
     config = GridConfig(d=2)
-    grids = run_grid_protocol(
-        rng.integers(0, 64, (2000, 2)), config, rng=rng
-    )
+    grids = honest_run(rng.integers(0, 64, (2000, 2)), config, rng)
     payload = json.loads(grids_to_json(grids))
     assert payload["config"]["d"] == 2
     assert len(payload["one_d"]) == 2

@@ -8,7 +8,7 @@ import pytest
 from ldplab import harness
 from ldplab.attacks.grid import _key_sizes
 from ldplab.defenses import DetectionResult
-from ldplab.grid_protocol import estimate_query as grid_estimate, run_grid_protocol
+from ldplab.grid_protocol import collect_grid_reports, estimate_query as grid_estimate, run_grid_protocol
 from ldplab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -358,7 +358,8 @@ class TestRunExperiment:
             )
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
             if protocol == "hdg":
-                honest, estimate = run_grid_protocol(records, config.protocol_config, rng=rng), grid_estimate
+                reports = collect_grid_reports(records, config.protocol_config, rng=rng)
+                honest, estimate = run_grid_protocol(reports, config.protocol_config, rng=rng), grid_estimate
             else:
                 honest, estimate = run_tree_protocol(records[:, 0], config.protocol_config, rng=rng), tree_estimate
             trials = [r for r in results if r.seed == seed]
@@ -366,6 +367,23 @@ class TestRunExperiment:
             for r in trials:
                 assert r.honest_response == estimate(honest, RangeQuery(r.attrs, r.intervals))
                 assert r.poisoned_response != r.honest_response
+
+    def test_grid_runs_share_the_seeds_reports(self, monkeypatch):
+        # Every grid run of a seed, honest and poisoned, adds its fakes to
+        # the seed's one collection of real reports; each seed has its own.
+        seen = []
+        run = harness.run_grid_protocol
+
+        def recorded(reports, *args, **kwargs):
+            seen.append(reports)
+            return run(reports, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_grid_protocol", recorded)
+        run_experiment(small_grid_config(rho=0.1, attack="mga", seeds=(0, 1)))
+        assert len(seen) == 2 * (1 + 3)
+        assert all(reports is seen[0] for reports in seen[:4])
+        assert all(reports is seen[4] for reports in seen[4:])
+        assert seen[0] is not seen[4]
 
     @pytest.mark.parametrize("protocol, attack", [("ahead", "aot"), ("hdg", "mga")])
     def test_shared_honest_run_keeps_no_reports(self, protocol, attack):
