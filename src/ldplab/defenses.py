@@ -144,11 +144,9 @@ def max_load_cdf(n_balls: int, n_bins: int) -> MaxLoadCdf:
     the first load with ``F > 1 - alpha`` flags honest rounds at most
     ``alpha`` of the time.  A repeated key returns the same object.
 
-    The cache is unbounded: it stays small only because a run has few
-    distinct round sizes.  Grid rounds are near-equal splits with no draw,
-    so an experiment meets a handful of ``n_balls`` values; a round size
-    drawn per run would add an entry of ``n_balls + 1`` floats for every new
-    size.
+    The cache is unbounded, so it relies on few distinct round sizes: grid
+    rounds are near-equal splits with no draw, and a round size drawn per
+    run would add an entry of ``n_balls + 1`` floats for every new size.
     """
     pmf = binomial_pmf(n_balls, 1.0 / n_bins)
     above = np.append(pmf[::-1].cumsum()[::-1][1:], 0.0)  # P[Bin > x]

@@ -500,12 +500,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
             # that trial's elapsed_s carries its cost.  A grid seed's real
             # reports are collected here once, for the poisoned runs too.
             honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
-            if tree:
-                data = records[:, 0]
-            else:
-                data = collect_grid_reports(
-                    records, config.protocol_config, rng=honest_rng, keep_reports=config.defense
-                )
+            data = records[:, 0] if tree else collect_grid_reports(
+                records, config.protocol_config, rng=honest_rng, keep_reports=config.defense
+            )
             honest_run, _ = _run_protocol(honest_cfg, data, len(records), query, honest_rng)
         honest = estimate(honest_run, query)
 
