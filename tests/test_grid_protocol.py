@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldplab import grid_protocol
-from ldplab.freq_oracles import olh_aggregate
+from ldplab.freq_oracles import olh_aggregate, olh_perturb_batch
 from ldplab.grid_protocol import (
     GridConfig,
     build_response_matrix,
@@ -103,10 +103,11 @@ def test_collection_is_one_balanced_draw():
     assert list(reports) == grid_keys(2)
     for gidx, (key, real) in enumerate(reports.items()):
         members = np.flatnonzero(groups == gidx)
-        cells = (records[members, key[1]] // 4) if key[0] == "1d" else np.ravel_multi_index(
-            (records[members, 0] // 16, records[members, 1] // 16), (4, 4)
-        )
-        fn_ids, keys = grid_protocol.olh_perturb_batch(cells, config.family(), config.olh_params(), rng)
+        if key[0] == "1d":
+            cells = records[members, key[1]] // 4
+        else:
+            cells = np.ravel_multi_index((records[members, 0] // 16, records[members, 1] // 16), (4, 4))
+        fn_ids, keys = olh_perturb_batch(cells, config.family(), config.olh_params(), rng)
         assert real.users == members.size
         np.testing.assert_array_equal(real.fn_ids, fn_ids)
         np.testing.assert_array_equal(real.support, olh_aggregate((fn_ids, keys), config.family(), np.arange(16)))
