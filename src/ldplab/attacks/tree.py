@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..freq_oracles import OueParams, debias_counts
-from ..postprocess import norm_sub
+from ..postprocess import norm_sub_deltas
 from ..query import RangeQuery
 from ..tree_protocol import Tree, TreeConfig, query_cover
 
@@ -175,8 +175,12 @@ def aot_assignment_fast(
     are piecewise linear in ``t`` — the threshold is flat while node ``i``
     sits below it and then rises at rate 1/|active set|, with active nodes
     dropping out in ascending order of their fixed values — so the maximum
-    over integers is attained at a segment endpoint.  Total cost is
-    O(L^2 log L) instead of O(L * M) normalizations.
+    over integers is attained at a segment endpoint.  The ``L`` base
+    assignments are one ``(L, L)`` matrix: their expected estimates,
+    Norm-Sub thresholds and exit orders come from one batched pass each,
+    and only the sweeps run per row.  Cost: O(L^2 log L) time and O(L^2)
+    float64 memory, with ``L`` at most the domain size, instead of
+    O(L * M) normalizations.
     """
     c = _check_search_inputs(np.asarray(sorted_coeffs), m_fake)
     f = np.asarray(freqs, dtype=np.float64)
@@ -185,65 +189,67 @@ def aot_assignment_fast(
     total = n_real + m_fake
     unit = 1.0 / (total * (params.p - params.q))
 
-    best_val = -np.inf
+    # Row i is base assignment i: its first i nodes at M.
+    values = expected_layer_estimates(f, np.tri(n_nodes, k=-1) * m, n_real, m_fake, params)
+    deltas = norm_sub_deltas(values)
+    active = values > deltas[:, None]
+    clipped = np.maximum(values - deltas[:, None], 0.0)
+    # A row's stable order, filtered to its active nodes other than node i,
+    # is the order in which they leave the active set.
+    order = np.argsort(values, axis=1, kind="stable")
+    exiting = np.take_along_axis(active, order, axis=1) & (order != np.arange(n_nodes)[:, None])
+    coeffs, own_values = c.tolist(), values.diagonal().tolist()
+    a_sizes, own_active = active.sum(axis=1).tolist(), active.diagonal().tolist()
+
+    best_val = -math.inf
     best_i = 0
     best_t = 0
-    base = np.zeros(n_nodes, dtype=np.float64)
 
-    for i in range(n_nodes):
-        base[:i] = m
-        base[i:] = 0.0
-        values = expected_layer_estimates(f, base, n_real, m_fake, params)
-        ns = norm_sub(values)
-        delta = ns.delta
-        active = values > delta
-        obj = float(np.dot(c, np.maximum(values - delta, 0.0)))
-        a_size = int(active.sum())
-        s_c = float(c[active].sum())
+    def record(i: int, t_int: int, val: float) -> None:
+        nonlocal best_val, best_i, best_t
+        if val > best_val + 1e-15:
+            best_val = val
+            best_i = i
+            best_t = t_int
 
-        # Other active nodes exit in ascending order of their fixed values.
-        others = np.array([j for j in range(n_nodes) if j != i and active[j]])
-        exit_order = others[np.argsort(values[others], kind="stable")] if others.size else others
-        ptr = 0
-
-        def record(t_int: float, val: float) -> None:
-            nonlocal best_val, best_i, best_t
-            if val > best_val + 1e-15:
-                best_val = val
-                best_i = i
-                best_t = int(t_int)
-
+    for i, delta in enumerate(deltas.tolist()):
+        obj = float(np.dot(c, clipped[i]))
+        a_size = a_sizes[i]
+        s_c = float(c[active[i]].sum())
         t = 0.0
-        record(0, obj)
-        if not active[i]:
+        record(i, 0, obj)
+        if not own_active[i]:
             # Flat until node i's value reaches the threshold.
-            t_enter = (delta - values[i]) / unit
+            t_enter = (delta - own_values[i]) / unit
             if t_enter >= m:
                 continue
             t = t_enter
             a_size += 1
-            s_c += float(c[i])
+            s_c += coeffs[i]
 
+        exits = order[i][exiting[i]]
+        exit_vals, exit_coeffs = values[i][exits].tolist(), c[exits].tolist()
+        n_exits = len(exit_vals)
+        ptr = 0
         while t < m:
-            slope = unit * (c[i] - s_c / a_size)
-            if ptr < exit_order.size:
-                j = exit_order[ptr]
-                t_exit = t + (values[j] - delta) * a_size / unit
+            slope = unit * (coeffs[i] - s_c / a_size)
+            if ptr < n_exits:
+                t_exit = t + (exit_vals[ptr] - delta) * a_size / unit
             else:
-                t_exit = np.inf
+                t_exit = math.inf
             seg_end = min(t_exit, m)
             lo_int = math.ceil(t - 1e-12)
             hi_int = math.floor(seg_end + 1e-12)
             if lo_int <= hi_int:
-                record(lo_int, obj + slope * (lo_int - t))
-                record(hi_int, obj + slope * (hi_int - t))
+                record(i, lo_int, obj + slope * (lo_int - t))
+                record(i, hi_int, obj + slope * (hi_int - t))
             if seg_end >= m:
                 break
             obj += slope * (t_exit - t)
-            delta = float(values[j])
+            delta = exit_vals[ptr]
             t = t_exit
-            while ptr < exit_order.size and values[exit_order[ptr]] <= delta:
-                s_c -= float(c[exit_order[ptr]])
+            while ptr < n_exits and exit_vals[ptr] <= delta:
+                s_c -= exit_coeffs[ptr]
                 a_size -= 1
                 ptr += 1
 
@@ -278,9 +284,10 @@ class OptimalTreeAttack:
 
     At each served layer the attacker rebuilds the tree whose leaves are the
     frontier, extends it with the growth it predicts from uniform data and
-    the protocol's own ``layer_plan(n_real, n_fake)`` and ``threshold_for``,
-    computes per-node coefficients for the target query, and spreads its fake
-    1-bits by the optimal front-loaded assignment.  Layers where every
+    the protocol's own ``layer_plan(n_real, n_fake)`` and ``threshold_for``
+    (every layer's threshold is read once, at construction), computes
+    per-node coefficients for the target query, and spreads its fake 1-bits
+    by the optimal front-loaded assignment.  Layers where every
     coefficient vanishes fall back to one of the ``ZERO_COEFF_STRATEGIES``.
     """
 
@@ -300,6 +307,9 @@ class OptimalTreeAttack:
         self.query = query
         self.strategy = strategy
         self._real_sizes, self._fake_sizes = config.layer_plan(n_real, n_fake)
+        self._thresholds = [
+            config.threshold_for(r + f) for r, f in zip(self._real_sizes, self._fake_sizes)
+        ]
         self.layer = 0
 
     def __call__(
@@ -311,8 +321,7 @@ class OptimalTreeAttack:
         # Predict growth under uniform data: a node's frequency is its share
         # of the domain, split with the protocol's rule at each future layer.
         nodes = frontier
-        for future in range(self.layer, config.depth - 1):
-            theta = config.threshold_for(self._real_sizes[future] + self._fake_sizes[future])
+        for theta in self._thresholds[self.layer : config.depth - 1]:
             width = tree.hi[nodes] - tree.lo[nodes]
             nodes = tree.split(nodes, width / config.domain_size >= theta)
             if nodes is None:

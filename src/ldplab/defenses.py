@@ -22,7 +22,7 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -102,6 +102,18 @@ def tree_detect(
     counts = np.asarray(ones_counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("empty round")
+    i_minus, i_plus, f_out, z_alpha = _ones_count_interval(n, epsilon, alpha)
+
+    n_users = counts.size
+    statistic = float(np.count_nonzero((counts < i_minus) | (counts > i_plus)))
+    threshold = n_users * f_out + z_alpha * math.sqrt(n_users * f_out * (1.0 - f_out))
+    return DetectionResult(statistic > threshold, statistic, threshold)
+
+
+@functools.lru_cache(maxsize=256)
+def _ones_count_interval(n: int, epsilon: float, alpha: float) -> Tuple[int, int, float, float]:
+    """``(I-, I+, outside_mass, z_alpha)`` of :func:`tree_detect`, cached per
+    ``(n, epsilon, alpha)``: every layer of every defended run reads it."""
     cdf = ones_count_cdf(n, OueParams(epsilon, n).q)
     z_alpha = statistics.NormalDist().inv_cdf(1.0 - alpha)
     f_out = (1.0 - math.sqrt(1.0 / (1.0 + z_alpha**2))) / 2.0
@@ -110,11 +122,7 @@ def tree_detect(
     below = np.nonzero(cdf <= half)[0]
     i_minus = int(below[-1]) if below.size else -1
     i_plus = int(np.nonzero(cdf >= 1.0 - half)[0][0])
-
-    n_users = counts.size
-    statistic = float(np.count_nonzero((counts < i_minus) | (counts > i_plus)))
-    threshold = n_users * f_out + z_alpha * math.sqrt(n_users * f_out * (1.0 - f_out))
-    return DetectionResult(statistic > threshold, statistic, threshold)
+    return i_minus, i_plus, f_out, z_alpha
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 * ``norm_sub`` -- subtract a threshold ``delta`` and clip at zero so that the
   result is a non-negative vector summing to one.  ``delta`` may be negative
   (uniform mass is added) when the positive part of the input sums below one.
+  ``norm_sub_deltas`` is its solver, one ``delta`` per row of a matrix.
 * ``tree_consistency`` -- bottom-up parent/child weighted averaging on an
   interval-decomposition tree, one level at a time.
 * ``grid_consistency`` -- weighted averaging between the grids (flat cell
@@ -16,7 +17,9 @@ from typing import Dict, Hashable, Mapping
 
 import numpy as np
 
-__all__ = ["NormSubResult", "norm_sub", "tree_consistency", "grid_consistency"]
+__all__ = [
+    "NormSubResult", "norm_sub", "norm_sub_deltas", "tree_consistency", "grid_consistency"
+]
 
 
 @dataclass
@@ -28,20 +31,31 @@ class NormSubResult:
 def norm_sub(values) -> NormSubResult:
     """Solve ``sum(max(f_i - delta, 0)) == 1`` and return the clipped vector.
 
-    Exact O(n log n) sort-and-scan solver: sort descending, then the solution
-    threshold is ``(prefix_sum_k - 1) / k`` for the largest prefix ``k`` whose
-    smallest member still exceeds that candidate threshold.
+    ``delta`` comes from :func:`norm_sub_deltas` on the one row ``values``.
     """
     f = np.asarray(values, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise ValueError("norm_sub requires a non-empty 1-D vector")
     if not np.all(np.isfinite(f)):
         raise ValueError("norm_sub requires finite entries")
-    a = -np.sort(-f)
-    candidates = (np.cumsum(a) - 1.0) / np.arange(1, f.size + 1)
-    valid = np.nonzero(a > candidates)[0]
-    delta = float(candidates[valid[-1]])
+    delta = float(norm_sub_deltas(f[None, :])[0])
     return NormSubResult(np.maximum(f - delta, 0.0), delta)
+
+
+def norm_sub_deltas(rows: np.ndarray) -> np.ndarray:
+    """The Norm-Sub threshold ``delta`` of every row of a finite 2-D array.
+
+    Exact O(n log n) sort-and-scan solver per row: sort descending, then the
+    solution threshold is ``(prefix_sum_k - 1) / k`` for the largest prefix
+    ``k`` whose smallest member still exceeds that candidate threshold.  The
+    prefix sums run sequentially along each row, so a row's ``delta`` has
+    the bits of the same row solved alone.
+    """
+    a = -np.sort(-rows, axis=1)
+    n = a.shape[1]
+    candidates = (a.cumsum(axis=1) - 1.0) / np.arange(1, n + 1)
+    last = n - 1 - (a > candidates)[:, ::-1].argmax(axis=1)
+    return candidates[np.arange(a.shape[0]), last]
 
 
 def tree_consistency(tree):

@@ -15,6 +15,7 @@ of the decomposition is one contiguous slice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -43,16 +44,14 @@ class Tree:
     contiguous slice ``level(k)``.
     Every node of the complete tree has a slot (``lo``, ``hi``, ``f_hat``,
     ``f_tilde``); ``exists`` marks the nodes actually built.  The root always
-    exists, and a node's children exist all together or not at all.
+    exists, and a node's children exist all together or not at all.  ``lo``
+    and ``hi`` are read-only and shared by every tree of the same shape.
     """
 
     def __init__(self, domain_size: int, fanout: int):
         self.domain_size = domain_size
         self.fanout = fanout
-        self.depth = TreeConfig(domain_size, fanout).depth
-        sizes = fanout ** np.arange(self.depth + 1)
-        self.lo = np.concatenate([np.arange(n) * (domain_size // n) for n in sizes])
-        self.hi = self.lo + np.repeat(domain_size // sizes, sizes)
+        self.depth, self.lo, self.hi = _skeleton(domain_size, fanout)
         self.exists = np.zeros(self.lo.size, dtype=bool)
         self.exists[0] = True
         self.f_hat = np.zeros(self.lo.size)
@@ -115,6 +114,18 @@ class Tree:
             marked[tree.level(k)] |= inner
             tree.exists[tree.level(k + 1)] = np.repeat(inner, fanout)
         return tree, ids
+
+
+@functools.lru_cache(maxsize=8)
+def _skeleton(domain_size: int, fanout: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Depth and read-only node intervals ``lo``/``hi`` of a complete tree."""
+    depth = TreeConfig(domain_size, fanout).depth
+    sizes = fanout ** np.arange(depth + 1)
+    lo = np.concatenate([np.arange(n) * (domain_size // n) for n in sizes])
+    hi = lo + np.repeat(domain_size // sizes, sizes)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return depth, lo, hi
 
 
 @dataclass

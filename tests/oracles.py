@@ -26,10 +26,10 @@ import numpy as np
 from scipy import stats
 
 from ldplab.attacks import grid
-from ldplab.attacks.grid import AdaptiveGridAttack, ColumnBook, GridSupports
+from ldplab.attacks.grid import AdaptiveGridAttack, ColumnBook, GridRangeAttack, GridSupports
 from ldplab.attacks.tree import _check_search_inputs, expected_layer_estimates
 from ldplab.freq_oracles import HashFamily, OlhParams, OueParams
-from ldplab.grid_protocol import GridSet
+from ldplab.grid_protocol import GridSet, grid_keys
 from ldplab.postprocess import norm_sub
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import Tree
@@ -235,6 +235,104 @@ def aot_assignment_bruteforce(
         best = full
     assert best is not None
     return Assignment(best.astype(np.int64), best_val)
+
+
+def aot_assignment_loop(
+    sorted_coeffs: Sequence[float],
+    m_fake: int,
+    n_real: int,
+    freqs: Sequence[float],
+    params: OueParams,
+) -> np.ndarray:
+    """Loop reference of :func:`ldplab.attacks.tree.aot_assignment_fast`:
+    one Norm-Sub solve and one threshold sweep per base assignment.
+
+    Best front-loaded assignment via incremental threshold tracking.
+
+    Returns the fake reports' ``int64`` 1-count per node, in the order of
+    ``sorted_coeffs``.
+
+    For each base assignment (first ``i`` nodes at M) a trailing count ``t``
+    on node ``i`` sweeps [0, M].  The normalization threshold and objective
+    are piecewise linear in ``t`` — the threshold is flat while node ``i``
+    sits below it and then rises at rate 1/|active set|, with active nodes
+    dropping out in ascending order of their fixed values — so the maximum
+    over integers is attained at a segment endpoint.  Total cost is
+    O(L^2 log L) instead of O(L * M) normalizations.
+    """
+    c = _check_search_inputs(np.asarray(sorted_coeffs), m_fake)
+    f = np.asarray(freqs, dtype=np.float64)
+    n_nodes = c.size
+    m = float(m_fake)
+    total = n_real + m_fake
+    unit = 1.0 / (total * (params.p - params.q))
+
+    best_val = -np.inf
+    best_i = 0
+    best_t = 0
+    base = np.zeros(n_nodes, dtype=np.float64)
+
+    for i in range(n_nodes):
+        base[:i] = m
+        base[i:] = 0.0
+        values = expected_layer_estimates(f, base, n_real, m_fake, params)
+        ns = norm_sub(values)
+        delta = ns.delta
+        active = values > delta
+        obj = float(np.dot(c, np.maximum(values - delta, 0.0)))
+        a_size = int(active.sum())
+        s_c = float(c[active].sum())
+
+        # Other active nodes exit in ascending order of their fixed values.
+        others = np.array([j for j in range(n_nodes) if j != i and active[j]])
+        exit_order = others[np.argsort(values[others], kind="stable")] if others.size else others
+        ptr = 0
+
+        def record(t_int: float, val: float) -> None:
+            nonlocal best_val, best_i, best_t
+            if val > best_val + 1e-15:
+                best_val = val
+                best_i = i
+                best_t = int(t_int)
+
+        t = 0.0
+        record(0, obj)
+        if not active[i]:
+            # Flat until node i's value reaches the threshold.
+            t_enter = (delta - values[i]) / unit
+            if t_enter >= m:
+                continue
+            t = t_enter
+            a_size += 1
+            s_c += float(c[i])
+
+        while t < m:
+            slope = unit * (c[i] - s_c / a_size)
+            if ptr < exit_order.size:
+                j = exit_order[ptr]
+                t_exit = t + (values[j] - delta) * a_size / unit
+            else:
+                t_exit = np.inf
+            seg_end = min(t_exit, m)
+            lo_int = math.ceil(t - 1e-12)
+            hi_int = math.floor(seg_end + 1e-12)
+            if lo_int <= hi_int:
+                record(lo_int, obj + slope * (lo_int - t))
+                record(hi_int, obj + slope * (hi_int - t))
+            if seg_end >= m:
+                break
+            obj += slope * (t_exit - t)
+            delta = float(values[j])
+            t = t_exit
+            while ptr < exit_order.size and values[exit_order[ptr]] <= delta:
+                s_c -= float(c[exit_order[ptr]])
+                a_size -= 1
+                ptr += 1
+
+    counts = np.zeros(n_nodes, dtype=np.int64)
+    counts[:best_i] = m_fake
+    counts[best_i] = best_t
+    return counts
 
 
 def mga_tree_rows(
@@ -570,6 +668,30 @@ def plan_once_loop(
         else:
             failed.append(key)
     return chosen, failed
+
+
+def range_attack_begin_loop(hook: GridRangeAttack, rng: np.random.Generator) -> Tuple[Dict, List]:
+    """Reference of ``GridRangeAttack.begin``: up to ``_MAX_RESTARTS``
+    attempts of :func:`plan_once_loop`, stopping only at an attempt that
+    plans every relevant grid, then the heuristic pairs of the fallback grids
+    and the grids with no query attribute.  Returns ``(chosen,
+    fallback_keys)``."""
+    keys = hook._relevant_keys()
+    all_keys = grid_keys(hook.config.d)
+    scans = {key: hook.supports(key) for key in all_keys}
+    candidates = {key: hook._candidates(key, scans[key]) for key in keys}
+    best: Optional[Tuple[Dict, List]] = None
+    for _ in range(grid._MAX_RESTARTS):
+        chosen, failed = plan_once_loop(keys, candidates, rng, ColumnBook())
+        if best is None or len(failed) < len(best[1]):
+            best = (chosen, failed)
+        if not failed:
+            break
+    assert best is not None
+    chosen, fallback_keys = best
+    for key in fallback_keys + [k for k in all_keys if k not in keys]:
+        chosen[key] = grid._pick(grid._best_pairs(scans[key].rank(), scans[key].fn_ids), rng)
+    return chosen, fallback_keys
 
 
 def stable_matching_audit(

@@ -38,11 +38,12 @@ from .oracles import (
     match_functions_to_grids_loop,
     olh_support_scan,
     plan_once_loop,
+    range_attack_begin_loop,
     simulated_load_tail,
     stable_matching_audit,
     support_scan_reference,
 )
-from .test_grid_plans import CONFIG, CONFLICT_QUERY, RHO, _plan, _queries
+from .test_grid_plans import CONFIG, CONFLICT_QUERY, HEAVY_QUERIES, RHO, _plan, _queries
 
 
 def scan(family, in_range, scale=1.0, layout=(16, 4)):
@@ -336,6 +337,39 @@ class TestPlanOnceEqualsLoop:
             old = plan_once_loop(keys, candidates, rngs[1], books[1])
             assert new == old
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+# (size floors or None for the bench's, query index into _queries() +
+# HEAVY_QUERIES + [CONFLICT_QUERY], planning attempts that begin runs): the
+# first two settle at attempt 0 on the grids with no candidate, the heavy
+# query never settles, one plans every grid at attempt 7, and the last two
+# settle later.
+BEGIN_CASES = [
+    (None, 0, 1), (None, 2, 1), (None, 6, 50),
+    ((1, 1), 1, 7), ((2, 2), 7, 10), ((4, 4), 9, 15),
+]
+
+
+class TestBeginReplaysSettledRestarts:
+    """Once no restart can fail fewer grids, ``begin`` replays the restarts'
+    draws only; ``tests.oracles.range_attack_begin_loop`` runs every one."""
+
+    @pytest.mark.parametrize("floors, index, attempts", BEGIN_CASES)
+    def test_same_plan_and_rng_state_as_the_full_loop(self, floors, index, attempts):
+        query = (_queries() + HEAVY_QUERIES + [CONFLICT_QUERY])[index]
+        hooks = [GridRangeAttack(CONFIG, query, RHO) for _ in range(2)]
+        if floors is not None:
+            for hook in hooks:
+                hook.constraints = SizeConstraints(*floors)
+        rngs = [np.random.default_rng(index), np.random.default_rng(index)]
+        plan_once = GridRangeAttack._plan_once
+        with mock.patch.object(GridRangeAttack, "_plan_once", autospec=True, side_effect=plan_once) as spy:
+            hooks[0].begin({}, 0, rngs[0])
+        chosen, fallback_keys = range_attack_begin_loop(hooks[1], rngs[1])
+        assert spy.call_count == attempts
+        assert hooks[0].chosen == chosen
+        assert hooks[0].fallback_keys == fallback_keys
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 # (d, prime, g1, g2): the bench layout, whose ranks fit int16, and two

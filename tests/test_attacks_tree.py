@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ldplab.attacks import (
@@ -21,6 +23,7 @@ from .oracles import (
     aaot_transform_oneshot,
     aaot_transform_rows,
     aot_assignment_bruteforce,
+    aot_assignment_loop,
     assignment_objective,
     exhaustive_best_objective,
     mga_tree_oneshot,
@@ -223,6 +226,40 @@ class TestAssignmentSearch:
             assert fast.dtype == np.int64 and fast.shape == (size,)
             fast_value = assignment_objective(coeffs, freqs, fast, 1000, m_fake, params)
             assert fast_value == pytest.approx(slow.value, abs=1e-9)
+
+    @given(
+        n_nodes=st.one_of(st.integers(1, 64), st.integers(65, 1024)),
+        levels=st.sampled_from([None, 1, 2, 4]),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+        dirichlet=st.booleans(),
+        m_fake=st.one_of(st.just(0), st.integers(1, 5000)),
+        n_real=st.integers(1, 200_000),
+        epsilon=st.sampled_from([0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(1024, 2, 0.3, True, 3000, 100_000, 1.0, 1)
+    @example(1024, None, 0.0, False, 0, 50, 0.5, 2)
+    @example(1, None, 0.0, False, 7, 1, 2.0, 3)
+    @settings(max_examples=40, deadline=None)
+    def test_batched_search_equals_loop(
+        self, n_nodes, levels, zero_share, dirichlet, m_fake, n_real, epsilon, seed
+    ):
+        """The batched search returns the loop's counts exactly: tied
+        coefficients (``levels`` distinct values), zero tails, uniform and
+        Dirichlet frequencies and no fakes at all."""
+        rng = np.random.default_rng(seed)
+        coeffs = rng.random(n_nodes)
+        if levels is not None:
+            coeffs = np.ceil(coeffs * levels) / levels
+        coeffs[: int(zero_share * n_nodes)] = 0.0
+        coeffs = np.sort(coeffs)[::-1]
+        coeffs[0] = max(coeffs[0], 0.5)
+        freqs = rng.dirichlet(np.ones(n_nodes)) if dirichlet else np.full(n_nodes, 1.0 / n_nodes)
+        params = OueParams(epsilon, n_nodes)
+        fast = aot_assignment_fast(coeffs, m_fake, n_real, freqs, params)
+        loop = aot_assignment_loop(coeffs, m_fake, n_real, freqs, params)
+        assert fast.dtype == loop.dtype == np.int64
+        np.testing.assert_array_equal(fast, loop)
 
     def test_input_validation(self):
         params = self._params()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ldplab import defenses
 from ldplab.defenses import (
     DetectionResult,
     binomial_pmf,
@@ -162,6 +163,21 @@ class TestTreeDetect:
     def test_empty_round_raises(self):
         with pytest.raises(ValueError):
             tree_detect([], 16, 1.0)
+
+    def test_cached_interval_equals_a_fresh_one(self):
+        """Warm and cold calls give the same bits, and a bad ``n`` or
+        ``epsilon`` still raises after its key's neighbours were cached."""
+        counts = np.random.default_rng(9).integers(0, 40, 500)
+        for n, epsilon, alpha in [(16, 1.0, 0.005), (55, 1.0, 0.005), (55, 2.0, 0.05)]:
+            defenses._ones_count_interval.cache_clear()
+            cold = tree_detect(counts, n, epsilon, alpha=alpha)
+            warm = tree_detect(counts, n, epsilon, alpha=alpha)
+            assert cold == warm
+            assert defenses._ones_count_interval.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            tree_detect(counts, 0, 1.0)
+        with pytest.raises(ValueError):
+            tree_detect(counts, 16, -1.0)
 
     def test_interval_matches_scipy_reference(self):
         for epsilon in [0.25, 0.5, 1.0, 2.0, 4.0]:
@@ -322,3 +338,8 @@ def test_detectors_reject_alpha_outside_open_unit_interval():
             grid_detect(np.arange(200) % 50, 50, alpha=alpha)
         with pytest.raises(ValueError, match="alpha"):
             tree_detect([0, 3, 5], 16, 1.0, alpha=alpha)
+        # The alpha check comes before the round and the cached interval.
+        with pytest.raises(ValueError, match="alpha"):
+            tree_detect([], 16, 1.0, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            tree_detect([0, 3, 5], 0, 1.0, alpha=alpha)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldplab.grid_protocol import GridConfig, grid_keys
-from ldplab.postprocess import grid_consistency, norm_sub, tree_consistency
+from ldplab.postprocess import grid_consistency, norm_sub, norm_sub_deltas, tree_consistency
 from ldplab.tree_protocol import Tree
 
 from .oracles import (
@@ -58,6 +58,18 @@ class TestNormSub:
         out = norm_sub(values).normalized
         assert np.all(out >= 0.0)
         assert np.sum(out) == pytest.approx(1.0, abs=1e-9)
+
+    def test_row_solver_equals_norm_sub_on_every_row(self):
+        """Each row's delta has the bits of that row solved alone, for rows
+        with ties, negatives, sums above and below one, and a single node."""
+        rng = np.random.default_rng(11)
+        for n_rows, n_cols in [(1, 1), (7, 1), (50, 3), (64, 64), (20, 1024)]:
+            rows = rng.normal(0.0, 2.0, (n_rows, n_cols))
+            rows[::3] = np.round(rows[::3])  # ties
+            rows[1::3] = rng.dirichlet(np.ones(n_cols), n_rows)[1::3]  # sums of one
+            deltas = norm_sub_deltas(rows)
+            alone = np.array([norm_sub(row).delta for row in rows])
+            np.testing.assert_array_equal(deltas.view(np.int64), alone.view(np.int64))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             TreeConfig(fanout=1)
 
+    def test_trees_of_one_shape_share_a_read_only_skeleton(self):
+        a, b = Tree(64, 4), Tree(64, 4)
+        assert a.lo is b.lo and a.hi is b.hi
+        assert not a.lo.flags.writeable and not a.hi.flags.writeable
+        assert Tree(64, 2).lo.size == 127 and a.lo.size == 85
+        assert a.exists is not b.exists and a.f_hat is not b.f_hat
+        with pytest.raises(ValueError):
+            Tree(100, 2)  # not a power of fanout
+
     def test_threshold(self):
         default = TreeConfig(epsilon=1.0).threshold_for(1000)
         assert default == pytest.approx(2.0 * oue_sigma(1.0, 1000))
