@@ -93,7 +93,6 @@ class GridSupports:
     1-D grid, 1 for a 2-D grid) and ``layout`` the config's ``(g1, g2)``.
     :meth:`rank` is the one heuristic order; the heuristic attack, the
     constraint-driven fallback and the adaptive attack all read it.
-    :meth:`preference` is the same order as a float score.
     """
 
     fn_ids: np.ndarray
@@ -103,32 +102,21 @@ class GridSupports:
     scale: float
     layout: Tuple[int, int]
 
-    def preference(self) -> np.ndarray:
-        """Heuristic score of each (function, key): spill first, then size.
-
-        A support with less out-of-range spill (primary ``inter - sizes``)
-        ranks first; among equal spill a larger support (secondary
-        ``sizes``) does.  Both are divided by ``scale`` so that scores of
-        grids with different cell counts are comparable.  The score
-        ``primary * 1e6 + secondary`` orders exactly lexicographically:
-        distinct primaries differ by at least ``1/scale`` and secondaries
-        span at most ``n_cells/scale``, so the order holds while
-        ``n_cells < 10**6``, which ``n_cells <= prime`` always meets.
-        """
-        return ((self.inter - self.sizes) / self.scale) * 1e6 + self.sizes / self.scale
-
     def rank(self) -> np.ndarray:
-        """:meth:`preference`'s order as one exact integer per (function, key).
+        """Heuristic order of each (function, key) as one exact integer.
 
-        ``f*sizes - M*f*spill``, with ``spill = sizes - inter``, ``f =
-        (g1/g2)/scale`` (1 on a 1-D grid, ``g1/g2`` on a 2-D one) and ``M =
-        g1*g2 + 1``: the preference's two terms times ``g1/g2``, integers on
-        every grid of the config, with ``0 <= f*sizes <= g1*g2 < M``.  So it
-        orders and ties as the preference does across all grids of a config
-        (a per-grid base does not: at ``g1 = 16, g2 = 4`` a 1-D spill of 4
-        and a 2-D spill of 1 are the same scaled spill).  Its dtype is the
-        narrowest signed one holding ``±M**2``, so no term or negation wraps:
-        int16 at ``g1 = 16, g2 = 4``, which numpy stable-sorts by radix.
+        A support with less out-of-range spill (``spill = sizes - inter``)
+        ranks first; among equal spill a larger support does, both divided
+        by ``scale`` so that grids with different cell counts compare.  The
+        rank is ``f*sizes - M*f*spill``, with ``f = (g1/g2)/scale`` (1 on a
+        1-D grid, ``g1/g2`` on a 2-D one) and ``M = g1*g2 + 1``: the two
+        scaled terms times ``g1/g2``, integers on every grid of the config,
+        with ``0 <= f*sizes <= g1*g2 < M``.  So it orders and ties across
+        all grids of a config (a per-grid base does not: at ``g1 = 16, g2 =
+        4`` a 1-D spill of 4 and a 2-D spill of 1 are the same scaled
+        spill).  Its dtype is the narrowest signed one holding ``±M**2``, so
+        no term or negation wraps: int16 at ``g1 = 16, g2 = 4``, which numpy
+        stable-sorts by radix.
         """
         g1, g2 = self.layout
         weight = g1 * g2 + 1
@@ -315,7 +303,7 @@ class GridRangeAttack(_GridHook):
     generator ends where all ``_MAX_RESTARTS`` attempts leave it.  The kept
     attempt's failed grids, and the grids with no query attribute, take a
     heuristic pair: a uniform pick among the maxima of
-    :meth:`GridSupports.preference`.  ``chosen`` maps every grid to its
+    :meth:`GridSupports.rank`.  ``chosen`` maps every grid to its
     pair, and ``fallback_keys`` lists the relevant grids that got no
     compliant pair (empty when every one did).
     """
@@ -421,7 +409,7 @@ class GridRangeAttack(_GridHook):
 # ---------------------------------------------------------------------------
 
 def haog_best_pair(supports: GridSupports, rng: np.random.Generator) -> _Pair:
-    """``(fn_id, key)`` maximizing the heuristic preference, ties uniform."""
+    """``(fn_id, key)`` maximizing :meth:`GridSupports.rank`, ties uniform."""
     return _pick(_best_pairs(supports.rank(), supports.fn_ids), rng)
 
 

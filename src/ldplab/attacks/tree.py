@@ -87,10 +87,10 @@ class MgaTreeAttack:
         self.epsilon = epsilon
 
     def __call__(
-        self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
+        self, tree: Tree, frontier: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        params = OueParams(self.epsilon, len(lo))
-        return mga_tree(lo, hi, self.query, m_fake, params, rng)
+        params = OueParams(self.epsilon, frontier.size)
+        return mga_tree(tree.lo[frontier], tree.hi[frontier], self.query, m_fake, params, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +282,15 @@ def aot_zero_coeff_strategy(
 class OptimalTreeAttack:
     """Layer hook implementing the optimal-assignment tree attack.
 
-    At each served layer the attacker rebuilds the tree whose leaves are the
-    frontier, extends it with the growth it predicts from uniform data and
-    the protocol's own ``layer_plan(n_real, n_fake)`` and ``threshold_for``
-    (every layer's threshold is read once, at construction), computes
-    per-node coefficients for the target query, and spreads its fake 1-bits
-    by the optimal front-loaded assignment.  Layers where every
-    coefficient vanishes fall back to one of the ``ZERO_COEFF_STRATEGIES``.
+    At each served layer the attacker copies the structure of the
+    protocol's tree (it never writes the tree itself), extends the copy with
+    the growth it predicts from uniform data and the protocol's own
+    ``layer_plan(n_real, n_fake)`` and ``threshold_for`` (every layer's
+    threshold is read once, at construction), computes per-node
+    coefficients for the target query, and spreads its fake 1-bits by the
+    optimal front-loaded assignment.  Layers where every coefficient
+    vanishes fall back to one of the ``ZERO_COEFF_STRATEGIES``.  The hook
+    keeps no state between calls: ``len(tree.rounds)`` is the layer served.
     """
 
     def __init__(
@@ -310,32 +312,33 @@ class OptimalTreeAttack:
         self._thresholds = [
             config.threshold_for(r + f) for r, f in zip(self._real_sizes, self._fake_sizes)
         ]
-        self.layer = 0
 
     def __call__(
-        self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
+        self, tree: Tree, frontier: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        n_nodes = len(lo)
+        n_nodes = frontier.size
         config = self.config
-        tree, frontier = Tree.from_leaves(config.domain_size, config.fanout, lo, hi)
+        layer = len(tree.rounds)
+        lo, hi = tree.lo[frontier], tree.hi[frontier]
+        grown = Tree(config.domain_size, config.fanout)
+        grown.exists[:] = tree.exists
         # Predict growth under uniform data: a node's frequency is its share
         # of the domain, split with the protocol's rule at each future layer.
         nodes = frontier
-        for theta in self._thresholds[self.layer : config.depth - 1]:
-            width = tree.hi[nodes] - tree.lo[nodes]
-            nodes = tree.split(nodes, width / config.domain_size >= theta)
+        for theta in self._thresholds[layer : config.depth - 1]:
+            width = grown.hi[nodes] - grown.lo[nodes]
+            nodes = grown.split(nodes, width / config.domain_size >= theta)
             if nodes is None:
                 break
-        coeffs = tree_coefficients(tree, self.query)[frontier]
-        n_real = max(self._real_sizes[self.layer], 1)
-        self.layer += 1
+        coeffs = tree_coefficients(grown, self.query)[frontier]
+        n_real = max(self._real_sizes[layer], 1)
 
         if not np.any(coeffs > 0):
             bits = aot_zero_coeff_strategy(self.strategy, lo, hi, self.query)
             return np.tile(bits, (m_fake, 1))
 
         order = np.argsort(-coeffs, kind="stable")
-        freqs = (np.asarray(hi) - np.asarray(lo)) / config.domain_size
+        freqs = (hi - lo) / config.domain_size
         params = OueParams(config.epsilon, n_nodes)
         counts = np.zeros(n_nodes, dtype=np.int64)
         counts[order] = aot_assignment_fast(coeffs[order], m_fake, n_real, freqs[order], params)
@@ -385,8 +388,8 @@ class AdaptiveTreeAttack:
         self.epsilon = epsilon
 
     def __call__(
-        self, lo: np.ndarray, hi: np.ndarray, m_fake: int, rng: np.random.Generator
+        self, tree: Tree, frontier: np.ndarray, m_fake: int, rng: np.random.Generator
     ) -> np.ndarray:
-        n = len(lo)
+        n = frontier.size
         q = OueParams(self.epsilon, max(n, 1)).q
-        return aaot_transform(self.inner(lo, hi, m_fake, rng), n, q, rng)
+        return aaot_transform(self.inner(tree, frontier, m_fake, rng), n, q, rng)

@@ -73,17 +73,6 @@ class Tree:
         has_children[: self.level(self.depth).start] = self.exists[1 :: self.fanout]
         return self.exists & ~has_children
 
-    def node_ids(self, lo, hi) -> np.ndarray:
-        """Ids of the nodes whose intervals are ``[lo, hi)``."""
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        width = np.maximum(hi - lo, 1)
-        ids = (self.domain_size // width - 1) // (self.fanout - 1) + lo // width
-        ids = np.clip(ids, 0, self.lo.size - 1)
-        if np.any(self.lo[ids] != lo) or np.any(self.hi[ids] != hi):
-            raise ValueError("intervals are not nodes of the tree")
-        return ids
-
     def split(self, frontier: np.ndarray, grow: np.ndarray) -> Optional[np.ndarray]:
         """Split every masked frontier node wider than one cell into its children.
 
@@ -97,23 +86,6 @@ class Tree:
         self.exists[kids] = True
         nxt = np.concatenate([frontier[~grow], kids])
         return nxt[np.argsort(self.lo[nxt])]
-
-    @classmethod
-    def from_leaves(cls, domain_size: int, fanout: int, lo, hi) -> Tuple["Tree", np.ndarray]:
-        """The smallest tree holding the nodes ``[lo, hi)``, and their ids.
-
-        Builds every ancestor of the given nodes with all of its children, so
-        a frontier that tiles the domain comes back as exactly the leaves.
-        """
-        tree = cls(domain_size, fanout)
-        ids = tree.node_ids(lo, hi)
-        marked = np.zeros_like(tree.exists)
-        marked[ids] = True
-        for k in range(tree.depth - 1, -1, -1):
-            inner = marked[tree.level(k + 1)].reshape(-1, fanout).any(axis=1)
-            marked[tree.level(k)] |= inner
-            tree.exists[tree.level(k + 1)] = np.repeat(inner, fanout)
-        return tree, ids
 
 
 @functools.lru_cache(maxsize=8)
@@ -178,7 +150,7 @@ def oue_sigma(epsilon: float, n_users: int) -> float:
 def run_tree_protocol(
     real_values: Sequence[int],
     config: TreeConfig,
-    hook: Optional[Callable[[np.ndarray, np.ndarray, int, np.random.Generator], np.ndarray]] = None,
+    hook: Optional[Callable[[Tree, np.ndarray, int, np.random.Generator], np.ndarray]] = None,
     n_fake: int = 0,
     *,
     rng: np.random.Generator,
@@ -187,9 +159,11 @@ def run_tree_protocol(
     """Run the full protocol and return the post-processed tree.
 
     ``n_fake``: fakes planned by :meth:`TreeConfig.layer_plan` with the users.
-    ``hook``: called once per layer with (frontier ``lo``, frontier ``hi``,
-    fake count, rng); must return a ``(fake count, frontier size)`` bit
-    matrix of fabricated reports.
+    ``hook``: called once per layer with (the tree being built, the
+    layer's frontier ids in ``lo`` order, fake count, rng); must return a
+    ``(fake count, frontier size)`` bit matrix of fabricated reports.  It
+    may read the tree's ``lo``, ``hi``, ``exists`` and ``len(rounds)``
+    (the index of the layer served) but never writes the tree.
     The tree's ``rounds`` hold one ``(frontier ids, reports)`` pair per
     layer; ``reports`` is each report's 1-count, real then fake (the
     ones-count detector's input), with ``keep_reports``, otherwise ``None``.
@@ -231,7 +205,7 @@ def run_tree_protocol(
 
         ones = real.ones
         if hook is not None and m_fake > 0:
-            fake_reports = np.asarray(hook(los, his, m_fake, rng), dtype=np.uint8)
+            fake_reports = np.asarray(hook(tree, frontier, m_fake, rng), dtype=np.uint8)
             if fake_reports.shape != (m_fake, n_nodes):
                 raise ValueError(
                     f"attack hook returned shape {fake_reports.shape}, "
@@ -241,9 +215,9 @@ def run_tree_protocol(
             total_users += m_fake
             if keep_reports:
                 ones = np.concatenate([ones, fake_reports.sum(axis=1, dtype=np.int64)])
-        tree.rounds.append((frontier, ones))
         if total_users == 0:
-            continue
+            break  # later layers are empty too
+        tree.rounds.append((frontier, ones))
         freqs = norm_sub(debias_counts(counts, total_users, params)).normalized
         tree.f_hat[frontier] = freqs
         if layer == config.depth - 1:

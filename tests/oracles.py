@@ -604,10 +604,25 @@ def best_pairs_argwhere(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
     return ties
 
 
+def preference(scan: GridSupports) -> np.ndarray:
+    """Float reference of ``GridSupports.rank``: spill first, then size.
+
+    A support with less out-of-range spill (primary ``inter - sizes``)
+    ranks first; among equal spill a larger support (secondary ``sizes``)
+    does.  Both are divided by ``scale`` so that scores of grids with
+    different cell counts are comparable.  The score ``primary * 1e6 +
+    secondary`` orders exactly lexicographically: distinct primaries differ
+    by at least ``1/scale`` and secondaries span at most ``n_cells/scale``,
+    so the order holds while ``n_cells < 10**6``, which ``n_cells <=
+    prime`` always meets.
+    """
+    return ((scan.inter - scan.sizes) / scan.scale) * 1e6 + scan.sizes / scan.scale
+
+
 def best_keys_by_preference(hook: AdaptiveGridAttack, key) -> Tuple[np.ndarray, np.ndarray]:
     """Reference of ``AdaptiveGridAttack._best_keys``: each function's
-    ``argmax`` of the float ``GridSupports.preference()`` and that score."""
-    score = hook.supports(key).preference()
+    ``argmax`` of the float :func:`preference` and that score."""
+    score = preference(hook.supports(key))
     best = score.argmax(axis=1)
     return best, np.take_along_axis(score, best[:, None], axis=1)[:, 0]
 
@@ -616,12 +631,12 @@ def best_keys_by_preference(hook: AdaptiveGridAttack, key) -> Tuple[np.ndarray, 
 def float_ranking() -> Iterator[None]:
     """Run the grid attacks on the float64 path that the integer
     ``GridSupports.rank`` replaced: pairs scored by
-    ``GridSupports.preference()``, maxima and candidates found by
+    :func:`preference`, maxima and candidates found by
     ``np.argwhere``, the adaptive attack's values taken from the preference,
     and its quota matching by :func:`match_functions_to_grids_loop`, which
     stable-sorts the float64 values one entry at a time."""
     patches = (
-        mock.patch.object(GridSupports, "rank", GridSupports.preference),
+        mock.patch.object(GridSupports, "rank", preference),
         mock.patch.object(grid, "_best_pairs", best_pairs_argwhere),
         mock.patch.object(grid, "_where", lambda mask: tuple(np.argwhere(mask).T)),
         mock.patch.object(AdaptiveGridAttack, "_best_keys", best_keys_by_preference),

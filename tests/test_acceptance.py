@@ -62,6 +62,7 @@ from .oracles import (
     exhaustive_best_objective,
     norm_sub_bisect,
     olh_collision_prob,
+    preference,
     stable_matching_audit,
 )
 
@@ -506,7 +507,7 @@ def test_criterion_11_adaptive_grid_compliance_and_stability():
             mask = cells_in_range(config, query, key)
             scale = mask.size / config.g2 ** len(config.shape(key))
             scan = scan_supports(family, mask, scale, (config.g1, config.g2))
-            values[g_idx] = scan.preference().max(axis=1)
+            values[g_idx] = preference(scan).max(axis=1)
         quotas = [math.ceil(fake_per_round / limit)] * len(keys)
         matched = match_functions_to_grids(values, quotas)
         if not stable_matching_audit(values, quotas, matched):

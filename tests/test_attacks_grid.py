@@ -38,6 +38,7 @@ from .oracles import (
     match_functions_to_grids_loop,
     olh_support_scan,
     plan_once_loop,
+    preference,
     range_attack_begin_loop,
     simulated_load_tail,
     stable_matching_audit,
@@ -404,8 +405,8 @@ class TestRank:
         hook = HeuristicGridAttack(config, query)
         scans = [hook.supports(key) for key in grid_keys(d)]
         rank = np.stack([scan.rank() for scan in scans])
-        preference = np.stack([scan.preference() for scan in scans])
-        np.testing.assert_array_equal(_descending(rank), _descending(preference))
+        scores = np.stack([preference(scan) for scan in scans])
+        np.testing.assert_array_equal(_descending(rank), _descending(scores))
         # Negation does not wrap, so the descending sort is safe.
         np.testing.assert_array_equal(-rank.astype(np.int64), (-rank).astype(np.int64))
 
@@ -420,12 +421,12 @@ class TestRank:
             )
 
         one_d, two_d = one_pair(12, 8, 4.0), one_pair(2, 1, 1.0)
-        preference = np.stack([one_d.preference(), two_d.preference()])
-        assert preference[0, 0, 0] > preference[1, 0, 0]  # secondaries 3 > 2
+        scores = np.stack([preference(one_d), preference(two_d)])
+        assert scores[0, 0, 0] > scores[1, 0, 0]  # secondaries 3 > 2
         rank = np.stack([one_d.rank(), two_d.rank()])
-        np.testing.assert_array_equal(_descending(rank), _descending(preference))
+        np.testing.assert_array_equal(_descending(rank), _descending(scores))
         per_grid = np.stack([s.sizes - 17 * (s.sizes - s.inter) for s in (one_d, two_d)])
-        assert _descending(per_grid).tolist() != _descending(preference).tolist()
+        assert _descending(per_grid).tolist() != _descending(scores).tolist()
 
 
 # A layout whose ranks need int32, with queries over two of its attributes.
@@ -464,7 +465,7 @@ class TestHaog:
             scale=1.0,
             layout=(config.g1, config.g2),
         )
-        score = supports.preference()
+        score = preference(supports)
         assert score.shape == (1, 3)
         # 2-D grid (scale 1): subset support has no violation (primary 0,
         # secondary 5).
@@ -476,7 +477,7 @@ class TestHaog:
         assert hook.supports(("2d", 0, 1)).scale == 1.0
         one_d = hook.supports(("1d", 0))
         assert one_d.scale == config.g1 / config.g2
-        score = dataclasses.replace(supports, scale=one_d.scale).preference()
+        score = preference(dataclasses.replace(supports, scale=one_d.scale))
         assert score[0, 2] == 0.0 * 1e6 + 2.0
         assert score[0, 1] == -1.25 * 1e6 + 1.25
 
@@ -497,7 +498,7 @@ class TestHaog:
         sizes = rng.integers(0, n_cells + 1, shape)
         inter = rng.integers(0, sizes + 1)
         supports = GridSupports(np.arange(shape[0]), np.zeros((0,)), sizes, inter, scale, (16, 4))
-        score = supports.preference()
+        score = preference(supports)
         # Exact integer reference: rank by (inter - sizes, sizes), descending.
         rank = [(int(i - s), int(s)) for i, s in zip(inter.ravel(), sizes.ravel())]
         top = max(rank)

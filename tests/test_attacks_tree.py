@@ -38,6 +38,26 @@ def unit_leaves(n):
     return lo, lo + 1
 
 
+def binary_tree(depth):
+    """The complete binary tree over ``[0, 2**depth)``."""
+    tree = Tree(2**depth, 2)
+    tree.exists[:] = True
+    return tree
+
+
+def unit_layer(depth):
+    """A hook's view of the complete binary tree's unit leaves: the tree and
+    its frontier of ``2**depth`` leaf ids in ``lo`` order."""
+    tree = binary_tree(depth)
+    return tree, np.arange(tree.lo.size)[tree.level(depth)]
+
+
+def first_layer(config):
+    """A hook's view of the first layer: the root split into its children."""
+    tree = Tree(config.domain_size, config.fanout)
+    return tree, tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+
+
 class TestMgaTree:
     def test_no_padding_when_target_large(self):
         # p=0.5, q=0.25, 9 nodes, 2 in range: floor(0.5 + 8*0.25 - 2) = 0 extra.
@@ -95,7 +115,7 @@ class TestMgaTree:
 
     def test_hook_wrapper(self):
         hook = MgaTreeAttack(RangeQuery((0,), ((0, 2),)), 1.0)
-        reports = hook(*unit_leaves(8), 3, np.random.default_rng(2))
+        reports = hook(*unit_layer(3), 3, np.random.default_rng(2))
         assert reports.shape == (3, 8)
 
     def test_validation(self):
@@ -108,19 +128,12 @@ class TestMgaTree:
                      np.random.default_rng(0))
 
 
-def binary_tree(depth):
-    """The complete binary tree over ``[0, 2**depth)``."""
-    tree = Tree(2**depth, 2)
-    tree.exists[:] = True
-    return tree
-
-
 class TestTreeCoefficients:
     def test_single_leaf_query(self):
         tree = binary_tree(2)
         query = RangeQuery((0,), ((0, 1),))
         coeffs = tree_coefficients(tree, query)
-        leaf = tree.node_ids([0], [1])[0]
+        leaf = tree.level(2).start
         assert coeffs[leaf] == pytest.approx(1.0)
         # The query is served by the leaf alone; other nodes carry no weight.
         assert coeffs[0] == 0.0
@@ -149,7 +162,7 @@ class TestTreeCoefficients:
     def test_layer_coefficients_alignment(self):
         tree = binary_tree(1)
         coeffs = tree_coefficients(tree, RangeQuery((0,), ((0, 2),)))
-        layer = coeffs[tree.node_ids([0, 1], [1, 2])]
+        layer = coeffs[tree.level(1)]
         np.testing.assert_allclose(layer, [1.0 / 3.0, 1.0 / 3.0])
 
 
@@ -303,14 +316,14 @@ class TestOptimalTreeAttack:
         query = RangeQuery((0,), ((16, 48),))
         hook = OptimalTreeAttack(config, query, n_real=10_000, n_fake=1111)
         rng = np.random.default_rng(7)
-        reports = hook(np.array([0, 32]), np.array([32, 64]), 50, rng)
+        reports = hook(*first_layer(config), 50, rng)
         assert reports.shape == (50, 2)
         assert set(np.unique(reports)) <= {0, 1}
 
     def test_zero_fakes(self):
         config = TreeConfig(domain_size=16, epsilon=1.0)
         hook = OptimalTreeAttack(config, RangeQuery((0,), ((0, 8),)), 1000, 111)
-        out = hook(np.array([0, 8]), np.array([8, 16]), 0, np.random.default_rng(8))
+        out = hook(*first_layer(config), 0, np.random.default_rng(8))
         assert out.shape == (0, 2)
 
     def test_validation(self):
@@ -329,7 +342,7 @@ class TestOptimalTreeAttack:
         config = TreeConfig(domain_size=16)
         hook = OptimalTreeAttack(config, RangeQuery((0,), ((0, 8),)), 3, 0)
         assert hook._fake_sizes == [0] * config.depth
-        out = hook(np.array([0, 8]), np.array([8, 16]), 0, np.random.default_rng(8))
+        out = hook(*first_layer(config), 0, np.random.default_rng(8))
         assert out.shape == (0, 2)
 
 
@@ -402,13 +415,13 @@ class TestAaot:
         assert out.shape == (0, 7) and out.dtype == np.uint8
         inner = MgaTreeAttack(RangeQuery((0,), ((0, 4),)), 1.0)
         wrapper = AdaptiveTreeAttack(inner, 1.0)
-        assert wrapper(*unit_leaves(16), 0, np.random.default_rng(0)).shape == (0, 16)
+        assert wrapper(*unit_layer(4), 0, np.random.default_rng(0)).shape == (0, 16)
 
     def test_wrapper_resamples_every_row(self):
         inner = MgaTreeAttack(RangeQuery((0,), ((0, 4),)), 1.0)
         wrapper = AdaptiveTreeAttack(inner, 1.0)
         rng = np.random.default_rng(11)
-        reports = wrapper(*unit_leaves(16), 200, rng)
+        reports = wrapper(*unit_layer(4), 200, rng)
         assert reports.shape == (200, 16)
         counts = reports.sum(axis=1)
         # MGA rows would all share one deterministic count; resampling spreads them.

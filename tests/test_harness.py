@@ -300,6 +300,22 @@ class TestRunExperiment:
         assert all(r.efficiency is None for r in results)
         assert summary["mean_efficiency"] is None
 
+    def test_defended_tree_run_survives_an_empty_layer(self):
+        # At epsilon 10 one user splits a node, so five users run out before
+        # the tree's last layer: the run stops there and every recorded
+        # round has reports for the detector.
+        config = ExperimentConfig(
+            protocol="ahead",
+            dataset={"kind": "gaussian", "count": 5, "mean": 512, "std": 40},
+            epsilon=10.0,
+            attack="mga",
+            defense=True,
+            n_queries=1,
+        )
+        results, summary = run_experiment(config)
+        assert all(r.detected is not None for r in results)
+        assert summary["detection_rate"] is not None
+
     @pytest.mark.parametrize("attack", ["aog", "aaog"])
     def test_grid_attack_runs_when_fakes_round_to_zero(self, attack):
         # With no fakes the protocol calls no hook and no begin, so the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ldplab import tree_protocol
 from ldplab.attacks import OptimalTreeAttack, tree_coefficients
+from ldplab.defenses import tree_detect
 from ldplab.freq_oracles import OueCounts
 from ldplab.postprocess import tree_consistency
 from ldplab.query import RangeQuery
@@ -111,7 +112,7 @@ class TestRunProtocol:
             run_tree_protocol(
                 np.zeros(100, dtype=int),
                 config,
-                hook=lambda lo, hi, m, r: np.zeros((m + 1, len(lo))),
+                hook=lambda tree, frontier, m, r: np.zeros((m + 1, frontier.size)),
                 n_fake=11,
                 rng=rng,
             )
@@ -150,23 +151,42 @@ class TestRunProtocol:
     def test_optimal_attack_plans_on_the_protocol_layers(self):
         """The attack's layer plan is the protocol's: every layer's fake count
         equals the attack's ``_fake_sizes``, and each round holds the
-        layer's ``_real_sizes`` real and ``_fake_sizes`` fake reports."""
+        layer's ``_real_sizes`` real and ``_fake_sizes`` fake reports.  Each
+        call sees the tree under construction: its leaves are the frontier,
+        ``len(tree.rounds)`` is the call's index, and the attack leaves the
+        tree's structure as it found it."""
         values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
         config = TreeConfig(domain_size=64)
         attack = OptimalTreeAttack(config, RangeQuery((0,), ((24, 40),)), values.size, 556)
         fakes = []
 
-        def recording(lo, hi, m_fake, rng):
+        def recording(tree, frontier, m_fake, rng):
+            np.testing.assert_array_equal(np.flatnonzero(tree.leaves()), np.sort(frontier))
+            assert np.all(np.diff(tree.lo[frontier]) > 0)
+            assert len(tree.rounds) == len(fakes)
+            exists = tree.exists.copy()
+            reports = attack(tree, frontier, m_fake, rng)
+            np.testing.assert_array_equal(tree.exists, exists)
             fakes.append(m_fake)
-            return attack(lo, hi, m_fake, rng)
+            return reports
 
         tree = run_tree_protocol(
             values, config, hook=recording, n_fake=556, rng=np.random.default_rng(6), keep_reports=True
         )
-        assert len(fakes) == config.depth and attack.layer == config.depth
+        assert len(fakes) == config.depth and max(nodes.size for nodes, _ in tree.rounds) > 2
         assert fakes == attack._fake_sizes and sum(fakes) == 556
         reports = [ones.size for _, ones in tree.rounds]
         assert reports == [r + f for r, f in zip(attack._real_sizes, attack._fake_sizes)]
+
+    def test_run_stops_at_the_first_empty_layer(self):
+        """At epsilon 10 one user splits a node, so five users leave the
+        later layers with no user: no round records them, and the
+        ones-count detector reads every round."""
+        config = TreeConfig(domain_size=1024, epsilon=10.0)
+        tree = run_tree_protocol(np.full(5, 512), config, rng=np.random.default_rng(0), keep_reports=True)
+        assert [ones.size for _, ones in tree.rounds] == [1] * 5
+        for nodes, ones in tree.rounds:
+            tree_detect(ones, nodes.size, config.epsilon)
 
     @staticmethod
     def _attacked_run(keep_reports=True):
@@ -176,7 +196,7 @@ class TestRunProtocol:
         tree = run_tree_protocol(
             values,
             TreeConfig(domain_size=64),
-            hook=lambda lo, hi, m, r: (r.random((m, lo.size)) < 0.4).astype(np.uint8),
+            hook=lambda tree, frontier, m, r: (r.random((m, frontier.size)) < 0.4).astype(np.uint8),
             n_fake=556,
             rng=np.random.default_rng(6),
             keep_reports=keep_reports,
@@ -223,24 +243,15 @@ class TestRunProtocol:
 
 
 def test_split_replaces_masked_nodes_in_place():
-    tree, frontier = Tree.from_leaves(16, 2, [0, 4, 8], [4, 8, 16])
+    tree = Tree(16, 2)
+    frontier = tree.split(np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+    frontier = tree.split(frontier, np.array([True, False]))
+    assert list(zip(tree.lo[frontier], tree.hi[frontier])) == [(0, 4), (4, 8), (8, 16)]
     out = tree.split(frontier, np.array([True, False, True]))
     assert list(zip(tree.lo[out], tree.hi[out])) == [(0, 2), (2, 4), (4, 8), (8, 12), (12, 16)]
     assert out[0] == tree.children([frontier[0]])[0] and out[2] == frontier[1]
     assert tree.leaves()[frontier[1]] and not tree.leaves()[frontier[0]]
     assert tree.split(out, np.zeros(5, dtype=bool)) is None
-
-
-def test_from_leaves_builds_exactly_the_ancestors():
-    tree, ids = Tree.from_leaves(16, 2, [8, 0, 4], [16, 4, 8])
-    assert list(zip(tree.lo[ids], tree.hi[ids])) == [(8, 16), (0, 4), (4, 8)]
-    built = {(int(a), int(b)) for a, b in zip(tree.lo[tree.exists], tree.hi[tree.exists])}
-    assert built == {(0, 16), (0, 8), (8, 16), (0, 4), (4, 8)}
-    assert np.array_equal(np.flatnonzero(tree.leaves()), np.sort(ids))
-    with pytest.raises(ValueError):
-        tree.node_ids([0], [3])
-    with pytest.raises(ValueError):
-        tree.node_ids([2], [6])
 
 
 class TestQueries:
