@@ -7,7 +7,7 @@ cell-key table.  The query-independent sizes are cached once per (hash
 family, cell count) and shared by every hook and thread.  Pairs are compared
 by one exact integer, :meth:`GridSupports.rank`: least out-of-range spill
 first, then the larger support, on a base common to every grid of a config,
-so the adaptive attack's matching sorts all grids' ranks together.
+so the adaptive attack's matching compares all grids' ranks together.
 
 Attack families:
 
@@ -115,8 +115,7 @@ class GridSupports:
         all grids of a config (a per-grid base does not: at ``g1 = 16, g2 =
         4`` a 1-D spill of 4 and a 2-D spill of 1 are the same scaled
         spill).  Its dtype is the narrowest signed one holding ``±M**2``, so
-        no term or negation wraps: int16 at ``g1 = 16, g2 = 4``, which numpy
-        stable-sorts by radix.
+        no term wraps: int16 at ``g1 = 16, g2 = 4``.
         """
         g1, g2 = self.layout
         weight = g1 * g2 + 1
@@ -462,60 +461,34 @@ def aaog_compute_load_limit(
     return 0
 
 
-# Entries of the stable argsort order resolved per step of the quota matching.
-_MATCH_BLOCK = 8192
-
-
 def match_functions_to_grids(values: np.ndarray, quotas: Sequence[int]) -> List[List[int]]:
     """Assign each function to at most one grid under per-grid quotas.
 
     ``values[g, f]`` is the common worth of function ``f`` to grid ``g``
     (both sides rank by the same matrix, so the greedy best-pair-first
     assignment is a stable matching).  Returns the list of function columns
-    matched to each grid.  The order is the stable ``argsort`` of
-    ``-values``, so ``values`` must hold its negation: the adaptive attack
-    passes :meth:`GridSupports.rank` values, whose dtype does, and whose
-    int16 at ``g1 = 16, g2 = 4`` numpy stable-sorts by radix sort.
-
-    The greedy scan of the stable ``argsort`` order is resolved
-    ``_MATCH_BLOCK`` entries at a time; the result does not depend on the
-    block size.  An entry is
-    live if its grid has quota left and its function is free.  Within a
-    block the first live entry of each function is taken, in order, up to
-    the first one that would overfill its grid; the greedy scan takes
-    exactly those and rejects that one, and the next block starts right
-    after it.
+    matched to each grid.  The greedy visits the distinct values from the
+    highest down; at each value every grid, in index order, takes its first
+    free functions of that value, in ascending order, up to the quota it has
+    left, and it stops once every quota is met.  Its cost grows with the
+    number of values visited: the adaptive attack passes
+    :meth:`GridSupports.rank` values, which take few.
     """
     n_grids, n_fns = values.shape
     if sum(quotas) > n_fns:
         raise ValueError("not enough functions to fill all quotas")
-    order = np.argsort(-values, axis=None, kind="stable")
-    remaining = np.array(quotas, dtype=np.int64).reshape(n_grids)
-    taken = np.zeros(n_fns, dtype=bool)
+    remaining = list(quotas)
+    free = np.ones(n_fns, dtype=bool)
     matched: List[List[int]] = [[] for _ in range(n_grids)]
-    start = 0
-    while start < order.size and remaining.any():
-        g_idx, f_idx = np.divmod(order[start : start + _MATCH_BLOCK], n_fns)
-        live = np.flatnonzero((remaining[g_idx] > 0) & ~taken[f_idx])
-        _, first = np.unique(f_idx[live], return_index=True)
-        pos = live[np.sort(first)]
-        grids = g_idx[pos]
-        # Rank of each candidate among the block's earlier candidates of its grid.
-        by_grid = np.argsort(grids, kind="stable")
-        ranked = grids[by_grid]
-        rank = np.empty(pos.size, dtype=np.int64)
-        rank[by_grid] = np.arange(pos.size) - np.searchsorted(ranked, ranked)
-        over = np.flatnonzero(rank >= remaining[grids])
-        if over.size:
-            start += int(pos[over[0]]) + 1
-            pos, grids = pos[: over[0]], grids[: over[0]]
-        else:
-            start += g_idx.size
-        fns = f_idx[pos]
-        taken[fns] = True
-        remaining -= np.bincount(grids, minlength=n_grids)
-        for g in np.unique(grids):
-            matched[g].extend(fns[grids == g].tolist())
+    for level in np.unique(values)[::-1]:
+        if not any(remaining):
+            break
+        for g in range(n_grids):
+            if remaining[g]:
+                fns = np.flatnonzero((values[g] == level) & free)[: remaining[g]]
+                free[fns] = False
+                remaining[g] -= fns.size
+                matched[g].extend(fns.tolist())
     return matched
 
 
@@ -581,7 +554,7 @@ class AdaptiveGridAttack(_GridHook):
             )
         fn_ids = self.family.random_fn_ids()
         # One row per grid of each function's best key and its rank, both in
-        # narrow dtypes: the matching stable-sorts the ranks of all grids.
+        # narrow dtypes.
         best_keys, values = (np.stack(rows) for rows in zip(*map(self._best_keys, keys)))
         matched = match_functions_to_grids(values, quotas)
         for g_idx, key in enumerate(keys):

@@ -77,7 +77,13 @@ class GridConfig:
             self.prime = smallest_prime_above(max_cells)
         elif self.prime <= max_cells:
             raise ValueError("prime must exceed the largest cell count")
-        self.family()  # raises unless prime is a prime
+        g = self.family().g  # raises unless prime is a prime
+        if g > self.prime:
+            # Hash values lie in [0, prime): a key at or above it is never one.
+            raise ValueError(
+                f"OLH key count g = {g} exceeds the hash prime {self.prime}: "
+                "lower epsilon or raise family_prime to at least g"
+            )
 
     @property
     def n_groups(self) -> int:

@@ -573,8 +573,8 @@ def match_functions_to_grids_loop(
     values: np.ndarray, quotas: Sequence[int]
 ) -> List[List[int]]:
     """Greedy quota matching, one (grid, function) entry of the stable
-    ``argsort`` order at a time: the reference for the package's blocked
-    ``match_functions_to_grids``."""
+    ``argsort`` order at a time: the reference for the package's
+    ``match_functions_to_grids``, which takes one value level at a time."""
     n_grids, n_fns = values.shape
     if sum(quotas) > n_fns:
         raise ValueError("not enough functions to fill all quotas")

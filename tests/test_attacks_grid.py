@@ -650,7 +650,7 @@ class TestAaog:
     @settings(max_examples=300, deadline=None)
     def test_matching_equals_greedy_loop(self, data):
         # Few distinct values make long runs of ties, so the stable order
-        # decides; small blocks put block boundaries inside those runs.
+        # decides.
         n_grids = data.draw(st.integers(1, 6), label="n_grids")
         n_fns = data.draw(st.integers(1, 40), label="n_fns")
         levels = data.draw(st.integers(1, 4), label="levels")
@@ -661,20 +661,28 @@ class TestAaog:
         total = data.draw(st.one_of(st.just(0), st.just(n_fns), st.integers(0, n_fns)), label="total")
         cuts = data.draw(st.lists(st.integers(0, total), min_size=n_grids - 1, max_size=n_grids - 1))
         quotas = np.diff([0, *sorted(cuts), total]).tolist()
-        block = data.draw(st.integers(1, n_grids * n_fns + 1), label="block")
-        expected = match_functions_to_grids_loop(values, quotas)
-        with mock.patch.object(grid, "_MATCH_BLOCK", block):
-            assert match_functions_to_grids(values, quotas) == expected
+        assert match_functions_to_grids(values, quotas) == match_functions_to_grids_loop(values, quotas)
 
-    def test_matching_grid_runs_out_mid_block(self):
+    def test_matching_grid_runs_out_within_a_level(self):
         # Grid 0 wants every function first, but its quota of 2 ends inside
-        # the first block; the rest of the block must go on to grid 1.
+        # the top level; the rest of the level must go on to grid 1.
         values = np.array([[3.0, 3.0, 3.0, 3.0], [2.0, 1.0, 2.0, 1.0]])
-        for block in (1, 3, 5, 8):
-            with mock.patch.object(grid, "_MATCH_BLOCK", block):
-                matched = match_functions_to_grids(values, [2, 2])
-            assert matched == match_functions_to_grids_loop(values, [2, 2])
-            assert matched == [[0, 1], [2, 3]]
+        matched = match_functions_to_grids(values, [2, 2])
+        assert matched == match_functions_to_grids_loop(values, [2, 2])
+        assert matched == [[0, 1], [2, 3]]
+
+    def test_matching_holds_the_dtype_minimum(self):
+        # The dtype minimum has no negation in its dtype, yet ranks last.
+        low = np.iinfo(np.int16).min
+        values = np.array([[low, 5, 0], [3, low, 1]], dtype=np.int16)
+        expected = match_functions_to_grids_loop(values.astype(float), [1, 1])
+        assert match_functions_to_grids(values, [1, 1]) == expected == [[1], [0]]
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            values = rng.choice(np.array([low, low + 1, -1, 0, 7], dtype=np.int16), (3, 8))
+            quotas = rng.multinomial(rng.integers(0, 9), [1 / 3] * 3).tolist()
+            expected = match_functions_to_grids_loop(values.astype(float), quotas)
+            assert match_functions_to_grids(values, quotas) == expected
 
     def test_matching_rejects_overfull_quotas(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,14 @@ def test_sweep_runs_grid_of_settings(tmp_path, capsys):
     assert {json.loads(l)["rho"] for l in lines} == {0.05, 0.1}
 
 
+def test_hdg_runs_with_as_many_keys_as_the_prime_allows(tmp_path, capsys):
+    # epsilon 5 gives OLH g = 149 keys, below the hash prime 211.
+    config = write_config(tmp_path, protocol="hdg", epsilon=5, family_prime=211)
+    assert main(["run", "--config", config]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["protocol"] == "hdg" and summary["n_trials"] == 2
+
+
 def test_detect_forces_defense(tmp_path, capsys):
     code = main(["detect", "--config", write_config(tmp_path, rho=0.1, attack="mga")])
     assert code == EXIT_OK
@@ -147,6 +155,8 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"protocol": "hdg", "epsilon": float("inf")}, []),
         ({"protocol": "hdg", "epsilon": 800}, []),
         ({"protocol": "ahead", "epsilon": 800}, []),
+        ({"protocol": "hdg", "epsilon": 30, "attack": "mga", "rho": 0.1}, []),
+        ({"protocol": "hdg", "epsilon": 6, "family_prime": 211}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": 32, "std": -1}}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": float("nan"), "std": 10}}, []),
     ],
@@ -154,7 +164,8 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         "hdg-1d-query", "non-object", "negative-seed-flag", "negative-seed",
         "fractional-seed", "fractional-n-queries", "ahead-two-attributes",
         "nan-epsilon", "infinite-epsilon", "hdg-infinite-epsilon",
-        "hdg-overflowing-epsilon", "ahead-overflowing-epsilon", "negative-std", "nan-mean",
+        "hdg-overflowing-epsilon", "ahead-overflowing-epsilon", "hdg-keys-above-default-prime",
+        "hdg-keys-above-prime-211", "negative-std", "nan-mean",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

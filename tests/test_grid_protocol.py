@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ class TestConfig:
             GridConfig(prime=16)
         with pytest.raises(ValueError):
             GridConfig(pp_rounds=0)
+
+    def test_key_count_must_not_exceed_the_prime(self):
+        # Hash values lie in [0, prime), so OLH keys at or above the prime
+        # are never a hash value; g = prime is the largest accepted.
+        assert GridConfig(epsilon=math.log(16)).olh_params().g == 17
+        assert GridConfig(epsilon=5.0, prime=211).olh_params().g == 149
+        for epsilon, prime, g in ((math.log(17), 17, 18), (6.0, 211, 404)):
+            with pytest.raises(ValueError, match=f"g = {g} exceeds the hash prime {prime}: .*family_prime"):
+                GridConfig(epsilon=epsilon, prime=prime)
 
     def test_shape_and_columns(self):
         config = GridConfig(d=3, g1=32, g2=4)
