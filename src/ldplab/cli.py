@@ -4,7 +4,6 @@ Subcommands:
   run          execute one experiment config
   sweep        run a grid of (epsilon, rho, attack) variations of a config
   detect       run with detectors enabled and report detection rates
-  prism-check  print the analytic privacy-violation ratio check
 
 Configs are JSON files whose keys mirror ExperimentConfig fields.  The
 whole config, the protocol's own settings and the dataset spec included, is
@@ -17,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
-from .harness import ConfigError, ExperimentConfig, prism_bruteforce_ratio, prism_violation_ratio, run_experiment
+from .harness import ConfigError, ExperimentConfig, run_experiment
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -88,25 +86,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_prism(args: argparse.Namespace) -> int:
-    epsilon = args.epsilon
-    ratio = prism_violation_ratio(epsilon)
-    brute = prism_bruteforce_ratio(epsilon)
-    print(
-        json.dumps(
-            {
-                "epsilon": epsilon,
-                "closed_form_ratio": ratio,
-                "bruteforce_ratio": brute,
-                "claimed_bound": math.exp(epsilon),
-                "violates_claimed_bound": ratio > math.exp(epsilon),
-            },
-            sort_keys=True,
-        )
-    )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldplab",
@@ -134,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p = sub.add_parser("detect", help="run with detectors enabled")
     common(detect_p)
     detect_p.set_defaults(func=_cmd_detect)
-
-    prism_p = sub.add_parser("prism-check", help="print the analytic privacy check")
-    prism_p.add_argument("--epsilon", type=float, default=1.0)
-    prism_p.set_defaults(func=_cmd_prism)
 
     return parser
 

@@ -111,6 +111,15 @@ class OlhParams:
     the chance that an ``a >= 1`` hash maps a non-target cell to the report's
     key: raw cell estimates are biased by about ``-(1 - f_c) / prime``
     (measured -0.059 at prime 17, -0.0045 at prime 211; ROADMAP.md item 1).
+
+    The mechanism is not eps-LDP whenever rounding raises ``g - 1`` above
+    ``e^eps``: any other key is sent with probability ``(1 - p)/(g - 1)``,
+    so the worst output likelihood ratio is ``p (g - 1)/(1 - p) = g - 1``
+    (3 > e at eps = 1, 2 > e^0.5 at eps = 0.5; ROADMAP.md item 1).
+
+    The estimator divides by ``p - q``, so a budget that leaves
+    ``p - q <= 0`` is a ``ValueError``: below ``eps = ln 1.5`` the keys
+    round to ``g = 2`` and ``p = q = 1/2``.
     """
 
     epsilon: float
@@ -123,6 +132,11 @@ class OlhParams:
         self.g = max(2, int(round(e_eps + 1.0)))
         self.p = 0.5
         self.q = 1.0 / self.g
+        if self.p - self.q <= 0:
+            raise ValueError(
+                f"OLH at epsilon {self.epsilon!r} hashes into g = {self.g} keys, where "
+                f"p - q = {self.p - self.q!r} <= 0 leaves the estimator undefined: raise epsilon"
+            )
 
 
 def debias_counts(

@@ -66,6 +66,9 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("d must be >= 2")
+        for name in ("g1", "g2", "domain_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.domain_size % self.g1 or self.domain_size % self.g2:
             raise ValueError("g1 and g2 must divide domain_size")
         if self.g1 % self.g2:

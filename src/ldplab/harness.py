@@ -68,8 +68,6 @@ __all__ = [
     "true_frequency",
     "gen_queries",
     "efficiency",
-    "prism_violation_ratio",
-    "prism_bruteforce_ratio",
     "run_experiment",
     "write_results",
 ]
@@ -348,42 +346,6 @@ def efficiency(f_true: float, f_poisoned: float, rho: float) -> float:
     if rho <= 0:
         raise ValueError("efficiency undefined for rho = 0")
     return (f_poisoned - f_true) / rho
-
-
-# ---------------------------------------------------------------------------
-# PRISM analytic check
-# ---------------------------------------------------------------------------
-
-def prism_violation_ratio(epsilon: float) -> float:
-    """Worst-case output likelihood ratio of the 3-bit range encoding.
-
-    With per-bit randomized response (keep probability ``p = e^eps/(e^eps+1)``),
-    the all-zeros output is ``p^2 q`` likely under value 0 but only ``q^3``
-    likely under value 2, a ratio of ``e^{2 eps}`` — exceeding the claimed
-    ``e^eps`` bound.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    p = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
-    q = 1.0 / (math.exp(epsilon) + 1.0)
-    return (p * p * q) / (q * q * q)
-
-
-def _prism_encode(value: int, d: int) -> np.ndarray:
-    """Range encoding: bit i set iff the value is at least i."""
-    return (value >= np.arange(d)).astype(np.int64)
-
-
-def prism_bruteforce_ratio(epsilon: float) -> float:
-    """Exact likelihood ratio of the all-zeros 3-bit output under values 0
-    and 2, by enumerating its per-bit probabilities."""
-    p = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
-
-    def likelihood(value: int) -> float:
-        per_bit = np.where(_prism_encode(value, 3) == 0, p, 1.0 - p)
-        return float(np.prod(per_bit))
-
-    return likelihood(0) / likelihood(2)
 
 
 # ---------------------------------------------------------------------------

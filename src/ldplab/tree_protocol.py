@@ -90,8 +90,14 @@ class Tree:
 
 @functools.lru_cache(maxsize=8)
 def _skeleton(domain_size: int, fanout: int) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Depth and read-only node intervals ``lo``/``hi`` of a complete tree."""
-    depth = TreeConfig(domain_size, fanout).depth
+    """Depth and read-only node intervals ``lo``/``hi`` of a complete tree;
+    raises unless ``fanout >= 2`` and ``domain_size`` is a power of it (1
+    gives the one-node tree)."""
+    if fanout < 2:
+        raise ValueError("fanout must be >= 2")
+    depth = round(math.log(domain_size, fanout))
+    if fanout**depth != domain_size:
+        raise ValueError("domain_size must be a power of fanout")
     sizes = fanout ** np.arange(depth + 1)
     lo = np.concatenate([np.arange(n) * (domain_size // n) for n in sizes])
     hi = lo + np.repeat(domain_size // sizes, sizes)
@@ -114,16 +120,16 @@ class TreeConfig:
     epsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.fanout < 2:
-            raise ValueError("fanout must be >= 2")
-        if self.fanout**self.depth != self.domain_size:
-            raise ValueError("domain_size must be a power of fanout")
+        # A one-node tree (domain_size 1) has no layer to estimate.
+        if self.domain_size < self.fanout:
+            raise ValueError(f"domain_size must be >= fanout ({self.fanout}), got {self.domain_size!r}")
+        _skeleton(self.domain_size, self.fanout)  # raises unless domain_size is a power of fanout >= 2
         OueParams(self.epsilon, 1)  # raises unless epsilon > 0 and e^epsilon is finite
 
     @property
     def depth(self) -> int:
         """Number of estimated layers (leaf layer has unit intervals)."""
-        return round(math.log(self.domain_size, self.fanout))
+        return _skeleton(self.domain_size, self.fanout)[0]
 
     def layer_plan(self, n_real: int, n_fake: int) -> Tuple[List[int], ...]:
         """``(real_sizes, fake_sizes)``: ``n_real`` users and ``n_fake`` fakes,

@@ -6,9 +6,10 @@ instead of flat level passes, per-report loops instead of batches,
 exhaustive enumeration instead of search) so agreement is meaningful.
 
 It also holds the code only tests read: the JSON serializers of trees and
-grid sets (hashed by the digest tests and read by the JSON-tree oracles)
-and the expected assignment objective that turns the assignment search's
-counts into a value.
+grid sets (hashed by the digest tests and read by the JSON-tree oracles),
+the expected assignment objective that turns the assignment search's
+counts into a value, and the privacy check of PRISM's bitwise range
+encoding (acceptance criterion 10), a protocol the package does not run.
 """
 
 from __future__ import annotations
@@ -567,6 +568,67 @@ def olh_collision_prob(prime: int, g: int) -> float:
     sizes = np.bincount(np.arange(prime) % g, minlength=g)
     pairs_same = int((sizes * (sizes - 1)).sum())
     return pairs_same / (prime * (prime - 1))
+
+
+def oue_worst_ratio(params: OueParams) -> float:
+    """Largest likelihood ratio ``P[y | v] / P[y | v']`` of OUE, enumerated
+    over every output bit vector ``y`` of length ``params.n`` and every pair
+    of true indices: bit ``v`` is set with probability ``p``, every other
+    bit with probability ``q``, independently."""
+    outputs = np.array(list(itertools.product((False, True), repeat=params.n)))
+    likelihood = np.empty((params.n, len(outputs)))
+    for v in range(params.n):
+        set_prob = np.full(params.n, params.q)
+        set_prob[v] = params.p
+        likelihood[v] = np.prod(np.where(outputs, set_prob, 1.0 - set_prob), axis=1)
+    return float((likelihood.max(axis=0) / likelihood.min(axis=0)).max())
+
+
+def olh_worst_ratio(family: HashFamily, params: OlhParams, n_cells: int) -> float:
+    """Largest likelihood ratio ``P[(f, k) | x] / P[(f, k) | x']`` of OLH,
+    enumerated over every (function, key) output of ``family`` and every
+    pair of cells below ``n_cells``: a report draws its function uniformly,
+    sends the cell's hashed key with probability ``p`` and each other key
+    with probability ``(1 - p) / (g - 1)``."""
+    keys = np.arange(family.g)[:, None]
+    worst = 0.0
+    for fn_id in family.random_fn_ids():
+        hits = hash_eval(family, int(fn_id), np.arange(n_cells)) == keys
+        likelihood = np.where(hits, params.p, (1.0 - params.p) / (family.g - 1)) / family.n_random_functions
+        worst = max(worst, float((likelihood.max(axis=1) / likelihood.min(axis=1)).max()))
+    return worst
+
+
+def prism_violation_ratio(epsilon: float) -> float:
+    """Worst-case output likelihood ratio of the 3-bit range encoding.
+
+    With per-bit randomized response (keep probability ``p = e^eps/(e^eps+1)``),
+    the all-zeros output is ``p^2 q`` likely under value 0 but only ``q^3``
+    likely under value 2, a ratio of ``e^{2 eps}`` — exceeding the claimed
+    ``e^eps`` bound.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    p = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
+    q = 1.0 / (math.exp(epsilon) + 1.0)
+    return (p * p * q) / (q * q * q)
+
+
+def _prism_encode(value: int, d: int) -> np.ndarray:
+    """Range encoding: bit i set iff the value is at least i."""
+    return (value >= np.arange(d)).astype(np.int64)
+
+
+def prism_bruteforce_ratio(epsilon: float) -> float:
+    """Exact likelihood ratio of the all-zeros 3-bit output under values 0
+    and 2, by enumerating its per-bit probabilities."""
+    p = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
+
+    def likelihood(value: int) -> float:
+        per_bit = np.where(_prism_encode(value, 3) == 0, p, 1.0 - p)
+        return float(np.prod(per_bit))
+
+    return likelihood(0) / likelihood(2)
 
 
 def match_functions_to_grids_loop(

@@ -41,13 +41,7 @@ from ldplab.grid_protocol import (
     grid_keys,
     run_grid_protocol,
 )
-from ldplab.harness import (
-    efficiency,
-    gen_queries,
-    prism_bruteforce_ratio,
-    prism_violation_ratio,
-    true_frequency,
-)
+from ldplab.harness import efficiency, gen_queries, true_frequency
 from ldplab.postprocess import norm_sub
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
@@ -63,6 +57,8 @@ from .oracles import (
     norm_sub_bisect,
     olh_collision_prob,
     preference,
+    prism_bruteforce_ratio,
+    prism_violation_ratio,
     stable_matching_audit,
 )
 

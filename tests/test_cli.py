@@ -68,16 +68,6 @@ def test_detect_forces_defense(tmp_path, capsys):
     assert summary["detection_rate"] is not None
 
 
-def test_prism_check(capsys):
-    code = main(["prism-check", "--epsilon", "1.0"])
-    assert code == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["violates_claimed_bound"] is True
-    assert payload["closed_form_ratio"] == pytest.approx(
-        payload["bruteforce_ratio"], rel=1e-12
-    )
-
-
 def test_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
@@ -157,6 +147,11 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"protocol": "ahead", "epsilon": 800}, []),
         ({"protocol": "hdg", "epsilon": 30, "attack": "mga", "rho": 0.1}, []),
         ({"protocol": "hdg", "epsilon": 6, "family_prime": 211}, []),
+        ({"protocol": "hdg", "epsilon": 0.3}, []),
+        ({"protocol": "hdg", "g1": 0}, []),
+        ({"protocol": "hdg", "g1": -16, "g2": -4}, []),
+        ({"protocol": "hdg", "domain_size": 0}, []),
+        ({"protocol": "ahead", "domain_size": 1}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": 32, "std": -1}}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": float("nan"), "std": 10}}, []),
     ],
@@ -165,7 +160,8 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         "fractional-seed", "fractional-n-queries", "ahead-two-attributes",
         "nan-epsilon", "infinite-epsilon", "hdg-infinite-epsilon",
         "hdg-overflowing-epsilon", "ahead-overflowing-epsilon", "hdg-keys-above-default-prime",
-        "hdg-keys-above-prime-211", "negative-std", "nan-mean",
+        "hdg-keys-above-prime-211", "hdg-two-keys", "hdg-zero-g1", "hdg-negative-grids",
+        "hdg-zero-domain", "ahead-one-value-domain", "negative-std", "nan-mean",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

@@ -20,9 +20,11 @@ from .oracles import (
     olh_perturb,
     olh_support,
     olh_support_scan,
+    olh_worst_ratio,
     oue_aggregate,
     oue_perturb,
     oue_perturb_batch_oneshot,
+    oue_worst_ratio,
 )
 
 
@@ -32,6 +34,33 @@ def test_smallest_prime_above():
     assert smallest_prime_above(17) == 19
     assert smallest_prime_above(25) == 29
     assert smallest_prime_above(210) == 211
+
+
+class TestWorstCaseRatio:
+    """Each mechanism's worst output likelihood ratio over every output and
+    pair of inputs, enumerated exactly, is at most e^eps (eps-LDP)."""
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_oue_is_eps_ldp(self, epsilon):
+        ratio = oue_worst_ratio(OueParams(epsilon, 5))
+        assert ratio == pytest.approx(np.exp(epsilon), rel=1e-12)
+        assert ratio <= np.exp(epsilon) * (1 + 1e-12)
+
+    # Rounding g makes the worst OLH ratio g - 1: 2 > e^0.5 and 3 > e^1.
+    @pytest.mark.parametrize(
+        "epsilon",
+        [
+            pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: OLH is not ε-LDP")),
+            pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: OLH is not ε-LDP")),
+            1.5,
+            2.0,
+            3.0,
+        ],
+    )
+    def test_olh_is_eps_ldp(self, epsilon):
+        params = OlhParams(epsilon)
+        ratio = olh_worst_ratio(HashFamily(23, params.g), params, 5)
+        assert ratio <= np.exp(epsilon) * (1 + 1e-12)
 
 
 class TestOueParams:
@@ -256,6 +285,12 @@ class TestOlhParams:
         params = OlhParams(np.log(3.0))
         assert params.g == 4
         assert params.q == pytest.approx(0.25)
+
+    def test_two_keys_leave_no_signal(self):
+        # Below eps = ln 1.5 the keys round to g = 2, so p = q = 1/2.
+        assert OlhParams(0.41).g == 3
+        with pytest.raises(ValueError, match=r"epsilon 0\.3 hashes into g = 2 keys, where p - q = 0\.0 <= 0"):
+            OlhParams(0.3)
 
     def test_key_distribution(self):
         # True key reported half the time, wrong keys uniform on the rest.

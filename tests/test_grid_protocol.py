@@ -47,6 +47,10 @@ class TestConfig:
             GridConfig(prime=16)
         with pytest.raises(ValueError):
             GridConfig(pp_rounds=0)
+        for shape, field in (({"g1": 0}, "g1"), ({"g1": -16, "g2": -4}, "g1"), ({"g2": 0}, "g2"),
+                             ({"domain_size": 0}, "domain_size")):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                GridConfig(**shape)
 
     def test_key_count_must_not_exceed_the_prime(self):
         # Hash values lie in [0, prime), so OLH keys at or above the prime

@@ -17,13 +17,13 @@ from ldplab.harness import (
     gen_queries,
     gen_synthetic,
     load_csv,
-    prism_bruteforce_ratio,
-    prism_violation_ratio,
     run_experiment,
     true_frequency,
 )
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import estimate_query as tree_estimate, run_tree_protocol
+
+from .oracles import prism_bruteforce_ratio, prism_violation_ratio
 
 
 class TestDatasets:

@@ -39,6 +39,9 @@ class TestConfig:
             TreeConfig(domain_size=100, fanout=2)  # not a power of fanout
         with pytest.raises(ValueError):
             TreeConfig(fanout=1)
+        for domain_size in (1, 0, -4):  # depth 0 has no layer to estimate
+            with pytest.raises(ValueError, match="domain_size must be >= fanout"):
+                TreeConfig(domain_size=domain_size, fanout=2)
 
     def test_trees_of_one_shape_share_a_read_only_skeleton(self):
         a, b = Tree(64, 4), Tree(64, 4)
