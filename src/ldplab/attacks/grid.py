@@ -296,12 +296,9 @@ class GridRangeAttack(_GridHook):
     order would always reach the maximally skewed single-column supports
     first, whose recorded column counts are mutually unsatisfiable across
     grids sharing two attributes.  The attempt with the fewest failed grids
-    is kept.  A grid with no candidate fails every attempt, so once the kept
-    attempt fails only such grids no later one can replace it: the attempts
-    left only replay their draws (one permutation per grid), and the
-    generator ends where all ``_MAX_RESTARTS`` attempts leave it.  The kept
-    attempt's failed grids, and the grids with no query attribute, take a
-    heuristic pair: a uniform pick among the maxima of
+    is kept.  A grid with no candidate takes no part in the attempts.  The
+    relevant grids left out of the kept plan, and the grids with no query
+    attribute, take a heuristic pair: a uniform pick among the maxima of
     :meth:`GridSupports.rank`.  ``chosen`` maps every grid to its
     pair, and ``fallback_keys`` lists the relevant grids that got no
     compliant pair (empty when every one did).
@@ -375,21 +372,15 @@ class GridRangeAttack(_GridHook):
             if key in keys:
                 candidates[key] = self._candidates(key, scan)
             ties[key] = _best_pairs(scan.rank(), scan.fn_ids)
-        unplannable = sum(len(candidates[key][0]) == 0 for key in keys)
-        best: Optional[Tuple[Dict[GridKey, _Pair], List[GridKey]]] = None
-        for attempt in range(_MAX_RESTARTS):
-            chosen, failed = self._plan_once(keys, candidates, rng, ColumnBook())
-            if best is None or len(failed) < len(best[1]):
-                best = (chosen, failed)
-            if len(best[1]) == unplannable:
+        plannable = [key for key in keys if len(candidates[key][0])]
+        self.chosen = {}
+        for _ in range(_MAX_RESTARTS):
+            chosen, failed = self._plan_once(plannable, candidates, rng, ColumnBook())
+            if len(chosen) > len(self.chosen):
+                self.chosen = chosen
+            if not failed:
                 break
-        assert best is not None
-        # With every grid plannable the loop stopped at its first success.
-        if unplannable:
-            for _ in range(attempt + 1, _MAX_RESTARTS):
-                for key in keys:
-                    rng.permutation(len(candidates[key][0]))
-        self.chosen, self.fallback_keys = best
+        self.fallback_keys = [key for key in keys if key not in self.chosen]
         # Fallback grids first, then the grids with no query attribute.
         others = [k for k in grid_keys(self.config.d) if k not in keys]
         for key in self.fallback_keys + others:

@@ -749,23 +749,27 @@ def plan_once_loop(
 
 def range_attack_begin_loop(hook: GridRangeAttack, rng: np.random.Generator) -> Tuple[Dict, List]:
     """Reference of ``GridRangeAttack.begin``: up to ``_MAX_RESTARTS``
-    attempts of :func:`plan_once_loop`, stopping only at an attempt that
-    plans every relevant grid, then the heuristic pairs of the fallback grids
-    and the grids with no query attribute.  Returns ``(chosen,
+    attempts of :func:`plan_once_loop` over the relevant grids that have a
+    candidate, stopping at the first attempt that plans all of them.  The
+    attempt that plans the most grids is kept; every relevant grid outside
+    it is a fallback grid.  The fallback grids, then the grids with no query
+    attribute, take their heuristic pairs.  Returns ``(chosen,
     fallback_keys)``."""
     keys = hook._relevant_keys()
     all_keys = grid_keys(hook.config.d)
     scans = {key: hook.supports(key) for key in all_keys}
     candidates = {key: hook._candidates(key, scans[key]) for key in keys}
+    plannable = [key for key in keys if len(candidates[key][0]) > 0]
     best: Optional[Tuple[Dict, List]] = None
     for _ in range(grid._MAX_RESTARTS):
-        chosen, failed = plan_once_loop(keys, candidates, rng, ColumnBook())
+        chosen, failed = plan_once_loop(plannable, candidates, rng, ColumnBook())
         if best is None or len(failed) < len(best[1]):
             best = (chosen, failed)
         if not failed:
             break
     assert best is not None
-    chosen, fallback_keys = best
+    chosen = best[0]
+    fallback_keys = [key for key in keys if key not in chosen]
     for key in fallback_keys + [k for k in all_keys if k not in keys]:
         chosen[key] = grid._pick(grid._best_pairs(scans[key].rank(), scans[key].fn_ids), rng)
     return chosen, fallback_keys

@@ -342,21 +342,23 @@ class TestPlanOnceEqualsLoop:
 
 # (size floors or None for the bench's, query index into _queries() +
 # HEAVY_QUERIES + [CONFLICT_QUERY], planning attempts that begin runs): the
-# first two settle at attempt 0 on the grids with no candidate, the heavy
-# query never settles, one plans every grid at attempt 7, and the last two
-# settle later.
+# first two plan every grid that has a candidate at attempt 0, the heavy
+# query never does and runs all attempts, one plans every grid at attempt 7,
+# and the last two plan theirs later.
 BEGIN_CASES = [
     (None, 0, 1), (None, 2, 1), (None, 6, 50),
     ((1, 1), 1, 7), ((2, 2), 7, 10), ((4, 4), 9, 15),
 ]
 
 
-class TestBeginReplaysSettledRestarts:
-    """Once no restart can fail fewer grids, ``begin`` replays the restarts'
-    draws only; ``tests.oracles.range_attack_begin_loop`` runs every one."""
+class TestBeginPlansOnlyGridsWithCandidates:
+    """``begin`` plans only the relevant grids that have a compliant
+    candidate and stops at the first attempt that plans all of them;
+    ``tests.oracles.range_attack_begin_loop`` is the per-candidate
+    reference."""
 
     @pytest.mark.parametrize("floors, index, attempts", BEGIN_CASES)
-    def test_same_plan_and_rng_state_as_the_full_loop(self, floors, index, attempts):
+    def test_same_plan_and_rng_state_as_the_reference(self, floors, index, attempts):
         query = (_queries() + HEAVY_QUERIES + [CONFLICT_QUERY])[index]
         hooks = [GridRangeAttack(CONFIG, query, RHO) for _ in range(2)]
         if floors is not None:
@@ -368,6 +370,10 @@ class TestBeginReplaysSettledRestarts:
             hooks[0].begin({}, 0, rngs[0])
         chosen, fallback_keys = range_attack_begin_loop(hooks[1], rngs[1])
         assert spy.call_count == attempts
+        # No attempt is handed a grid without a candidate.
+        for call in spy.call_args_list:
+            _, keys, candidates = call.args[:3]
+            assert all(len(candidates[key][0]) > 0 for key in keys)
         assert hooks[0].chosen == chosen
         assert hooks[0].fallback_keys == fallback_keys
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
