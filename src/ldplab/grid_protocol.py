@@ -69,6 +69,8 @@ class GridConfig:
         for name in ("g1", "g2", "domain_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.g2 < 2:
+            raise ValueError(f"g2 must be >= 2, got {self.g2!r}: one column spans the domain")
         if self.domain_size % self.g1 or self.domain_size % self.g2:
             raise ValueError("g1 and g2 must divide domain_size")
         if self.g1 % self.g2:

@@ -262,7 +262,9 @@ def estimate_query(tree: Tree, query: RangeQuery) -> float:
     """Sum of post-consistency frequencies over the query's node cover.
 
     Leaves straddling a query endpoint contribute proportionally to the
-    overlap (uniformity assumption within a leaf).
+    overlap (uniformity assumption within a leaf).  Unlike the grid
+    protocol's answer, the sum is not clipped to [0, 1], so a tree
+    efficiency is not bounded by ``(1 - f_true) / rho``.
     """
     if len(query.attrs) != 1:
         raise ValueError("tree protocol answers 1-D queries")

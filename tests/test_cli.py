@@ -150,6 +150,7 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"protocol": "hdg", "epsilon": 0.3}, []),
         ({"protocol": "hdg", "g1": 0}, []),
         ({"protocol": "hdg", "g1": -16, "g2": -4}, []),
+        ({"protocol": "hdg", "g1": 16, "g2": 1}, []),
         ({"protocol": "hdg", "domain_size": 0}, []),
         ({"protocol": "ahead", "domain_size": 1}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": 32, "std": -1}}, []),
@@ -161,7 +162,7 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         "nan-epsilon", "infinite-epsilon", "hdg-infinite-epsilon",
         "hdg-overflowing-epsilon", "ahead-overflowing-epsilon", "hdg-keys-above-default-prime",
         "hdg-keys-above-prime-211", "hdg-two-keys", "hdg-zero-g1", "hdg-negative-grids",
-        "hdg-zero-domain", "ahead-one-value-domain", "negative-std", "nan-mean",
+        "hdg-one-column", "hdg-zero-domain", "ahead-one-value-domain", "negative-std", "nan-mean",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

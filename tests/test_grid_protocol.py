@@ -51,6 +51,9 @@ class TestConfig:
                              ({"domain_size": 0}, "domain_size")):
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
                 GridConfig(**shape)
+        # One column per attribute would snap every query to the whole domain.
+        with pytest.raises(ValueError, match="g2 must be >= 2, got 1"):
+            GridConfig(g1=16, g2=1)
 
     def test_key_count_must_not_exceed_the_prime(self):
         # Hash values lie in [0, prime), so OLH keys at or above the prime
