@@ -245,11 +245,13 @@ def aog_size_constraints(rho: float, config: GridConfig) -> SizeConstraints:
     factor = (olh.p - olh.q) / rho
     den1 = (d - 1) * (g1 - 2 * g2) + g2 * g2
     if den1 <= 0:
-        raise ValueError("1-D size constraint infeasible: non-positive denominator")
+        raise ValueError(f"1-D size constraint infeasible at d={d}, g1={g1}, g2={g2}: "
+                         "non-positive denominator")
     w1 = factor * ((d - 1) * g1 + g2 * g2) / den1
     den2 = g2 - 3.0 + 3.0 * g1 / (g1 * (d - 1) + g2 * g2)
     if den2 <= 0:
-        raise ValueError("2-D size constraint infeasible: non-positive denominator")
+        raise ValueError(f"2-D size constraint infeasible at d={d}, g1={g1}, g2={g2}: "
+                         "non-positive denominator")
     w2 = factor * g2 / den2
     return SizeConstraints(w1, w2)
 

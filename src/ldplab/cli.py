@@ -3,7 +3,6 @@
 Subcommands:
   run          execute one experiment config
   sweep        run a grid of (epsilon, rho, attack) variations of a config
-  detect       run with detectors enabled and report detection rates
 
 Configs are JSON files whose keys mirror ExperimentConfig fields.  The
 whole config, the protocol's own settings and the dataset spec included, is
@@ -79,13 +78,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
-    config = replace(_load_config(args), defense=True)
-    _, summary = run_experiment(config)
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldplab",
@@ -109,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--rhos", help="comma-separated rho values")
     sweep_p.add_argument("--attacks", help="comma-separated attack names")
     sweep_p.set_defaults(func=_cmd_sweep)
-
-    detect_p = sub.add_parser("detect", help="run with detectors enabled")
-    common(detect_p)
-    detect_p.set_defaults(func=_cmd_detect)
 
     return parser
 

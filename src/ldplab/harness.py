@@ -45,6 +45,7 @@ from .attacks import (
     MgaTreeAttack,
     OptimalTreeAttack,
     ZERO_COEFF_STRATEGIES,
+    aog_size_constraints,
 )
 from .grid_protocol import (
     GridConfig,
@@ -179,6 +180,8 @@ class ExperimentConfig:
                     pp_rounds=self.pp_rounds,
                     prime=self.family_prime,
                 )
+                if self.attack == "aog":  # its size floors depend on the layout alone
+                    aog_size_constraints(self.rho, self.protocol_config)
         except ValueError as exc:
             raise ConfigError(f"{self.protocol} config: {exc}") from exc
         # A csv dataset's row count is known only once it is loaded.

@@ -61,11 +61,22 @@ def test_hdg_runs_with_as_many_keys_as_the_prime_allows(tmp_path, capsys):
     assert summary["protocol"] == "hdg" and summary["n_trials"] == 2
 
 
-def test_detect_forces_defense(tmp_path, capsys):
-    code = main(["detect", "--config", write_config(tmp_path, rho=0.1, attack="mga")])
-    assert code == EXIT_OK
+def test_defended_run_reports_detection_rate(tmp_path, capsys):
+    config = write_config(tmp_path, rho=0.1, attack="mga", defense=True)
+    assert main(["run", "--config", config]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["detection_rate"] is not None
+
+
+def test_detect_is_not_a_command(tmp_path):
+    # A defended run is ``"defense": true`` in the config, read by run and sweep.
+    out = tmp_path / "out"
+    out.mkdir()
+    config = write_config(tmp_path, rho=0.1, attack="mga")
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--config", config, "--out", str(out / "results.jsonl")])
+    assert exc.value.code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
 
 
 def test_missing_config_file(tmp_path):
@@ -151,6 +162,8 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         ({"protocol": "hdg", "g1": 0}, []),
         ({"protocol": "hdg", "g1": -16, "g2": -4}, []),
         ({"protocol": "hdg", "g1": 16, "g2": 1}, []),
+        ({"protocol": "hdg", "g1": 4, "g2": 4, "attack": "aog", "rho": 0.1}, []),
+        ({"protocol": "hdg", "g1": 16, "g2": 2, "attack": "aog", "rho": 0.1}, []),
         ({"protocol": "hdg", "domain_size": 0}, []),
         ({"protocol": "ahead", "domain_size": 1}, []),
         ({"dataset": {"kind": "gaussian", "count": 3000, "mean": 32, "std": -1}}, []),
@@ -162,7 +175,8 @@ def test_boundary_errors_exit_before_data_and_files(tmp_path, monkeypatch, overr
         "nan-epsilon", "infinite-epsilon", "hdg-infinite-epsilon",
         "hdg-overflowing-epsilon", "ahead-overflowing-epsilon", "hdg-keys-above-default-prime",
         "hdg-keys-above-prime-211", "hdg-two-keys", "hdg-zero-g1", "hdg-negative-grids",
-        "hdg-one-column", "hdg-zero-domain", "ahead-one-value-domain", "negative-std", "nan-mean",
+        "hdg-one-column", "hdg-aog-1d-layout", "hdg-aog-2d-layout", "hdg-zero-domain",
+        "ahead-one-value-domain", "negative-std", "nan-mean",
     ],
 )
 def test_run_config_errors_exit_before_data_and_files(tmp_path, monkeypatch, payload, extra):

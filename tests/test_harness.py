@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ldplab import harness
-from ldplab.attacks.grid import _key_sizes
+from ldplab.attacks.grid import _key_sizes, aog_size_constraints
 from ldplab.defenses import DetectionResult
 from ldplab.grid_protocol import collect_grid_reports, estimate_query as grid_estimate, run_grid_protocol
 from ldplab.harness import (
@@ -176,6 +176,9 @@ class TestExperimentConfig:
             dict(protocol="hdg", family_prime=20),  # not a prime
             dict(protocol="hdg", dims_total=1, dims_query=1),
             dict(protocol="hdg", dims_query=1),  # grid queries span 2+ attributes
+            # aog's size floors have a non-positive 1-D / 2-D denominator.
+            dict(protocol="hdg", attack="aog", g1=4, g2=4),
+            dict(protocol="hdg", attack="aog", g1=16, g2=2),
             dict(protocol="hdg", epsilon=800.0),  # e^epsilon overflows OLH's g
             dict(protocol="ahead", epsilon=800.0),  # e^epsilon overflows OUE's q
             dict(seeds=(0, -1)),
@@ -224,6 +227,21 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("dims_total", range(2, 7))
+    @pytest.mark.parametrize("g2", (2, 4, 8))
+    def test_aog_layout_rejected_exactly_when_unplannable(self, dims_total, g2):
+        for g1 in (g for g in range(g2, 65, g2) if 64 % g == 0):
+            layout = dict(protocol="hdg", dims_total=dims_total, g1=g1, g2=g2)
+            grid = ExperimentConfig(**layout).protocol_config
+            try:
+                aog_size_constraints(0.1, grid)
+            except ValueError:
+                with pytest.raises(ConfigError, match=f"d={dims_total}, g1={g1}, g2={g2}"):
+                    ExperimentConfig(attack="aog", **layout)
+            else:
+                ExperimentConfig(attack="aog", **layout)
+            ExperimentConfig(attack="haog", **layout)
 
     def test_integer_fields_take_numpy_integers(self):
         config = ExperimentConfig(
