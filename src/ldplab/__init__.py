@@ -9,7 +9,7 @@ Subpackages / modules:
     attacks        -- report-level poisoning attacks for both protocols.
     defenses       -- hypothesis-test detectors (ones-count interval, max hash load).
     harness        -- datasets, query generation, metrics, experiment driver.
-    cli            -- the ``ldplab`` command line (run, sweep, detect).
+    cli            -- the ``ldplab`` command line (run, sweep).
 """
 
 __version__ = "0.1.0"

@@ -7,19 +7,15 @@ executes every (seed, query) trial, recording the honest response, the
 poisoned response, the attack efficiency, and optional detection outcomes;
 results are written as JSON lines plus a CSV summary.
 
-The honest collection does not depend on the query, so each seed runs the
-honest protocol once, inside its first trial (whose ``elapsed_s`` carries
-that cost), and answers all its queries from it.  The honest answers of one
-seed are therefore correlated.  Each query gets its own poisoned run, and the
-efficiency reads only the poisoned answer, so it is unaffected.
-
-A grid seed also collects its real users' reports only once
-(:func:`~ldplab.grid_protocol.collect_grid_reports`, in the first trial):
-its honest run and every poisoned run add their fakes to those same reports.
-So a grid's poisoned answers within a seed are correlated too, and poisoned
-minus honest is the attack's own effect, with no real-user noise in it.  A
-tree's layers depend on the fakes of earlier layers, so every tree run
-collects its own real reports.
+Each seed collects its real users once and runs the honest protocol once,
+both inside its first trial (whose ``elapsed_s`` carries that cost).  The
+collection is a grid's perturbed reports
+(:func:`~ldplab.grid_protocol.collect_grid_reports`) or a tree's layer groups
+(:func:`~ldplab.tree_protocol.collect_tree_groups`), which each tree run
+perturbs itself.  The honest run answers all the seed's queries, and each
+query gets its own poisoned run on the same collection, so a seed's honest
+answers are correlated, and so are its poisoned answers.  The efficiency
+reads only the poisoned answer.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -54,11 +51,7 @@ from .grid_protocol import (
     run_grid_protocol,
 )
 from .query import RangeQuery
-from .tree_protocol import (
-    TreeConfig,
-    estimate_query as tree_estimate,
-    run_tree_protocol,
-)
+from .tree_protocol import TreeConfig, collect_tree_groups, estimate_query as tree_estimate, run_tree_protocol
 
 __all__ = [
     "ConfigError",
@@ -396,8 +389,9 @@ def _run_protocol(
 ):
     """One protocol run of ``config``, its attack aimed at ``query``.
 
-    ``data`` is the protocol's real input: the tree's values, or the grids'
-    collected reports (:func:`collect_grid_reports`) of ``n_real`` users.
+    ``data`` is the collection of ``n_real`` real users: the tree's layer
+    groups (:func:`collect_tree_groups`) or the grids' reports
+    (:func:`collect_grid_reports`).
     Returns ``(result, detection)``: the protocol's ``Tree`` or ``GridSet``,
     and with ``config.defense`` the detector results of its rounds (the
     ones-count test per tree layer, the max-load test per grid) folded into
@@ -460,14 +454,11 @@ def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
     for qid, query in enumerate(queries):
         started = time.perf_counter()
         if qid == 0:
-            # The honest collection does not depend on the query: one run per
-            # seed answers every query.  It runs inside the first trial, so
-            # that trial's elapsed_s carries its cost.  A grid seed's real
-            # reports are collected here once, for the poisoned runs too.
+            # Neither depends on the query: one collection and one honest run
+            # per seed, inside the first trial, whose elapsed_s carries them.
             honest_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
-            data = records[:, 0] if tree else collect_grid_reports(
-                records, config.protocol_config, rng=honest_rng, keep_reports=config.defense
-            )
+            collect = collect_tree_groups if tree else partial(collect_grid_reports, keep_reports=config.defense)
+            data = collect(records, config.protocol_config, rng=honest_rng)
             honest_run, _ = _run_protocol(honest_cfg, data, len(records), query, honest_rng)
         honest = estimate(honest_run, query)
 

@@ -7,7 +7,9 @@ estimated frequency reaches a split threshold are divided into ``fanout``
 children and the next layer repeats on the refined frontier.  A final
 bottom-up consistency pass reconciles parents with children, and range
 queries are answered by summing post-consistency frequencies over the
-deepest nodes covering the query.
+coarsest nodes covering the query.  The layer groups depend on the real
+users alone, so one :func:`collect_tree_groups` serves an honest run and
+any number of poisoned runs of :func:`run_tree_protocol`.
 
 The tree is one :class:`Tree` of flat arrays in heap order, so every level
 of the decomposition is one contiguous slice.
@@ -30,6 +32,7 @@ __all__ = [
     "Tree",
     "TreeConfig",
     "oue_sigma",
+    "collect_tree_groups",
     "run_tree_protocol",
     "query_cover",
     "estimate_query",
@@ -153,8 +156,22 @@ def oue_sigma(epsilon: float, n_users: int) -> float:
     return float(np.sqrt(q * (1.0 - q)) / ((params.p - q) * np.sqrt(n_users)))
 
 
+def collect_tree_groups(records, config: TreeConfig, *, rng: np.random.Generator) -> Tuple[np.ndarray, ...]:
+    """The real users' read-only layer groups: their ``n`` values (shape ``(n,)``
+    or ``(n, 1)``) shuffled by one ``rng.permutation(n)`` and cut by the real
+    sizes of :meth:`TreeConfig.layer_plan`, in layer order."""
+    values = np.asarray(records, dtype=np.int64).reshape(len(records))
+    if values.size == 0:
+        raise ValueError("empty user set")
+    if values.min() < 0 or values.max() >= config.domain_size:
+        raise ValueError("values outside domain")
+    shuffled = values[rng.permutation(values.size)]
+    shuffled.flags.writeable = False  # every run of the collection reads the groups
+    return tuple(np.split(shuffled, np.cumsum(config.layer_plan(values.size, 0)[0])[:-1]))
+
+
 def run_tree_protocol(
-    real_values: Sequence[int],
+    real_groups: Sequence[np.ndarray],
     config: TreeConfig,
     hook: Optional[Callable[[Tree, np.ndarray, int, np.random.Generator], np.ndarray]] = None,
     n_fake: int = 0,
@@ -162,8 +179,10 @@ def run_tree_protocol(
     rng: np.random.Generator,
     keep_reports: bool = False,
 ) -> Tree:
-    """Run the full protocol and return the post-processed tree.
+    """Run the full protocol on collected real users; returns the post-processed tree.
 
+    ``real_groups``: the layer groups of :func:`collect_tree_groups` on the
+    same config, which this function does not change.
     ``n_fake``: fakes planned by :meth:`TreeConfig.layer_plan` with the users.
     ``hook``: called once per layer with (the tree being built, the
     layer's frontier ids in ``lo`` order, fake count, rng); must return a
@@ -184,14 +203,9 @@ def run_tree_protocol(
     runs after every layer but the last, so every node of the tree is
     estimated.
     """
-    values = np.asarray(real_values, dtype=np.int64)
-    if values.size == 0:
-        raise ValueError("empty user set")
-    if values.min() < 0 or values.max() >= config.domain_size:
-        raise ValueError("values outside domain")
-
-    real_sizes, fake_sizes = config.layer_plan(values.size, n_fake)
-    real_groups = np.split(values[rng.permutation(values.size)], np.cumsum(real_sizes)[:-1])
+    real_sizes, fake_sizes = config.layer_plan(sum(group.size for group in real_groups), n_fake)
+    if [group.size for group in real_groups] != real_sizes:
+        raise ValueError("real_groups must be the layer groups of collect_tree_groups on this config")
 
     tree = Tree(config.domain_size, config.fanout)
     tree.f_hat[0] = 1.0
@@ -203,8 +217,7 @@ def run_tree_protocol(
 
         # The frontier tiles [0, domain) in lo order, so a domain-wide owner
         # table maps each value to its frontier node.
-        los, his = tree.lo[frontier], tree.hi[frontier]
-        owner = np.repeat(np.arange(n_nodes), his - los)
+        owner = np.repeat(np.arange(n_nodes), tree.hi[frontier] - tree.lo[frontier])
         real = oue_perturb_batch(owner[group], params, rng, per_report=keep_reports)
         counts = real.support.astype(np.float64)
         total_users = group.size
@@ -213,10 +226,7 @@ def run_tree_protocol(
         if hook is not None and m_fake > 0:
             fake_reports = np.asarray(hook(tree, frontier, m_fake, rng), dtype=np.uint8)
             if fake_reports.shape != (m_fake, n_nodes):
-                raise ValueError(
-                    f"attack hook returned shape {fake_reports.shape}, "
-                    f"expected ({m_fake}, {n_nodes})"
-                )
+                raise ValueError(f"attack hook returned shape {fake_reports.shape}, expected {(m_fake, n_nodes)}")
             counts += fake_reports.sum(axis=0, dtype=np.float64)
             total_users += m_fake
             if keep_reports:
@@ -228,9 +238,7 @@ def run_tree_protocol(
         tree.f_hat[frontier] = freqs
         if layer == config.depth - 1:
             break
-
-        theta = config.threshold_for(total_users)
-        frontier = tree.split(frontier, freqs >= theta)
+        frontier = tree.split(frontier, freqs >= config.threshold_for(total_users))
         if frontier is None:
             break
 
@@ -238,7 +246,7 @@ def run_tree_protocol(
 
 
 def query_cover(tree: Tree, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deepest-available disjoint cover of [lo, hi).
+    """Coarsest disjoint cover of [lo, hi).
 
     Returns ``(full, partial, fractions)``: ``full`` are the ids of nodes
     fully inside the query whose parent is not, ``partial`` the ids of leaves

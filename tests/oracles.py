@@ -99,7 +99,7 @@ def consistency_recursive(node: dict) -> None:
 
 
 def estimate_by_consistency(root: dict, lo: int, hi: int) -> float:
-    """Query estimate by explicit consistency + deepest-cover walk of a JSON tree."""
+    """Query estimate by explicit consistency + coarsest-cover walk of a JSON tree."""
     consistency_recursive(root)
     total = 0.0
 

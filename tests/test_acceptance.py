@@ -45,6 +45,7 @@ from ldplab.harness import efficiency, gen_queries, true_frequency
 from ldplab.postprocess import norm_sub
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
+    collect_tree_groups,
     TreeConfig,
     estimate_query as tree_estimate,
     run_tree_protocol,
@@ -284,7 +285,8 @@ def test_criterion_07_tree_attack_effectiveness():
 
     def run(query, hook, seed):
         rng = np.random.default_rng(np.random.SeedSequence([1070, seed]))
-        tree = run_tree_protocol(values, config, hook=hook, n_fake=n_fake, rng=rng)
+        groups = collect_tree_groups(values, config, rng=rng)
+        tree = run_tree_protocol(groups, config, hook=hook, n_fake=n_fake, rng=rng)
         return tree_estimate(tree, query)
 
     opt_effs, mga_effs = [], []

@@ -179,6 +179,40 @@ class TestTreeDetect:
         with pytest.raises(ValueError):
             tree_detect(counts, 16, -1.0)
 
+    # Honest mass of the 1-counts the statistic counts as outside [I-, I+]
+    # (below I- or above I+) at epsilon 1 and alpha 0.005, per round size n.
+    EXACT_OUTSIDE = {4: 0.0988, 16: 0.1709, 28: 0.1520, 55: 0.2272, 256: 0.2604}
+
+    @staticmethod
+    def _exact_outside(n):
+        pmf = np.diff(ones_count_cdf(n, 1.0 / (np.e + 1.0)), prepend=0.0)
+        return float(pmf[np.array(_outside(range(n + 1), n, 1.0)) == 1.0].sum())
+
+    def test_exact_outside_mass_is_below_the_nominal_one(self):
+        """The interval is discrete, so the honest mass outside it is less
+        than the nominal ``outside_mass`` (0.319) the threshold is built on."""
+        rng = np.random.default_rng(12)
+        for n, mass in self.EXACT_OUTSIDE.items():
+            assert self._exact_outside(n) == pytest.approx(mass, abs=1e-4)
+            counts = self._honest_counts(rng, n=n, users=40_000)
+            # 5 binomial sds of the simulated fraction: a false failure is
+            # below 1e-6 per n.
+            band = 5.0 * np.sqrt(mass * (1.0 - mass) / counts.size)
+            assert abs(tree_detect(counts, n, 1.0).statistic / counts.size - mass) < band + 1e-4
+            assert mass < _tree_constants(0.005)[1]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 12: the threshold uses the nominal outside mass")
+    def test_threshold_is_built_from_the_exact_outside_mass(self):
+        """The threshold is the statistic's honest mean, ``N`` times the
+        interval's exact outside mass, plus ``z_alpha`` standard deviations."""
+        z = stats.norm.ppf(1.0 - 0.005)
+        users = 11_111  # one of 10 layers of 100k users and 11,111 fakes
+        for n in self.EXACT_OUTSIDE:
+            f = self._exact_outside(n)
+            expected = users * f + z * np.sqrt(users * f * (1.0 - f))
+            assert tree_detect(np.zeros(users, dtype=int), n, 1.0).threshold == pytest.approx(expected, rel=1e-9)
+
     def test_interval_matches_scipy_reference(self):
         for epsilon in [0.25, 0.5, 1.0, 2.0, 4.0]:
             q = 1.0 / (np.exp(epsilon) + 1.0)

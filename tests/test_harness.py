@@ -21,7 +21,7 @@ from ldplab.harness import (
     true_frequency,
 )
 from ldplab.query import RangeQuery
-from ldplab.tree_protocol import estimate_query as tree_estimate, run_tree_protocol
+from ldplab.tree_protocol import collect_tree_groups, estimate_query as tree_estimate, run_tree_protocol
 
 from .oracles import prism_bruteforce_ratio, prism_violation_ratio
 
@@ -395,7 +395,8 @@ class TestRunExperiment:
                 reports = collect_grid_reports(records, config.protocol_config, rng=rng)
                 honest, estimate = run_grid_protocol(reports, config.protocol_config, rng=rng), grid_estimate
             else:
-                honest, estimate = run_tree_protocol(records[:, 0], config.protocol_config, rng=rng), tree_estimate
+                groups = collect_tree_groups(records, config.protocol_config, rng=rng)
+                honest, estimate = run_tree_protocol(groups, config.protocol_config, rng=rng), tree_estimate
             trials = [r for r in results if r.seed == seed]
             assert len(trials) == config.n_queries
             for r in trials:
@@ -418,6 +419,34 @@ class TestRunExperiment:
         assert all(reports is seen[0] for reports in seen[:4])
         assert all(reports is seen[4] for reports in seen[4:])
         assert seen[0] is not seen[4]
+
+    def test_tree_runs_share_the_seeds_layer_groups(self, monkeypatch):
+        # Each seed collects its layer groups once, from the honest stream;
+        # its honest run and every poisoned run read those same read-only
+        # groups, sized by the layer plan of the real users alone.
+        collected, seen = [], []
+        collect, run = harness.collect_tree_groups, harness.run_tree_protocol
+
+        def collecting(*args, **kwargs):
+            collected.append(collect(*args, **kwargs))
+            return collected[-1]
+
+        def recorded(groups, *args, **kwargs):
+            seen.append(groups)
+            return run(groups, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "collect_tree_groups", collecting)
+        monkeypatch.setattr(harness, "run_tree_protocol", recorded)
+        config = small_tree_config(rho=0.1, attack="mga", seeds=(0, 1))
+        run_experiment(config)
+        assert len(collected) == 2 and collected[0] is not collected[1]
+        assert len(seen) == 2 * (1 + 3)
+        assert all(groups is collected[0] for groups in seen[:4])
+        assert all(groups is collected[1] for groups in seen[4:])
+        n = config.dataset["count"]
+        for groups in collected:
+            assert [g.size for g in groups] == config.protocol_config.layer_plan(n, 0)[0]
+            assert not any(g.flags.writeable for g in groups)
 
     @pytest.mark.parametrize("protocol, attack", [("ahead", "aot"), ("hdg", "mga")])
     def test_shared_honest_run_keeps_no_reports(self, protocol, attack):

@@ -1,8 +1,9 @@
 """The serialized tree of seeded honest runs is pinned to a fixture.
 
-Each case runs ``run_tree_protocol`` on seeded Gaussian data and compares the
-sha256 of the ``tree_to_json`` bytes with ``data/tree_json_sha256.json``, so
-any change to tree shape, estimates, consistency or the JSON encoding shows.
+Each case collects seeded Gaussian data with ``collect_tree_groups``, runs
+``run_tree_protocol`` on the groups and compares the sha256 of the
+``tree_to_json`` bytes with ``data/tree_json_sha256.json``, so any change to
+tree shape, estimates, consistency or the JSON encoding shows.
 The serializer is fixture code, so it lives in ``tests/oracles.py``.
 Regenerate only for a change meant to alter honest trees, and say so where
 the change is recorded::
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldplab.tree_protocol import TreeConfig, run_tree_protocol
+from ldplab.tree_protocol import TreeConfig, collect_tree_groups, run_tree_protocol
 
 from .oracles import tree_to_json
 
@@ -40,7 +41,7 @@ def _digest(name: str) -> str:
     rng = np.random.default_rng(seed)
     values = np.clip(np.rint(rng.normal(domain / 2, std, 50_000)), 0, domain - 1).astype(int)
     config = TreeConfig(domain_size=domain, fanout=fanout, epsilon=1.0)
-    tree = run_tree_protocol(values, config, rng=rng)
+    tree = run_tree_protocol(collect_tree_groups(values, config, rng=rng), config, rng=rng)
     return hashlib.sha256(tree_to_json(tree).encode()).hexdigest()
 
 

@@ -14,6 +14,7 @@ from ldplab.query import RangeQuery
 from ldplab.tree_protocol import (
     Tree,
     TreeConfig,
+    collect_tree_groups,
     estimate_query,
     oue_sigma,
     query_cover,
@@ -94,7 +95,7 @@ class TestRunProtocol:
         config = TreeConfig(domain_size=64)
         rng = np.random.default_rng(0)
         values = rng.integers(0, 64, 5000)
-        tree = run_tree_protocol(values, config, rng=rng)
+        tree = run_tree_protocol(collect_tree_groups(values, config, rng=rng), config, rng=rng)
         # Uniform data: every first-layer frequency ~ 1/2 < 0.9, no splits.
         assert tree.leaves()[tree.children([0])].all()
 
@@ -103,7 +104,7 @@ class TestRunProtocol:
         config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(1)
         values = rng.integers(0, 16, 4000)
-        tree = run_tree_protocol(values, config, rng=rng)
+        tree = run_tree_protocol(collect_tree_groups(values, config, rng=rng), config, rng=rng)
         assert tree.exists.all()  # root + 4 estimated layers, all complete
         assert tree.depth == 4
 
@@ -113,31 +114,57 @@ class TestRunProtocol:
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="attack hook"):
             run_tree_protocol(
-                np.zeros(100, dtype=int),
+                collect_tree_groups(np.zeros(100, dtype=int), config, rng=rng),
                 config,
                 hook=lambda tree, frontier, m, r: np.zeros((m + 1, frontier.size)),
                 n_fake=11,
                 rng=rng,
             )
 
+    def test_collection_validation(self):
+        config = TreeConfig(domain_size=16)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="empty user set"):
+            collect_tree_groups([], config, rng=rng)
+        for values in ([16], [-1], np.array([[3], [16]])):
+            with pytest.raises(ValueError, match="values outside domain"):
+                collect_tree_groups(values, config, rng=rng)
+        with pytest.raises(ValueError):
+            collect_tree_groups(np.zeros((5, 2), dtype=int), config, rng=rng)  # one column only
+
     def test_input_validation(self):
         config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            run_tree_protocol([], config, rng=rng)
-        with pytest.raises(ValueError):
-            run_tree_protocol([16], config, rng=rng)
+        groups = collect_tree_groups([0], config, rng=rng)
         for n_fake in (-1, 0.1, 2.0):
             with pytest.raises(ValueError, match="n_fake"):
-                run_tree_protocol([0], config, n_fake=n_fake, rng=rng)
+                run_tree_protocol(groups, config, n_fake=n_fake, rng=rng)
         with pytest.raises(ValueError, match="n_fake"):
-            run_tree_protocol([0], config, None, 0.1, rng=rng)  # a stale positional rho
+            run_tree_protocol(groups, config, None, 0.1, rng=rng)  # a stale positional rho
+        # Raw values, or groups collected on another config, are not layer groups.
+        for data in (np.zeros(100, dtype=int), collect_tree_groups(np.zeros(100, dtype=int), TreeConfig(64), rng=rng)):
+            with pytest.raises(ValueError, match="real_groups"):
+                run_tree_protocol(data, config, rng=rng)
+
+    def test_collection_is_the_runs_first_draw(self):
+        """The groups are read-only, sized by ``layer_plan``, and drawn by one
+        permutation, so collect-then-run on one rng draws as a run did when
+        it partitioned the users itself."""
+        config = TreeConfig(domain_size=16)
+        values = np.random.default_rng(7).integers(0, 16, 1001)
+        groups = collect_tree_groups(values[:, None], config, rng=np.random.default_rng(8))
+        assert [g.size for g in groups] == config.layer_plan(1001, 0)[0] == [251, 250, 250, 250]
+        assert all(not g.flags.writeable for g in groups)
+        np.testing.assert_array_equal(
+            np.concatenate(groups), values[np.random.default_rng(8).permutation(values.size)]
+        )
 
     def test_rounds_cover_every_layer(self, monkeypatch):
         _fixed_threshold(monkeypatch, 0.0)
         config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(3)
-        tree = run_tree_protocol(rng.integers(0, 16, 1000), config, rng=rng, keep_reports=True)
+        groups = collect_tree_groups(rng.integers(0, 16, 1000), config, rng=rng)
+        tree = run_tree_protocol(groups, config, rng=rng, keep_reports=True)
         assert [len(nodes) for nodes, _ in tree.rounds] == [2, 4, 8, 16]
         assert [ones.size for _, ones in tree.rounds] == config.layer_plan(1000, 0)[0]
 
@@ -147,7 +174,7 @@ class TestRunProtocol:
         no split follows the last layer."""
         rng = np.random.default_rng(seed)
         values = np.clip(rng.normal(512, 40, 30_000), 0, 1023).astype(int)
-        tree = run_tree_protocol(values, TreeConfig(), rng=rng, keep_reports=True)
+        tree = run_tree_protocol(collect_tree_groups(values, TreeConfig(), rng=rng), TreeConfig(), rng=rng, keep_reports=True)
         observed = np.concatenate([nodes for nodes, _ in tree.rounds])
         np.testing.assert_array_equal(np.flatnonzero(tree.exists)[1:], np.unique(observed))
 
@@ -173,9 +200,9 @@ class TestRunProtocol:
             fakes.append(m_fake)
             return reports
 
-        tree = run_tree_protocol(
-            values, config, hook=recording, n_fake=556, rng=np.random.default_rng(6), keep_reports=True
-        )
+        rng = np.random.default_rng(6)
+        groups = collect_tree_groups(values, config, rng=rng)
+        tree = run_tree_protocol(groups, config, hook=recording, n_fake=556, rng=rng, keep_reports=True)
         assert len(fakes) == config.depth and max(nodes.size for nodes, _ in tree.rounds) > 2
         assert fakes == attack._fake_sizes and sum(fakes) == 556
         reports = [ones.size for _, ones in tree.rounds]
@@ -186,7 +213,8 @@ class TestRunProtocol:
         later layers with no user: no round records them, and the
         ones-count detector reads every round."""
         config = TreeConfig(domain_size=1024, epsilon=10.0)
-        tree = run_tree_protocol(np.full(5, 512), config, rng=np.random.default_rng(0), keep_reports=True)
+        rng = np.random.default_rng(0)
+        tree = run_tree_protocol(collect_tree_groups(np.full(5, 512), config, rng=rng), config, rng=rng, keep_reports=True)
         assert [ones.size for _, ones in tree.rounds] == [1] * 5
         for nodes, ones in tree.rounds:
             tree_detect(ones, nodes.size, config.epsilon)
@@ -196,12 +224,13 @@ class TestRunProtocol:
         # Narrow data and the default threshold give adaptive, uneven
         # frontiers; the hook's random fake bits exercise the fake counts.
         values = np.clip(np.random.default_rng(5).normal(32, 6, 5000), 0, 63).astype(int)
+        config, rng = TreeConfig(domain_size=64), np.random.default_rng(6)
         tree = run_tree_protocol(
-            values,
-            TreeConfig(domain_size=64),
+            collect_tree_groups(values, config, rng=rng),
+            config,
             hook=lambda tree, frontier, m, r: (r.random((m, frontier.size)) < 0.4).astype(np.uint8),
             n_fake=556,
-            rng=np.random.default_rng(6),
+            rng=rng,
             keep_reports=keep_reports,
         )
         return tree_to_json(tree), tree.rounds
@@ -262,7 +291,8 @@ class TestQueries:
         rng = np.random.default_rng(4)
         with pytest.MonkeyPatch.context() as monkeypatch:
             _fixed_threshold(monkeypatch, 0.0)
-            return run_tree_protocol(rng.integers(0, 64, 8000), TreeConfig(domain_size=64), rng=rng)
+            config = TreeConfig(domain_size=64)
+            return run_tree_protocol(collect_tree_groups(rng.integers(0, 64, 8000), config, rng=rng), config, rng=rng)
 
     def test_full_domain_is_root(self):
         tree = self._tree()
@@ -311,7 +341,7 @@ class TestQueries:
         rng = np.random.default_rng(6)
         values = np.clip(np.rint(rng.normal(32, 8, 40_000)), 0, 63).astype(int)
         config = TreeConfig(domain_size=64, epsilon=1.0)
-        tree = run_tree_protocol(values, config, rng=rng)
+        tree = run_tree_protocol(collect_tree_groups(values, config, rng=rng), config, rng=rng)
         for lo, hi in [(16, 48), (24, 40), (0, 64)]:
             truth = ((values >= lo) & (values < hi)).mean()
             estimate = estimate_query(tree, RangeQuery((0,), ((lo, hi),)))
