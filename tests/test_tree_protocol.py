@@ -174,7 +174,8 @@ class TestRunProtocol:
         no split follows the last layer."""
         rng = np.random.default_rng(seed)
         values = np.clip(rng.normal(512, 40, 30_000), 0, 1023).astype(int)
-        tree = run_tree_protocol(collect_tree_groups(values, TreeConfig(), rng=rng), TreeConfig(), rng=rng, keep_reports=True)
+        config = TreeConfig()
+        tree = run_tree_protocol(collect_tree_groups(values, config, rng=rng), config, rng=rng, keep_reports=True)
         observed = np.concatenate([nodes for nodes, _ in tree.rounds])
         np.testing.assert_array_equal(np.flatnonzero(tree.exists)[1:], np.unique(observed))
 
