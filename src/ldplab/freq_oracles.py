@@ -8,7 +8,9 @@ Implements the two oracles used by the range-query protocols:
   1-counts only (:class:`OueCounts`), never as a bit matrix.  The bits are
   independent, so column ``j``'s count is ``Bin(n_j, p) + Bin(m - n_j, q)``
   for ``n_j`` of the batch's ``m`` users holding item ``j``; a batch whose
-  per-report 1-counts nobody reads is drawn from that law alone.
+  per-report 1-counts nobody reads is drawn from that law alone.  A batch
+  that keeps them draws every bit from one uniform byte, cut at
+  ``floor(256 r)`` for a bit at ``r`` with a double only on a tie.
 * OLH (optimal local hashing): each user picks a random function from a
   universal linear-congruential hash family mapping cells into ``g`` keys and
   reports a (function, key) pair; the key equals the hash of the true cell
@@ -33,6 +35,7 @@ n_cells`` bytes for ``g <= 256`` (709 KB at prime 211 and 16 cells).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -233,6 +236,33 @@ class OueCounts:
     ones: Optional[np.ndarray]
 
 
+_CHUNK_BITS = 131072  # about this many noise bits per row chunk of a per-report draw
+
+
+def _byte_bits(rng: np.random.Generator, r: float, out: np.ndarray) -> np.ndarray:
+    """Set ``out`` to Bern(``r``) bits, one uniform byte ``B`` each in C
+    order, and return the flat positions of the ties.
+
+    The bytes are ``ceil(out.size / 8)`` full-range uint64 draws (each one
+    ``next_uint64`` of the bit generator) viewed as uint8.  With ``k =
+    floor(256 r)`` a bit is 1 if ``B < k`` and 0 if ``B > k``; a tie ``B ==
+    k`` (1 time in 256) is left 0 here and is 1 when :func:`_tie_ones` says
+    so.  So a bit is 1 with probability ``r`` to within 2**-53.
+    """
+    draw = rng.integers(0, 2**64, size=-(-out.size // 8), dtype=np.uint64)
+    draw = draw.view(np.uint8)[: out.size].reshape(out.shape)
+    k = math.floor(256 * r)
+    out[...] = draw < k
+    return np.flatnonzero(draw == k)
+
+
+def _tie_ones(rng: np.random.Generator, r: float, ties: np.ndarray) -> np.ndarray:
+    """The ties of :func:`_byte_bits` whose bit is 1: one uniform double per
+    tie, in order, below ``256 r - floor(256 r)``, a difference that is exact
+    in floating point."""
+    return ties[rng.random(ties.size) < 256 * r - math.floor(256 * r)]
+
+
 def oue_perturb_batch(
     true_indices: Sequence[int],
     params: OueParams,
@@ -247,16 +277,16 @@ def oue_perturb_batch(
     ``n_j`` of users whose true index is ``j``, and ``ones`` is ``None``.
     The columns are independent, as the bits are.
 
-    With ``per_report=True`` (the default) the noise bits are drawn in row
-    chunks of about 65,536 uniforms (at least one row) into one reused
-    buffer, thresholded at ``q`` in place and summed by column and by row
-    straight away; each user's noise bit at its true index is kept aside.
-    The true bits are drawn after all chunks and take the place of those
-    noise bits in both counts.  ``Generator.random`` consumes its stream in
-    order, so the counts are the column and row sums of one draw of the
-    whole ``(users, n)`` bit matrix.  They are float64 sums of 0/1 values
-    below 2**53, hence exact.  This is the draw a detector of per-report
-    1-counts needs: both counts come from the same bits.
+    With ``per_report=True`` (the default) every bit comes from one uniform
+    byte (:func:`_byte_bits`).  The ``(users, n)`` noise bits at ``q`` are
+    drawn into one reused buffer in row chunks of about ``_CHUNK_BITS`` bits
+    and a multiple of 8 rows (whole uint64 words), summed by column and by
+    row in float32 (exact: below ``n = 2**24`` no chunk sum reaches 2**24),
+    with each user's noise bit at its true index kept aside.  After the last
+    chunk come its ties' doubles, then the users' true bits at ``p``, which
+    take the place of those noise bits in both counts.  So the counts are
+    the exact column and row sums of one draw of the whole bit matrix, the
+    draw a detector of per-report 1-counts needs.
     """
     idx = np.asarray(true_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= params.n):
@@ -265,22 +295,30 @@ def oue_perturb_batch(
         hist = np.bincount(idx, minlength=params.n)
         support = rng.binomial(hist, params.p) + rng.binomial(idx.size - hist, params.q)
         return OueCounts(support, None)
-    step = max(1, 65536 // params.n)
-    buf = np.empty((min(step, idx.size), params.n))
-    per_row = np.ones(buf.shape[0])
-    per_col = np.ones(params.n)
+    step = 8 * max(1, _CHUNK_BITS // (8 * params.n))
+    dtype = np.float32 if params.n < 2**24 else np.float64
+    buf = np.empty((min(step, idx.size), params.n), dtype=dtype)
+    per_row = np.ones(buf.shape[0], dtype=dtype)
+    per_col = np.ones(params.n, dtype=dtype)
     support = np.zeros(params.n)
     ones = np.empty(idx.size)
     noise = np.empty(idx.size)
+    at_true = np.arange(idx.size) * params.n + idx  # flat position of each true index
+    ties = [np.empty(0, dtype=np.int64)]
     for start in range(0, idx.size, step):
         chunk = buf[: min(step, idx.size - start)]
         rows = slice(start, start + chunk.shape[0])
-        rng.random(out=chunk)
-        np.less(chunk, params.q, out=chunk)
+        ties.append(start * params.n + _byte_bits(rng, params.q, chunk))
         support += per_row[: chunk.shape[0]] @ chunk
         ones[rows] = chunk @ per_col
-        noise[rows] = chunk[np.arange(chunk.shape[0]), idx[rows]]
-    change = (rng.random(idx.size) < params.p) - noise
+        noise[rows] = np.take(chunk, at_true[rows] - start * params.n)
+    user, node = np.divmod(_tie_ones(rng, params.q, np.concatenate(ties)), params.n)
+    support += np.bincount(node, minlength=params.n)
+    ones += np.bincount(user, minlength=idx.size)
+    noise[user[node == idx[user]]] = 1
+    true = np.empty(idx.size)
+    true[_tie_ones(rng, params.p, _byte_bits(rng, params.p, true))] = 1
+    change = true - noise
     support += np.bincount(idx, weights=change, minlength=params.n)
     ones += change
     return OueCounts(support.astype(np.int64), ones.astype(np.int64))

@@ -186,7 +186,8 @@ def run_tree_protocol(
     ``n_fake``: fakes planned by :meth:`TreeConfig.layer_plan` with the users.
     ``hook``: called once per layer with (the tree being built, the
     layer's frontier ids in ``lo`` order, fake count, rng); must return a
-    ``(fake count, frontier size)`` bit matrix of fabricated reports.  It
+    ``(fake count, frontier size)`` matrix of fabricated reports whose
+    every entry is 0 or 1 (anything else is a ``ValueError``).  It
     may read the tree's ``lo``, ``hi``, ``exists`` and ``len(rounds)``
     (the index of the layer served) but never writes the tree.
     The tree's ``rounds`` hold one ``(frontier ids, reports)`` pair per
@@ -224,9 +225,11 @@ def run_tree_protocol(
 
         ones = real.ones
         if hook is not None and m_fake > 0:
-            fake_reports = np.asarray(hook(tree, frontier, m_fake, rng), dtype=np.uint8)
+            fake_reports = np.asarray(hook(tree, frontier, m_fake, rng))
             if fake_reports.shape != (m_fake, n_nodes):
                 raise ValueError(f"attack hook returned shape {fake_reports.shape}, expected {(m_fake, n_nodes)}")
+            if not ((fake_reports == 0) | (fake_reports == 1)).all():
+                raise ValueError("attack hook returned entries other than 0 and 1")
             counts += fake_reports.sum(axis=0, dtype=np.float64)
             total_users += m_fake
             if keep_reports:

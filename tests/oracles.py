@@ -435,13 +435,27 @@ def aaot_transform_oneshot(
     return out ^ (candidate & (rank < np.abs(delta)))
 
 
+def _byte_bits(rng: np.random.Generator, size: int, r: float) -> np.ndarray:
+    """``size`` Bern(``r``) bits from one draw: a uniform byte ``B`` per bit
+    (``ceil(size / 8)`` full-range uint64 draws viewed as uint8), 1 below
+    ``k = floor(256 r)`` and 0 above it, then one double per tie ``B == k``,
+    in order, which makes the bit 1 below ``256 r - k``."""
+    draw = rng.integers(0, 2**64, size=-(-size // 8), dtype=np.uint64).view(np.uint8)[:size]
+    k = math.floor(256 * r)
+    bits = draw < k
+    tie = np.flatnonzero(draw == k)
+    bits[tie] = rng.random(tie.size) < 256 * r - k
+    return bits
+
+
 def oue_perturb_batch_oneshot(
     true_indices: Sequence[int], params: OueParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """OUE bit matrix from one uniform draw of the whole ``(users, n)`` matrix."""
+    """OUE bit matrix from one byte draw of the whole ``(users, n)`` noise
+    matrix at ``q``, then one of the users' true bits at ``p``."""
     idx = np.asarray(true_indices, dtype=np.int64)
-    bits = rng.random((idx.size, params.n)) < params.q
-    bits[np.arange(idx.size), idx] = rng.random(idx.size) < params.p
+    bits = _byte_bits(rng, idx.size * params.n, params.q).reshape(idx.size, params.n)
+    bits[np.arange(idx.size), idx] = _byte_bits(rng, idx.size, params.p)
     return bits.astype(np.uint8)
 
 

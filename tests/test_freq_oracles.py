@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from ldplab.defenses import ones_count_cdf
 from ldplab.freq_oracles import (
     HashFamily,
     OlhParams,
@@ -96,9 +100,11 @@ class TestOuePerturb:
         [
             (0, 5),
             (200_000, 1),  # one column, several chunks of rows
-            (3, 70_000),  # one row is wider than a chunk
+            (3, 70_000),  # fewer rows than a chunk's least 8
+            (3, 140_001),  # one row is wider than a chunk; the last word is partly used
             (5_000, 187),  # many rows per chunk, several chunks
-            (1_000, 100),  # a partial last chunk (655 rows per chunk)
+            (1_000, 100),  # one chunk (1,304 rows per chunk)
+            (2_000, 100),  # a partial last chunk
         ],
     )
     def test_matches_one_shot_draw(self, users, n):
@@ -113,22 +119,28 @@ class TestOuePerturb:
         np.testing.assert_array_equal(counts.ones, expected.sum(axis=1))
 
     # 4-sigma bands: a two-sided normal tail of 6.3e-5 per z-test, so a
-    # correct draw fails one of the 24 z-tests below (6 columns, mean and
-    # variance, then the estimates' means at two budgets) with probability
-    # below 1.6e-3 over the choice of seed.  The seeds are fixed.
+    # correct draw fails one of the 36 z-tests below (6 columns, mean and
+    # variance, for either draw, then the estimates' means at two budgets)
+    # with probability below 2.3e-3 over the choice of seed.  The seeds are
+    # fixed.
     _REPS = 2_000
     _HIST = np.array([0, 1, 10, 100, 300, 589])  # users per column, 1,000 in all
 
     def test_column_counts_follow_their_binomial_law(self):
-        """Column j's count is Bin(n_j, p) + Bin(m - n_j, q): its mean and
-        variance over repetitions match the law's within 4 sigma each.  The
-        sample variance's sigma uses the law's fourth cumulant."""
+        """Column j's count is Bin(n_j, p) + Bin(m - n_j, q), whether drawn
+        from that law or summed from per-report bits: for either draw, its
+        mean and variance over repetitions match the law's within 4 sigma
+        each.  The sample variance's sigma uses the law's fourth cumulant."""
+        for per_report in (False, True):
+            self._check_column_count_law(per_report)
+
+    def _check_column_count_law(self, per_report):
         params = OueParams(1.0, self._HIST.size)
         true_indices = np.repeat(np.arange(params.n), self._HIST)
         rng = np.random.default_rng(11)
         counts = np.array(
             [
-                oue_perturb_batch(true_indices, params, rng, per_report=False).support
+                oue_perturb_batch(true_indices, params, rng, per_report=per_report).support
                 for _ in range(self._REPS)
             ]
         )
@@ -143,8 +155,8 @@ class TestOuePerturb:
         r = self._REPS
         z_mean = (counts.mean(axis=0) - mean) / np.sqrt(var / r)
         z_var = (counts.var(axis=0, ddof=1) - var) / np.sqrt(2 * var**2 / (r - 1) + k4 / r)
-        assert np.abs(z_mean).max() <= 4.0, z_mean
-        assert np.abs(z_var).max() <= 4.0, z_var
+        assert np.abs(z_mean).max() <= 4.0, (per_report, z_mean)
+        assert np.abs(z_var).max() <= 4.0, (per_report, z_var)
 
     @pytest.mark.parametrize("epsilon", [0.5, 2.0])
     def test_column_count_estimates_are_unbiased(self, epsilon):
@@ -172,6 +184,34 @@ class TestOuePerturb:
         )
         z = (estimates.mean(axis=0) - freqs) / np.sqrt(var / self._REPS)
         assert np.abs(z).max() <= 4.0, z
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    def test_report_ones_follow_the_detectors_law(self, epsilon):
+        """Each report's 1-count is Bin(n - 1, q) + Bin(1, 1/2), the law
+        ``defenses.ones_count_cdf`` gives the detector.  The empirical CDF of
+        200,000 reports stays within t of it, where the
+        Dvoretzky-Kiefer-Wolfowitz bound 2 exp(-2 m t^2) = 1e-6 sets t: a
+        correct draw fails one of these 3 cases with probability below 3e-6,
+        over the choice of seed.  The seeds are fixed."""
+        m, params = 200_000, OueParams(epsilon, 16)
+        true_indices = np.random.default_rng(21).integers(0, params.n, m)
+        ones = oue_perturb_batch(true_indices, params, np.random.default_rng(22)).ones
+        empirical = np.cumsum(np.bincount(ones, minlength=params.n + 1)) / m
+        t = np.sqrt(np.log(2 / 1e-6) / (2 * m))
+        gap = np.abs(empirical - ones_count_cdf(params.n, params.q)).max()
+        assert gap <= t, (gap, t)
+
+    @pytest.mark.parametrize(
+        "r", [OueParams(epsilon, 1).q for epsilon in (0.5, 1.0, 2.0, 20.0)] + [0.5]
+    )
+    def test_byte_cut_is_exact(self, r):
+        """A bit at ``r`` is 1 below the byte ``k = floor(256 r)`` and, on a
+        tie, below ``256 r - k``: the float difference loses nothing, so the
+        two parts add up to exactly ``256 r``."""
+        k = math.floor(256 * r)
+        frac = 256 * r - k
+        assert 0 <= k < 256 and 0 <= frac < 1
+        assert Fraction(k) + Fraction(frac) == 256 * Fraction(r)
 
     @pytest.mark.parametrize("per_report", [True, False])
     @pytest.mark.parametrize("bad", [[0, -1], [0, 5]])

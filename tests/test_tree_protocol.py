@@ -121,6 +121,29 @@ class TestRunProtocol:
                 rng=rng,
             )
 
+    @pytest.mark.parametrize("entry", [2, -1, 0.5])
+    def test_hook_entries_checked(self, monkeypatch, entry):
+        """A hook entry other than 0 or 1 is rejected, not cast: int64 -1
+        would wrap to 255 as uint8 and 0.5 would truncate to 0."""
+        _fixed_threshold(monkeypatch, 0.0)
+        config = TreeConfig(domain_size=16)
+        rng = np.random.default_rng(2)
+
+        def hook(tree, frontier, m, r):
+            reports = np.zeros((m, frontier.size), dtype=np.asarray(entry).dtype)
+            reports[0, -1] = entry
+            return reports
+
+        with pytest.raises(ValueError, match="attack hook returned entries other than 0 and 1"):
+            run_tree_protocol(
+                collect_tree_groups(np.zeros(100, dtype=int), config, rng=rng),
+                config,
+                hook=hook,
+                n_fake=11,
+                rng=rng,
+                keep_reports=True,
+            )
+
     def test_collection_validation(self):
         config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(0)
