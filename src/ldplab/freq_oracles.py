@@ -338,18 +338,21 @@ def olh_perturb_batch(
 
     Each user draws a universal function and reports the hash of its cell
     with probability ``params.p``, otherwise a uniformly drawn other key.
+    The draws are int32 (the values of int64 draws), the hash arithmetic is
+    int32 below prime 46349 and int64 from it, and both arrays are int64.
     """
-    cells = np.asarray(true_cells, dtype=np.int64)
+    dtype = np.promote_types(np.int32, np.min_scalar_type(-family.prime**2))
+    cells = np.asarray(true_cells, dtype=dtype)
     m = cells.size
-    a = rng.integers(1, family.prime, size=m)
-    b = rng.integers(0, family.prime, size=m)
+    a = rng.integers(1, family.prime, size=m, dtype=np.int32).astype(dtype, copy=False)
+    b = rng.integers(0, family.prime, size=m, dtype=np.int32).astype(dtype, copy=False)
     fn_ids = a * family.prime + b
     true_keys = ((a * cells + b) % family.prime) % family.g
     keep = rng.random(m) < params.p
-    wrong = rng.integers(0, family.g - 1, size=m)
-    wrong = np.where(wrong >= true_keys, wrong + 1, wrong)
+    wrong = rng.integers(0, family.g - 1, size=m, dtype=np.int32)
+    wrong += wrong >= true_keys
     keys = np.where(keep, true_keys, wrong)
-    return fn_ids, keys
+    return fn_ids.astype(np.int64), keys.astype(np.int64)
 
 
 def olh_aggregate(
@@ -383,7 +386,9 @@ def olh_aggregate(
     table = _cell_keys(family, int(cells.max()) + 1 if cells.size else 0)
     if not np.array_equal(cells, np.arange(table.shape[1])):
         table = table[:, cells]
-    distinct, mult = np.unique(fn_ids * family.g + keys, return_counts=True)
+    # The ids, below prime**2 * g, sort faster in the narrowest dtype holding them.
+    ids = (fn_ids * family.g + keys).astype(np.min_scalar_type(family.prime**2 * family.g - 1))
+    distinct, mult = np.unique(ids, return_counts=True)
     fns, keys = np.divmod(distinct, family.g)
     fns -= family.prime
     keys = keys.astype(table.dtype)

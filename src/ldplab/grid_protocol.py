@@ -177,13 +177,17 @@ def collect_grid_reports(
     The users are split into ``n_groups`` near-equal groups by one draw,
     ``rng.permutation(arange(n_real) % n_groups)``, and each group reports
     its grid's cell through OLH.  ``keep_reports`` keeps each report's
-    fn_id, the max-load detector's input; it changes no draw.
+    fn_id, the max-load detector's input; it changes no draw.  ``records``
+    (shape ``(n, d)``) are read as they are, in any integer dtype and layout;
+    any other dtype is a ``ValueError``.
     """
-    records = np.asarray(records, dtype=np.int64)
+    records = np.asarray(records)
     if records.ndim != 2 or records.shape[1] != config.d:
         raise ValueError(f"records must have shape (n, {config.d})")
     if records.size == 0:
         raise ValueError("empty input")
+    if not np.issubdtype(records.dtype, np.integer):
+        raise ValueError("records must be integers")
     if records.min() < 0 or records.max() >= config.domain_size:
         raise ValueError("records outside domain")
     if len(records) < config.n_groups:
@@ -203,7 +207,7 @@ def collect_grid_reports(
         members = by_group[starts[gidx] : starts[gidx + 1]]
         shape = config.shape(key)
         widths = [config.domain_size // n for n in shape]
-        coords = tuple(records[members, a] // w for a, w in zip(key[1:], widths))
+        coords = tuple(np.floor_divide(records[members, a], w, dtype=np.intp) for a, w in zip(key[1:], widths))
         fn_ids, keys = olh_perturb_batch(np.ravel_multi_index(coords, shape), family, params, rng)
         support = olh_aggregate((fn_ids, keys), family, np.arange(math.prod(shape)))
         # Every run of the collection reads these arrays; none may write them.

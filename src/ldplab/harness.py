@@ -7,6 +7,9 @@ executes every (seed, query) trial, recording the honest response, the
 poisoned response, the attack efficiency, and optional detection outcomes;
 results are written as JSON lines plus a CSV summary.
 
+A dataset's records are one column-major ``(n, dims)`` array in the domain's
+narrowest unsigned dtype, which every consumer reads as it is.
+
 Each seed collects its real users once and runs the honest protocol once,
 both inside its first trial (whose ``elapsed_s`` carries that cost).  The
 collection is a grid's perturbed reports
@@ -239,6 +242,9 @@ class TrialResult:
 # Datasets, queries, metrics
 # ---------------------------------------------------------------------------
 
+_CHUNK_VALUES = 32768  # about this many draws per row chunk of gen_synthetic
+
+
 def gen_synthetic(
     kind: str,
     count: int,
@@ -248,22 +254,29 @@ def gen_synthetic(
     dims: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """I.i.d. per-dimension draws rounded and clipped into [0, domain)."""
-    if count < 1:
-        raise ValueError("count must be > 0")
-    if kind == "gaussian":
-        raw = rng.normal(mean, std, size=(count, dims))
-    elif kind == "laplace":
-        raw = rng.laplace(mean, std, size=(count, dims))
-    else:
+    """I.i.d. per-dimension draws rounded and clipped into [0, domain), as a
+    column-major ``(count, dims)`` array in ``np.min_scalar_type(domain - 1)``.
+
+    Drawn in row chunks of about ``_CHUNK_VALUES`` values (the stream of one
+    ``(count, dims)`` draw) with no full-size float copy."""
+    if count < 1 or dims < 1:
+        raise ValueError("count and dims must be > 0")
+    draw = {"gaussian": rng.normal, "laplace": rng.laplace}.get(kind)
+    if draw is None:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    np.rint(raw, out=raw)
-    np.clip(raw, 0, domain - 1, out=raw)
-    return raw.astype(np.int64)
+    out = np.empty((count, dims), dtype=np.min_scalar_type(domain - 1), order="F")
+    step = max(1, _CHUNK_VALUES // dims)
+    for start in range(0, count, step):
+        raw = draw(mean, std, size=(min(step, count - start), dims))
+        np.rint(raw, out=raw)
+        np.clip(raw, 0, domain - 1, out=raw)
+        out[start : start + raw.shape[0]] = raw
+    return out
 
 
 def load_csv(path: str, columns: Sequence[str], domain: int) -> np.ndarray:
-    """Load selected CSV columns, min-max rescaled and floored into [0, domain).
+    """Load selected CSV columns, min-max rescaled and floored into [0, domain),
+    as records of :func:`gen_synthetic`'s dtype and layout.
 
     Rows with missing or non-numeric entries in the selected columns are
     dropped; raises if the file is missing, a column is absent, or no valid
@@ -290,7 +303,7 @@ def load_csv(path: str, columns: Sequence[str], domain: int) -> np.ndarray:
     span = data.max(axis=0) - lo
     span[span == 0] = 1.0
     scaled = (data - lo) / span * domain
-    return np.clip(np.floor(scaled), 0, domain - 1).astype(np.int64)
+    return np.clip(np.floor(scaled), 0, domain - 1).astype(np.min_scalar_type(domain - 1), order="F")
 
 
 def true_frequency(records: np.ndarray, query: RangeQuery) -> float:
@@ -347,21 +360,6 @@ def efficiency(f_true: float, f_poisoned: float, rho: float) -> float:
 # ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------
-
-def _build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    spec = config.dataset  # defaults filled by ExperimentConfig
-    if spec["kind"] == "csv":
-        return load_csv(spec["path"], spec["columns"], config.domain_size)
-    return gen_synthetic(
-        spec["kind"],
-        spec["count"],
-        spec["mean"],
-        spec["std"],
-        config.domain_size,
-        config.dims_total,
-        rng,
-    )
-
 
 # (protocol, attack token) -> hook constructor of (config, query, real user
 # count).  The keys are also the attack tokens each protocol accepts.
@@ -430,8 +428,14 @@ def _fold_detection(results: List[defenses.DetectionResult]) -> defenses.Detecti
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> List[TrialResult]:
-    data_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    records = _build_dataset(config, data_rng)
+    spec = config.dataset  # defaults filled by ExperimentConfig
+    if spec["kind"] == "csv":
+        records = load_csv(spec["path"], spec["columns"], config.domain_size)
+    else:
+        data_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        records = gen_synthetic(
+            spec["kind"], spec["count"], spec["mean"], spec["std"], config.domain_size, config.dims_total, data_rng
+        )
     query_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     snap = config.protocol_config.col_width if config.protocol == "hdg" else None
     queries = gen_queries(

@@ -159,13 +159,17 @@ def oue_sigma(epsilon: float, n_users: int) -> float:
 def collect_tree_groups(records, config: TreeConfig, *, rng: np.random.Generator) -> Tuple[np.ndarray, ...]:
     """The real users' read-only layer groups: their ``n`` values (shape ``(n,)``
     or ``(n, 1)``) shuffled by one ``rng.permutation(n)`` and cut by the real
-    sizes of :meth:`TreeConfig.layer_plan`, in layer order."""
-    values = np.asarray(records, dtype=np.int64).reshape(len(records))
+    sizes of :meth:`TreeConfig.layer_plan`, in layer order.  The values may
+    have any integer dtype (any other is a ``ValueError``); the groups are intp,
+    as every run's ``owner[group]`` lookup reads them."""
+    values = np.asarray(records).reshape(len(records))
     if values.size == 0:
         raise ValueError("empty user set")
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError("records must be integers")
     if values.min() < 0 or values.max() >= config.domain_size:
         raise ValueError("values outside domain")
-    shuffled = values[rng.permutation(values.size)]
+    shuffled = values[rng.permutation(values.size)].astype(np.intp)
     shuffled.flags.writeable = False  # every run of the collection reads the groups
     return tuple(np.split(shuffled, np.cumsum(config.layer_plan(values.size, 0)[0])[:-1]))
 

@@ -10,6 +10,9 @@ grid sets (hashed by the digest tests and read by the JSON-tree oracles),
 the expected assignment objective that turns the assignment search's
 counts into a value, and the privacy check of PRISM's bitwise range
 encoding (acceptance criterion 10), a protocol the package does not run.
+The one-draw, int64 forms of the synthetic records and of OLH's batch
+draws (``gen_synthetic_oneshot``, ``olh_perturb_batch_int64``) pin the
+package's chunked, narrow draws to the same values.
 """
 
 from __future__ import annotations
@@ -459,6 +462,18 @@ def oue_perturb_batch_oneshot(
     return bits.astype(np.uint8)
 
 
+def gen_synthetic_oneshot(
+    kind: str, count: int, mean: float, std: float, domain: int, dims: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Synthetic records from one ``(count, dims)`` float draw, rounded,
+    clipped into [0, domain) and cast to int64 in C order."""
+    draw = rng.normal if kind == "gaussian" else rng.laplace
+    raw = draw(mean, std, size=(count, dims))
+    np.rint(raw, out=raw)
+    np.clip(raw, 0, domain - 1, out=raw)
+    return raw.astype(np.int64)
+
+
 def oue_perturb(true_index: int, params: OueParams, rng: np.random.Generator) -> np.ndarray:
     """Perturb a one-hot encoding of ``true_index`` into an OUE report."""
     if not 0 <= true_index < params.n:
@@ -522,6 +537,24 @@ def olh_perturb(
         if key >= true_key:
             key += 1
     return fn, key
+
+
+def olh_perturb_batch_int64(
+    true_cells: Sequence[int], family: HashFamily, params: OlhParams, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(fn_ids, keys)`` of a batch of OLH reports, every draw and the hash
+    arithmetic in int64."""
+    cells = np.asarray(true_cells, dtype=np.int64)
+    m = cells.size
+    a = rng.integers(1, family.prime, size=m)
+    b = rng.integers(0, family.prime, size=m)
+    fn_ids = a * family.prime + b
+    true_keys = ((a * cells + b) % family.prime) % family.g
+    keep = rng.random(m) < params.p
+    wrong = rng.integers(0, family.g - 1, size=m)
+    wrong = np.where(wrong >= true_keys, wrong + 1, wrong)
+    keys = np.where(keep, true_keys, wrong)
+    return fn_ids, keys
 
 
 def olh_support(

@@ -22,6 +22,7 @@ from .oracles import (
     hash_fn_id,
     olh_aggregate_pairs,
     olh_perturb,
+    olh_perturb_batch_int64,
     olh_support,
     olh_support_scan,
     olh_worst_ratio,
@@ -350,6 +351,24 @@ class TestOlhParams:
         expected = (1.0 - p_hash) / 3.0 * wrong.size
         sigma = np.sqrt(expected * (1.0 - (1.0 - p_hash) / 3.0))
         assert np.all(np.abs(counts - expected) <= 4 * sigma)
+
+    @pytest.mark.parametrize("prime", [17, 211, 46337, 46349])
+    def test_batch_equals_int64_draws(self, prime):
+        """int32 draws and hash arithmetic (int64 from prime 46349, where
+        ``prime**2`` leaves int32) give the int64 reports, array for array,
+        and leave the stream where the int64 draws do.  Half the cells are
+        ``prime - 1``, where the hash and the ids reach ``prime**2 - 1``."""
+        family = HashFamily(prime, 4)
+        params = OlhParams(1.0)
+        cells = np.random.default_rng(prime).integers(0, prime, 40_000)
+        cells[::2] = prime - 1
+        rng, want_rng = np.random.default_rng(prime + 1), np.random.default_rng(prime + 1)
+        got = olh_perturb_batch(cells, family, params, rng)
+        want = olh_perturb_batch_int64(cells, family, params, want_rng)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == np.int64
+            np.testing.assert_array_equal(got_array, want_array)
+        assert rng.random() == want_rng.random()
 
     def test_single_report(self):
         family = HashFamily(17, 4)

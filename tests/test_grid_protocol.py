@@ -297,6 +297,15 @@ class TestRunProtocol:
         for key, freqs in kept.freqs.items():
             np.testing.assert_array_equal(freqs, dropped.freqs[key])
 
+    def test_float_records_rejected(self):
+        # They used to be truncated, as whole and fractional floats alike.
+        config = GridConfig(d=2)
+        rng = np.random.default_rng(0)
+        for records in (np.full((20, 2), 1.5), np.array([[1.0, 2.0], [3.0, 63.9], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match="records must be integers"):
+                collect_grid_reports(records, config, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()  # raised before any draw
+
     def test_input_validation(self):
         config = GridConfig(d=2)
         rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ import pytest
 from ldplab import harness
 from ldplab.attacks.grid import _key_sizes, aog_size_constraints
 from ldplab.defenses import DetectionResult
-from ldplab.grid_protocol import collect_grid_reports, estimate_query as grid_estimate, run_grid_protocol
+from ldplab.grid_protocol import GridConfig, collect_grid_reports, estimate_query as grid_estimate, run_grid_protocol
 from ldplab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -21,9 +21,9 @@ from ldplab.harness import (
     true_frequency,
 )
 from ldplab.query import RangeQuery
-from ldplab.tree_protocol import collect_tree_groups, estimate_query as tree_estimate, run_tree_protocol
+from ldplab.tree_protocol import TreeConfig, collect_tree_groups, estimate_query as tree_estimate, run_tree_protocol
 
-from .oracles import prism_bruteforce_ratio, prism_violation_ratio
+from .oracles import gen_synthetic_oneshot, prism_bruteforce_ratio, prism_violation_ratio
 
 
 class TestDatasets:
@@ -40,8 +40,34 @@ class TestDatasets:
             assert data.min() >= 0 and data.max() <= 63
         with pytest.raises(ValueError):
             gen_synthetic("uniformish", 10, 0, 1, 64, 1, rng)
-        with pytest.raises(ValueError):
-            gen_synthetic("gaussian", 0, 0, 1, 64, 1, rng)
+        for count, dims in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="count and dims"):
+                gen_synthetic("gaussian", count, 0, 1, 64, dims, rng)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("dims", [1, 5])
+    def test_chunked_draw_equals_one_draw(self, kind, dims):
+        """Row chunks read the stream of one ``(count, dims)`` draw: the
+        records equal the one-shot int64 ones and the next draw matches,
+        around every chunk boundary and at std 0."""
+        chunk = harness._CHUNK_VALUES // dims
+        for std in (0.0, 12.0):
+            for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+                rng, want_rng = np.random.default_rng(count), np.random.default_rng(count)
+                got = gen_synthetic(kind, count, 32.0, std, 64, dims, rng)
+                np.testing.assert_array_equal(got, gen_synthetic_oneshot(kind, count, 32.0, std, 64, dims, want_rng))
+                assert rng.random() == want_rng.random(), (std, count)
+
+    @pytest.mark.parametrize("domain, dtype", [(1, np.uint8), (64, np.uint8), (256, np.uint8), (257, np.uint16), (1024, np.uint16)])
+    def test_records_are_narrow_and_column_major(self, tmp_path, domain, dtype):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n0,1,2\n5,4,3\n9,9,9\n")
+        for data in (
+            gen_synthetic("laplace", 100, domain / 2, domain / 4, domain, 3, np.random.default_rng(0)),
+            load_csv(str(path), ["a", "b", "c"], domain),
+        ):
+            assert data.dtype == dtype and data.flags.f_contiguous and data.shape[1] == 3
+            assert data.min() >= 0 and data.max() <= domain - 1
 
 
 class TestLoadCsv:
@@ -297,6 +323,99 @@ def small_grid_config(**overrides):
 
 def small_config(protocol, **overrides):
     return (small_tree_config if protocol == "ahead" else small_grid_config)(**overrides)
+
+
+class TestRecordLayout:
+    """The narrow column-major records and the same values as int64 C-order
+    records give identical collections, true frequencies and runs."""
+
+    @staticmethod
+    def records(domain, dims, count=6000, seed=0):
+        narrow = gen_synthetic("gaussian", count, domain / 2, domain / 4, domain, dims, np.random.default_rng(seed))
+        wide = np.ascontiguousarray(narrow, dtype=np.int64)
+        assert narrow.dtype != wide.dtype and narrow.flags.f_contiguous and wide.flags.c_contiguous
+        return narrow, wide
+
+    @pytest.mark.parametrize("domain", [64, 256])
+    def test_grid_collection(self, domain):
+        config = GridConfig(d=3, domain_size=domain)
+        narrow, wide = self.records(domain, 3)
+        got = collect_grid_reports(narrow, config, rng=np.random.default_rng(1), keep_reports=True)
+        want = collect_grid_reports(wide, config, rng=np.random.default_rng(1), keep_reports=True)
+        assert list(got) == list(want)
+        for key, real in got.items():
+            assert real.users == want[key].users
+            np.testing.assert_array_equal(real.support, want[key].support)
+            np.testing.assert_array_equal(real.fn_ids, want[key].fn_ids)
+
+    @pytest.mark.parametrize("domain", [64, 256])
+    def test_tree_collection(self, domain):
+        config = TreeConfig(domain_size=domain)
+        narrow, wide = self.records(domain, 1)
+        got = collect_tree_groups(narrow, config, rng=np.random.default_rng(1))
+        want = collect_tree_groups(wide, config, rng=np.random.default_rng(1))
+        assert len(got) == len(want) == config.depth
+        for group, wanted in zip(got, want):
+            assert group.dtype == wanted.dtype == np.intp
+            np.testing.assert_array_equal(group, wanted)
+
+    def test_true_frequency_up_to_the_domain_end(self):
+        narrow, wide = self.records(256, 3)
+        assert narrow.dtype == np.uint8 and narrow.max() == 255
+        for attrs, intervals in (
+            ((0,), ((0, 256),)),
+            ((1, 2), ((128, 256), (0, 256))),
+            ((0, 2), ((100, 256), (0, 140))),
+        ):
+            query = RangeQuery(attrs, intervals)
+            inside = np.ones(len(wide), dtype=bool)
+            for attr, (lo, hi) in zip(attrs, intervals):
+                inside &= [lo <= v < hi for v in wide[:, attr].tolist()]
+            assert true_frequency(narrow, query) == true_frequency(wide, query) == inside.mean() > 0
+
+    @pytest.mark.parametrize("protocol", ["ahead", "hdg"])
+    def test_experiment(self, monkeypatch, protocol):
+        config = small_config(
+            protocol,
+            domain_size=256,
+            dataset={"kind": "gaussian", "count": 6000, "mean": 200.0, "std": 60.0},
+            attack="mga",
+            rho=0.1,
+            defense=True,
+            n_queries=4,
+            seeds=(0, 1),
+        )
+        narrow, _ = run_experiment(config)
+        generate = harness.gen_synthetic
+        monkeypatch.setattr(
+            harness, "gen_synthetic", lambda *args: np.ascontiguousarray(generate(*args), dtype=np.int64)
+        )
+        wide, _ = run_experiment(config)
+        assert any(hi == 256 for r in narrow for _, hi in r.intervals)
+        assert [{**asdict(r), "elapsed_s": None} for r in narrow] == [{**asdict(r), "elapsed_s": None} for r in wide]
+
+    @pytest.mark.parametrize("protocol", ["ahead", "hdg"])
+    def test_csv_dataset_runs(self, tmp_path, protocol):
+        """An end-to-end run on a csv dataset: the trials' true frequencies
+        are those of the loaded records."""
+        columns = ["x"] if protocol == "ahead" else ["x", "y"]
+        rng = np.random.default_rng(4)
+        path = tmp_path / "data.csv"
+        rows = rng.normal(0.0, 1.0, (3000, 2))
+        path.write_text("x,y\n" + "".join(f"{x:.4f},{y:.4f}\n" for x, y in rows))
+        config = small_config(
+            protocol,
+            dataset={"kind": "csv", "path": str(path), "columns": columns},
+            attack="mga",
+            rho=0.1,
+            n_queries=2,
+        )
+        results, summary = run_experiment(config)
+        records = load_csv(str(path), columns, config.domain_size)
+        assert len(results) == 2 and summary["mean_response"] is not None
+        for r in results:
+            assert r.f_true == true_frequency(records, RangeQuery(r.attrs, r.intervals))
+            assert r.efficiency is not None
 
 
 class TestRunExperiment:

@@ -155,6 +155,14 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             collect_tree_groups(np.zeros((5, 2), dtype=int), config, rng=rng)  # one column only
 
+    def test_float_records_rejected(self):
+        # They used to be truncated: [1.5, 2.7, 700.9, 3.2] collected [1, 2, 700, 3].
+        rng = np.random.default_rng(0)
+        for values in ([1.5, 2.7, 700.9, 3.2], np.array([[1.0], [2.0]])):
+            with pytest.raises(ValueError, match="records must be integers"):
+                collect_tree_groups(values, TreeConfig(), rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()  # raised before any draw
+
     def test_input_validation(self):
         config = TreeConfig(domain_size=16)
         rng = np.random.default_rng(0)
@@ -177,7 +185,7 @@ class TestRunProtocol:
         values = np.random.default_rng(7).integers(0, 16, 1001)
         groups = collect_tree_groups(values[:, None], config, rng=np.random.default_rng(8))
         assert [g.size for g in groups] == config.layer_plan(1001, 0)[0] == [251, 250, 250, 250]
-        assert all(not g.flags.writeable for g in groups)
+        assert all(not g.flags.writeable and g.dtype == np.intp for g in groups)
         np.testing.assert_array_equal(
             np.concatenate(groups), values[np.random.default_rng(8).permutation(values.size)]
         )
