@@ -173,11 +173,14 @@ def grid_detect(
     Flags the round when the observed maximum per-function usage exceeds
     :meth:`MaxLoadCdf.threshold`, the smallest load whose honest CDF bound
     exceeds ``1 - alpha``, so honest rounds are flagged at most ``alpha`` of
-    the time.
+    the time.  ``fn_ids`` must be integers; any other dtype is a
+    ``ValueError``.
     """
-    fn_ids = np.asarray(fn_ids, dtype=np.int64)
+    fn_ids = np.asarray(fn_ids)
     if fn_ids.size == 0:
         raise ValueError("empty round")
+    if not np.issubdtype(fn_ids.dtype, np.integer):
+        raise ValueError("fn_ids must be integers")
     # The ids sort faster in the narrowest dtype holding them (uint16 up to prime 251).
     narrow = np.result_type(np.min_scalar_type(fn_ids.min()), np.min_scalar_type(fn_ids.max()))
     usage = np.unique(fn_ids.astype(narrow), return_counts=True)[1]

@@ -233,7 +233,8 @@ def run_grid_protocol(
     same config, which this function does not change.
     ``n_fake``: fakes split over the grids by :meth:`GridConfig.fake_counts`.
     ``hook``: called per grid with (grid key, fake count, rng); must return
-    ``(fn_ids, keys)`` arrays of fabricated reports for that grid's round.
+    ``(fn_ids, keys)`` integer arrays of fabricated reports for that grid's
+    round (any other dtype is a ``ValueError``).
     Their support counts are added to the real ones.
     A hook with a ``begin`` method has it called once before the rounds,
     with the fake count per grid, when ``n_fake > 0``.  Only the hook draws
@@ -262,10 +263,10 @@ def run_grid_protocol(
         m_fake = fake_counts[key]
         if hook is not None and m_fake > 0:
             fake_fns, fake_keys = hook(key, m_fake, rng)
-            fake_fns = np.asarray(fake_fns, dtype=np.int64)
-            fake_keys = np.asarray(fake_keys, dtype=np.int64)
+            fake_fns, fake_keys = np.asarray(fake_fns), np.asarray(fake_keys)
             if fake_fns.size != m_fake or fake_keys.size != m_fake:
                 raise ValueError("attack hook must return one report per fake user")
+            # olh_aggregate rejects reports that are not integers.
             support = support + olh_aggregate((fake_fns, fake_keys), family, np.arange(support.size))
             users += m_fake
             if keep_reports:

@@ -33,7 +33,7 @@ from ldplab.attacks import grid
 from ldplab.attacks.grid import AdaptiveGridAttack, ColumnBook, GridRangeAttack, GridSupports
 from ldplab.attacks.tree import _check_search_inputs, expected_layer_estimates
 from ldplab.freq_oracles import HashFamily, OlhParams, OueParams
-from ldplab.grid_protocol import GridSet, grid_keys
+from ldplab.grid_protocol import GridSet, cells_in_range, grid_keys
 from ldplab.postprocess import norm_sub
 from ldplab.query import RangeQuery
 from ldplab.tree_protocol import Tree
@@ -704,17 +704,20 @@ def match_functions_to_grids_loop(
     return matched
 
 
-def best_pairs_argwhere(values: np.ndarray, fn_ids: np.ndarray) -> np.ndarray:
-    """Reference of the grid attacks' ``_best_pairs``: every maximum of
-    ``values[row, key]`` found by a 2-D ``np.argwhere``, as ``(fn_id, key)``
-    rows in row-major order."""
-    ties = np.argwhere(values == values.max())
-    ties[:, 0] = fn_ids[ties[:, 0]]
+def best_pairs_argwhere(values: np.ndarray, classes) -> np.ndarray:
+    """Reference of the grid attacks' ``_best_pairs``: the per-class
+    ``values`` spread over every (function, key) pair of the class map
+    ``classes``, and every maximum found by a 2-D ``np.argwhere``, as
+    ``(fn_id, key)`` rows in row-major order."""
+    per_pair = values[classes.classes]
+    ties = np.argwhere(per_pair == per_pair.max())
+    ties[:, 0] += classes.family.prime
     return ties
 
 
 def preference(scan: GridSupports) -> np.ndarray:
-    """Float reference of ``GridSupports.rank``: spill first, then size.
+    """Float reference of ``GridSupports.rank``: spill first, then size,
+    for each entry of ``scan.sizes`` and ``scan.inter``.
 
     A support with less out-of-range spill (primary ``inter - sizes``)
     ranks first; among equal spill a larger support (secondary ``sizes``)
@@ -729,25 +732,47 @@ def preference(scan: GridSupports) -> np.ndarray:
 
 
 def best_keys_by_preference(hook: AdaptiveGridAttack, key) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference of ``AdaptiveGridAttack._best_keys``: each function's
-    ``argmax`` of the float :func:`preference` and that score."""
-    score = preference(hook.supports(key))
+    """Reference of ``AdaptiveGridAttack._best_keys``: the float
+    :func:`preference` of every (function, key) pair, each function's
+    ``argmax`` over its keys and that score."""
+    scan = hook.supports(key)
+    score = preference(scan)[scan.classes.classes]
     best = score.argmax(axis=1)
     return best, np.take_along_axis(score, best[:, None], axis=1)[:, 0]
 
 
+def candidates_by_pair(hook: GridRangeAttack, key, scan: GridSupports) -> Tuple[np.ndarray, Dict]:
+    """Reference of ``GridRangeAttack._candidates`` without support
+    classes: the compliant pairs found by ``np.argwhere`` over the per-pair
+    statistics of :func:`support_scan_reference`, and each pair's column
+    counts read from its row of the key table.  ``scan`` is not read."""
+    mask = cells_in_range(hook.config, hook.query, key)
+    sizes, inter = support_scan_reference(hook.family, mask)
+    w = hook.constraints.w1_int if key[0] == "1d" else hook.constraints.w2_int
+    rows, keys = np.argwhere((sizes == inter) & (sizes >= w)).T
+    support = (hook.family.key_table(mask.size)[rows] == keys[:, None]).astype(np.int64)
+    eye = np.eye(hook.config.g2, dtype=np.int64)
+    counts = {
+        attr: support @ eye[cols]
+        for attr, cols in hook.config.columns(key).items()
+        if attr in hook.query.attrs
+    }
+    return np.column_stack([rows + hook.family.prime, keys]), counts
+
+
 @contextlib.contextmanager
 def float_ranking() -> Iterator[None]:
-    """Run the grid attacks on the float64 path that the integer
-    ``GridSupports.rank`` replaced: pairs scored by
-    :func:`preference`, maxima and candidates found by
-    ``np.argwhere``, the adaptive attack's values taken from the preference,
-    and its quota matching by :func:`match_functions_to_grids_loop`, which
-    stable-sorts the float64 values one entry at a time."""
+    """Run the grid attacks on a per-pair float64 path, without the
+    integer ``GridSupports.rank`` or the expansion of support classes:
+    pairs scored by :func:`preference`, maxima found by ``np.argwhere``
+    over every pair, candidates by :func:`candidates_by_pair`, the adaptive
+    attack's values taken per function from the preference, and its quota
+    matching by :func:`match_functions_to_grids_loop`, which stable-sorts
+    the float64 values one entry at a time."""
     patches = (
         mock.patch.object(GridSupports, "rank", preference),
         mock.patch.object(grid, "_best_pairs", best_pairs_argwhere),
-        mock.patch.object(grid, "_where", lambda mask: tuple(np.argwhere(mask).T)),
+        mock.patch.object(GridRangeAttack, "_candidates", candidates_by_pair),
         mock.patch.object(AdaptiveGridAttack, "_best_keys", best_keys_by_preference),
         mock.patch.object(grid, "match_functions_to_grids", match_functions_to_grids_loop),
     )
@@ -805,7 +830,7 @@ def range_attack_begin_loop(hook: GridRangeAttack, rng: np.random.Generator) -> 
     keys = hook._relevant_keys()
     all_keys = grid_keys(hook.config.d)
     scans = {key: hook.supports(key) for key in all_keys}
-    candidates = {key: hook._candidates(key, scans[key]) for key in keys}
+    candidates = {key: candidates_by_pair(hook, key, scans[key]) for key in keys}
     plannable = [key for key in keys if len(candidates[key][0]) > 0]
     best: Optional[Tuple[Dict, List]] = None
     for _ in range(grid._MAX_RESTARTS):
@@ -818,7 +843,7 @@ def range_attack_begin_loop(hook: GridRangeAttack, rng: np.random.Generator) -> 
     chosen = best[0]
     fallback_keys = [key for key in keys if key not in chosen]
     for key in fallback_keys + [k for k in all_keys if k not in keys]:
-        chosen[key] = grid._pick(grid._best_pairs(scans[key].rank(), scans[key].fn_ids), rng)
+        chosen[key] = grid._pick(grid._best_pairs(scans[key].rank(), scans[key].classes), rng)
     return chosen, fallback_keys
 
 

@@ -24,16 +24,17 @@ from ldplab.attacks import (
     scan_supports,
 )
 from ldplab.attacks import grid
-from ldplab.attacks.grid import _key_sizes
 from ldplab.defenses import binomial_pmf, max_load_cdf
-from ldplab.freq_oracles import HashFamily, OlhParams
+from ldplab.freq_oracles import HashFamily, OlhParams, _support_classes
 from ldplab.grid_protocol import GridConfig, cells_in_range, grid_keys
 from ldplab.harness import gen_queries
 from ldplab.query import RangeQuery
 
 from .oracles import (
     aaog_load_limit_simulated,
+    best_pairs_argwhere,
     book_admits_one,
+    candidates_by_pair,
     float_ranking,
     match_functions_to_grids_loop,
     olh_support_scan,
@@ -59,19 +60,24 @@ class TestScanSupports:
             np.zeros(16, dtype=bool),
             np.ones(16, dtype=bool),
         )
+        fn_ids = family.random_fn_ids()
         for in_range in masks:
             supports = scan(family, in_range)
-            np.testing.assert_array_equal(supports.fn_ids, family.random_fn_ids())
-            for row in (0, 7, 100, supports.fn_ids.size - 1):
+            for row in (0, 7, 100, fn_ids.size - 1):
                 for key in range(4):
-                    cells = olh_support_scan(17, 4, int(supports.fn_ids[row]), key, 16)
-                    assert supports.sizes[row, key] == len(cells)
-                    assert supports.inter[row, key] == int(in_range[cells].sum())
+                    cells = olh_support_scan(17, 4, int(fn_ids[row]), key, 16)
+                    cls = supports.classes.classes[row, key]
+                    assert supports.sizes[cls] == len(cells)
+                    assert supports.inter[cls] == int(in_range[cells].sum())
 
     def test_hits_match_key_table(self):
         family = HashFamily(31, 4)
         supports = scan(family, np.ones(20, dtype=bool))
-        assert supports.table is family.key_table(20)
+        assert supports.classes is _support_classes(family, 20)
+        table = family.key_table(20)
+        np.testing.assert_array_equal(
+            supports.classes.members[supports.classes.classes], table[:, None, :] == np.arange(4)[None, :, None]
+        )
 
     @given(
         prime=st.sampled_from([17, 31, 67, 211]),
@@ -87,42 +93,57 @@ class TestScanSupports:
         supports = scan(family, in_range)
         sizes, inter = support_scan_reference(family, in_range)
         assert supports.sizes.dtype == supports.inter.dtype == np.int64
-        np.testing.assert_array_equal(supports.sizes, sizes)
-        np.testing.assert_array_equal(supports.inter, inter)
+        classes = supports.classes.classes
+        np.testing.assert_array_equal(supports.sizes[classes], sizes)
+        np.testing.assert_array_equal(supports.inter[classes], inter)
+
+
+    @pytest.mark.parametrize("prime, n_cells", [(17, 16), (67, 64), (211, 16)])
+    def test_best_pairs_expand_the_top_classes(self, prime, n_cells):
+        """The maxima expanded from the top classes are those found over
+        every (function, key) pair, in the same row-major order."""
+        classes = _support_classes(HashFamily(prime, 4), n_cells)
+        rng = np.random.default_rng(prime)
+        for high in (1, 2, 5, 50):
+            values = rng.integers(0, high, classes.sizes.size)
+            np.testing.assert_array_equal(
+                grid._best_pairs(values, classes), best_pairs_argwhere(values, classes)
+            )
 
 
 @pytest.fixture
 def empty_sizes_cache():
-    _key_sizes.cache_clear()
+    _support_classes.cache_clear()
     yield
-    _key_sizes.cache_clear()
+    _support_classes.cache_clear()
 
 
 @pytest.mark.usefixtures("empty_sizes_cache")
 class TestHitTableCache:
+    """The support-class map is cached per (family, cell count)."""
+
     def test_equal_families_share_one_entry(self):
         a = scan(HashFamily(17, 4), np.arange(16) < 5)
         b = scan(HashFamily(17, 4), np.arange(16) >= 5)
-        assert a.table is b.table and a.sizes is b.sizes
-        assert _key_sizes.cache_info().currsize == 1
+        assert a.classes is b.classes and a.sizes is b.sizes
+        assert _support_classes.cache_info().currsize == 1
 
     def test_cached_tables_are_read_only(self):
         family = HashFamily(17, 4)
-        sizes = _key_sizes(family, 16)
-        with pytest.raises(ValueError):
-            sizes += 1
+        classes = _support_classes(family, 16)
+        for name in ("classes", "members", "sizes", "indptr", "pairs", "patterns", "pattern_of"):
+            with pytest.raises(ValueError):
+                getattr(classes, name)[...] = 0
         supports = scan(family, np.ones(16, dtype=bool))
         with pytest.raises(ValueError):
-            supports.sizes[0, 0] = 0
-        with pytest.raises(ValueError):
-            supports.table[:] = 0
+            supports.sizes[0] = 0
 
     def test_cache_stays_bounded(self):
-        maxsize = _key_sizes.cache_parameters()["maxsize"]
+        maxsize = _support_classes.cache_parameters()["maxsize"]
         family = HashFamily(17, 4)
         for n_cells in range(1, maxsize + 4):
             scan(family, np.ones(n_cells, dtype=bool))
-        assert _key_sizes.cache_info().currsize == maxsize
+        assert _support_classes.cache_info().currsize == maxsize
 
     def test_masks_give_independent_inter(self):
         family = HashFamily(31, 4)
@@ -130,8 +151,8 @@ class TestHitTableCache:
         mask_a, mask_b = rng.random(24) < 0.5, rng.random(24) < 0.5
         a, b = scan(family, mask_a), scan(family, mask_b)
         assert not np.shares_memory(a.inter, b.inter)
-        np.testing.assert_array_equal(a.inter, support_scan_reference(family, mask_a)[1])
-        np.testing.assert_array_equal(b.inter, support_scan_reference(family, mask_b)[1])
+        np.testing.assert_array_equal(a.inter[a.classes.classes], support_scan_reference(family, mask_a)[1])
+        np.testing.assert_array_equal(b.inter[b.classes.classes], support_scan_reference(family, mask_b)[1])
 
 
 class TestSizeConstraints:
@@ -410,8 +431,10 @@ class TestRank:
         (query,) = gen_queries(1, 64, d, min(dims, d), np.random.default_rng(seed), snap=config.col_width)
         hook = HeuristicGridAttack(config, query)
         scans = [hook.supports(key) for key in grid_keys(d)]
-        rank = np.stack([scan.rank() for scan in scans])
-        scores = np.stack([preference(scan) for scan in scans])
+        # Per (function, key) pair: the 1-D and 2-D grids may differ in cell
+        # count, and so in support classes.
+        rank = np.stack([scan.rank()[scan.classes.classes] for scan in scans])
+        scores = np.stack([preference(scan)[scan.classes.classes] for scan in scans])
         np.testing.assert_array_equal(_descending(rank), _descending(scores))
         # Negation does not wrap, so the descending sort is safe.
         np.testing.assert_array_equal(-rank.astype(np.int64), (-rank).astype(np.int64))
@@ -422,13 +445,11 @@ class TestRank:
         per-grid base (``sizes - (n_cells + 1) * spill``) orders the two
         the other way; the config's common base does not."""
         def one_pair(size, inter, scale):
-            return GridSupports(
-                np.array([0]), np.zeros((1, 16)), np.array([[size]]), np.array([[inter]]), scale, (16, 4)
-            )
+            return GridSupports(None, np.array([size]), np.array([inter]), scale, (16, 4))
 
         one_d, two_d = one_pair(12, 8, 4.0), one_pair(2, 1, 1.0)
         scores = np.stack([preference(one_d), preference(two_d)])
-        assert scores[0, 0, 0] > scores[1, 0, 0]  # secondaries 3 > 2
+        assert scores[0, 0] > scores[1, 0]  # secondaries 3 > 2
         rank = np.stack([one_d.rank(), two_d.rank()])
         np.testing.assert_array_equal(_descending(rank), _descending(scores))
         per_grid = np.stack([s.sizes - 17 * (s.sizes - s.inter) for s in (one_d, two_d)])
@@ -458,34 +479,49 @@ def test_plans_equal_the_float_path(attack, index):
         assert expected["load_limit"] == 1
 
 
+@pytest.mark.parametrize("config, queries", [(CONFIG, _queries()), (WIDE_CONFIG, WIDE_QUERIES)])
+def test_candidates_equal_the_per_pair_search(config, queries):
+    """The constraint-driven attack's candidates, expanded from compliant
+    support classes, are the pairs and column counts of a per-pair search
+    over the key table, in the same order."""
+    for query in queries:
+        attack = GridRangeAttack(config, query, RHO)
+        for key in attack._relevant_keys():
+            pairs, counts = attack._candidates(key, attack.supports(key))
+            want_pairs, want_counts = candidates_by_pair(attack, key, None)
+            np.testing.assert_array_equal(pairs, want_pairs)
+            assert counts.keys() == want_counts.keys()
+            for attr, column_counts in counts.items():
+                np.testing.assert_array_equal(column_counts, want_counts[attr])
+
+
 class TestHaog:
     def test_preference_values(self):
         config = GridConfig(d=2)
-        # One function, three keys: (support size, in-range size) of
-        # (5, 5), (5, 0) and (8, 8).
+        # Three classes: (support size, in-range size) of (5, 5), (5, 0)
+        # and (8, 8).
         supports = GridSupports(
-            fn_ids=np.array([0]),
-            table=np.zeros((1, 16), dtype=np.uint8),
-            sizes=np.array([[5, 5, 8]]),
-            inter=np.array([[5, 0, 8]]),
+            classes=None,
+            sizes=np.array([5, 5, 8]),
+            inter=np.array([5, 0, 8]),
             scale=1.0,
             layout=(config.g1, config.g2),
         )
         score = preference(supports)
-        assert score.shape == (1, 3)
+        assert score.shape == (3,)
         # 2-D grid (scale 1): subset support has no violation (primary 0,
         # secondary 5).
-        assert score[0, 0] == 0.0 * 1e6 + 5.0
+        assert score[0] == 0.0 * 1e6 + 5.0
         # Disjoint support: primary = -|S|.
-        assert score[0, 1] == -5.0 * 1e6 + 5.0
+        assert score[1] == -5.0 * 1e6 + 5.0
         # 1-D grids rescale both components by g1/g2 = 4.
         hook = HeuristicGridAttack(config, RangeQuery((0,), ((0, 64),)))
         assert hook.supports(("2d", 0, 1)).scale == 1.0
         one_d = hook.supports(("1d", 0))
         assert one_d.scale == config.g1 / config.g2
         score = preference(dataclasses.replace(supports, scale=one_d.scale))
-        assert score[0, 2] == 0.0 * 1e6 + 2.0
-        assert score[0, 1] == -1.25 * 1e6 + 1.25
+        assert score[2] == 0.0 * 1e6 + 2.0
+        assert score[1] == -1.25 * 1e6 + 1.25
 
     @given(
         n_cells=st.integers(1, 1031),
@@ -503,13 +539,13 @@ class TestHaog:
         rng = np.random.default_rng(seed)
         sizes = rng.integers(0, n_cells + 1, shape)
         inter = rng.integers(0, sizes + 1)
-        supports = GridSupports(np.arange(shape[0]), np.zeros((0,)), sizes, inter, scale, (16, 4))
+        supports = GridSupports(None, sizes, inter, scale, (16, 4))
         score = preference(supports)
         # Exact integer reference: rank by (inter - sizes, sizes), descending.
         rank = [(int(i - s), int(s)) for i, s in zip(inter.ravel(), sizes.ravel())]
         top = max(rank)
         expected = [divmod(idx, shape[1]) for idx, r in enumerate(rank) if r == top]
-        assert grid._best_pairs(score, supports.fn_ids).tolist() == [list(t) for t in expected]
+        assert np.argwhere(score == score.max()).tolist() == [list(t) for t in expected]
         for row in range(shape[0]):
             keys = rank[row * shape[1] : (row + 1) * shape[1]]
             assert score[row].argmax() == keys.index(max(keys))

@@ -356,6 +356,12 @@ class TestGridDetect:
         with pytest.raises(ValueError):
             grid_detect([], 100)
 
+    def test_float_ids_rejected(self):
+        # They used to be truncated: 1.5 and 1.2 read as one function used twice.
+        for fn_ids in ([1.5, 1.2, 7.9], np.array([3.0, 4.0])):
+            with pytest.raises(ValueError, match="must be integers"):
+                grid_detect(fn_ids, 100)
+
 
 def test_detection_result_frozen():
     result = DetectionResult(True, 1.0, 0.5)

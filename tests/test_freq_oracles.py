@@ -14,6 +14,7 @@ from ldplab.freq_oracles import (
     olh_perturb_batch,
     oue_perturb_batch,
     smallest_prime_above,
+    _support_classes,
 )
 
 from .oracles import (
@@ -382,6 +383,69 @@ class TestOlhParams:
             olh_perturb(17, family, params, rng)
 
 
+# (prime, g, n_cells): several cell counts up to each prime, across the
+# one-word (<= 64 cells) and multi-word support keys.
+SUPPORT_CLASS_CASES = (
+    [(17, 4, n) for n in (0, 1, 3, 16, 17)]
+    + [(31, 8, n) for n in (5, 20, 31)]
+    + [(67, 4, n) for n in (16, 64, 65, 67)]
+    + [(67, 21, 40)]
+    + [(211, 4, n) for n in (16, 64, 130, 211)]
+)
+
+
+class TestSupportClasses:
+    """The class map groups the family's (function, key) pairs by support:
+    each part is checked against the key table."""
+
+    @pytest.mark.parametrize("prime, g, n_cells", SUPPORT_CLASS_CASES)
+    def test_classes_rebuild_the_key_table(self, prime, g, n_cells):
+        family = HashFamily(prime, g)
+        table = family.key_table(n_cells)
+        support = _support_classes(family, n_cells)
+        n_classes = support.sizes.size
+        assert support.classes.shape == (family.n_random_functions, g)
+        assert support.classes.dtype == np.min_scalar_type(n_classes - 1)
+        hits = support.members[support.classes]
+        np.testing.assert_array_equal(hits, table[:, None, :] == np.arange(g, dtype=table.dtype)[:, None])
+        # Each function's g classes partition its cells.
+        np.testing.assert_array_equal(hits.sum(axis=1), 1)
+        # One class per distinct support.
+        assert np.unique(support.members, axis=0).shape[0] == n_classes
+        np.testing.assert_array_equal(support.sizes, support.members.sum(axis=1))
+
+    @pytest.mark.parametrize("prime, g, n_cells", SUPPORT_CLASS_CASES)
+    def test_csr_lists_each_pair_once_in_ascending_order(self, prime, g, n_cells):
+        family = HashFamily(prime, g)
+        support = _support_classes(family, n_cells)
+        flat = support.pairs.astype(np.int64)
+        np.testing.assert_array_equal(np.sort(flat), np.arange(family.n_random_functions * g))
+        assert support.indptr[0] == 0 and support.indptr[-1] == flat.size
+        of_position = np.repeat(np.arange(support.sizes.size), np.diff(support.indptr))
+        np.testing.assert_array_equal(support.classes.ravel()[flat], of_position)
+        same_class = of_position[1:] == of_position[:-1]
+        assert np.all(np.diff(flat)[same_class] > 0)
+
+    @pytest.mark.parametrize("prime, g, n_cells", SUPPORT_CLASS_CASES)
+    def test_patterns_rebuild_the_classes(self, prime, g, n_cells):
+        support = _support_classes(HashFamily(prime, g), n_cells)
+        np.testing.assert_array_equal(support.patterns[support.pattern_of], support.classes)
+        assert np.unique(support.patterns, axis=0).shape[0] == support.patterns.shape[0]
+
+    @pytest.mark.parametrize("prime, g, n_cells", SUPPORT_CLASS_CASES)
+    def test_pairs_of_expands_classes_in_row_major_order(self, prime, g, n_cells):
+        support = _support_classes(HashFamily(prime, g), n_cells)
+        rng = np.random.default_rng(prime * 1000 + n_cells)
+        n_classes = support.sizes.size
+        for count in {0, 1, min(n_classes, 7), n_classes}:
+            sel = rng.choice(n_classes, size=count, replace=False)
+            fn_ids, keys, which = support.pairs_of(sel)
+            expected = np.argwhere(np.isin(support.classes, sel))
+            np.testing.assert_array_equal(np.column_stack([fn_ids - prime, keys]).reshape(-1, 2), expected)
+            np.testing.assert_array_equal(sel[which], support.classes[expected[:, 0], expected[:, 1]])
+            assert fn_ids.dtype == keys.dtype == np.int64
+
+
 class TestOlhAggregate:
     def test_single_cell_support_saturates(self):
         # Every user reports a pair supporting exactly {v}: estimate
@@ -429,6 +493,16 @@ class TestOlhAggregate:
         family = HashFamily(17, 4)
         with pytest.raises(ValueError):
             olh_aggregate((np.array([]), np.array([])), family, np.arange(16))
+
+    def test_float_reports_raise(self):
+        # They used to be truncated: function 20.7 read as 20.
+        family = HashFamily(17, 4)
+        for pairs in (
+            (np.array([20.7, 21]), np.array([0, 1])),
+            (np.array([20, 21]), np.array([0.0, 1.0])),
+        ):
+            with pytest.raises(ValueError, match="must be integers"):
+                olh_aggregate(pairs, family, np.arange(16))
 
     def test_keys_outside_range_raise(self):
         family = HashFamily(17, 4)
@@ -502,10 +576,11 @@ class TestOlhAggregate:
         fn_ids, keys = olh_perturb_batch(rng.integers(0, 16, 120_000), family, params, rng)
         assert np.unique(fn_ids * family.g + keys).size > 65_536
         pairs = list(zip(fn_ids.tolist(), keys.tolist()))
-        np.testing.assert_array_equal(
-            olh_aggregate((fn_ids, keys), family, np.arange(16)),
-            olh_aggregate_pairs(pairs, family, np.arange(16)),
-        )
+        expected = olh_aggregate_pairs(pairs, family, np.arange(16))
+        np.testing.assert_array_equal(olh_aggregate((fn_ids, keys), family, np.arange(16)), expected)
+        # Narrow ids, whose pair index (up to 177,239) would wrap in uint16.
+        narrow = (fn_ids.astype(np.uint16), keys.astype(np.uint8))
+        np.testing.assert_array_equal(olh_aggregate(narrow, family, np.arange(16)), expected)
 
     def test_matches_per_pair_oracle(self):
         family = HashFamily(17, 4)

@@ -267,7 +267,7 @@ class TestRunProtocol:
         family = config.family()
         for key, (c_honest, n_honest), (c_poisoned, n_poisoned) in zip(grid_keys(3), honest, poisoned):
             m = fake_counts[key]
-            fakes = olh_aggregate((np.full(m, config.prime + 7), np.zeros(m)), family, np.arange(c_honest.size))
+            fakes = olh_aggregate((np.full(m, config.prime + 7), np.zeros(m, dtype=int)), family, np.arange(c_honest.size))
             np.testing.assert_array_equal(c_honest, reports[key].support)
             np.testing.assert_array_equal(c_poisoned - fakes, c_honest)
             assert n_honest == reports[key].users and n_poisoned == n_honest + m
@@ -305,6 +305,19 @@ class TestRunProtocol:
             with pytest.raises(ValueError, match="records must be integers"):
                 collect_grid_reports(records, config, rng=rng)
         assert rng.random() == np.random.default_rng(0).random()  # raised before any draw
+
+    def test_float_fake_reports_rejected(self):
+        # A hook's float reports used to be truncated: 20.7 read as function 20.
+        config = GridConfig(d=2)
+        reports = collect_grid_reports(np.zeros((30, 2), dtype=int), config, rng=np.random.default_rng(0))
+        hooks = (
+            lambda key, m, rng: (np.full(m, 20.7), np.full(m, 1)),
+            lambda key, m, rng: (np.full(m, 20), np.full(m, 1.9)),
+            lambda key, m, rng: (np.full(m, 20.0), np.zeros(m, dtype=int)),
+        )
+        for hook in hooks:
+            with pytest.raises(ValueError, match="must be integers"):
+                run_grid_protocol(reports, config, hook, n_fake=6, rng=np.random.default_rng(1))
 
     def test_input_validation(self):
         config = GridConfig(d=2)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ldplab import harness
-from ldplab.attacks.grid import _key_sizes, aog_size_constraints
+from ldplab.attacks.grid import aog_size_constraints
 from ldplab.defenses import DetectionResult
+from ldplab.freq_oracles import _support_classes
 from ldplab.grid_protocol import GridConfig, collect_grid_reports, estimate_query as grid_estimate, run_grid_protocol
 from ldplab.harness import (
     ConfigError,
@@ -664,7 +665,7 @@ class TestRunExperiment:
         def rows(results):
             return [{**asdict(r), "elapsed_s": None} for r in results]
 
-        _key_sizes.cache_clear()  # both seeds' threads fill the shared cache
+        _support_classes.cache_clear()  # both seeds' threads fill the shared cache
         threaded, _ = run_experiment(config(2))
         serial, _ = run_experiment(config(1))
         assert rows(threaded) == rows(serial)
